@@ -96,7 +96,6 @@ from .trajectory import (
     Waypoint,
     plan_segments,
     position_at,
-    propagate_delay,
     segment_trajectory,
 )
 

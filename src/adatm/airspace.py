@@ -22,10 +22,6 @@ class WeatherKind(Enum):
     Severe = "severe"
 
 
-class StormSeverity(Enum):
-    Severe = "severe"
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid of subsectors; sectors are exact tilings of subsectors."""
@@ -110,7 +106,6 @@ class StormCell:
     box: PlanarBox
     velocity: tuple[float, float]
     active: TimeInterval
-    severity: StormSeverity = StormSeverity.Severe
 
     def box_at(self, t: float) -> PlanarBox:
         dt = t - self.active.start

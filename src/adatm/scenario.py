@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernel
-from .airspace import GridSpec, StormCell, bucket_capacity
+from .airspace import GridSpec, StormCell, Subsector, bucket_capacity
 from .errors import ParseError, UsageError, ValidationError
 from .kernel import ActiveDatum, Metadata, NotionKind, noisy_or
 from .nearness import (
@@ -86,6 +86,12 @@ class Scenario:
     closures: tuple[tuple[tuple[int, int], TimeInterval], ...] = ()
     seed: int = 0
 
+    def __post_init__(self):
+        if self.bucket_seconds <= 0:
+            raise ValidationError("bucket_seconds must be positive", "bucket_seconds")
+        if self.horizon_seconds <= 0:
+            raise ValidationError("horizon_seconds must be positive", "horizon_seconds")
+
 
 @dataclass(frozen=True)
 class Report:
@@ -141,6 +147,8 @@ def _obj(value, path: str) -> dict:
 def _num(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"expected a number, got {value!r}", path)
+    if not math.isfinite(value):
+        raise ValidationError(f"expected a finite number, got {value!r}", path)
     return float(value)
 
 
@@ -861,9 +869,6 @@ def run_oracle(scenario: Scenario, include_empty: bool = False) -> Report:
             for i in range(first, last):
                 occupancy.setdefault((seg.subsector, i * dt), set()).add(plan.flight_id)
     closures = _closure_map(scenario)
-    helper = AirspaceState(grid, dt, scenario.calm_capacity, scenario.severe_capacity,
-                           storms=tuple(storms), closures=closures,
-                           horizon_seconds=scenario.horizon_seconds)
     window_end = scenario.horizon_seconds
     keys: list[tuple[tuple[int, int], float]]
     if include_empty:
@@ -878,7 +883,9 @@ def run_oracle(scenario: Scenario, include_empty: bool = False) -> Report:
     records = []
     for cell, bucket_start in keys:
         flights = tuple(sorted(occupancy.get((cell, bucket_start), ())))
-        capacity = bucket_capacity(helper.subsector(*cell),
+        subsector = Subsector(cell, grid.cell_bounds(*cell), scenario.calm_capacity,
+                              scenario.severe_capacity, closures.get(cell, ()))
+        capacity = bucket_capacity(subsector,
                                    TimeInterval(bucket_start, bucket_start + dt),
                                    tuple(storms))
         records.append(CongestionRecord(cell, bucket_start, len(flights),

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .airspace import GridSpec, StormCell, Subsector, bucket_capacity
@@ -86,11 +86,14 @@ class CongestionRecord:
 
 
 @dataclass(frozen=True)
-class Resolution:
-    """Feasible negotiation result: the deviations plus their cost."""
+class Option:
+    """One placement a flight may take in a negotiation, segmented once."""
 
-    choices: tuple[RouteChoice, ...]
-    objective: tuple
+    choice: RouteChoice
+    segments: tuple[TrajectorySegment, ...]
+    spots: frozenset[Spot]
+    #: Segments absent from the flight's current placement.
+    cost: int
 
 
 @dataclass(frozen=True)
@@ -109,23 +112,59 @@ class FlightAccount:
     added_delay: float = 0.0
     version: int = 1
     segments: tuple[TrajectorySegment, ...] = ()
+    spots: frozenset[Spot] = frozenset()
 
 
-def _objective(assignment: dict, deviators: tuple[str, ...],
-               ranks: dict[str, int]) -> tuple:
+@dataclass(frozen=True)
+class Resolution:
+    """Feasible negotiation result: the picked deviations plus their cost.
+
+    ``arriving`` is the arriving flight's version-0 account, from which its
+    deviation is built when it is one of the deviators.
+    """
+
+    options: tuple[Option, ...]
+    objective: tuple
+    arriving: FlightAccount | None = None
+
+    @property
+    def choices(self) -> tuple[RouteChoice, ...]:
+        return tuple(option.choice for option in self.options)
+
+
+def _objective(picks: tuple[Option, ...],
+               accounts: dict[str, FlightAccount]) -> tuple:
     """Total order over negotiation assignments, smaller is better.
 
-    Compares total changed segments, then the number of changed flights,
-    then prefers deviating the lowest-priority flights, then breaks the
-    remaining ties on flight ids and chosen options so the optimum is
-    unique and deterministic.
+    ``picks`` are the deviators' options in flight-id order.  Compares total
+    changed segments, then the number of changed flights, then prefers
+    deviating the lowest-priority flights, then breaks the remaining ties
+    on flight ids and chosen options so the optimum is unique and
+    deterministic.
     """
-    total_changed = sum(choice[2] for choice in assignment.values())
-    rank_key = tuple(sorted((ranks[fid] for fid in deviators), reverse=True))
-    ids = tuple(sorted(deviators))
-    option_tags = tuple((assignment[fid][0].route_index, assignment[fid][0].added_delay)
-                        for fid in ids)
-    return (total_changed, len(deviators), rank_key, ids, option_tags)
+    ids = tuple(option.choice.flight_id for option in picks)
+    rank_key = tuple(sorted((accounts[fid].plan.priority_rank for fid in ids),
+                            reverse=True))
+    option_tags = tuple((option.choice.route_index, option.choice.added_delay)
+                        for option in picks)
+    return (sum(option.cost for option in picks), len(picks), rank_key, ids,
+            option_tags)
+
+
+def _feasible(picks: tuple[Option, ...], accounts: dict[str, FlightAccount],
+              base: dict[Spot, int], room: dict[Spot, int]) -> bool:
+    """Check every touched or already-conflicted spot against its headroom.
+
+    ``base`` holds the occupancy change before any deviation; ``room`` is
+    capacity minus current occupancy.
+    """
+    delta = dict(base)
+    for option in picks:
+        for spot in accounts[option.choice.flight_id].spots:
+            delta[spot] = delta.get(spot, 0) - 1
+        for spot in option.spots:
+            delta[spot] = delta.get(spot, 0) + 1
+    return all(d <= room[spot] for spot, d in delta.items())
 
 
 class AirspaceState:
@@ -193,17 +232,28 @@ class AirspaceState:
         return bucket_capacity(self.subsector(*subsector),
                                self.bucket_interval(bucket_start), self.storms)
 
-    def _add_segments(self, flight_id: str, segments) -> None:
-        for spot in self.segment_spots(segments):
-            self._occ.setdefault(spot, set()).add(flight_id)
+    def account_for(self, plan: FlightPlan, route_index: int = -1,
+                    added_delay: float = 0.0, version: int = 1) -> FlightAccount:
+        """The account a plan holds at one placement, segmented and bucketed."""
+        segments = self.effective_segments(plan, route_index, added_delay, version)
+        return FlightAccount(plan, route_index, added_delay, version, segments,
+                             frozenset(self.segment_spots(segments)))
 
-    def _remove_segments(self, flight_id: str, segments) -> None:
-        for spot in self.segment_spots(segments):
-            members = self._occ.get(spot)
-            if members is not None:
+    def _place(self, flight_id: str, account: FlightAccount | None) -> None:
+        """Move a flight's occupancy to ``account``; None removes the flight."""
+        old = self.flights.get(flight_id)
+        if old is not None:
+            for spot in old.spots:
+                members = self._occ[spot]
                 members.discard(flight_id)
                 if not members:
                     del self._occ[spot]
+        if account is None:
+            del self.flights[flight_id]
+            return
+        self.flights[flight_id] = account
+        for spot in account.spots:
+            self._occ.setdefault(spot, set()).add(flight_id)
 
     def effective_segments(self, plan: FlightPlan, route_index: int = -1,
                            added_delay: float = 0.0, version: int = 1,
@@ -216,11 +266,11 @@ class AirspaceState:
 
     # -- classification ----------------------------------------------------
 
-    def classify_insert(self, segments) -> Classification:
-        """Sort a proposed segment list into one of the three insert cases."""
+    def classify_insert(self, spots) -> Classification:
+        """Sort a proposed placement's spots into one of the three insert cases."""
         hard: list[Spot] = []
         soft: list[Spot] = []
-        for spot in self.segment_spots(segments):
+        for spot in sorted(spots):
             cap = self.capacity(*spot)
             if cap == 0:
                 hard.append(spot)
@@ -238,13 +288,12 @@ class AirspaceState:
         """Add a flight, negotiating plan changes when it would congest."""
         if plan.flight_id in self.flights:
             raise ConflictError(f"flight already present: {plan.flight_id}")
-        proposed = self.effective_segments(plan)
-        verdict = self.classify_insert(proposed)
+        account = self.account_for(plan)
+        verdict = self.classify_insert(account.spots)
         if verdict.kind is CaseKind.Case1:
-            self.flights[plan.flight_id] = FlightAccount(plan=plan, segments=proposed)
-            self._add_segments(plan.flight_id, proposed)
+            self._place(plan.flight_id, account)
             return InsertOutcome(InsertStatus.Accepted)
-        resolution = self.negotiate(verdict.spots, plan)
+        resolution = self.negotiate(verdict.spots, account)
         if resolution is None:
             spot = verdict.spots[0]
             return InsertOutcome(
@@ -252,172 +301,107 @@ class AirspaceState:
                 reason=f"no feasible plan: subsector={spot[0]} bucket={spot[1]:g} "
                        f"occupancy={self.occupancy(*spot)} capacity={self.capacity(*spot)}",
                 violated=spot)
-        changed = self.apply_resolution(resolution, arriving=plan)
+        changed = self.apply_resolution(resolution)
+        if plan.flight_id not in self.flights:
+            self._place(plan.flight_id, account)
         return InsertOutcome(InsertStatus.Rerouted, changed_flights=changed,
                              new_plans=resolution.choices)
 
     def remove_flight(self, flight_id: str) -> None:
-        account = self.flights.pop(flight_id, None)
-        if account is None:
+        if flight_id not in self.flights:
             raise NotFoundError(flight_id)
-        self._remove_segments(flight_id, account.segments)
+        self._place(flight_id, None)
 
     # -- negotiation ---------------------------------------------------------
 
-    def _options_for(self, plan: FlightPlan,
-                     current_route: int, current_delay: float,
-                     current_segments: tuple[TrajectorySegment, ...],
-                     mutable: bool,
-                     delay_menu: tuple[float, ...]) -> list[tuple[RouteChoice, tuple, int]]:
-        """(choice, segments, changed-count) triples, keep-option first.
+    def _options_for(self, account: FlightAccount, mutable: bool) -> list[Option]:
+        """The account's placements, keep-option first.
 
-        Changed count is the number of proposed segments absent from the
-        flight's current placement, compared by (cell, entry, exit).
+        Deviations are segmented at the account's next plan version.  Cost
+        is the number of proposed segments absent from the current
+        placement, compared by (cell, entry, exit).
         """
-        current_set = {(s.subsector, s.entry, s.exit) for s in current_segments}
-
-        def cost(segments) -> int:
-            return sum(1 for s in segments
-                       if (s.subsector, s.entry, s.exit) not in current_set)
-
-        keep = RouteChoice(plan.flight_id, current_route, current_delay)
-        options = [(keep, current_segments, 0)]
+        plan = account.plan
+        current_set = {(s.subsector, s.entry, s.exit) for s in account.segments}
+        keep = RouteChoice(plan.flight_id, account.route_index, account.added_delay)
+        options = [Option(keep, account.segments, account.spots, 0)]
         if not mutable:
             return options
-        for alt_index in range(len(plan.alternates)):
-            segments = self.effective_segments(plan, alt_index, current_delay)
-            options.append((RouteChoice(plan.flight_id, alt_index, current_delay),
-                            segments, cost(segments)))
-        for extra in delay_menu:
-            delay = current_delay + extra
-            segments = self.effective_segments(plan, current_route, delay)
-            options.append((RouteChoice(plan.flight_id, current_route, delay),
-                            segments, cost(segments)))
+        moves = [(alt_index, account.added_delay)
+                 for alt_index in range(len(plan.alternates))]
+        moves += [(account.route_index, account.added_delay + extra)
+                  for extra in DELAY_MENU]
+        for route_index, delay in moves:
+            moved = self.account_for(plan, route_index, delay, account.version + 1)
+            cost = sum(1 for s in moved.segments
+                       if (s.subsector, s.entry, s.exit) not in current_set)
+            options.append(Option(RouteChoice(plan.flight_id, route_index, delay),
+                                  moved.segments, moved.spots, cost))
         return options
 
     def negotiate(self, conflicts: tuple[Spot, ...] | list[Spot],
-                  arriving: FlightPlan | None,
-                  max_changed: int = MAX_CHANGED_FLIGHTS,
-                  delay_menu: tuple[float, ...] = DELAY_MENU) -> Resolution | None:
+                  arriving: FlightAccount | None) -> Resolution | None:
         """Search for the least global set of changes resolving the conflicts.
 
         Involved flights are the arriving one plus every current occupant of
-        a conflicted spot.  Returns the optimal feasible assignment, or None
-        when no assignment within the deviation bound restores headroom.
+        a conflicted spot.  ``arriving`` is the arriving flight's account at
+        its filed placement; it negotiates at version 0, so its deviations
+        are segmented at plan version 1.  Returns the optimal feasible
+        assignment with at most ``MAX_CHANGED_FLIGHTS`` deviators, or None
+        when none restores headroom.
         """
         if not conflicts:
             raise PreconditionError("negotiate requires at least one conflict")
-        conflict_spots = tuple(sorted(set(conflicts)))
+        conflict_spots = set(conflicts)
 
         occupants: set[str] = set()
         for spot in conflict_spots:
             occupants |= self._occ.get(spot, set())
-        involved: list[str] = sorted(occupants)
-        options: dict[str, list[tuple[RouteChoice, tuple, int]]] = {}
-        current: dict[str, tuple[TrajectorySegment, ...]] = {}
-        ranks: dict[str, int] = {}
-        for fid in involved:
-            account = self.flights[fid]
-            current[fid] = account.segments
-            ranks[fid] = account.plan.priority_rank
-            options[fid] = self._options_for(
-                account.plan, account.route_index, account.added_delay,
-                account.segments, mutable=not self.is_en_route(fid),
-                delay_menu=delay_menu)
-        arriving_id = None
+        accounts = {fid: self.flights[fid] for fid in occupants}
+        options = {fid: self._options_for(account, not self.is_en_route(fid))
+                   for fid, account in accounts.items()}
+        # Occupancy deltas against the current map; the arriving flight is
+        # counted at its proposed placement until it deviates.
+        base: dict[Spot, int] = dict.fromkeys(conflict_spots, 0)
+        newcomer = None
         if arriving is not None:
-            arriving_id = arriving.flight_id
-            proposed = self.effective_segments(arriving)
-            current[arriving_id] = proposed
-            ranks[arriving_id] = arriving.priority_rank
-            options[arriving_id] = self._options_for(
-                arriving, -1, 0.0, proposed, mutable=True, delay_menu=delay_menu)
-            involved = sorted(involved + [arriving_id])
+            newcomer = replace(arriving, version=0)
+            accounts[arriving.plan.flight_id] = newcomer
+            options[arriving.plan.flight_id] = self._options_for(newcomer, True)
+            for spot in newcomer.spots:
+                base[spot] = 1
+        involved = sorted(accounts)
+        room = {spot: self.capacity(*spot) - self.occupancy(*spot)
+                for spot in set(base).union(
+                    *(option.spots for opts in options.values() for option in opts))}
 
         best: tuple | None = None
-        best_choices: tuple[RouteChoice, ...] | None = None
-        max_devs = min(max_changed, len(involved))
-        for k in range(0, max_devs + 1):
+        best_picks: tuple[Option, ...] = ()
+        for k in range(0, min(MAX_CHANGED_FLIGHTS, len(involved)) + 1):
             for deviators in itertools.combinations(involved, k):
-                non_keep = [options[fid][1:] for fid in deviators]
-                if any(not opts for opts in non_keep):
-                    continue
-                for picks in itertools.product(*non_keep):
-                    assignment = dict(zip(deviators, picks))
-                    if not self._feasible(assignment, current, arriving_id,
-                                          conflict_spots):
+                for picks in itertools.product(*(options[fid][1:] for fid in deviators)):
+                    if not _feasible(picks, accounts, base, room):
                         continue
-                    objective = _objective(assignment, deviators, ranks)
+                    objective = _objective(picks, accounts)
                     if best is None or objective < best:
-                        best = objective
-                        best_choices = tuple(assignment[fid][0]
-                                             for fid in sorted(assignment))
+                        best, best_picks = objective, picks
         if best is None:
             return None
-        return Resolution(choices=best_choices, objective=best)
+        return Resolution(options=best_picks, objective=best, arriving=newcomer)
 
-    def _rank_of(self, flight_id: str) -> int:
-        account = self.flights.get(flight_id)
-        return account.plan.priority_rank if account is not None else 0
+    def apply_resolution(self, resolution: Resolution) -> tuple[str, ...]:
+        """Apply all deviations atomically; returns the changed flight ids.
 
-    def _feasible(self, assignment, current, arriving_id, conflict_spots) -> bool:
-        """Check every touched or already-conflicted spot against capacity."""
-        removed: dict[Spot, set[str]] = {}
-        added: dict[Spot, set[str]] = {}
-        touched: set[Spot] = set(conflict_spots)
-        for fid, (choice, segments, _cost) in assignment.items():
-            for spot in self.segment_spots(current[fid]):
-                removed.setdefault(spot, set()).add(fid)
-                touched.add(spot)
-            for spot in self.segment_spots(segments):
-                added.setdefault(spot, set()).add(fid)
-                touched.add(spot)
-        if arriving_id is not None and arriving_id not in assignment:
-            for spot in self.segment_spots(current[arriving_id]):
-                added.setdefault(spot, set()).add(arriving_id)
-                touched.add(spot)
-        for spot in touched:
-            occupants = set(self._occ.get(spot, set()))
-            occupants -= removed.get(spot, set())
-            # The arriving flight is not in the base occupancy map.
-            occupants -= {arriving_id}
-            occupants |= added.get(spot, set())
-            if len(occupants) > self.capacity(*spot):
-                return False
-        return True
-
-    def apply_resolution(self, resolution: Resolution,
-                         arriving: FlightPlan | None) -> tuple[str, ...]:
-        """Apply all deviations atomically; returns the changed flight ids."""
-        changed: list[str] = []
-        arrived = False
-        for choice in resolution.choices:
-            fid = choice.flight_id
-            if arriving is not None and fid == arriving.flight_id:
-                segments = self.effective_segments(
-                    arriving, choice.route_index, choice.added_delay)
-                self.flights[fid] = FlightAccount(
-                    plan=arriving, route_index=choice.route_index,
-                    added_delay=choice.added_delay, segments=segments)
-                self._add_segments(fid, segments)
-                arrived = True
-            else:
-                account = self.flights[fid]
-                self._remove_segments(fid, account.segments)
-                account.route_index = choice.route_index
-                account.added_delay = choice.added_delay
-                account.version += 1
-                account.segments = self.effective_segments(
-                    account.plan, choice.route_index, choice.added_delay,
-                    version=account.version)
-                self._add_segments(fid, account.segments)
-            changed.append(fid)
-        if arriving is not None and not arrived:
-            segments = self.effective_segments(arriving)
-            self.flights[arriving.flight_id] = FlightAccount(
-                plan=arriving, segments=segments)
-            self._add_segments(arriving.flight_id, segments)
-        return tuple(sorted(changed))
+        A kept arriving flight is not placed here: its caller holds its
+        account.
+        """
+        for option in resolution.options:
+            fid = option.choice.flight_id
+            account = self.flights.get(fid, resolution.arriving)
+            self._place(fid, FlightAccount(
+                account.plan, option.choice.route_index, option.choice.added_delay,
+                account.version + 1, option.segments, option.spots))
+        return tuple(option.choice.flight_id for option in resolution.options)
 
     # -- weather reaction ----------------------------------------------------
 
@@ -447,11 +431,14 @@ class AirspaceState:
                 detail=f"occupancy={self.occupancy(*spot)} capacity={self.capacity(*spot)}"))
         resolution = self.negotiate(violations, arriving=None)
         if resolution is not None:
-            changed = self.apply_resolution(resolution, arriving=None)
-            for fid in changed:
+            # Each event names the first violated spot the flight moves out of.
+            left = {choice.flight_id:
+                    min(self.flights[choice.flight_id].spots.intersection(violations))
+                    for choice in resolution.choices}
+            for fid in self.apply_resolution(resolution):
                 account = self.flights[fid]
                 events.append(WeatherEvent(
-                    "reroute", violations[0][0], violations[0][1], (fid,),
+                    "reroute", left[fid][0], left[fid][1], (fid,),
                     detail=f"route={account.route_index} delay={account.added_delay:g}"))
             return events
         events.extend(self._bump_excess(violations))
@@ -479,7 +466,8 @@ class AirspaceState:
                         detail=f"en-route occupancy {self.occupancy(*spot)} exceeds "
                                f"capacity {self.capacity(*spot)}"))
                     break
-                bumped = min(movable, key=lambda f: (self._rank_of(f), f))
+                bumped = min(movable,
+                             key=lambda f: (self.flights[f].plan.priority_rank, f))
                 self.remove_flight(bumped)
                 events.append(WeatherEvent(
                     "bumped", spot[0], spot[1], (bumped,),

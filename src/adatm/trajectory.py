@@ -150,36 +150,6 @@ def segment_trajectory(plan: FlightPlan, grid: GridSpec,
     return segments
 
 
-def shift_route(waypoints: tuple[Waypoint, ...], delay: float) -> tuple[Waypoint, ...]:
-    return tuple(Waypoint(w.x, w.y, w.t + delay) for w in waypoints)
-
-
-def shift_segments(segments: list[TrajectorySegment] | tuple[TrajectorySegment, ...],
-                   delay: float, bump_version: bool = False) -> list[TrajectorySegment]:
-    return [replace(s, entry=s.entry + delay, exit=s.exit + delay,
-                    plan_version=s.plan_version + (1 if bump_version else 0))
-            for s in segments]
-
-
-def propagate_delay(plan: FlightPlan,
-                    segments: list[TrajectorySegment] | tuple[TrajectorySegment, ...],
-                    delay: float) -> tuple[FlightPlan, list[TrajectorySegment]]:
-    """Push a departure delay through a plan and its segments.
-
-    Every waypoint time (alternates included) and segment boundary moves
-    by the same amount, so contiguity is preserved exactly; the segments'
-    plan version is bumped.
-    """
-    if delay < 0:
-        raise ValidationError("delay must be >= 0", "delay")
-    shifted_plan = replace(
-        plan,
-        waypoints=shift_route(plan.waypoints, delay),
-        alternates=tuple(shift_route(alt, delay) for alt in plan.alternates),
-    )
-    return shifted_plan, shift_segments(segments, delay, bump_version=True)
-
-
 def plan_segments(plan: FlightPlan, grid: GridSpec, route_index: int = -1,
                   added_delay: float = 0.0, version: int = 1) -> list[TrajectorySegment]:
     """Effective segments of a plan: chosen route shifted by all delays."""

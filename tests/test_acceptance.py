@@ -66,7 +66,7 @@ def test_criterion_2_saturated_insertion():
         if plan.flight_id != "3412":
             assert state.try_insert(plan).status is InsertStatus.Accepted
     arriving = next(p for p in scenario.flights if p.flight_id == "3412")
-    verdict = state.classify_insert(state.effective_segments(arriving))
+    verdict = state.classify_insert(state.account_for(arriving).spots)
     assert verdict.kind is CaseKind.Case2
     report = run_simulation(scenario)
     assert dict(report.outcomes)["3412"].status is InsertStatus.Rejected
@@ -129,7 +129,7 @@ def test_criterion_5_negotiation_optimality_100_instances():
     for trial in range(100):
         state, arriving, verdict = draw_conflicted_instance(rng)
         expected = brute_force_negotiate(state, verdict.spots, arriving)
-        resolution = state.negotiate(verdict.spots, arriving)
+        resolution = state.negotiate(verdict.spots, state.account_for(arriving))
         if expected is None:
             assert resolution is None, f"trial {trial}"
         else:

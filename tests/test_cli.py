@@ -75,6 +75,20 @@ class TestSimulate:
         bad.write_text("{", encoding="utf-8")
         assert main(["simulate", str(bad)]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("bucket_seconds", "nan"), ("bucket_seconds", "inf"),
+        ("waypoint_time", "nan"), ("waypoint_time", "-inf")])
+    def test_non_finite_number_exits_2(self, field, value, tmp_path, capsys):
+        doc = json.loads(render_scenario(congestion_scenario(residents=1)))
+        if field == "bucket_seconds":
+            doc["bucket_seconds"] = float(value)
+        else:
+            doc["flights"][0]["waypoints"][0][2] = float(value)
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", str(bad)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["simulate", str(tmp_path / "ghost.json")]) == 1
 
@@ -95,6 +109,17 @@ class TestOracle:
         assert main(["oracle", str(saturated_path), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert all(o["status"] == "accepted" for o in doc["outcomes"].values())
+
+    @pytest.mark.parametrize("field, value", [
+        ("bucket_seconds", 0), ("bucket_seconds", -60),
+        ("horizon_seconds", 0), ("horizon_seconds", -60)])
+    def test_non_positive_window_exits_2(self, field, value, tmp_path, capsys):
+        doc = json.loads(render_scenario(congestion_scenario(residents=1)))
+        doc[field] = value
+        bad = tmp_path / "window.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["oracle", str(bad), "--full"]) == 2
+        assert f"{field} must be positive" in capsys.readouterr().err
 
 
 class TestDiff:

@@ -145,20 +145,20 @@ class TestClassifyInsert:
         state = two_by_two()
         for i in range(4):
             state.try_insert(dwell(f"{i + 1:04d}"))
-        verdict = state.classify_insert(state.effective_segments(dwell("3412")))
+        verdict = state.classify_insert(state.account_for(dwell("3412")).spots)
         assert verdict.kind is CaseKind.Case1
 
     def test_case2_at_capacity(self):
         state = two_by_two()
         for i in range(6):
             state.try_insert(dwell(f"{i + 1:04d}"))
-        verdict = state.classify_insert(state.effective_segments(dwell("3412")))
+        verdict = state.classify_insert(state.account_for(dwell("3412")).spots)
         assert verdict.kind is CaseKind.Case2
         assert (((0, 0), 0.0)) in verdict.spots
 
     def test_case3_closed_interval(self):
         state = two_by_two(closures={(0, 0): (TimeInterval(0.0, 600.0),)})
-        verdict = state.classify_insert(state.effective_segments(dwell("3412")))
+        verdict = state.classify_insert(state.account_for(dwell("3412")).spots)
         assert verdict.kind is CaseKind.Case3
 
 
@@ -213,10 +213,10 @@ class TestNegotiate:
         resident = plan_of("0001", [[5.0, 15.0, 0.0], [5.0, 5.0, 240.0]])
         assert state.try_insert(resident).status is InsertStatus.Accepted
         arriving = plan_of("3412", [[1.0, 2.0, 0.0], [9.0, 2.0, 300.0]])
-        verdict = state.classify_insert(state.effective_segments(arriving))
+        verdict = state.classify_insert(state.account_for(arriving).spots)
         assert verdict.kind is CaseKind.Case2
         expected = brute_force_negotiate(state, verdict.spots, arriving)
-        resolution = state.negotiate(verdict.spots, arriving)
+        resolution = state.negotiate(verdict.spots, state.account_for(arriving))
         assert resolution is not None
         assert resolution.objective == expected
         assert [c.flight_id for c in resolution.choices] == ["3412"]
@@ -228,8 +228,8 @@ class TestNegotiate:
         for i in range(6):
             state.try_insert(dwell(f"{i + 1:04d}"))
         arriving = dwell("3412")
-        verdict = state.classify_insert(state.effective_segments(arriving))
-        assert state.negotiate(verdict.spots, arriving) is None
+        verdict = state.classify_insert(state.account_for(arriving).spots)
+        assert state.negotiate(verdict.spots, state.account_for(arriving)) is None
         assert brute_force_negotiate(state, verdict.spots, arriving) is None
 
     def _occupant_vs_arrival_state(self):
@@ -250,29 +250,30 @@ class TestNegotiate:
         # The resident's escape costs 3 changed segments, the arrival's 7;
         # the resident moves even though the arrival is the newcomer.
         state, arriving = self._occupant_vs_arrival_state()
-        verdict = state.classify_insert(state.effective_segments(arriving))
+        verdict = state.classify_insert(state.account_for(arriving).spots)
         assert verdict.kind is CaseKind.Case2
         expected = brute_force_negotiate(state, verdict.spots, arriving)
-        resolution = state.negotiate(verdict.spots, arriving)
+        resolution = state.negotiate(verdict.spots, state.account_for(arriving))
         assert resolution.objective == expected
         assert [c.flight_id for c in resolution.choices] == ["0001"]
 
-    def test_occupant_alternate_beats_arrival_alternate(self):
+    def test_occupant_alternate_beats_arrival_alternate(self, monkeypatch):
         # Same instance with delays disabled: both alternates are feasible
         # and the occupant's is cheaper.
+        monkeypatch.setattr("adatm.traffic.DELAY_MENU", ())
         state, arriving = self._occupant_vs_arrival_state()
-        verdict = state.classify_insert(state.effective_segments(arriving))
+        verdict = state.classify_insert(state.account_for(arriving).spots)
         expected = brute_force_negotiate(state, verdict.spots, arriving,
                                          delay_menu=())
-        resolution = state.negotiate(verdict.spots, arriving, delay_menu=())
+        resolution = state.negotiate(verdict.spots, state.account_for(arriving))
         assert resolution.objective == expected
         assert [c.flight_id for c in resolution.choices] == ["0001"]
         assert resolution.choices[0].route_index == 0
 
     def test_locality_changed_flights_touch_conflicts(self):
         state, arriving = self._occupant_vs_arrival_state()
-        verdict = state.classify_insert(state.effective_segments(arriving))
-        resolution = state.negotiate(verdict.spots, arriving)
+        verdict = state.classify_insert(state.account_for(arriving).spots)
+        resolution = state.negotiate(verdict.spots, state.account_for(arriving))
         conflict_spots = set(verdict.spots)
         for choice in resolution.choices:
             if choice.flight_id == arriving.flight_id:
@@ -287,7 +288,7 @@ class TestNegotiate:
         rng = random.Random(seed)
         state, arriving, verdict = draw_conflicted_instance(rng)
         expected = brute_force_negotiate(state, verdict.spots, arriving)
-        resolution = state.negotiate(verdict.spots, arriving)
+        resolution = state.negotiate(verdict.spots, state.account_for(arriving))
         if expected is None:
             assert resolution is None
         else:
@@ -320,12 +321,12 @@ def draw_conflicted_instance(rng, max_flights=3):
         for i in range(rng.randint(1, max_flights)):
             plan = random_plan(f"{i + 1:04d}")
             if state.classify_insert(
-                    state.effective_segments(plan)).kind is CaseKind.Case1:
+                    state.account_for(plan).spots).kind is CaseKind.Case1:
                 state.try_insert(plan)
         if not state.flights:
             continue
         arriving = random_plan("9999")
-        verdict = state.classify_insert(state.effective_segments(arriving))
+        verdict = state.classify_insert(state.account_for(arriving).spots)
         if verdict.kind is not CaseKind.Case1:
             return state, arriving, verdict
 
@@ -378,11 +379,59 @@ class TestAdvanceWeather:
         for start in (1200.0, 1260.0, 1560.0):
             assert state.occupancy((0, 0), start) <= state.capacity((0, 0), start)
 
+    def test_reroute_event_names_the_spot_the_flight_left(self):
+        state = AirspaceState(GridSpec(0, 0, 2, 2, 10.0), bucket_seconds=600.0,
+                              calm_capacity=6, severe_capacity=1)
+        for fid, cell in (("a1", (0, 0)), ("a2", (0, 0)),
+                          ("b1", (1, 0)), ("b2", (1, 0))):
+            state.try_insert(dwell(fid, cell=cell, t1=600.0))
+        state.set_storms((StormCell(id="st", box=PlanarBox(0.0, 0.0, 20.0, 10.0),
+                                    velocity=(0.0, 0.0),
+                                    active=TimeInterval(0.0, 600.0)),))
+        reroutes = [(e.flight_ids, e.subsector, e.bucket_start, e.detail)
+                    for e in state.advance_weather(0.0) if e.kind == "reroute"]
+        assert reroutes == [(("a1",), (0, 0), 0.0, "route=-1 delay=600"),
+                            (("b1",), (1, 0), 0.0, "route=-1 delay=600")]
+
     def test_rewind_rejected(self):
         state = two_by_two()
         state.advance_weather(100.0)
         with pytest.raises(PreconditionError):
             state.advance_weather(50.0)
+
+
+def assert_occupancy_matches_accounts(state):
+    """The incremental occupancy map equals one rebuilt from the accounts."""
+    rebuilt = {}
+    for fid, account in state.flights.items():
+        assert account.spots == set(state.segment_spots(account.segments))
+        for seg in account.segments:
+            assert seg.plan_version == account.version
+            for b in state.buckets_over(seg.entry, seg.exit):
+                rebuilt.setdefault((seg.subsector, b), set()).add(fid)
+    assert state._occ == rebuilt
+
+
+class TestOccupancyInvariant:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_after_negotiated_insert_and_removal(self, seed):
+        state, arriving, _ = draw_conflicted_instance(random.Random(seed))
+        state.try_insert(arriving)
+        assert_occupancy_matches_accounts(state)
+        for fid in sorted(state.flights):
+            state.remove_flight(fid)
+            assert_occupancy_matches_accounts(state)
+        assert state._occ == {}
+
+    @pytest.mark.parametrize("alternates, kind", [([arc_alt()], "reroute"),
+                                                  ((), "bumped")])
+    def test_after_weather(self, alternates, kind):
+        state = two_by_two()
+        for i in range(4):
+            state.try_insert(dwell(f"{i + 1:04d}", alternates=alternates))
+        state.set_storms((storm_covering_00(),))
+        assert kind in [e.kind for e in state.advance_weather(0.0)]
+        assert_occupancy_matches_accounts(state)
 
 
 class TestPredictCongestion:

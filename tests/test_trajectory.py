@@ -1,6 +1,7 @@
 """Segmentation tests, checked against a fine-step sampling oracle."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,6 @@ from adatm import (
     Waypoint,
     plan_segments,
     position_at,
-    propagate_delay,
     segment_trajectory,
 )
 from adatm.errors import DomainError, ValidationError
@@ -140,41 +140,18 @@ class TestPartitionInvariant:
 
 
 class TestDelayPropagation:
-    def test_zero_delay_bumps_version_only(self):
-        plan = plan_of([[1.0, 1.0, 0.0], [75.0, 1.0, 700.0]])
-        segments = segment_trajectory(plan, GRID)
-        shifted_plan, shifted = propagate_delay(plan, segments, 0.0)
-        assert shifted_plan.waypoints == plan.waypoints
-        assert [(s.subsector, s.entry, s.exit) for s in shifted] == \
-            [(s.subsector, s.entry, s.exit) for s in segments]
-        assert all(s.plan_version == 2 for s in shifted)
-
-    def test_uniform_shift(self):
-        plan = plan_of([[1.0, 1.0, 0.0], [75.0, 1.0, 700.0]])
-        segments = segment_trajectory(plan, GRID)
-        _, shifted = propagate_delay(plan, segments, 600.0)
-        for before, after in zip(segments, shifted):
-            assert after.entry == before.entry + 600.0
-            assert after.exit == before.exit + 600.0
-            assert after.subsector == before.subsector
-
-    def test_negative_delay_rejected(self):
-        plan = plan_of([[1.0, 1.0, 0.0], [75.0, 1.0, 700.0]])
-        with pytest.raises(ValidationError):
-            propagate_delay(plan, segment_trajectory(plan, GRID), -1.0)
-
     def test_commutes_with_segmentation_thousand_plans(self):
         rng = random.Random(99)
         for trial in range(1000):
             plan = random_plan(rng, flight_id=f"c{trial}")
             delay = rng.choice([0.0, 60.0, 300.0, 600.0, 900.0])
-            segments = segment_trajectory(plan, GRID)
-            shifted_plan, shifted = propagate_delay(plan, segments, delay)
+            shifted_plan = replace(plan, waypoints=tuple(
+                Waypoint(w.x, w.y, w.t + delay) for w in plan.waypoints))
             resegmented = segment_trajectory(shifted_plan, GRID)
             got = [(s.subsector, round(s.entry, 6), round(s.exit, 6))
                    for s in resegmented]
             want = [(s.subsector, round(s.entry, 6), round(s.exit, 6))
-                    for s in shifted]
+                    for s in plan_segments(plan, GRID, added_delay=delay)]
             assert got == want
 
 
