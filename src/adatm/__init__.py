@@ -21,11 +21,8 @@ from .airspace import (
     GridSpec,
     StormCell,
     Subsector,
-    WeatherKind,
     bucket_capacity,
-    capacity_at,
     storm_overlap_window,
-    weather_at,
 )
 from .kernel import (
     ActiveDatum,

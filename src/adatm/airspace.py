@@ -11,15 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DomainError, ValidationError
 from .nearness import PlanarBox, TimeInterval
-
-
-class WeatherKind(Enum):
-    Calm = "calm"
-    Severe = "severe"
 
 
 @dataclass(frozen=True)
@@ -143,32 +137,6 @@ def storm_overlap_window(storm: StormCell, box: PlanarBox) -> TimeInterval | Non
     if lo >= hi:
         return None
     return TimeInterval(lo, hi)
-
-
-def weather_at(subsector: Subsector, t: float,
-               storms: tuple[StormCell, ...] | list[StormCell]) -> WeatherKind:
-    """Point-in-time weather of a subsector.
-
-    Coverage is the half-open overlap window: the instant a storm front
-    reaches the cell edge already counts as Severe, the instant it leaves
-    does not, mirroring the boundary convention used for trajectories.
-    """
-    for storm in storms:
-        window = storm_overlap_window(storm, subsector.bounds)
-        if window is not None and window.contains(t):
-            return WeatherKind.Severe
-    return WeatherKind.Calm
-
-
-def capacity_at(subsector: Subsector, t: float,
-                storms: tuple[StormCell, ...] | list[StormCell]) -> int:
-    """Point-in-time capacity: 0 when closed, reduced under severe weather."""
-    for closed in subsector.closed_intervals:
-        if closed.contains(t):
-            return 0
-    if weather_at(subsector, t, storms) is WeatherKind.Severe:
-        return subsector.severe_capacity
-    return subsector.calm_capacity
 
 
 def bucket_capacity(subsector: Subsector, bucket: TimeInterval,

@@ -1,7 +1,7 @@
 """Command-line entry points: simulate, oracle, diff.
 
 Exit codes: 0 success, 1 usage error, 2 scenario validation error,
-3 simulation stopped before quiescence.
+3 simulation stopped before quiescence, 4 ``diff`` found the reports differ.
 """
 
 from __future__ import annotations
@@ -10,13 +10,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import UsageError, ValidationError
-from .scenario import diff_reports, load_scenario, parse_report, render_report, simulate
+from .errors import ParseError, UsageError, ValidationError
+from .scenario import (diff_reports, load_scenario, parse_report, render_report, run_oracle,
+                       simulate)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NOT_QUIESCENT = 3
+EXIT_REPORTS_DIFFER = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,6 +50,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}", path) from None
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -56,8 +65,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    text = Path(args.scenario).read_text(encoding="utf-8")
-    scenario = load_scenario(text)
+    scenario = load_scenario(_read(args.scenario))
     if args.max_steps is not None and args.max_steps < 1:
         raise UsageError("--max-steps must be >= 1")
     run = simulate(scenario, max_steps=args.max_steps, include_empty=args.full)
@@ -72,19 +80,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .scenario import run_oracle
-
-    text = Path(args.scenario).read_text(encoding="utf-8")
-    scenario = load_scenario(text)
-    report = run_oracle(scenario, include_empty=args.full)
+    report = run_oracle(load_scenario(_read(args.scenario)), include_empty=args.full)
     _write(render_report(report, args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_diff(args) -> int:
     try:
-        a = parse_report(Path(args.a).read_text(encoding="utf-8"))
-        b = parse_report(Path(args.b).read_text(encoding="utf-8"))
+        a = parse_report(_read(args.a))
+        b = parse_report(_read(args.b))
     except ValidationError as exc:
         raise UsageError(f"diff needs json-format reports: {exc}") from None
     result = diff_reports(a, b)
@@ -97,7 +101,7 @@ def _cmd_diff(args) -> int:
         print(f"only in {args.b}: subsector={key[0]} bucket={key[1]:g}")
     for line in result.mismatched:
         print(f"mismatch: {line}")
-    return EXIT_OK
+    return EXIT_REPORTS_DIFFER
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -112,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "oracle":
             return _cmd_oracle(args)
         return _cmd_diff(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except UsageError as exc:

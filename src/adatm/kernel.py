@@ -309,11 +309,7 @@ def resolve(a: ActiveDatum, b: ActiveDatum) -> ActiveDatum:
 
 def _merge_links(first: tuple[str, ...], second: tuple[str, ...],
                  extra: tuple[str, ...]) -> tuple[str, ...]:
-    out: list[str] = []
-    for item in (*first, *second, *extra):
-        if item not in out:
-            out.append(item)
-    return tuple(out)
+    return tuple(dict.fromkeys((*first, *second, *extra)))
 
 
 def apply_evidence(d: ActiveDatum, e: Evidence, at: float | None = None) -> ActiveDatum:

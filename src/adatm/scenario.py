@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from . import kernel
@@ -66,10 +67,9 @@ class Observation:
     """A raw weather report to be encapsulated into the runtime."""
 
     payload: dict
-    source: str
     confidence: float
     key: NearnessKey
-    observed_at: float
+    metadata: Metadata
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,8 @@ class Scenario:
             raise ValidationError("bucket_seconds must be positive", "bucket_seconds")
         if self.horizon_seconds <= 0:
             raise ValidationError("horizon_seconds must be positive", "horizon_seconds")
+        if not 0 <= self.severe_capacity <= self.calm_capacity:
+            raise ValidationError("capacities must satisfy 0 <= severe <= calm", "capacity")
 
 
 @dataclass(frozen=True)
@@ -145,9 +147,9 @@ def _obj(value, path: str) -> dict:
 
 
 def _num(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in (int, float):  # JSON true and false are not numbers
         raise ValidationError(f"expected a number, got {value!r}", path)
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past any float
         raise ValidationError(f"expected a finite number, got {value!r}", path)
     return float(value)
 
@@ -164,18 +166,31 @@ def _radius(value, path: str) -> float:
     return _num(value, path)
 
 
+def _list(value, path: str, shape: str, length: int | None = None) -> list:
+    if not isinstance(value, list) or length is not None and len(value) != length:
+        raise ValidationError(f"expected {shape}", path)
+    return value
+
+
+def _objects(obj: dict, name: str) -> list[tuple[str, dict]]:
+    """The entries of an optional list-of-objects field, each with its path."""
+    items = _list(obj.get(name, []), name, "a list of objects")
+    return [(f"{name}[{i}]", _obj(item, f"{name}[{i}]")) for i, item in enumerate(items)]
+
+
+def _box(value, path: str) -> PlanarBox:
+    return PlanarBox(*(_num(v, path) for v in _list(value, path, "[x0, y0, x1, y1]", 4)))
+
+
+def _interval(value, path: str) -> TimeInterval:
+    return TimeInterval(*(_num(v, path) for v in _list(value, path, "[start, end]", 2)))
+
+
 def _key_from_dict(obj: dict, path: str) -> NearnessKey:
-    time = _need(obj, "time", path)
-    box = _need(obj, "box", path)
-    concept = _need(obj, "concept", path)
-    if not isinstance(time, list) or len(time) != 2:
-        raise ValidationError("time must be [start, end]", f"{path}.time")
-    if not isinstance(box, list) or len(box) != 4:
-        raise ValidationError("box must be [x0, y0, x1, y1]", f"{path}.box")
     return NearnessKey(
-        time=TimeInterval(_num(time[0], f"{path}.time"), _num(time[1], f"{path}.time")),
-        space=PlanarBox(*(_num(v, f"{path}.box") for v in box)),
-        concept=ConceptPath.parse(str(concept)),
+        time=_interval(_need(obj, "time", path), f"{path}.time"),
+        space=_box(_need(obj, "box", path), f"{path}.box"),
+        concept=ConceptPath.parse(str(_need(obj, "concept", path))),
     )
 
 
@@ -202,10 +217,8 @@ def _query_from_dict(obj: dict, path: str) -> QuerySpec:
         box = obj.get("box")
         prefix = obj.get("concept_prefix")
         return QuerySpec.focused(
-            time_window=None if time is None else TimeInterval(
-                _num(time[0], f"{path}.time"), _num(time[1], f"{path}.time")),
-            box=None if box is None else PlanarBox(
-                *(_num(v, f"{path}.box") for v in box)),
+            time_window=None if time is None else _interval(time, f"{path}.time"),
+            box=None if box is None else _box(box, f"{path}.box"),
             concept_prefix=None if prefix is None else ConceptPath.parse(str(prefix)),
         )
     raise ValidationError(f"unknown query mode {mode!r}", f"{path}.mode")
@@ -232,22 +245,30 @@ def _query_to_dict(spec: QuerySpec) -> dict:
     return out
 
 
-def _route_from_list(raw, path: str) -> tuple[Waypoint, ...]:
-    if not isinstance(raw, list):
-        raise ValidationError("expected a list of [x, y, t] waypoints", path)
+def _route(raw, path: str, grid: GridSpec) -> tuple[Waypoint, ...]:
+    """Read one route; every waypoint must lie inside the grid at t >= 0."""
     waypoints = []
-    for i, item in enumerate(raw):
+    for i, item in enumerate(_list(raw, path, "a list of [x, y, t] waypoints")):
+        where = f"{path}[{i}]"
         if not isinstance(item, list) or len(item) not in (3, 4):
             raise ValidationError("waypoint must be [x, y, t] (an altitude, if "
-                                  "present, is accepted and ignored)", f"{path}[{i}]")
+                                  "present, is accepted and ignored)", where)
         # A 4-element waypoint carries altitude in slot 2; the plane is flat here.
-        x, y, t = item[0], item[1], item[-1]
-        waypoints.append(Waypoint(_num(x, f"{path}[{i}]"), _num(y, f"{path}[{i}]"),
-                                  _num(t, f"{path}[{i}]")))
+        w = Waypoint(*(_num(v, where) for v in (item[0], item[1], item[-1])))
+        if not grid.contains(w.x, w.y):
+            raise ValidationError(f"waypoint ({w.x:g}, {w.y:g}) outside grid", where)
+        if w.t < 0:
+            raise ValidationError("waypoint time must be >= 0", where)
+        waypoints.append(w)
     return tuple(waypoints)
 
 
 def scenario_from_dict(obj: dict) -> Scenario:
+    """Check and build a scenario.
+
+    Every check on the input happens here, so a scenario that loads runs
+    under both :func:`simulate` and :func:`run_oracle`.
+    """
     if not isinstance(obj, dict):
         raise ValidationError("scenario root must be an object", "$")
     g = _obj(_need(obj, "grid", "$"), "grid")
@@ -260,131 +281,93 @@ def scenario_from_dict(obj: dict) -> Scenario:
         sector_rows=_count(g.get("sector_rows", 1), "grid.sector_rows"),
     )
     capacity = _obj(obj.get("capacity", {}), "capacity")
-    flights: list[FlightPlan] = []
-    seen: set[str] = set()
-    for i, f in enumerate(obj.get("flights", [])):
-        path = f"flights[{i}]"
+    flights: dict[str, FlightPlan] = {}
+    for path, f in _objects(obj, "flights"):
         fid = str(_need(f, "id", path))
-        if fid in seen:
+        if fid in flights:
             raise ValidationError(f"duplicate flight id {fid!r}", path)
-        seen.add(fid)
+        waypoints = _route(_need(f, "waypoints", path), f"{path}.waypoints", grid)
+        alternates = tuple(
+            _route(alt, f"{path}.alternates[{j}]", grid) for j, alt in
+            enumerate(_list(f.get("alternates", []), f"{path}.alternates", "a list of routes")))
+        delay = _num(f.get("departure_delay", 0.0), f"{path}.departure_delay")
+        priority = _count(f.get("priority", 0), f"{path}.priority")
         try:
-            plan = FlightPlan(
-                flight_id=fid,
-                waypoints=_route_from_list(_need(f, "waypoints", path),
-                                           f"{path}.waypoints"),
-                alternates=tuple(_route_from_list(alt, f"{path}.alternates[{j}]")
-                                 for j, alt in enumerate(f.get("alternates", []))),
-                departure_delay=_num(f.get("departure_delay", 0.0),
-                                     f"{path}.departure_delay"),
-                priority_rank=_count(f.get("priority", 0), f"{path}.priority"),
-            )
+            flights[fid] = FlightPlan(fid, waypoints, alternates, delay, priority)
         except ValidationError as exc:
             raise ValidationError(str(exc), path) from None
-        for j, w in enumerate(plan.waypoints):
-            if not grid.contains(w.x, w.y):
-                raise ValidationError(f"waypoint ({w.x:g}, {w.y:g}) outside grid",
-                                      f"{path}.waypoints[{j}]")
-            if w.t < 0:
-                raise ValidationError("waypoint time must be >= 0",
-                                      f"{path}.waypoints[{j}]")
-        for j, alt in enumerate(plan.alternates):
-            for k, w in enumerate(alt):
-                if not grid.contains(w.x, w.y):
-                    raise ValidationError(f"waypoint ({w.x:g}, {w.y:g}) outside grid",
-                                          f"{path}.alternates[{j}][{k}]")
-        flights.append(plan)
     storms: list[ScenarioStorm] = []
-    for i, s in enumerate(obj.get("storms", [])):
-        path = f"storms[{i}]"
-        box = _need(s, "box", path)
-        vel = s.get("velocity", [0.0, 0.0])
-        active = _need(s, "active", path)
-        if not isinstance(box, list) or len(box) != 4:
-            raise ValidationError("box must be [x0, y0, x1, y1]", f"{path}.box")
-        if not isinstance(vel, list) or len(vel) != 2:
-            raise ValidationError("velocity must be [vx, vy]", f"{path}.velocity")
-        if not isinstance(active, list) or len(active) != 2:
-            raise ValidationError("active must be [start, end]", f"{path}.active")
+    for path, s in _objects(obj, "storms"):
+        vx, vy = _list(s.get("velocity", [0.0, 0.0]), f"{path}.velocity", "[vx, vy]", 2)
+        reported = s.get("reported", False)
+        if not isinstance(reported, bool):
+            raise ValidationError(f"expected true or false, got {reported!r}",
+                                  f"{path}.reported")
         storms.append(ScenarioStorm(
             cell=StormCell(
                 id=str(_need(s, "id", path)),
-                box=PlanarBox(*(_num(v, f"{path}.box") for v in box)),
-                velocity=(_num(vel[0], f"{path}.velocity"),
-                          _num(vel[1], f"{path}.velocity")),
-                active=TimeInterval(_num(active[0], f"{path}.active"),
-                                    _num(active[1], f"{path}.active")),
+                box=_box(_need(s, "box", path), f"{path}.box"),
+                velocity=(_num(vx, f"{path}.velocity"), _num(vy, f"{path}.velocity")),
+                active=_interval(_need(s, "active", path), f"{path}.active"),
             ),
-            reported=bool(s.get("reported", False)),
+            reported=reported,
         ))
     observations: list[Observation] = []
-    for i, o in enumerate(obj.get("observations", [])):
-        path = f"observations[{i}]"
-        payload = _need(o, "payload", path)
-        if not isinstance(payload, dict):
-            raise ValidationError("payload must be an object", f"{path}.payload")
+    for path, o in _objects(obj, "observations"):
+        payload = _obj(_need(o, "payload", path), f"{path}.payload")
         for name, value in payload.items():
             if not isinstance(value, (str, int, float, bool)):
                 raise ValidationError(f"payload field {name!r} must be scalar",
                                       f"{path}.payload")
-        key = _key_from_dict(_obj(_need(o, "key", path), f"{path}.key"), f"{path}.key")
+        key = _key_from_dict(_need(o, "key", path), f"{path}.key")
         confidence = _num(_need(o, "confidence", path), f"{path}.confidence")
         if not 0.0 <= confidence <= 1.0:
             raise ValidationError("confidence outside [0, 1]", f"{path}.confidence")
-        observations.append(Observation(
-            payload=dict(payload),
-            source=str(_need(o, "source", path)),
-            confidence=confidence,
-            key=key,
-            observed_at=_num(o.get("observed_at", key.time.start),
-                             f"{path}.observed_at"),
-        ))
-    subscriptions: list[Subscription] = []
-    for i, s in enumerate(obj.get("subscriptions", [])):
-        path = f"subscriptions[{i}]"
-        kinds = s.get("kinds")
-        if kinds is None:
-            deliver = frozenset(NotionKind)
-        else:
-            try:
-                deliver = frozenset(NotionKind(str(k)) for k in kinds)
-            except ValueError as exc:
-                raise ValidationError(str(exc), f"{path}.kinds") from None
         try:
-            subscriptions.append(Subscription(
-                id=str(_need(s, "id", path)),
+            metadata = Metadata(
+                source_id=str(_need(o, "source", path)),
+                observed_at=_num(o.get("observed_at", key.time.start),
+                                 f"{path}.observed_at"),
+                size_hint=len(payload), schema_tag="weather-report")
+        except ValidationError as exc:
+            raise ValidationError(str(exc), path) from None
+        observations.append(Observation(dict(payload), confidence, key, metadata))
+    subscriptions: dict[str, Subscription] = {}
+    for path, s in _objects(obj, "subscriptions"):
+        sid = str(_need(s, "id", path))
+        if sid in subscriptions:
+            raise ValidationError(f"duplicate subscription id {sid!r}", path)
+        kinds = s.get("kinds")
+        try:
+            subscriptions[sid] = Subscription(
+                id=sid,
                 spec=_query_from_dict(_need(s, "query", path), f"{path}.query"),
                 min_confidence=_num(s.get("min_confidence", 0.0),
                                     f"{path}.min_confidence"),
-                deliver_kinds=deliver,
-            ))
-        except ValidationError as exc:
+                deliver_kinds=frozenset(NotionKind) if kinds is None else frozenset(
+                    NotionKind(str(k))
+                    for k in _list(kinds, f"{path}.kinds", "a list of kinds")),
+            )
+        except ValueError as exc:  # an unknown kind, or a ValidationError
             raise ValidationError(str(exc), path) from None
     closures: list[tuple[tuple[int, int], TimeInterval]] = []
-    for i, c in enumerate(obj.get("closures", [])):
-        path = f"closures[{i}]"
-        cell = _need(c, "cell", path)
-        interval = _need(c, "interval", path)
-        if not isinstance(cell, list) or len(cell) != 2:
-            raise ValidationError("cell must be [col, row]", f"{path}.cell")
-        if not isinstance(interval, list) or len(interval) != 2:
-            raise ValidationError("interval must be [start, end]", f"{path}.interval")
-        col, row = _count(cell[0], f"{path}.cell"), _count(cell[1], f"{path}.cell")
+    for path, c in _objects(obj, "closures"):
+        col, row = (_count(v, f"{path}.cell")
+                    for v in _list(_need(c, "cell", path), f"{path}.cell", "[col, row]", 2))
         if not (0 <= col < grid.cols and 0 <= row < grid.rows):
             raise ValidationError(f"cell ({col}, {row}) outside grid", f"{path}.cell")
-        closures.append(((col, row),
-                         TimeInterval(_num(interval[0], f"{path}.interval"),
-                                      _num(interval[1], f"{path}.interval"))))
+        closures.append(((col, row), _interval(_need(c, "interval", path),
+                                               f"{path}.interval")))
     return Scenario(
         grid=grid,
         bucket_seconds=_num(obj.get("bucket_seconds", 60.0), "bucket_seconds"),
         horizon_seconds=_num(obj.get("horizon_seconds", 14400.0), "horizon_seconds"),
         calm_capacity=_count(capacity.get("calm", 6), "capacity.calm"),
         severe_capacity=_count(capacity.get("severe", 3), "capacity.severe"),
-        flights=tuple(flights),
+        flights=tuple(flights.values()),
         storms=tuple(storms),
         observations=tuple(observations),
-        subscriptions=tuple(subscriptions),
+        subscriptions=tuple(subscriptions.values()),
         closures=tuple(closures),
         seed=_count(obj.get("seed", 0), "seed"),
     )
@@ -423,10 +406,10 @@ def scenario_to_dict(s: Scenario) -> dict:
         "observations": [
             {
                 "payload": dict(o.payload),
-                "source": o.source,
+                "source": o.metadata.source_id,
                 "confidence": o.confidence,
                 "key": _key_to_dict(o.key),
-                "observed_at": o.observed_at,
+                "observed_at": o.metadata.observed_at,
             }
             for o in s.observations
         ],
@@ -448,14 +431,19 @@ def scenario_to_dict(s: Scenario) -> dict:
     return out
 
 
-def load_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario from JSON text."""
+def _parse_json(text: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", f"line {exc.lineno} col {exc.colno}") \
             from None
-    return scenario_from_dict(obj)
+    except (ValueError, RecursionError) as exc:  # overlong integer, deep nesting
+        raise ParseError(f"invalid JSON: {exc}") from None
+
+
+def load_scenario(text: str) -> Scenario:
+    """Parse and validate a scenario from JSON text."""
+    return scenario_from_dict(_parse_json(text))
 
 
 def render_scenario(s: Scenario) -> str:
@@ -524,11 +512,7 @@ def report_to_dict(r: Report) -> dict:
 
 
 def parse_report(text: str) -> Report:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", f"line {exc.lineno} col {exc.colno}") \
-            from None
+    obj = _parse_json(text)
     try:
         records = tuple(
             CongestionRecord(
@@ -707,9 +691,7 @@ class _Driver:
     def _ingest_observations(self) -> None:
         for i, obs in enumerate(self.scenario.observations):
             datum = kernel.encapsulate(
-                obs.payload, NotionKind.Event,
-                Metadata(source_id=obs.source, observed_at=obs.observed_at,
-                         size_hint=len(obs.payload), schema_tag="weather-report"),
+                obs.payload, NotionKind.Event, obs.metadata,
                 source_confidence=obs.confidence, key=obs.key,
                 datum_id=f"obs-{i + 1:03d}")
             self.rt.add(datum)

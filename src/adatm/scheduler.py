@@ -393,8 +393,7 @@ class Runtime:
 
         # 1. neighborhood peers
         peer_ids = [p for p in self.index.query(self._peer_query(d)) if p != d.id]
-        events.append(self.emit("peers", d.id,
-                                f"count={len(peer_ids)} ids={','.join(peer_ids)}"))
+        events.append(self.emit("peers", d.id, f"count={len(peer_ids)}"))
 
         # 2. duplicate resolution, ascending peer id
         for pid in peer_ids:

@@ -380,10 +380,11 @@ class AirspaceState:
         for k in range(0, min(MAX_CHANGED_FLIGHTS, len(involved)) + 1):
             for deviators in itertools.combinations(involved, k):
                 for picks in itertools.product(*(options[fid][1:] for fid in deviators)):
-                    if not _feasible(picks, accounts, base, room):
-                        continue
+                    # Objectives are distinct, so skipping ties keeps the optimum.
                     objective = _objective(picks, accounts)
-                    if best is None or objective < best:
+                    if best is not None and objective >= best:
+                        continue
+                    if _feasible(picks, accounts, base, room):
                         best, best_picks = objective, picks
         if best is None:
             return None

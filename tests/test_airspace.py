@@ -8,11 +8,8 @@ from adatm import (
     StormCell,
     Subsector,
     TimeInterval,
-    WeatherKind,
     bucket_capacity,
-    capacity_at,
     storm_overlap_window,
-    weather_at,
 )
 from adatm.errors import DomainError, ValidationError
 
@@ -48,14 +45,16 @@ class TestGridSpec:
 
 class TestWeatherAt:
     def test_no_storms_calm(self):
-        assert weather_at(cell_00(), 100.0, []) is WeatherKind.Calm
+        assert bucket_capacity(cell_00(), TimeInterval(100.0, 101.0), []) == 6
 
     def test_static_storm_window(self):
         storm = StormCell(id="s", box=PlanarBox(0.0, 0.0, 10.0, 10.0),
                           velocity=(0.0, 0.0), active=TimeInterval(100.0, 200.0))
-        assert weather_at(cell_00(), 150.0, [storm]) is WeatherKind.Severe
-        assert weather_at(cell_00(), 50.0, [storm]) is WeatherKind.Calm
-        assert weather_at(cell_00(), 200.0, [storm]) is WeatherKind.Calm  # half-open
+        window = storm_overlap_window(storm, cell_00().bounds)
+        assert window == TimeInterval(100.0, 200.0)
+        assert window.contains(150.0)
+        assert not window.contains(50.0)
+        assert not window.contains(200.0)  # half-open
 
     def test_moving_storm_matches_analytic_window(self):
         storm = moving_storm()
@@ -70,11 +69,10 @@ class TestWeatherAt:
             if t in (1200, 1600):
                 continue
             geometric = storm.box_at(float(t)).intersects(bounds)
-            severe = weather_at(cell_00(), float(t), [storm]) is WeatherKind.Severe
-            assert severe == geometric == window.contains(float(t)), f"t={t}"
+            assert geometric == window.contains(float(t)), f"t={t}"
         # Boundary instants follow the entering-inclusive convention.
-        assert weather_at(cell_00(), 1200.0, [storm]) is WeatherKind.Severe
-        assert weather_at(cell_00(), 1600.0, [storm]) is WeatherKind.Calm
+        assert window.contains(1200.0)
+        assert not window.contains(1600.0)
 
     def test_storm_outside_active_interval(self):
         storm = moving_storm(active=(600.0, 1300.0))
@@ -89,21 +87,21 @@ class TestWeatherAt:
 
 class TestCapacity:
     def test_calm_capacity(self):
-        assert capacity_at(cell_00(), 100.0, []) == 6
+        assert bucket_capacity(cell_00(), TimeInterval(100.0, 101.0), []) == 6
 
     def test_closed_interval_zeroes_capacity(self):
         cell = cell_00(closed=[TimeInterval(50.0, 150.0)])
-        assert capacity_at(cell, 100.0, []) == 0
-        assert capacity_at(cell, 150.0, []) == 6
+        assert bucket_capacity(cell, TimeInterval(100.0, 101.0), []) == 0
+        assert bucket_capacity(cell, TimeInterval(150.0, 151.0), []) == 6
 
     def test_severe_capacity(self):
         storm = moving_storm()
-        assert capacity_at(cell_00(), 1300.0, [storm]) == 3
+        assert bucket_capacity(cell_00(), TimeInterval(1300.0, 1301.0), [storm]) == 3
 
     def test_severe_beats_calm_but_closure_beats_severe(self):
         storm = moving_storm()
         cell = cell_00(closed=[TimeInterval(1250.0, 1350.0)])
-        assert capacity_at(cell, 1300.0, [storm]) == 0
+        assert bucket_capacity(cell, TimeInterval(1300.0, 1301.0), [storm]) == 0
 
     def test_invalid_capacity_ordering(self):
         with pytest.raises(ValidationError):

@@ -7,7 +7,7 @@ import pytest
 from adatm.cli import main
 from adatm.scenario import render_scenario
 
-from conftest import congestion_scenario
+from conftest import congestion_scenario, storm_reroute_scenario
 
 
 @pytest.fixture
@@ -92,6 +92,14 @@ class TestSimulate:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["simulate", str(tmp_path / "ghost.json")]) == 1
 
+    def test_unreadable_path_exits_1(self, tmp_path):
+        assert main(["oracle", str(tmp_path)]) == 1  # a directory
+
+    def test_non_utf8_scenario_exits_2(self, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"grid": "\xff"}')
+        assert main(["simulate", str(bad)]) == 2
+
     def test_bad_max_steps_exits_1(self, headroom_path):
         assert main(["simulate", str(headroom_path), "--max-steps", "0"]) == 1
 
@@ -122,6 +130,52 @@ class TestOracle:
         assert f"{field} must be positive" in capsys.readouterr().err
 
 
+def _query(doc):
+    return doc["subscriptions"][0]["query"]
+
+
+#: Edits to a valid scenario that each make it malformed.
+MALFORMED = {
+    "flights-not-a-list": lambda doc: doc.update(flights=5),
+    "subscription-not-an-object": lambda doc: doc.update(subscriptions=[5]),
+    "kinds-not-a-list": lambda doc: doc["subscriptions"][0].update(kinds=5),
+    "alternates-not-a-list": lambda doc: doc["flights"][0].update(alternates=1e-9),
+    "focused-time-number": lambda doc: _query(doc).update(time=1.5),
+    "focused-time-empty": lambda doc: _query(doc).update(time=[]),
+    "focused-time-object": lambda doc: _query(doc).update(time={}),
+    "focused-box-short": lambda doc: _query(doc).update(box=[0, 0, 1]),
+    "empty-source": lambda doc: doc["observations"][0].update(source=""),
+    "negative-observed-at": lambda doc: doc["observations"][0].update(observed_at=-1),
+    "negative-capacity": lambda doc: doc.update(capacity={"calm": 6, "severe": -1}),
+    "severe-above-calm-no-flights": lambda doc: doc.update(
+        capacity={"calm": 1, "severe": 2}, flights=[]),
+    "negative-alternate-time": lambda doc: doc["flights"][0]["alternates"][0][0]
+    .__setitem__(2, -1e9),
+    "duplicate-subscription-id": lambda doc: doc["subscriptions"].append(
+        dict(doc["subscriptions"][0])),
+    "overlong-integer": lambda doc: doc.update(bucket_seconds=10 ** 400),
+    "reported-not-a-flag": lambda doc: doc["storms"][0].update(reported="no"),
+}
+
+
+class TestMalformedScenario:
+    """A scenario that does not load exits 2 from both commands."""
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle"])
+    @pytest.mark.parametrize("edit", sorted(MALFORMED))
+    def test_exits_2(self, edit, command, tmp_path, capsys):
+        doc = json.loads(render_scenario(storm_reroute_scenario()))
+        doc["subscriptions"] = [{"id": "watch", "kinds": ["event"],
+                                 "query": {"mode": "focused", "time": [0, 9000]}}]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([command, str(path)]) == 0
+        MALFORMED[edit](doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([command, str(path)]) == 2
+        assert "invalid scenario" in capsys.readouterr().err
+
+
 class TestDiff:
     def _json_report(self, scenario_path, tmp_path, name, command):
         out = tmp_path / name
@@ -138,7 +192,7 @@ class TestDiff:
     def test_sim_vs_oracle_on_case2(self, saturated_path, tmp_path, capsys):
         a = self._json_report(saturated_path, tmp_path, "sim.json", "simulate")
         b = self._json_report(saturated_path, tmp_path, "orc.json", "oracle")
-        assert main(["diff", str(a), str(b)]) == 0
+        assert main(["diff", str(a), str(b)]) == 4
         assert "mismatch" in capsys.readouterr().out
 
     def test_csv_report_is_usage_error(self, headroom_path, tmp_path, capsys):

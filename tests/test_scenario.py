@@ -1,9 +1,11 @@
 """Scenario codec, simulation driver, oracle equivalence, and diff tests."""
 
-import json
+import copy
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adatm import (
     InsertStatus,
@@ -86,6 +88,92 @@ class TestLoadScenario:
         with pytest.raises(ValidationError):
             scenario_from_dict({"grid": {"cols": 3, "rows": 2, "cell": 10.0,
                                          "sector_cols": 2}})
+
+    def test_alternate_time_must_be_non_negative(self):
+        bad = minimal_dict(flights=[{
+            "id": "f1", "waypoints": [[1, 1, 0.0], [9, 1, 600.0]],
+            "alternates": [[[1, 1, -1e9], [5, 15, 300.0], [9, 1, 600.0]]]}])
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(bad)
+        assert "alternates[0][0]" in str(err.value)
+
+    def test_observation_metadata_built_at_load(self):
+        s = scenario_from_dict(VALID)
+        metadata = s.observations[0].metadata
+        assert (metadata.source_id, metadata.observed_at) == ("radar-1", 5.0)
+        assert (metadata.size_hint, metadata.schema_tag) == (2, "weather-report")
+
+
+#: A scenario that uses every field of the format.
+VALID = {
+    "grid": {"x0": 0, "y0": 0, "cols": 2, "rows": 2, "cell": 10.0,
+             "sector_cols": 1, "sector_rows": 1},
+    "bucket_seconds": 60, "horizon_seconds": 7200,
+    "capacity": {"calm": 2, "severe": 1},
+    "flights": [
+        {"id": "a", "priority": 1, "waypoints": [[1, 5, 0], [9, 5, 600]],
+         "alternates": [[[1, 5, 0], [5, 15, 300], [9, 5, 600]]],
+         "departure_delay": 0},
+        {"id": "b", "waypoints": [[1, 5, 20, 30], [9, 5, 20, 620]]},
+    ],
+    "storms": [{"id": "st-1", "box": [-40, 0, -30, 10], "velocity": [0.05, 0],
+                "active": [0, 3000], "reported": True}],
+    "observations": [{
+        "payload": {"storm_id": "st-1", "kind": "radar-echo"}, "source": "radar-1",
+        "confidence": 0.9, "observed_at": 5,
+        "key": {"time": [0, 600], "box": [0, 0, 10, 10], "concept": "a/b/c"}}],
+    "subscriptions": [
+        {"id": "watch", "min_confidence": 0.5, "kinds": ["event"],
+         "query": {"mode": "focused", "time": [0, 900], "box": [0, 0, 20, 20],
+                   "concept_prefix": "a"}},
+        {"id": "near", "query": {
+            "mode": "neighborhood",
+            "center": {"time": [0, 60], "box": [0, 0, 10, 10], "concept": "a/b"},
+            "time_radius": "inf", "space_radius": 5, "concept_radius": 1}},
+    ],
+    "closures": [{"cell": [1, 1], "interval": [0, 600]}],
+    "seed": 4,
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+
+def _node_paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for name, child in children:
+        yield from _node_paths(child, prefix + (name,))
+
+
+def _loads_or_rejects(doc) -> None:
+    try:
+        scenario_from_dict(doc)
+    except ValidationError:
+        pass
+
+
+class TestLoadProperty:
+    """Loading either succeeds or raises ValidationError, whatever the input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_any_json_value(self, value):
+        _loads_or_rejects(value)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.sampled_from(list(_node_paths(VALID))[1:]), JSON_VALUES)
+    def test_any_single_node_replacement(self, path, value):
+        doc = copy.deepcopy(VALID)
+        parent = doc
+        for name in path[:-1]:
+            parent = parent[name]
+        parent[path[-1]] = value
+        _loads_or_rejects(doc)
 
 
 class TestRoundTrips:
