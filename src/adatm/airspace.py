@@ -1,10 +1,10 @@
 """Gridded airspace: subsectors, storms, and weather-dependent capacity.
 
-The airspace is a uniform grid of square subsectors tiling a set of
-sectors exactly.  Each subsector has a calm-weather capacity, a reduced
-severe-weather capacity, and optional closed intervals during which it
-accepts no traffic.  Storms are axis-aligned boxes translating at
-constant velocity over an activity window.
+The airspace is a uniform grid of square subsectors.  Each subsector
+has a calm-weather capacity, a reduced severe-weather capacity, and
+optional closed intervals during which it accepts no traffic.  Storms
+are axis-aligned boxes translating at constant velocity over an
+activity window.
 """
 
 from __future__ import annotations
@@ -18,27 +18,19 @@ from .nearness import PlanarBox, TimeInterval
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid of subsectors; sectors are exact tilings of subsectors."""
+    """Uniform grid of square subsectors."""
 
     x0: float
     y0: float
     cols: int
     rows: int
     cell: float
-    sector_cols: int = 1
-    sector_rows: int = 1
 
     def __post_init__(self):
         if self.cols < 1 or self.rows < 1:
             raise ValidationError("grid needs at least one cell", "grid")
         if self.cell <= 0:
             raise ValidationError("cell edge must be positive", "grid.cell")
-        if self.sector_cols < 1 or self.sector_rows < 1:
-            raise ValidationError("sector tiling must be positive", "grid")
-        if self.cols % self.sector_cols or self.rows % self.sector_rows:
-            raise ValidationError(
-                f"{self.cols}x{self.rows} subsectors do not tile "
-                f"{self.sector_cols}x{self.sector_rows} sectors exactly", "grid")
 
     @property
     def x1(self) -> float:
@@ -66,9 +58,6 @@ class GridSpec:
         return PlanarBox(
             self.x0 + col * self.cell, self.y0 + row * self.cell,
             self.x0 + (col + 1) * self.cell, self.y0 + (row + 1) * self.cell)
-
-    def sector_of(self, col: int, row: int) -> tuple[int, int]:
-        return (col // self.sector_cols, row // self.sector_rows)
 
     def all_cells(self) -> list[tuple[int, int]]:
         return [(c, r) for r in range(self.rows) for c in range(self.cols)]

@@ -260,11 +260,11 @@ def is_duplicate(a: ActiveDatum, b: ActiveDatum) -> bool:
     """True when payload text and kind are equal and the keys overlap in
     every dimension (time and box intersect, concept paths are equal)."""
     return (
-        a.kind is b.kind
+        a.text == b.text
+        and a.kind is b.kind
         and a.key.concept == b.key.concept
         and a.key.time.intersects(b.key.time)
         and a.key.space.intersects(b.key.space)
-        and a.text == b.text
     )
 
 

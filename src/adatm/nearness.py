@@ -17,7 +17,7 @@ runs are byte-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConflictError, DomainError, NotFoundError, ValidationError
@@ -253,52 +253,11 @@ class QuerySpec:
         return True
 
 
-class _ConceptTrie:
-    """Label tree mapping concept paths to the ids filed under them."""
-
-    def __init__(self):
-        self._children: dict[str, _ConceptTrie] = {}
-        self._ids: set[str] = set()
-
-    def add(self, path: ConceptPath, item_id: str) -> None:
-        node = self
-        for seg in path.segments:
-            node = node._children.setdefault(seg, _ConceptTrie())
-        node._ids.add(item_id)
-
-    def discard(self, path: ConceptPath, item_id: str) -> None:
-        node = self
-        for seg in path.segments:
-            node = node._children.get(seg)
-            if node is None:
-                return
-        node._ids.discard(item_id)
-
-    def under_prefix(self, prefix: ConceptPath) -> set[str]:
-        node = self
-        for seg in prefix.segments:
-            node = node._children.get(seg)
-            if node is None:
-                return set()
-        out: set[str] = set()
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            out |= n._ids
-            stack.extend(n._children.values())
-        return out
-
-
-@dataclass
-class _Cell:
-    ids: set[str] = field(default_factory=set)
-
-
 class NearnessIndex:
-    """Uniform spatial grid plus concept trie over :class:`NearnessKey` items.
+    """Uniform spatial grid over :class:`NearnessKey` items.
 
-    The grid and trie only prune candidates; every candidate is run through
-    the exact query predicate, so results match a linear scan.
+    The grid only prunes candidates; every candidate is run through the
+    exact query predicate, so results match a linear scan.
     """
 
     def __init__(self, cell_size: float = 1.0):
@@ -306,9 +265,8 @@ class NearnessIndex:
             raise ValidationError("cell_size must be positive", "cell_size")
         self.cell_size = cell_size
         self._items: dict[str, NearnessKey] = {}
-        self._grid: dict[tuple[int, int], _Cell] = {}
+        self._grid: dict[tuple[int, int], set[str]] = {}
         self._oversize: set[str] = set()
-        self._trie = _ConceptTrie()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -322,7 +280,8 @@ class NearnessIndex:
         except KeyError:
             raise NotFoundError(item_id) from None
 
-    def _cell_range(self, box: PlanarBox) -> tuple[int, int, int, int] | None:
+    def _cells(self, box: PlanarBox) -> list[tuple[int, int]] | None:
+        """Grid cells the box touches; None when it is unbounded or too large."""
         if any(math.isinf(v) for v in (box.x0, box.y0, box.x1, box.y1)):
             return None
         i0 = math.floor(box.x0 / self.cell_size)
@@ -331,21 +290,18 @@ class NearnessIndex:
         j1 = math.floor(box.y1 / self.cell_size)
         if (i1 - i0 + 1) * (j1 - j0 + 1) > _MAX_CELLS_PER_ITEM:
             return None
-        return i0, i1, j0, j1
+        return [(i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
 
     def insert(self, item_id: str, key: NearnessKey) -> None:
         if item_id in self._items:
             raise ConflictError(f"id already indexed: {item_id}")
         self._items[item_id] = key
-        rng = self._cell_range(key.space)
-        if rng is None:
+        cells = self._cells(key.space)
+        if cells is None:
             self._oversize.add(item_id)
-        else:
-            i0, i1, j0, j1 = rng
-            for i in range(i0, i1 + 1):
-                for j in range(j0, j1 + 1):
-                    self._grid.setdefault((i, j), _Cell()).ids.add(item_id)
-        self._trie.add(key.concept, item_id)
+            return
+        for cell in cells:
+            self._grid.setdefault(cell, set()).add(item_id)
 
     def remove(self, item_id: str) -> None:
         key = self._items.pop(item_id, None)
@@ -353,44 +309,34 @@ class NearnessIndex:
             raise NotFoundError(item_id)
         if item_id in self._oversize:
             self._oversize.discard(item_id)
-        else:
-            i0, i1, j0, j1 = self._cell_range(key.space)
-            for i in range(i0, i1 + 1):
-                for j in range(j0, j1 + 1):
-                    cell = self._grid.get((i, j))
-                    if cell is not None:
-                        cell.ids.discard(item_id)
-                        if not cell.ids:
-                            del self._grid[(i, j)]
-        self._trie.discard(key.concept, item_id)
-
-    def _candidates_in(self, box: PlanarBox) -> set[str]:
-        rng = self._cell_range(box)
-        if rng is None:
-            return set(self._items)
-        out = set(self._oversize)
-        i0, i1, j0, j1 = rng
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                cell = self._grid.get((i, j))
-                if cell is not None:
-                    out |= cell.ids
-        return out
+            return
+        for cell in self._cells(key.space):
+            ids = self._grid[cell]
+            ids.discard(item_id)
+            if not ids:
+                del self._grid[cell]
 
     def _candidates(self, spec: QuerySpec) -> set[str]:
+        """Ids in the cells of the query's box, plus every oversize item.
+
+        A neighborhood query's box is its center inflated by the space
+        radius; a focused query's is its own box.  Without a usable box
+        every item is a candidate.
+        """
         if spec.mode is QueryMode.Neighborhood:
-            if math.isinf(spec.space_radius):
-                return set(self._items)
-            return self._candidates_in(spec.center.space.inflate(spec.space_radius))
-        cands: set[str] | None = None
-        if spec.box is not None:
-            cands = self._candidates_in(spec.box)
-        if spec.concept_prefix is not None:
-            under = self._trie.under_prefix(spec.concept_prefix)
-            cands = under if cands is None else cands & under
-        if cands is None:
-            cands = set(self._items)
-        return cands
+            box = None if math.isinf(spec.space_radius) \
+                else spec.center.space.inflate(spec.space_radius)
+        else:
+            box = spec.box
+        cells = None if box is None else self._cells(box)
+        if cells is None:
+            return set(self._items)
+        out = set(self._oversize)
+        for cell in cells:
+            ids = self._grid.get(cell)
+            if ids is not None:
+                out |= ids
+        return out
 
     def query(self, spec: QuerySpec) -> list[str]:
         """Ids matching the query, in ascending identifier order."""

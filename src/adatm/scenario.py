@@ -45,10 +45,15 @@ from .scheduler import (
     Subscription,
 )
 from .traffic import AirspaceState, CongestionRecord, InsertOutcome, InsertStatus, RouteChoice
-from .trajectory import FlightPlan, Waypoint, segment_trajectory
+from .trajectory import FlightPlan, Waypoint, route_spot_bound, segment_trajectory
 
 #: Fused observation confidence at which a reported storm is taken as real.
 STORM_CONFIRMATION = 0.75
+
+#: Most buckets a scenario's horizon may span, and most (cell, bucket)
+#: spots any one of its routes may hold: a bound on the work a loaded
+#: scenario can ask for.
+MAX_SPOTS = 100_000
 
 #: Concept filed for trajectory-segment data in the nearness index.
 SEGMENT_CONCEPT = ConceptPath(("airspace", "traffic", "segment"))
@@ -93,6 +98,17 @@ class Scenario:
             raise ValidationError("horizon_seconds must be positive", "horizon_seconds")
         if not 0 <= self.severe_capacity <= self.calm_capacity:
             raise ValidationError("capacities must satisfy 0 <= severe <= calm", "capacity")
+        if self.horizon_seconds / self.bucket_seconds > MAX_SPOTS:
+            raise ValidationError(f"horizon spans more than {MAX_SPOTS} buckets",
+                                  "horizon_seconds")
+        for i, plan in enumerate(self.flights):
+            routes = [("waypoints", plan.waypoints)] + [
+                (f"alternates[{j}]", alt) for j, alt in enumerate(plan.alternates)]
+            for name, route in routes:
+                if route_spot_bound(route, self.grid, self.bucket_seconds) > MAX_SPOTS:
+                    raise ValidationError(
+                        f"route may hold more than {MAX_SPOTS} (cell, bucket) spots",
+                        f"flights[{i}].{name}")
 
 
 @dataclass(frozen=True)
@@ -277,8 +293,6 @@ def scenario_from_dict(obj: dict) -> Scenario:
         cols=_count(_need(g, "cols", "grid"), "grid.cols"),
         rows=_count(_need(g, "rows", "grid"), "grid.rows"),
         cell=_num(_need(g, "cell", "grid"), "grid.cell"),
-        sector_cols=_count(g.get("sector_cols", 1), "grid.sector_cols"),
-        sector_rows=_count(g.get("sector_rows", 1), "grid.sector_rows"),
     )
     capacity = _obj(obj.get("capacity", {}), "capacity")
     flights: dict[str, FlightPlan] = {}
@@ -378,7 +392,6 @@ def scenario_to_dict(s: Scenario) -> dict:
         "grid": {
             "x0": s.grid.x0, "y0": s.grid.y0, "cols": s.grid.cols,
             "rows": s.grid.rows, "cell": s.grid.cell,
-            "sector_cols": s.grid.sector_cols, "sector_rows": s.grid.sector_rows,
         },
         "bucket_seconds": s.bucket_seconds,
         "horizon_seconds": s.horizon_seconds,

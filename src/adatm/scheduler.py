@@ -153,14 +153,6 @@ class SchedulerConfig:
     space_radius: float = 1.0
     concept_radius: float = 0.0
     tier_policy: TierPolicy = TierPolicy()
-    priorities: tuple[tuple[ActivationReason, int], ...] = tuple(
-        sorted(DEFAULT_PRIORITIES.items(), key=lambda kv: kv[0].value))
-
-    def priority_of(self, reason: ActivationReason) -> int:
-        for r, p in self.priorities:
-            if r is reason:
-                return p
-        return 0
 
 
 @dataclass
@@ -282,7 +274,7 @@ class Runtime:
         if self.lifecycle_of(datum_id) is LifecycleState.Deleted:
             raise LifecycleError(f"cannot enqueue deleted datum {datum_id}")
         if priority is None:
-            priority = self.config.priority_of(reason)
+            priority = DEFAULT_PRIORITIES[reason]
         self._task_seq += 1
         task = ActivationTask(datum_id, priority, reason, self._task_seq)
         heapq.heappush(self._queue, (task.sort_key(), task))
@@ -344,7 +336,7 @@ class Runtime:
             hyperdata=replace(hd, complementary=links))
         self.add(clone)
         priority = self._last_priority.get(datum_id,
-                                           self.config.priority_of(ActivationReason.NewData))
+                                           DEFAULT_PRIORITIES[ActivationReason.NewData])
         self.emit("forked", datum_id, f"clone={clone_id}")
         self.enqueue(clone_id, ActivationReason.NewData, priority=priority)
         return datum_id, clone_id

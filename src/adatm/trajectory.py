@@ -97,6 +97,13 @@ def position_at(waypoints: tuple[Waypoint, ...], t: float) -> tuple[float, float
     return waypoints[-1].x, waypoints[-1].y
 
 
+def _lines_met(origin: float, cell: float, p0: float, p1: float) -> tuple[int, int]:
+    """First and last index k of the grid lines ``origin + k * cell`` that a
+    coordinate moving from p0 to p1 meets, endpoints included."""
+    return (math.ceil((min(p0, p1) - origin) / cell),
+            math.floor((max(p0, p1) - origin) / cell))
+
+
 def _leg_crossings(a: Waypoint, b: Waypoint, origin: float, cell: float,
                    p0: float, p1: float) -> list[float]:
     """Times strictly inside (a.t, b.t) at which one axis coordinate, moving
@@ -105,14 +112,35 @@ def _leg_crossings(a: Waypoint, b: Waypoint, origin: float, cell: float,
     if p1 == p0:
         return out
     speed = (p1 - p0) / (b.t - a.t)
-    k_lo = math.ceil((min(p0, p1) - origin) / cell)
-    k_hi = math.floor((max(p0, p1) - origin) / cell)
+    k_lo, k_hi = _lines_met(origin, cell, p0, p1)
     for k in range(k_lo, k_hi + 1):
         line = origin + k * cell
         t = a.t + (line - p0) / speed
         if a.t < t < b.t:
             out.append(t)
     return out
+
+
+def route_spot_bound(waypoints: tuple[Waypoint, ...], grid: GridSpec,
+                     bucket_seconds: float) -> float:
+    """Upper bound on the (cell, bucket) spots a route holds at any delay.
+
+    The route changes cell only where a leg meets a grid line, so it has
+    at most one segment more than the lines its legs meet.  Each segment
+    holds its own length in buckets plus at most one partial bucket at
+    each end.
+    """
+    try:
+        lines = 0
+        for a, b in zip(waypoints, waypoints[1:]):
+            for origin, p0, p1 in ((grid.x0, a.x, b.x), (grid.y0, a.y, b.y)):
+                if p0 != p1:
+                    k_lo, k_hi = _lines_met(origin, grid.cell, p0, p1)
+                    lines += k_hi - k_lo + 1
+        span = waypoints[-1].t - waypoints[0].t
+        return span / bucket_seconds + 2 * (lines + 1)
+    except OverflowError:  # more lines than a float can count
+        return math.inf
 
 
 def segment_trajectory(plan: FlightPlan, grid: GridSpec,
@@ -152,8 +180,12 @@ def segment_trajectory(plan: FlightPlan, grid: GridSpec,
 
 def plan_segments(plan: FlightPlan, grid: GridSpec, route_index: int = -1,
                   added_delay: float = 0.0, version: int = 1) -> list[TrajectorySegment]:
-    """Effective segments of a plan: chosen route shifted by all delays."""
+    """Effective segments of a plan: chosen route shifted by all delays.
+
+    A segment that the shift rounds to zero length is dropped; its
+    neighbours still meet, at the instant it collapsed to.
+    """
     raw = segment_trajectory(plan, grid, route_index)
     total = plan.departure_delay + added_delay
-    return [replace(s, entry=s.entry + total, exit=s.exit + total,
-                    plan_version=version) for s in raw]
+    return [replace(s, entry=s.entry + total, exit=s.exit + total, plan_version=version)
+            for s in raw if s.entry + total < s.exit + total]

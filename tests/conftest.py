@@ -134,8 +134,7 @@ def random_case1_scenario(rng: random.Random, max_flights=50) -> Scenario:
             t += rng.uniform(120.0, 900.0)
         flights.append({"id": f"f{i:03d}", "waypoints": waypoints})
     return scenario_from_dict({
-        "grid": {"cols": 8, "rows": 8, "cell": 10.0,
-                 "sector_cols": 4, "sector_rows": 4},
+        "grid": {"cols": 8, "rows": 8, "cell": 10.0},
         "bucket_seconds": 60,
         "horizon_seconds": 14400,
         "capacity": {"calm": max_flights + 10, "severe": max_flights + 10},

@@ -26,15 +26,15 @@ def moving_storm(x0=-40.0, x1=-30.0, vx=0.05, active=(600.0, 3000.0)):
 
 
 class TestGridSpec:
-    def test_sector_tiling_enforced(self):
-        with pytest.raises(ValidationError):
-            GridSpec(0, 0, 3, 4, 10.0, sector_cols=2, sector_rows=2)
+    def test_grid_shape_enforced(self):
+        for cols, rows, cell in [(0, 4, 10.0), (3, 0, 10.0), (3, 4, 0.0), (3, 4, -10.0)]:
+            with pytest.raises(ValidationError):
+                GridSpec(0, 0, cols, rows, cell)
 
     def test_cell_lookup(self):
-        grid = GridSpec(0, 0, 4, 4, 10.0, sector_cols=2, sector_rows=2)
+        grid = GridSpec(0, 0, 4, 4, 10.0)
         assert grid.cell_of(0.0, 0.0) == (0, 0)
         assert grid.cell_of(10.0, 9.9) == (1, 0)
-        assert grid.sector_of(3, 2) == (1, 1)
         with pytest.raises(DomainError):
             grid.cell_of(40.0, 0.0)  # far edge is exclusive
 

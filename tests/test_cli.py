@@ -65,8 +65,7 @@ class TestSimulate:
 
     def test_invalid_scenario_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"grid": {"cols": 3, "rows": 2, "cell": 10,
-                                            "sector_cols": 2}}),
+        bad.write_text(json.dumps({"grid": {"cols": 0, "rows": 2, "cell": 10}}),
                        encoding="utf-8")
         assert main(["simulate", str(bad)]) == 2
 
@@ -99,6 +98,18 @@ class TestSimulate:
         bad = tmp_path / "latin1.json"
         bad.write_bytes(b'{"grid": "\xff"}')
         assert main(["simulate", str(bad)]) == 2
+
+    def test_route_ending_on_grid_corner_negotiates(self, tmp_path):
+        # The last segment is one rounding error long; a delay option must
+        # not turn it into an invalid segment halfway through the run.
+        flights = [{"id": f"r{i}", "waypoints": [
+            [57.47568719104904, 20.0, 103.81763510831728 + i],
+            [30.0, 40.0, 1619.1478587583488 + i]]} for i in range(3)]
+        path = tmp_path / "corner.json"
+        path.write_text(json.dumps({"grid": {"cols": 8, "rows": 8, "cell": 10.0},
+                                    "capacity": {"calm": 2, "severe": 1},
+                                    "flights": flights}), encoding="utf-8")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "r.csv")]) == 0
 
     def test_bad_max_steps_exits_1(self, headroom_path):
         assert main(["simulate", str(headroom_path), "--max-steps", "0"]) == 1
@@ -155,6 +166,23 @@ MALFORMED = {
         dict(doc["subscriptions"][0])),
     "overlong-integer": lambda doc: doc.update(bucket_seconds=10 ** 400),
     "reported-not-a-flag": lambda doc: doc["storms"][0].update(reported="no"),
+    # Scenarios that load on their own terms but ask for unbounded work.
+    "flight-spanning-1e7-s": lambda doc: doc["flights"][0].update(
+        waypoints=[[1, 5, 0], [9, 5, 1e7]], alternates=[]),
+    "alternate-spanning-1e7-s": lambda doc: doc["flights"][0]["alternates"][0][-1]
+    .__setitem__(2, 1e7),
+    "route-crossing-1e5-lines": lambda doc: (
+        doc["grid"].update(cols=100_001),
+        doc["flights"][0].update(waypoints=[[1, 5, 0], [1_000_001, 5, 3600]],
+                                 alternates=[])),
+    "grid-lines-past-float-range": lambda doc: (
+        doc["grid"].update(x0=-1e308, cols=10 ** 9, cell=1e300),
+        doc["flights"][0].update(waypoints=[[-1e308, 5, 0], [1e308, 5, 600]],
+                                 alternates=[])),
+    "bucket-1e-3": lambda doc: doc.update(bucket_seconds=1e-3),
+    "bucket-1e-9-waypoint-at-1e9": lambda doc: (
+        doc.update(bucket_seconds=1e-9),
+        doc["flights"][0]["waypoints"][-1].__setitem__(2, 1e9)),
 }
 
 

@@ -84,11 +84,6 @@ class TestLoadScenario:
         with pytest.raises(ValidationError):
             scenario_from_dict(bad)
 
-    def test_bad_grid_tiling(self):
-        with pytest.raises(ValidationError):
-            scenario_from_dict({"grid": {"cols": 3, "rows": 2, "cell": 10.0,
-                                         "sector_cols": 2}})
-
     def test_alternate_time_must_be_non_negative(self):
         bad = minimal_dict(flights=[{
             "id": "f1", "waypoints": [[1, 1, 0.0], [9, 1, 600.0]],
@@ -106,8 +101,7 @@ class TestLoadScenario:
 
 #: A scenario that uses every field of the format.
 VALID = {
-    "grid": {"x0": 0, "y0": 0, "cols": 2, "rows": 2, "cell": 10.0,
-             "sector_cols": 1, "sector_rows": 1},
+    "grid": {"x0": 0, "y0": 0, "cols": 2, "rows": 2, "cell": 10.0},
     "bucket_seconds": 60, "horizon_seconds": 7200,
     "capacity": {"calm": 2, "severe": 1},
     "flights": [

@@ -23,6 +23,7 @@ from adatm import (
 )
 from adatm.errors import ConflictError, PreconditionError
 from adatm.traffic import DELAY_MENU, MAX_CHANGED_FLIGHTS
+from adatm.trajectory import route_spot_bound
 
 
 def plan_of(fid, waypoints, alternates=(), priority=0, delay=0.0):
@@ -432,6 +433,41 @@ class TestOccupancyInvariant:
         state.set_storms((storm_covering_00(),))
         assert kind in [e.kind for e in state.advance_weather(0.0)]
         assert_occupancy_matches_accounts(state)
+
+
+def _random_route(rng, t0, t1, legs):
+    """A route over [t0, t1] in an 8x8 grid of edge 10 at the origin; about
+    a third of its coordinates sit exactly on a grid line."""
+    times = sorted(rng.uniform(t0, t1) for _ in range(legs - 1))
+    route = []
+    for t in [t0, *times, t1]:
+        x, y = (rng.choice([10.0 * rng.randint(0, 7), rng.uniform(0.0, 79.9)])
+                for _ in range(2))
+        route.append([x, y, t])
+    return route
+
+
+class TestSpotBound:
+    """``route_spot_bound``, which a scenario must keep within
+    ``MAX_SPOTS`` to load, bounds every placement a negotiation tries."""
+
+    @pytest.mark.parametrize("bucket", [7.0, 60.0, 600.0])
+    def test_spots_within_bound_at_every_delay(self, bucket):
+        rng = random.Random(f"spot-bound:{bucket}")
+        grid = GridSpec(0, 0, 8, 8, 10.0)
+        state = AirspaceState(grid, bucket_seconds=bucket)
+        for trial in range(150):
+            t0 = rng.uniform(0.0, 600.0)
+            t1 = t0 + rng.uniform(60.0, 2400.0)
+            route = _random_route(rng, t0, t1, rng.randint(1, 4))
+            alternate = _random_route(rng, t0, t1, rng.randint(2, 4))
+            alternate[0][:2], alternate[-1][:2] = route[0][:2], route[-1][:2]
+            plan = plan_of(f"f{trial}", route, alternates=[alternate],
+                           delay=rng.choice([0.0, rng.uniform(0.0, 900.0)]))
+            for r in (-1, 0):
+                bound = route_spot_bound(plan.route(r), grid, bucket)
+                for d in (0.0, *DELAY_MENU):
+                    assert len(state.account_for(plan, r, d).spots) <= bound
 
 
 class TestPredictCongestion:

@@ -17,7 +17,7 @@ from adatm.errors import DomainError, ValidationError
 
 from conftest import random_plan_dict
 
-GRID = GridSpec(0.0, 0.0, 8, 8, 10.0, sector_cols=4, sector_rows=4)
+GRID = GridSpec(0.0, 0.0, 8, 8, 10.0)
 
 
 def plan_of(waypoints, flight_id="f1", **kwargs):
@@ -75,12 +75,10 @@ class TestBasicSegmentation:
                 assert seg.subsector == cell
 
     def test_multi_sector_path_contiguous(self):
-        # Long multi-waypoint route crossing several sectors.
+        # Long multi-waypoint route crossing many cells.
         plan = plan_of([[5.0, 5.0, 0.0], [35.0, 15.0, 1800.0],
                         [75.0, 55.0, 5400.0]])
         segments = segment_trajectory(plan, GRID)
-        sectors = {GRID.sector_of(*s.subsector) for s in segments}
-        assert len(sectors) >= 2
         assert len(segments) >= 2
         for a, b in zip(segments, segments[1:]):
             assert a.exit == b.entry
@@ -161,6 +159,18 @@ class TestPlanSegments:
         effective = plan_segments(plan, GRID)
         raw = segment_trajectory(plan, GRID)
         assert effective[0].entry == raw[0].entry + 120.0
+
+    def test_delay_drops_segments_it_rounds_away(self):
+        # Ending exactly on a grid corner leaves a last segment one rounding
+        # error long, which the shift by 600 s rounds to zero length.
+        plan = plan_of([[57.47568719104904, 20.0, 103.81763510831728],
+                        [30.0, 40.0, 1619.1478587583488]])
+        assert min(s.exit - s.entry for s in segment_trajectory(plan, GRID)) < 1e-9
+        effective = plan_segments(plan, GRID, added_delay=600.0)
+        assert all(s.entry < s.exit for s in effective)
+        for a, b in zip(effective, effective[1:]):
+            assert a.exit == b.entry
+        assert effective[-1].exit == 1619.1478587583488 + 600.0
 
     def test_alternate_route_selection(self):
         plan = plan_of(
