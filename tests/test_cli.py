@@ -7,7 +7,7 @@ import pytest
 from adatm.cli import main
 from adatm.scenario import render_scenario
 
-from conftest import congestion_scenario, storm_reroute_scenario
+from conftest import congestion_scenario, dwell_route, storm_reroute_scenario
 
 
 @pytest.fixture
@@ -187,7 +187,8 @@ MALFORMED = {
 
 
 class TestMalformedScenario:
-    """A scenario that does not load exits 2 from both commands."""
+    """A scenario that does not load, or a run that asks for more than the
+    work bound, exits 2 from both commands."""
 
     @pytest.mark.parametrize("command", ["simulate", "oracle"])
     @pytest.mark.parametrize("edit", sorted(MALFORMED))
@@ -202,6 +203,16 @@ class TestMalformedScenario:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main([command, str(path)]) == 2
         assert "invalid scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle"])
+    def test_full_report_past_bound_exits_2(self, command, tmp_path, capsys):
+        doc = {"grid": {"cols": 2000, "rows": 2000, "cell": 10.0},
+               "flights": [{"id": "f1", "waypoints": dwell_route()}]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([command, str(path)]) == 0
+        assert main([command, str(path), "--full"]) == 2
+        assert "more than 100000 records" in capsys.readouterr().err
 
 
 class TestDiff:

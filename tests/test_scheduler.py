@@ -114,6 +114,17 @@ class TestQueueOrdering:
         rt.enqueue("w", ActivationReason.WeatherChanged)
         assert rt.step()[0].datum_id == "w"
 
+    def test_default_priorities_pop_order(self):
+        # Enqueued lowest first, so arrival order cannot explain the result.
+        rt = fresh_runtime()
+        reasons = [ActivationReason.NewData, ActivationReason.PeerArrived,
+                   ActivationReason.WeatherChanged, ActivationReason.TimerExpired]
+        for i, reason in enumerate(reasons):
+            rt.add(make_datum(reason.value, payload={"x": i}))
+            rt.enqueue(reason.value, reason)
+        order = [rt.step()[0].datum_id for _ in reasons]
+        assert order == ["timer-expired", "weather-changed", "peer-arrived", "new-data"]
+
 
 class TestStepActivation:
     def test_empty_queue_is_noop(self):
