@@ -688,7 +688,7 @@ class _Driver:
     def _budget(self) -> int:
         if self.max_steps is not None:
             return max(1, self.max_steps - self.steps_used)
-        return max(1, 10 * (len(self.rt.data_ids()) + self.rt.pending_tasks() + 1))
+        return max(1, 10 * (self.rt.data_count() + self.rt.pending_tasks() + 1))
 
     def _drain(self) -> None:
         if self.rt.pending_tasks() == 0:

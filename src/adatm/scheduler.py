@@ -214,6 +214,9 @@ class Runtime:
     def data_ids(self) -> list[str]:
         return sorted(self._store)
 
+    def data_count(self) -> int:
+        return len(self._store)
+
     def live_ids(self) -> list[str]:
         return sorted(i for i, s in self._life.items() if s is not LifecycleState.Deleted)
 

@@ -167,6 +167,30 @@ def _feasible(picks: tuple[Option, ...], accounts: dict[str, FlightAccount],
     return all(d <= room[spot] for spot, d in delta.items())
 
 
+def _cover_menus(deviators: tuple[str, ...], bit: dict[str, int],
+                 short: dict[tuple[int, int], list[Spot]],
+                 options: dict[str, list[Option]]) -> list[list[Option]] | None:
+    """The deviators' options that may still be feasible, or None if none is.
+
+    ``short`` maps (holder mask, shortfall) to the spots that far over their
+    room.  Only a deviator holding a spot lowers its count, so each spot
+    needs at least its shortfall of holders among the deviators.  When it
+    has exactly that many, any option landing on the spot (a holder's or
+    not) leaves it over, so such options are dropped.
+    """
+    mask = sum(bit[fid] for fid in deviators)
+    tight: list[Spot] = []
+    for (holders, need), spots in short.items():
+        held = (mask & holders).bit_count()
+        if held < need:
+            return None
+        if held == need:
+            tight += spots
+    menus = [[option for option in options[fid][1:] if option.spots.isdisjoint(tight)]
+             for fid in deviators]
+    return menus if all(menus) else None
+
+
 class AirspaceState:
     """Mutable traffic picture over one grid.
 
@@ -193,6 +217,9 @@ class AirspaceState:
         self.now = now
         self.flights: dict[str, FlightAccount] = {}
         self._occ: dict[Spot, set[str]] = {}
+        #: Capacity per spot, filled on first lookup.  Closures and the
+        #: calm/severe capacities are fixed here; ``set_storms`` clears it.
+        self._caps: dict[Spot, int] = {}
 
     # -- geometry and bookkeeping -----------------------------------------
 
@@ -229,8 +256,13 @@ class AirspaceState:
         return tuple(sorted(self._occ.get((subsector, bucket_start), ())))
 
     def capacity(self, subsector: tuple[int, int], bucket_start: float) -> int:
-        return bucket_capacity(self.subsector(*subsector),
-                               self.bucket_interval(bucket_start), self.storms)
+        spot = (subsector, bucket_start)
+        cap = self._caps.get(spot)
+        if cap is None:
+            cap = self._caps[spot] = bucket_capacity(
+                self.subsector(*subsector), self.bucket_interval(bucket_start),
+                self.storms)
+        return cap
 
     def account_for(self, plan: FlightPlan, route_index: int = -1,
                     added_delay: float = 0.0, version: int = 1) -> FlightAccount:
@@ -370,16 +402,37 @@ class AirspaceState:
             options[arriving.plan.flight_id] = self._options_for(newcomer, True)
             for spot in newcomer.spots:
                 base[spot] = 1
-        involved = sorted(accounts)
         room = {spot: self.capacity(*spot) - self.occupancy(*spot)
                 for spot in set(base).union(
                     *(option.spots for opts in options.values() for option in opts))}
 
+        # Spots over their room, grouped by the flights able to deviate that
+        # hold them (a bit mask) and by how far over they are.
+        movable = [fid for fid in sorted(accounts) if len(options[fid]) > 1]
+        bit = {fid: 1 << i for i, fid in enumerate(movable)}
+        short: dict[tuple[int, int], list[Spot]] = {}
+        for spot, count in base.items():
+            need = count - room[spot]
+            if need > 0:
+                holders = sum(bit[fid] for fid in movable if spot in accounts[fid].spots)
+                short.setdefault((holders, need), []).append(spot)
+
         best: tuple | None = None
         best_picks: tuple[Option, ...] = ()
-        for k in range(0, min(MAX_CHANGED_FLIGHTS, len(involved)) + 1):
-            for deviators in itertools.combinations(involved, k):
-                for picks in itertools.product(*(options[fid][1:] for fid in deviators)):
+        # k deviators hold a spot at most k times.
+        for k in range(max((need for _, need in short), default=0),
+                       min(MAX_CHANGED_FLIGHTS, len(movable)) + 1):
+            for deviators in itertools.combinations(movable, k):
+                menus = _cover_menus(deviators, bit, short, options)
+                if menus is None:
+                    continue
+                # Cost is the objective's first key: a dearer set cannot win.
+                if best is not None and sum(
+                        min(option.cost for option in menu) for menu in menus) > best[0]:
+                    continue
+                for picks in itertools.product(*menus):
+                    if best is not None and sum(option.cost for option in picks) > best[0]:
+                        continue
                     # Objectives are distinct, so skipping ties keeps the optimum.
                     objective = _objective(picks, accounts)
                     if best is not None and objective >= best:
@@ -408,6 +461,7 @@ class AirspaceState:
 
     def set_storms(self, storms: tuple[StormCell, ...]) -> None:
         self.storms = tuple(storms)
+        self._caps.clear()
 
     def advance_weather(self, to_time: float) -> list[WeatherEvent]:
         """Re-check capacity under the current storm picture.

@@ -70,6 +70,14 @@ class TestLifecycle:
         with pytest.raises(LifecycleError):
             rt.enqueue("d", ActivationReason.NewData)
 
+    def test_data_count_includes_deleted_data(self):
+        rt = fresh_runtime()
+        assert rt.data_count() == 0
+        rt.add(make_datum("d"))
+        rt.add(make_datum("e"))
+        rt.mark_deleted("d")
+        assert rt.data_count() == len(rt.data_ids()) == 2
+
 
 class TestQueueOrdering:
     def test_higher_priority_first(self):

@@ -21,6 +21,8 @@ from adatm import (
     TimeInterval,
     Waypoint,
 )
+from adatm import traffic
+from adatm.airspace import bucket_capacity
 from adatm.errors import ConflictError, PreconditionError
 from adatm.traffic import DELAY_MENU, MAX_CHANGED_FLIGHTS
 from adatm.trajectory import route_spot_bound
@@ -45,6 +47,12 @@ def dwell(fid, cell=(0, 0), t0=0.0, t1=3600.0, alternates=(), priority=0):
 def two_by_two(calm=6, severe=3, **kwargs):
     return AirspaceState(GridSpec(0, 0, 2, 2, 10.0), bucket_seconds=60.0,
                          calm_capacity=calm, severe_capacity=severe, **kwargs)
+
+
+def fresh_capacity(state, spot):
+    """A spot's capacity computed anew, bypassing the state's capacity table."""
+    return bucket_capacity(state.subsector(*spot[0]), state.bucket_interval(spot[1]),
+                           state.storms)
 
 
 def brute_force_negotiate(state, conflicts, arriving,
@@ -103,7 +111,7 @@ def brute_force_negotiate(state, conflicts, arriving,
             for seg in menu[arriving.flight_id][picked[arriving.flight_id]][1]:
                 for b in state.buckets_over(seg.entry, seg.exit):
                     occ.setdefault((seg.subsector, b), set()).add(arriving.flight_id)
-        if any(len(ids) > state.capacity(*spot) for spot, ids in occ.items()):
+        if any(len(ids) > fresh_capacity(state, spot) for spot, ids in occ.items()):
             continue
         total = sum(menu[fid][picked[fid]][2] for fid in deviators)
         ranks = tuple(sorted((info[fid][5] for fid in deviators), reverse=True))
@@ -338,8 +346,65 @@ def storm_covering_00():
                      velocity=(0.05, 0.0), active=TimeInterval(600.0, 3000.0))
 
 
-def arc_alt():
-    return [[1.0, 5.0, 0.0], [5.0, 15.0, 1800.0], [9.0, 5.0, 3600.0]]
+def arc_alt(cell=(0, 0), t0=0.0, t1=3600.0):
+    """Alternate for ``dwell`` that spends its middle in the cell above."""
+    x0, y0 = cell[0] * 10.0, cell[1] * 10.0
+    return [[x0 + 1, y0 + 5, t0], [x0 + 5, y0 + 15, (t0 + t1) / 2], [x0 + 9, y0 + 5, t1]]
+
+
+def draw_storm_instance(rng, max_flights=5):
+    """Keep sampling small states until a storm leaves a bucket over capacity.
+
+    Dwell flights crowd row 0 of a 3x2 grid, most with an alternate through
+    row 1.  A still storm over one or two cells drops their capacity to 0
+    or 1, and a clock at 300 s puts the earliest flights en route.
+    """
+    while True:
+        state = AirspaceState(GridSpec(0, 0, 3, 2, 10.0), bucket_seconds=300.0,
+                              calm_capacity=rng.randint(2, 3),
+                              severe_capacity=rng.choice([0, 1, 1]),
+                              now=rng.choice([0.0, 300.0]))
+        for i in range(rng.randint(2, max_flights)):
+            cell = rng.choice([(0, 0), (0, 0), (1, 0), (2, 0)])
+            t0 = rng.choice([0.0, 300.0, 600.0])
+            t1 = t0 + rng.choice([600.0, 1200.0, 1800.0])
+            alternates = [arc_alt(cell, t0, t1)] if rng.random() < 0.8 else []
+            state.try_insert(dwell(f"{i + 1:04d}", cell, t0, t1, alternates,
+                                   priority=rng.randint(0, 2)))
+        x0 = rng.choice([0.0, 10.0])
+        state.set_storms((StormCell(
+            "st", PlanarBox(x0, 0.0, x0 + rng.choice([10.0, 20.0]), 10.0), (0.0, 0.0),
+            TimeInterval(rng.choice([0.0, 600.0]), rng.choice([1200.0, 2400.0]))),))
+        violations = state._capacity_violations()
+        if violations:
+            return state, violations
+
+
+def short_spots(state, conflicts, arriving=None):
+    """(shortfall, current holders) for each spot a negotiation must free."""
+    arriving_spots = state.account_for(arriving).spots if arriving else frozenset()
+    out = []
+    for spot in set(conflicts) | arriving_spots:
+        holders = set(state.flights_in(*spot))
+        if spot in arriving_spots:
+            holders.add(arriving.flight_id)
+        need = len(holders) - fresh_capacity(state, spot)
+        if need > 0:
+            out.append((need, holders))
+    return out
+
+
+def spy_feasible(monkeypatch):
+    """Record the deviator ids of every assignment ``_feasible`` checks."""
+    reached = []
+    real = traffic._feasible
+
+    def spy(picks, *args):
+        reached.append({option.choice.flight_id for option in picks})
+        return real(picks, *args)
+
+    monkeypatch.setattr(traffic, "_feasible", spy)
+    return reached
 
 
 class TestAdvanceWeather:
@@ -399,6 +464,60 @@ class TestAdvanceWeather:
         state.advance_weather(100.0)
         with pytest.raises(PreconditionError):
             state.advance_weather(50.0)
+
+
+class TestWeatherNegotiate:
+    """``negotiate(violations, arriving=None)``, the weather path."""
+
+    SEEDS = range(40)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_storm_instances_match_brute_force(self, seed):
+        state, violations = draw_storm_instance(random.Random(seed))
+        expected = brute_force_negotiate(state, violations, None)
+        resolution = state.negotiate(violations, arriving=None)
+        if expected is None:
+            assert resolution is None
+        else:
+            assert resolution.objective == expected
+
+    def test_random_storm_instances_include_deep_and_infeasible_searches(self):
+        deviators = set()
+        for seed in self.SEEDS:
+            state, violations = draw_storm_instance(random.Random(seed))
+            resolution = state.negotiate(violations, arriving=None)
+            deviators.add(None if resolution is None else len(resolution.options))
+        assert {2, 3, None} <= deviators
+
+    def test_feasibility_is_checked_only_on_covering_deviator_sets(self, monkeypatch):
+        reached = spy_feasible(monkeypatch)
+        checked = 0
+        for seed in self.SEEDS:
+            state, violations = draw_storm_instance(random.Random(seed))
+            state_in, arriving, verdict = draw_conflicted_instance(random.Random(seed))
+            for st, conflicts, plan in ((state, violations, None),
+                                        (state_in, verdict.spots, arriving)):
+                del reached[:]
+                st.negotiate(conflicts, st.account_for(plan) if plan else None)
+                short = short_spots(st, conflicts, plan)
+                for deviators in reached:
+                    assert all(len(holders & deviators) >= need
+                               for need, holders in short)
+                checked += len(reached)
+        assert checked > 0
+
+    def test_fewer_feasibility_checks_than_exhaustive_search(self, monkeypatch):
+        # Five residents under a storm that leaves room for two: three must
+        # move.  Enumerating every deviator set checks 813 assignments here.
+        state = two_by_two(severe=2)
+        for i in range(5):
+            state.try_insert(dwell(f"{i + 1:04d}", alternates=[arc_alt()],
+                                   priority=i % 3))
+        state.set_storms((storm_covering_00(),))
+        reached = spy_feasible(monkeypatch)
+        events = state.advance_weather(0.0)
+        assert [e.kind for e in events].count("reroute") == 3
+        assert 0 < len(reached) < 813
 
 
 def assert_occupancy_matches_accounts(state):
@@ -468,6 +587,35 @@ class TestSpotBound:
                 bound = route_spot_bound(plan.route(r), grid, bucket)
                 for d in (0.0, *DELAY_MENU):
                     assert len(state.account_for(plan, r, d).spots) <= bound
+
+
+class TestCapacityTable:
+    def test_capacity_follows_the_weather(self):
+        state = two_by_two(severe=1, closures={(1, 1): (TimeInterval(600.0, 900.0),)})
+        state.try_insert(dwell("0001"))
+        state.try_insert(dwell("0002", cell=(0, 1), t0=900.0, t1=2400.0))
+
+        def assert_fresh():
+            for cell in state.grid.all_cells():
+                for i in range(70):
+                    spot = (cell, i * 60.0)
+                    assert state.capacity(*spot) == fresh_capacity(state, spot)
+            for full in (False, True):
+                records = state.predict_congestion(include_empty=full)
+                assert records
+                for r in records:
+                    assert r.capacity == fresh_capacity(state, (r.subsector, r.bucket_start))
+
+        assert_fresh()
+        assert state.capacity((0, 0), 1200.0) == 6
+        assert state.capacity((1, 1), 600.0) == 0
+        state.set_storms((storm_covering_00(),))
+        assert_fresh()
+        assert state.capacity((0, 0), 1200.0) == 1
+        state.set_storms(())
+        assert_fresh()
+        assert state.capacity((0, 0), 1200.0) == 6
+        assert state.capacity((1, 1), 600.0) == 0
 
 
 class TestPredictCongestion:
