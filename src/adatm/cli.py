@@ -1,7 +1,8 @@
 """Command-line entry points: simulate, oracle, diff.
 
 Exit codes: 0 success, 1 usage error, 2 scenario validation error,
-3 simulation stopped before quiescence, 4 ``diff`` found the reports differ.
+3 simulation stopped before quiescence, 4 ``diff`` found the reports differ,
+5 the run failed with any other package error.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ParseError, UsageError, ValidationError
+from .errors import AdatmError, ParseError, UsageError, ValidationError
 from .scenario import (diff_reports, load_scenario, parse_report, render_report, run_oracle,
                        simulate)
 
@@ -19,6 +20,7 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NOT_QUIESCENT = 3
 EXIT_REPORTS_DIFFER = 4
+EXIT_RUN_FAILED = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,6 +127,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except AdatmError as exc:
+        print(f"error: run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUN_FAILED
 
 
 if __name__ == "__main__":

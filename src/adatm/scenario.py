@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import kernel
 from .airspace import GridSpec, StormCell, Subsector, bucket_capacity
@@ -494,22 +495,12 @@ def _outcome_from_dict(obj: dict) -> InsertOutcome:
     )
 
 
-def report_to_dict(r: Report) -> dict:
+def _report_head_to_dict(r: Report) -> dict:
+    """Everything of the report but its records."""
     return {
         "seed": r.seed,
         "bucket_seconds": r.bucket_seconds,
         "grid": {"cols": r.grid_cols, "rows": r.grid_rows},
-        "records": [
-            {
-                "subsector": [rec.subsector[0], rec.subsector[1]],
-                "bucket_start": rec.bucket_start,
-                "occupancy": rec.occupancy,
-                "capacity": rec.capacity,
-                "congested": rec.congested,
-                "flight_ids": list(rec.flight_ids),
-            }
-            for rec in r.records
-        ],
         "outcomes": {fid: _outcome_to_dict(o) for fid, o in r.outcomes},
         "alerts": [
             {"subscription": a.subscription_id, "datum": a.datum_id,
@@ -522,6 +513,22 @@ def report_to_dict(r: Report) -> dict:
             "quiescent": r.stats.quiescent,
         },
     }
+
+
+def report_to_dict(r: Report) -> dict:
+    out = _report_head_to_dict(r)
+    out["records"] = [
+        {
+            "subsector": [rec.subsector[0], rec.subsector[1]],
+            "bucket_start": rec.bucket_start,
+            "occupancy": rec.occupancy,
+            "capacity": rec.capacity,
+            "congested": rec.congested,
+            "flight_ids": list(rec.flight_ids),
+        }
+        for rec in r.records
+    ]
+    return out
 
 
 def parse_report(text: str) -> Report:
@@ -559,6 +566,56 @@ def parse_report(text: str) -> Report:
         raise ValidationError(f"not a report document: {exc}", "$") from None
 
 
+#: The top-level records key of an indented report whose records are empty.
+_NO_RECORDS = '\n  "records": []'
+
+
+def _json_float(value: float) -> str:
+    """A float as ``json.dumps`` writes it, non-finite values included."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return repr(value)
+
+
+def _render_json(r: Report) -> str:
+    """``json.dumps(report_to_dict(r), indent=2, sort_keys=True)`` plus a
+    newline, byte for byte.
+
+    ``indent`` keeps ``json`` on its pure-Python encoder, so the records,
+    the bulk of a report, are written from one template instead: strings
+    through the C string encoder, numbers by ``repr``.  The rest is
+    dumped as before with empty records, and the records are spliced in
+    at their sorted key.  Strings are dumped with every newline escaped,
+    so the top-level key is the first match.
+    """
+    text = json.dumps(_report_head_to_dict(r) | {"records": []}, indent=2, sort_keys=True)
+    if not r.records:
+        return text + "\n"
+    records = []
+    for rec in r.records:
+        col, row = rec.subsector
+        ids = ",\n        ".join(map(encode_basestring_ascii, rec.flight_ids))
+        flight_ids = "[\n        " + ids + "\n      ]" if ids else "[]"
+        records.append(
+            f'    {{\n'
+            f'      "bucket_start": {_json_float(rec.bucket_start)},\n'
+            f'      "capacity": {rec.capacity!r},\n'
+            f'      "congested": {"true" if rec.congested else "false"},\n'
+            f'      "flight_ids": {flight_ids},\n'
+            f'      "occupancy": {rec.occupancy!r},\n'
+            f'      "subsector": [\n'
+            f'        {col!r},\n'
+            f'        {row!r}\n'
+            f'      ]\n'
+            f'    }}')
+    head, _, tail = text.partition(_NO_RECORDS)
+    return head + '\n  "records": [\n' + ",\n".join(records) + "\n  ]" + tail + "\n"
+
+
 def render_report(r: Report, format: str = "csv") -> str:
     """Serialize a report; csv covers the congestion records only."""
     if format == "csv":
@@ -572,7 +629,7 @@ def render_report(r: Report, format: str = "csv") -> str:
                 f"{';'.join(rec.flight_ids)}")
         return "\n".join(lines) + "\n"
     if format == "json":
-        return json.dumps(report_to_dict(r), indent=2, sort_keys=True) + "\n"
+        return _render_json(r)
     if format == "text":
         by_status: dict[str, int] = {}
         for _, outcome in r.outcomes:

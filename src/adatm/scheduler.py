@@ -394,7 +394,8 @@ class Runtime:
 
         # 2. duplicate resolution, ascending peer id.  A duplicate has the
         # same payload text, and a merge keeps the winner's payload, so
-        # peers with other text can never merge in this loop.
+        # peers with other text can never merge in this loop.  Nothing
+        # queries the index here, so the survivor is re-indexed once after.
         text = d.text
         for pid in [p for p in peer_ids if self._store[p].text == text]:
             if self._life.get(pid) is LifecycleState.Deleted:
@@ -410,7 +411,7 @@ class Runtime:
                 continue
             merged = kernel.resolve(d, peer)
             loser_id = pid if merged.id == d.id else d.id
-            self._replace_datum(merged)
+            self._store[merged.id] = merged
             if self._life[loser_id] is not LifecycleState.Active:
                 self._transition(loser_id, LifecycleState.Active)
             self._transition(loser_id, LifecycleState.Deleted)
@@ -425,6 +426,9 @@ class Runtime:
             d = merged
             if d.id != datum_id:
                 datum_id = d.id
+        if d.id in self.index and self.index.key_of(d.id) != d.key:
+            self.index.remove(d.id)
+            self.index.insert(d.id, d.key)
 
         # 3. pending evidence, arrival order
         pending = self._evidence.pop(datum_id, [])

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .airspace import GridSpec, StormCell, Subsector, bucket_capacity
+from .airspace import GridSpec, StormCell, Subsector, bucket_capacity, storm_overlap_window
 from .errors import ConflictError, NotFoundError, PreconditionError, ValidationError
 from .nearness import TimeInterval
 from .trajectory import FlightPlan, TrajectorySegment, plan_segments
@@ -217,8 +217,11 @@ class AirspaceState:
         self.now = now
         self.flights: dict[str, FlightAccount] = {}
         self._occ: dict[Spot, set[str]] = {}
-        #: Capacity per spot, filled on first lookup.  Closures and the
-        #: calm/severe capacities are fixed here; ``set_storms`` clears it.
+        #: Per cell, filled on first lookup: its subsector and the storms
+        #: that ever overlap it.  Closures and the calm/severe capacities
+        #: are fixed here; ``set_storms`` clears it.
+        self._cells: dict[tuple[int, int], tuple[Subsector, tuple[StormCell, ...]]] = {}
+        #: Capacity per spot, filled on first lookup; ``set_storms`` clears it.
         self._caps: dict[Spot, int] = {}
 
     # -- geometry and bookkeeping -----------------------------------------
@@ -259,9 +262,14 @@ class AirspaceState:
         spot = (subsector, bucket_start)
         cap = self._caps.get(spot)
         if cap is None:
+            cell = self._cells.get(subsector)
+            if cell is None:
+                sub = self.subsector(*subsector)
+                cell = self._cells[subsector] = (sub, tuple(
+                    storm for storm in self.storms
+                    if storm_overlap_window(storm, sub.bounds) is not None))
             cap = self._caps[spot] = bucket_capacity(
-                self.subsector(*subsector), self.bucket_interval(bucket_start),
-                self.storms)
+                cell[0], self.bucket_interval(bucket_start), cell[1])
         return cap
 
     def account_for(self, plan: FlightPlan, route_index: int = -1,
@@ -461,6 +469,7 @@ class AirspaceState:
 
     def set_storms(self, storms: tuple[StormCell, ...]) -> None:
         self.storms = tuple(storms)
+        self._cells.clear()
         self._caps.clear()
 
     def advance_weather(self, to_time: float) -> list[WeatherEvent]:

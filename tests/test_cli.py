@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from adatm.cli import main
+from adatm.cli import EXIT_RUN_FAILED, main
+from adatm.errors import PreconditionError
 from adatm.scenario import render_scenario
 
 from conftest import congestion_scenario, dwell_route, storm_reroute_scenario
@@ -116,6 +117,19 @@ class TestSimulate:
 
     def test_unknown_flag_exits_1(self, headroom_path):
         assert main(["simulate", str(headroom_path), "--nope"]) == 1
+
+
+class TestRunFailure:
+    def test_package_error_exits_5_with_one_line(self, headroom_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise PreconditionError("negotiate requires at least one conflict")
+
+        monkeypatch.setattr("adatm.cli.simulate", fail)
+        assert main(["simulate", str(headroom_path)]) == EXIT_RUN_FAILED == 5
+        err = capsys.readouterr().err
+        assert err == "error: run failed: PreconditionError: " \
+                      "negotiate requires at least one conflict\n"
+        assert "Traceback" not in err
 
 
 class TestOracle:

@@ -1,0 +1,116 @@
+"""Byte identity of the program's outputs, pinned by SHA-256.
+
+Each input's report JSON, report CSV, event log and ``run_oracle`` JSON
+must hash to the digests recorded here.  The inputs are the demo
+scenario files and the fixtures of
+``test_acceptance.test_criterion_8_determinism_all_fixtures``.
+
+A speed-up or refactor must leave every digest unchanged.  An intended
+format or behaviour change (for example dropping the event log's
+``peers`` lines) updates the pins in the same change and names that
+change in CHANGES.md.
+"""
+
+import hashlib
+import random
+from pathlib import Path
+
+import pytest
+
+from adatm import load_scenario, render_report, run_oracle, simulate
+
+from conftest import congestion_scenario, random_case1_scenario, storm_reroute_scenario
+
+DEMO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+
+#: name -> SHA-256 of (report JSON, report CSV, event log, oracle JSON).
+PINS = {
+    "four_residents_accept.json": (
+        "8384319e00ba2f2c198fb5971284ec30169bca32fb3007cc359cf683c87df0a8",
+        "d1644bd173340e5909577ff92efd3a1b891a8400e539e8fb70ec40e53594d373",
+        "0c4688b5cf0023308e51ba1068ae67089cbebdadb99acb96f18275f512ddfffc",
+        "372f656c588e110ae3eac5ee2387ea9d38d7072a1fe235cbad59dd110bd69902",
+    ),
+    "saturated_cell_reject.json": (
+        "c95ffad9529f97f85ad0aa318e159e466f3679ca01070a45426d6817790a54c8",
+        "cf4b3e364142d475c3bc5d468f672513c3bf3cb6fac510f97894aa70dcda6aec",
+        "fb590faf1952bd8a07b81691305a6cadde2d8f915587957548ef206771ef3fd4",
+        "7a3385f436c3724a5a2095235203b8564ce80fc1d71c5eea0a20415e8fb393b8",
+    ),
+    "saturated_cell_reroute.json": (
+        "c109e452a38ce8c8cfcce3176323abdfab394b4c809ca5ba40d1538c0d03d9cf",
+        "eadcf7d0ed55bdc9bd86aa347c3ced7bf86eb3fa25180c9baaa9cda3c8213b03",
+        "ff5de6a61664d05c7efb974c3d44a3bfb36e541748bba9ef8e915002eb15e8e5",
+        "d5b584ea503ac922ed483eee7aab6709a73b5639591b47fdb7e78462ca177c1a",
+    ),
+    "storm_reroute.json": (
+        "25047fd2ba6318d50f778f0a68c4f911e8dabd0a73c0a6f2241209289ce0e203",
+        "7513645bf12d53187320671a5437c71cf11c74a13da88695b30622f3242d7afc",
+        "b4f8acd7cb4b517c46a19dd72b340d53dc92c7ca4fd3c3a83f5d40c0f6b7a158",
+        "8dc192c9936e62af18c393501b138e9948b4f92d8670dc1da3e86f703d9d4df5",
+    ),
+    "headroom": (
+        "8384319e00ba2f2c198fb5971284ec30169bca32fb3007cc359cf683c87df0a8",
+        "d1644bd173340e5909577ff92efd3a1b891a8400e539e8fb70ec40e53594d373",
+        "0c4688b5cf0023308e51ba1068ae67089cbebdadb99acb96f18275f512ddfffc",
+        "372f656c588e110ae3eac5ee2387ea9d38d7072a1fe235cbad59dd110bd69902",
+    ),
+    "saturated": (
+        "c95ffad9529f97f85ad0aa318e159e466f3679ca01070a45426d6817790a54c8",
+        "cf4b3e364142d475c3bc5d468f672513c3bf3cb6fac510f97894aa70dcda6aec",
+        "fb590faf1952bd8a07b81691305a6cadde2d8f915587957548ef206771ef3fd4",
+        "7a3385f436c3724a5a2095235203b8564ce80fc1d71c5eea0a20415e8fb393b8",
+    ),
+    "storm-reroute": (
+        "25047fd2ba6318d50f778f0a68c4f911e8dabd0a73c0a6f2241209289ce0e203",
+        "7513645bf12d53187320671a5437c71cf11c74a13da88695b30622f3242d7afc",
+        "b4f8acd7cb4b517c46a19dd72b340d53dc92c7ca4fd3c3a83f5d40c0f6b7a158",
+        "8dc192c9936e62af18c393501b138e9948b4f92d8670dc1da3e86f703d9d4df5",
+    ),
+    "storm-bump": (
+        "a21f93edd4d08c9cdd7d9834f37b314d18e2aff0412c30de670b772ba873dae1",
+        "74c711aff6339e3edd3ffa469ea8af929d7063663b3adb9ea9948dc56c10c534",
+        "a3847ea03fb566cc6b8cb48e9b6d16bd8f2651780d2046565a505afbe1540d9c",
+        "8dc192c9936e62af18c393501b138e9948b4f92d8670dc1da3e86f703d9d4df5",
+    ),
+    "random-mix": (
+        "b6671960f532be381508464968693048bf720599eb7072cdc550195fe8130fe6",
+        "6ec614df487bf527bc6284daed803b4d4994b23fb0263c86dc40fa7ceddf4679",
+        "dc54cdfac58a75071b837ca87f2923eb47f0f48bf233b936f82563c9b6136da0",
+        "3d7490836600080a70235c680a61afecef5099448642a6d5dcc144e66f5d7ac9",
+    ),
+}
+
+FIXTURES = {
+    "headroom": lambda: congestion_scenario(residents=4),
+    "saturated": lambda: congestion_scenario(residents=6),
+    "storm-reroute": lambda: storm_reroute_scenario(with_alternates=True),
+    "storm-bump": lambda: storm_reroute_scenario(with_alternates=False),
+    "random-mix": lambda: random_case1_scenario(random.Random(88), max_flights=25),
+}
+
+
+def _scenario(name: str):
+    if name in FIXTURES:
+        return FIXTURES[name]()
+    return load_scenario((DEMO_SCENARIOS / name).read_text(encoding="utf-8"))
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_every_demo_scenario_is_pinned():
+    demos = {path.name for path in DEMO_SCENARIOS.glob("*.json")}
+    assert demos == set(PINS) - set(FIXTURES)
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_outputs_match_their_pinned_digests(name):
+    scenario = _scenario(name)
+    run = simulate(scenario)
+    got = (_sha(render_report(run.report, "json")), _sha(render_report(run.report, "csv")),
+           _sha(run.event_log), _sha(render_report(run_oracle(scenario), "json")))
+    for part, want, have in zip(("report json", "report csv", "event log", "oracle json"),
+                                PINS[name], got):
+        assert have == want, f"{name}: {part} changed"

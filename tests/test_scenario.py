@@ -1,6 +1,8 @@
 """Scenario codec, simulation driver, oracle equivalence, and diff tests."""
 
 import copy
+import json
+import math
 import random
 
 import pytest
@@ -19,7 +21,9 @@ from adatm import (
     simulate,
 )
 from adatm.errors import ParseError, UsageError, ValidationError
-from adatm.scenario import scenario_from_dict
+from adatm.scenario import Report, report_to_dict, scenario_from_dict
+from adatm.scheduler import Alert, RunStats
+from adatm.traffic import CongestionRecord, InsertOutcome, RouteChoice
 
 from conftest import (
     congestion_scenario,
@@ -225,6 +229,46 @@ class TestRoundTrips:
         report = run_simulation(scenario_from_dict(minimal_dict()))
         with pytest.raises(UsageError):
             render_report(report, "xml")
+
+
+#: Report strings: any text, plus the escapes and the splice marker of the
+#: JSON renderer.
+REPORT_TEXT = st.text(max_size=8) | st.sampled_from(
+    ['"records": []', '\n  "records": []', 'q"uote', "back\\slash", "\x00\x1f\x7f",
+     "caf\u00e9 \u2708 \U0001f600", ""])
+REPORT_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 0.1, 2.5, 1e300, -1e-300, math.inf, -math.inf, math.nan])
+REPORT_INTS = st.integers(-10**20, 10**20)
+REPORT_IDS = st.lists(REPORT_TEXT, max_size=3).map(tuple)
+SPOTS = st.tuples(st.tuples(REPORT_INTS, REPORT_INTS), REPORT_FLOATS)
+OUTCOMES = st.builds(
+    InsertOutcome, st.sampled_from(list(InsertStatus)), REPORT_IDS,
+    st.lists(st.builds(RouteChoice, REPORT_TEXT, REPORT_INTS, REPORT_FLOATS),
+             max_size=2).map(tuple),
+    REPORT_TEXT, st.none() | SPOTS)
+REPORTS = st.builds(
+    Report, REPORT_INTS, REPORT_FLOATS, REPORT_INTS, REPORT_INTS,
+    st.lists(st.builds(CongestionRecord, st.tuples(REPORT_INTS, REPORT_INTS),
+                       REPORT_FLOATS, REPORT_INTS, REPORT_INTS, REPORT_IDS),
+             max_size=4).map(tuple),
+    st.dictionaries(REPORT_TEXT, OUTCOMES, max_size=3).map(
+        lambda d: tuple(sorted(d.items()))),
+    st.lists(st.builds(Alert, REPORT_TEXT, REPORT_TEXT, REPORT_FLOATS, REPORT_TEXT),
+             max_size=3).map(tuple),
+    st.builds(RunStats, REPORT_INTS, REPORT_INTS, REPORT_INTS, REPORT_INTS,
+              st.booleans()))
+
+
+class TestReportJson:
+    """The JSON renderer writes ``json.dumps(..., indent=2)``'s bytes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(REPORTS)
+    def test_render_matches_indented_dumps_and_round_trips(self, report):
+        text = render_report(report, "json")
+        assert text == json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+        # NaN is unequal to itself, so the round trip compares bytes.
+        assert render_report(parse_report(text), "json") == text
 
 
 class TestDiffReports:

@@ -591,9 +591,16 @@ class TestSpotBound:
 
 class TestCapacityTable:
     def test_capacity_follows_the_weather(self):
-        state = two_by_two(severe=1, closures={(1, 1): (TimeInterval(600.0, 900.0),)})
+        # (0, 1) has a zero-length closure: it caps only the bucket holding
+        # its instant.
+        state = two_by_two(severe=1, closures={(1, 1): (TimeInterval(600.0, 900.0),),
+                                               (0, 1): (TimeInterval(300.0, 300.0),)})
         state.try_insert(dwell("0001"))
         state.try_insert(dwell("0002", cell=(0, 1), t0=900.0, t1=2400.0))
+        # A one-unit-wide storm crossing row 0 eastward: it overlaps cell
+        # (1, 0) during [1218, 1240), inside the bucket [1200, 1260).
+        drifting = StormCell(id="drift", box=PlanarBox(0.0, 0.0, 1.0, 10.0),
+                             velocity=(0.5, 0.0), active=TimeInterval(1200.0, 4000.0))
 
         def assert_fresh():
             for cell in state.grid.all_cells():
@@ -609,12 +616,25 @@ class TestCapacityTable:
         assert_fresh()
         assert state.capacity((0, 0), 1200.0) == 6
         assert state.capacity((1, 1), 600.0) == 0
+        assert state.capacity((0, 1), 300.0) == 0
+        assert state.capacity((0, 1), 240.0) == 6
+        assert state.capacity((0, 1), 360.0) == 6
         state.set_storms((storm_covering_00(),))
         assert_fresh()
         assert state.capacity((0, 0), 1200.0) == 1
+        state.set_storms((storm_covering_00(),))
+        assert_fresh()
+        assert state.capacity((0, 0), 1200.0) == 1
+        assert state.capacity((1, 0), 1200.0) == 6
+        state.set_storms((drifting,))
+        assert_fresh()
+        assert state.capacity((0, 0), 1500.0) == 6
+        assert [state.capacity((1, 0), t) for t in (1140.0, 1200.0, 1260.0)] == [6, 1, 6]
+        assert state.capacity((0, 1), 300.0) == 0
         state.set_storms(())
         assert_fresh()
         assert state.capacity((0, 0), 1200.0) == 6
+        assert state.capacity((1, 0), 1200.0) == 6
         assert state.capacity((1, 1), 600.0) == 0
 
 
