@@ -38,6 +38,7 @@ from .kernel import (
     apply_evidence,
     canonical_text,
     encapsulate,
+    fuse,
     infer,
     is_duplicate,
     noisy_or,

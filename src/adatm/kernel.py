@@ -17,10 +17,11 @@ import hashlib
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Mapping
+from operator import attrgetter
+from typing import Iterable, Mapping
 
 from .errors import LifecycleError, PreconditionError, RangeError, ValidationError
-from .nearness import NearnessKey
+from .nearness import NearnessKey, PlanarBox, TimeInterval, spans_intersect
 
 Scalar = str | int | float | bool
 Payload = Mapping[str, Scalar]
@@ -273,38 +274,141 @@ def resolve(a: ActiveDatum, b: ActiveDatum) -> ActiveDatum:
 
     The surviving id is the lexicographic minimum; confidences combine by
     noisy-OR; truth becomes the confidence-weighted mean; detail and
-    exposure take the max; the absorbed id joins the complementary links.
-    The caller is responsible for marking the loser Deleted.
+    exposure take the max; the key becomes the cover of both keys; the
+    absorbed id joins the complementary links.  Raises
+    ``PreconditionError`` unless ``is_duplicate(a, b)``.  The caller is
+    responsible for marking the loser Deleted.  This is one step of
+    :func:`fuse`, which holds the arithmetic.
     """
     if not is_duplicate(a, b):
         raise PreconditionError(f"{a.id} and {b.id} are not duplicates")
-    winner, loser = (a, b) if a.id <= b.id else (b, a)
-    ca, cb = a.confidence, b.confidence
-    confidence = noisy_or(ca, cb)
-    if ca + cb > 0:
-        truth = (ca * a.truth + cb * b.truth) / (ca + cb)
-    else:
-        truth = (a.truth + b.truth) / 2.0
-    hd_w, hd_l = winner.hyperdata, loser.hyperdata
-    complementary = _merge_links(hd_w.complementary, hd_l.complementary, (loser.id,))
-    refuting = tuple(r for r in _merge_links(hd_w.refuting, hd_l.refuting, ())
-                     if r not in complementary)
-    return replace(
-        winner,
-        key=winner.key.cover(loser.key),
-        hyperdata=replace(
-            hd_w,
-            truth=_clamp(truth, -1.0, 1.0),
-            confidence=_clamp(confidence, 0.0, 1.0),
-            detail=max(hd_w.detail, hd_l.detail),
-            exposure=max(hd_w.exposure, hd_l.exposure),
-            complementary=complementary,
-            refuting=refuting,
-            missing=_merge_links(hd_w.missing, hd_l.missing, ()),
-            created_at=min(hd_w.created_at, hd_l.created_at),
-            updated_at=max(hd_w.updated_at, hd_l.updated_at),
-        ),
-    )
+    fusion = _Fusion(a)
+    fusion.absorb(b)
+    return fusion.result()
+
+
+def fuse(datum: ActiveDatum, peers: Iterable[ActiveDatum]
+         ) -> tuple[ActiveDatum, list[tuple[str, str, float]]]:
+    """Fold every duplicate of ``datum`` among ``peers`` into one datum.
+
+    Peers are taken in ascending id, and each is merged into the running
+    result exactly as :func:`resolve` would merge the pair.  A peer is
+    skipped when it is not a duplicate of the running result (whose key
+    grows by the cover of each merge), or when either lists the other
+    among its complementary links: such twins (forked clones) are
+    intentional replicas, not redundant reports.
+
+    Returns the merged datum (``datum`` itself when nothing merged) and,
+    per merge in order, the survivor id, the absorbed id and the
+    confidence after the merge.  With peers in ascending id the survivor
+    changes at most once, at the first merge.
+    """
+    fusion = _Fusion(datum)
+    merges: list[tuple[str, str, float]] = []
+    for peer in sorted(peers, key=attrgetter("id")):
+        if fusion.duplicates(peer) and not fusion.linked(peer):
+            absorbed = fusion.absorb(peer)
+            merges.append((fusion.winner.id, absorbed, fusion.confidence))
+    return (fusion.result() if merges else datum), merges
+
+
+class _Fusion:
+    """A running merge, kept on plain floats and ordered dicts so that
+    each absorbed datum costs the size of its own links, not the size of
+    everything merged so far.
+
+    ``winner`` is the datum whose id, payload, metadata and tier survive.
+    The refuting links are filtered against the complementary ones only
+    in :meth:`result`: the complementary links never shrink, so a link
+    dropped at one merge would be dropped at every later one.
+    """
+
+    __slots__ = ("winner", "t0", "t1", "x0", "y0", "x1", "y1", "truth",
+                 "confidence", "detail", "exposure", "created_at", "updated_at",
+                 "complementary", "refuting", "missing")
+
+    def __init__(self, d: ActiveDatum):
+        self.winner = d
+        time, space, hd = d.key.time, d.key.space, d.hyperdata
+        self.t0, self.t1 = time.start, time.end
+        self.x0, self.y0, self.x1, self.y1 = space.x0, space.y0, space.x1, space.y1
+        self.truth, self.confidence = hd.truth, hd.confidence
+        self.detail, self.exposure = hd.detail, hd.exposure
+        self.created_at, self.updated_at = hd.created_at, hd.updated_at
+        self.complementary = dict.fromkeys(hd.complementary)
+        self.refuting = dict.fromkeys(hd.refuting)
+        self.missing = dict.fromkeys(hd.missing)
+
+    def duplicates(self, peer: ActiveDatum) -> bool:
+        """:func:`is_duplicate` of the running result and ``peer``."""
+        w, time, space = self.winner, peer.key.time, peer.key.space
+        return (
+            w.text == peer.text
+            and w.kind is peer.kind
+            and w.key.concept == peer.key.concept
+            and spans_intersect(self.t0, self.t1, time.start, time.end)
+            and spans_intersect(self.x0, self.x1, space.x0, space.x1)
+            and spans_intersect(self.y0, self.y1, space.y0, space.y1)
+        )
+
+    def linked(self, peer: ActiveDatum) -> bool:
+        return peer.id in self.complementary or \
+            self.winner.id in peer.hyperdata.complementary
+
+    def absorb(self, peer: ActiveDatum) -> str:
+        """Merge a duplicate into the running result; returns the id of
+        the side absorbed."""
+        ca, cb = self.confidence, peer.confidence
+        confidence = noisy_or(ca, cb)
+        if ca + cb > 0:
+            truth = (ca * self.truth + cb * peer.truth) / (ca + cb)
+        else:
+            truth = (self.truth + peer.truth) / 2.0
+        self.truth = _clamp(truth, -1.0, 1.0)
+        self.confidence = _clamp(confidence, 0.0, 1.0)
+        # Winner first, as in a pairwise merge: min and max keep their
+        # first argument on ties, and the winner's links come first.
+        other = _Fusion(peer)
+        w, l = (self, other) if self.winner.id <= peer.id else (other, self)
+        absorbed = l.winner.id
+        self.t0, self.t1 = min(w.t0, l.t0), max(w.t1, l.t1)
+        self.x0, self.y0 = min(w.x0, l.x0), min(w.y0, l.y0)
+        self.x1, self.y1 = max(w.x1, l.x1), max(w.y1, l.y1)
+        self.detail, self.exposure = max(w.detail, l.detail), max(w.exposure, l.exposure)
+        self.created_at = min(w.created_at, l.created_at)
+        self.updated_at = max(w.updated_at, l.updated_at)
+        if w is other:
+            # The survivor switches: take the peer's links, then append ours.
+            self.winner = peer
+            self.complementary, other.complementary = other.complementary, self.complementary
+            self.refuting, other.refuting = other.refuting, self.refuting
+            self.missing, other.missing = other.missing, self.missing
+        self.complementary.update(other.complementary)
+        self.complementary[absorbed] = None
+        self.refuting.update(other.refuting)
+        self.missing.update(other.missing)
+        return absorbed
+
+    def result(self) -> ActiveDatum:
+        w, complementary = self.winner, self.complementary
+        return replace(
+            w,
+            key=NearnessKey(TimeInterval(self.t0, self.t1),
+                            PlanarBox(self.x0, self.y0, self.x1, self.y1),
+                            w.key.concept),
+            hyperdata=replace(
+                w.hyperdata,
+                truth=self.truth,
+                confidence=self.confidence,
+                detail=self.detail,
+                exposure=self.exposure,
+                complementary=tuple(complementary),
+                refuting=tuple(r for r in self.refuting if r not in complementary),
+                missing=tuple(self.missing),
+                created_at=self.created_at,
+                updated_at=self.updated_at,
+            ),
+        )
 
 
 def _merge_links(first: tuple[str, ...], second: tuple[str, ...],

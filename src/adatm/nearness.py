@@ -38,6 +38,21 @@ _MAX_CELLS_PER_ITEM = 1024
 _FILTER_ABOVE = 4
 
 
+def spans_intersect(a0: float, a1: float, b0: float, b1: float) -> bool:
+    """Whether the half-open spans [a0, a1) and [b0, b1) meet.
+
+    A zero-length span is a point, so that a key always intersects
+    itself; a point on a span's open end does not count.
+    """
+    if a0 == a1 and b0 == b1:
+        return a0 == b0
+    if a0 == a1:
+        return b0 <= a0 < b1
+    if b0 == b1:
+        return a0 <= b0 < a1
+    return max(a0, b0) < min(a1, b1)
+
+
 @dataclass(frozen=True)
 class TimeInterval:
     """Half-open interval [start, end) in seconds; start == end is a point."""
@@ -54,15 +69,7 @@ class TimeInterval:
         return self.start == self.end
 
     def intersects(self, other: "TimeInterval") -> bool:
-        # Degenerate intervals are treated as points so that a key always
-        # intersects itself; a point on the open end boundary does not count.
-        if self.is_point and other.is_point:
-            return self.start == other.start
-        if self.is_point:
-            return other.start <= self.start < other.end
-        if other.is_point:
-            return self.start <= other.start < self.end
-        return max(self.start, other.start) < min(self.end, other.end)
+        return spans_intersect(self.start, self.end, other.start, other.end)
 
     def cover(self, other: "TimeInterval") -> "TimeInterval":
         return TimeInterval(min(self.start, other.start), max(self.end, other.end))
@@ -84,18 +91,9 @@ class PlanarBox:
         if self.x0 > self.x1 or self.y0 > self.y1:
             raise ValidationError("box corners out of order", "box")
 
-    def _axis_intersects(self, a0: float, a1: float, b0: float, b1: float) -> bool:
-        if a0 == a1 and b0 == b1:
-            return a0 == b0
-        if a0 == a1:
-            return b0 <= a0 < b1
-        if b0 == b1:
-            return a0 <= b0 < a1
-        return max(a0, b0) < min(a1, b1)
-
     def intersects(self, other: "PlanarBox") -> bool:
-        return self._axis_intersects(self.x0, self.x1, other.x0, other.x1) and \
-            self._axis_intersects(self.y0, self.y1, other.y0, other.y1)
+        return spans_intersect(self.x0, self.x1, other.x0, other.x1) and \
+            spans_intersect(self.y0, self.y1, other.y0, other.y1)
 
     def cover(self, other: "PlanarBox") -> "PlanarBox":
         return PlanarBox(

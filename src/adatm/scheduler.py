@@ -392,43 +392,34 @@ class Runtime:
         peer_ids = [p for p in self.index.query(self._peer_query(d)) if p != d.id]
         events.append(self.emit("peers", d.id, f"count={len(peer_ids)}"))
 
-        # 2. duplicate resolution, ascending peer id.  A duplicate has the
-        # same payload text, and a merge keeps the winner's payload, so
-        # peers with other text can never merge in this loop.  Nothing
-        # queries the index here, so the survivor is re-indexed once after.
+        # 2. duplicate fusion, one pass in ascending peer id.  A duplicate
+        # has the same payload text, and a merge keeps the winner's payload,
+        # so only live peers with this text are passed to the fold.  The
+        # survivor is stored and re-indexed once; each absorbed id is then
+        # retired in merge order.
         text = d.text
-        for pid in [p for p in peer_ids if self._store[p].text == text]:
-            if self._life.get(pid) is LifecycleState.Deleted:
-                continue
-            peer = self._store[pid]
-            if not kernel.is_duplicate(d, peer):
-                continue
-            if pid in d.hyperdata.complementary or \
-                    d.id in peer.hyperdata.complementary:
-                # Complementary-linked twins (forked clones) are intentional
-                # replicas, not redundant reports; fusing them would undo the
-                # fork on its first activation.
-                continue
-            merged = kernel.resolve(d, peer)
-            loser_id = pid if merged.id == d.id else d.id
-            self._store[merged.id] = merged
-            if self._life[loser_id] is not LifecycleState.Active:
-                self._transition(loser_id, LifecycleState.Active)
-            self._transition(loser_id, LifecycleState.Deleted)
-            # Evidence queued against the absorbed id follows the survivor.
-            leftover = self._evidence.pop(loser_id, [])
-            if leftover:
-                self._evidence.setdefault(merged.id, []).extend(leftover)
-            events.append(self.emit(
-                "merged", merged.id,
-                f"absorbed={loser_id} confidence={merged.confidence:.6f}"))
-            events.append(self.emit("deleted", loser_id, "absorbed by duplicate"))
-            d = merged
-            if d.id != datum_id:
+        same_text = [peer for peer in (self._store[p] for p in peer_ids)
+                     if peer.text == text
+                     and self._life.get(peer.id) is not LifecycleState.Deleted]
+        if same_text:
+            d, merges = kernel.fuse(d, same_text)
+            if merges:
                 datum_id = d.id
-        if d.id in self.index and self.index.key_of(d.id) != d.key:
-            self.index.remove(d.id)
-            self.index.insert(d.id, d.key)
+                self._store[datum_id] = d
+                if datum_id in self.index and self.index.key_of(datum_id) != d.key:
+                    self.index.remove(datum_id)
+                    self.index.insert(datum_id, d.key)
+            for survivor, absorbed, confidence in merges:
+                if self._life[absorbed] is not LifecycleState.Active:
+                    self._transition(absorbed, LifecycleState.Active)
+                self._transition(absorbed, LifecycleState.Deleted)
+                # Evidence queued against the absorbed id follows the survivor.
+                leftover = self._evidence.pop(absorbed, [])
+                if leftover:
+                    self._evidence.setdefault(survivor, []).extend(leftover)
+                events.append(self.emit(
+                    "merged", survivor, f"absorbed={absorbed} confidence={confidence:.6f}"))
+                events.append(self.emit("deleted", absorbed, "absorbed by duplicate"))
 
         # 3. pending evidence, arrival order
         pending = self._evidence.pop(datum_id, [])

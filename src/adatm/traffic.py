@@ -23,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import itemgetter
 
 from .airspace import GridSpec, StormCell, Subsector, bucket_capacity, storm_overlap_window
 from .errors import ConflictError, NotFoundError, PreconditionError, ValidationError
@@ -553,7 +554,7 @@ class AirspaceState:
         dt = self.bucket_seconds
         first = math.floor(now / dt)
         window_end = now + horizon
-        records: list[CongestionRecord] = []
+        occ = self._occ
         if include_empty:
             spots = []
             i = first
@@ -562,13 +563,14 @@ class AirspaceState:
                     spots.append((cell, i * dt))
                 i += 1
         else:
-            spots = [s for s in self._occ
-                     if s[1] >= first * dt and s[1] < window_end]
+            start = first * dt
+            spots = [s for s in occ if s[1] >= start and s[1] < window_end]
+        # Records come in (bucket, col, row) order; spots are unique.
+        spots.sort(key=itemgetter(1, 0))
+        capacity = self.capacity
+        records: list[CongestionRecord] = []
         for spot in spots:
-            flights = self.flights_in(*spot)
-            records.append(CongestionRecord(
-                subsector=spot[0], bucket_start=spot[1],
-                occupancy=len(flights), capacity=self.capacity(*spot),
-                flight_ids=flights))
-        records.sort(key=lambda r: (r.bucket_start, r.subsector[0], r.subsector[1]))
+            ids = occ.get(spot, ())
+            records.append(CongestionRecord(spot[0], spot[1], len(ids), capacity(*spot),
+                                            tuple(sorted(ids))))
         return records

@@ -152,3 +152,84 @@ def random_plan_dict(rng: random.Random, grid_extent=80.0, max_legs=4):
                           rng.uniform(0.5, grid_extent - 0.5), t])
         t += rng.uniform(60.0, 600.0)
     return waypoints
+
+
+def _fusion_reports(storm_id, base_box, rng, low, high, zeros=()):
+    """Thirty reports of one storm for :func:`fusion_scenario`, by role.
+
+    ``j`` 0 is the report every later one is measured against.  Most
+    reports jitter around it; some lie just beside it (0.5 away in space,
+    or touching its end in time) and overlap only a cover that an earlier
+    or later absorbed report grew; some lie beside it and never overlap
+    any cover; a far cluster sits outside its neighborhood altogether.
+    """
+    x0, y0, x1, y1 = base_box
+    reports = []
+    for j in range(30):
+        box = [x0 + rng.uniform(-0.3, 0.3), y0 + rng.uniform(0.0, 0.3),
+               x1 + rng.uniform(-0.3, 0.3), y1 + rng.uniform(-0.3, 0.3)]
+        time = [600.0 + rng.uniform(0.0, 60.0), 3000.0 + rng.uniform(-60.0, 0.0)]
+        kind = "radar-echo"
+        if j == 0:
+            box, time = [x0, y0, x1, y1], [600.0, 3000.0]
+        elif j == 3:  # east of j 0; overlaps only the cover j 5 grows later
+            box = [x1 + 0.5, y0, x1 + 10.0, y1]
+        elif j == 5:  # grows the cover east past x1 + 0.5
+            box[2] = x1 + 0.8
+        elif j == 7:  # grows the cover in time past 3000
+            time[1] = 3200.0
+        elif j in (9, 12):  # east of j 0, inside the cover j 5 grew
+            box = [x1 + 0.5, y0 + 0.2, x1 + 9.0, y1 - 0.2]
+        elif j == 11:  # starts where j 0 ends, inside the cover j 7 grew
+            time = [3000.0, 5000.0]
+        elif j == 14:  # east of the cover j 9 grows, outside j 0's neighborhood
+            box = [x1 + 9.5, y0, x1 + 15.0, y1]
+        elif j == 16:  # same place, other text: a peer that never fuses
+            kind = "lightning"
+        elif j == 20:  # north of every cover: a peer, never a duplicate
+            box = [x0, y1 + 0.5, x1, y1 + 4.0]
+        elif j == 21:  # ends before every cover starts
+            time = [0.0, 500.0]
+        elif j >= 22:  # far cluster, fused among itself
+            box = [x0 + rng.uniform(-0.3, 0.3), y1 + 20.0, x1, y1 + 30.0]
+        confidence = 0.0 if j in zeros else round(rng.uniform(low, high), 4)
+        reports.append({
+            "payload": {"storm_id": storm_id, "kind": kind},
+            "source": f"radar-{j % 4 + 1}",
+            "confidence": confidence,
+            "observed_at": round(time[0], 3),
+            "key": {"time": [round(t, 3) for t in time],
+                    "box": [round(v, 3) for v in box],
+                    "concept": "airspace/weather/storm"},
+        })
+    return reports
+
+
+def fusion_scenario() -> Scenario:
+    """Sixty weather reports over two storms, interleaved, fused on
+    activation.  Storm st-1 drifts across cell (0, 0), where four residents
+    dwell, and is confirmed by its fused reports; st-2 stays off the grid
+    and unconfirmed, and its far cluster opens with two zero-confidence
+    reports."""
+    rng = random.Random(60)
+    st1 = _fusion_reports("st-1", [-40.0, 0.0, -30.0, 10.0], rng, 0.03, 0.09)
+    st2 = _fusion_reports("st-2", [-40.0, 40.0, -30.0, 50.0], rng, 0.005, 0.02,
+                          zeros=(22, 23, 26))
+    observations = [report for pair in zip(st1, st2) for report in pair]
+    flights = [{"id": f"{i + 1:04d}", "waypoints": dwell_route(),
+                "alternates": [arc_alternate()]} for i in range(4)]
+    return scenario_from_dict({
+        "grid": {"cols": 2, "rows": 2, "cell": 10.0},
+        "bucket_seconds": 60,
+        "horizon_seconds": 14400,
+        "capacity": {"calm": 6, "severe": 3},
+        "flights": flights,
+        "storms": [
+            {"id": "st-1", "box": [-40.0, 0.0, -30.0, 10.0], "velocity": [0.05, 0.0],
+             "active": [600.0, 3000.0], "reported": True},
+            {"id": "st-2", "box": [-40.0, 40.0, -30.0, 50.0], "velocity": [0.05, 0.0],
+             "active": [600.0, 3000.0], "reported": True},
+        ],
+        "observations": observations,
+        "seed": 11,
+    })

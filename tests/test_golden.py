@@ -2,8 +2,9 @@
 
 Each input's report JSON, report CSV, event log and ``run_oracle`` JSON
 must hash to the digests recorded here.  The inputs are the demo
-scenario files and the fixtures of
-``test_acceptance.test_criterion_8_determinism_all_fixtures``.
+scenario files, the fixtures of
+``test_acceptance.test_criterion_8_determinism_all_fixtures`` and the
+report-fusion fixture ``conftest.fusion_scenario``.
 
 A speed-up or refactor must leave every digest unchanged.  An intended
 format or behaviour change (for example dropping the event log's
@@ -19,7 +20,12 @@ import pytest
 
 from adatm import load_scenario, render_report, run_oracle, simulate
 
-from conftest import congestion_scenario, random_case1_scenario, storm_reroute_scenario
+from conftest import (
+    congestion_scenario,
+    fusion_scenario,
+    random_case1_scenario,
+    storm_reroute_scenario,
+)
 
 DEMO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -79,6 +85,12 @@ PINS = {
         "dc54cdfac58a75071b837ca87f2923eb47f0f48bf233b936f82563c9b6136da0",
         "3d7490836600080a70235c680a61afecef5099448642a6d5dcc144e66f5d7ac9",
     ),
+    "fusion": (
+        "3f2468c01c8ebc8647517deffd1a884e2be906d4bc3150be818826d57763f05a",
+        "7513645bf12d53187320671a5437c71cf11c74a13da88695b30622f3242d7afc",
+        "cbf61e5ff5f59818e0a6744abf3de5ad9f9e41ca7e46aeee1a5d561d174f3754",
+        "85e18b045051eb459fc14a683e7fc8464f8f99aa9ffd9459282185e855432a15",
+    ),
 }
 
 FIXTURES = {
@@ -87,6 +99,7 @@ FIXTURES = {
     "storm-reroute": lambda: storm_reroute_scenario(with_alternates=True),
     "storm-bump": lambda: storm_reroute_scenario(with_alternates=False),
     "random-mix": lambda: random_case1_scenario(random.Random(88), max_flights=25),
+    "fusion": fusion_scenario,
 }
 
 

@@ -4,15 +4,26 @@ The acceptance suite runs the large randomized sweep; here hypothesis
 hunts for structural counterexamples with small, shrinkable cases.
 """
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adatm import (
+    ActiveDatum,
+    ConceptPath,
     Evidence,
     EvidencePolarity,
+    Hyperdata,
+    Metadata,
+    NearnessKey,
+    NotionKind,
+    PlanarBox,
+    TimeInterval,
     aggregate,
     apply_evidence,
+    fuse,
     is_duplicate,
     resolve,
     tier_decision,
@@ -132,3 +143,139 @@ class TestTierPurity:
     def test_same_inputs_same_output(self, conf, observed, now):
         d = make_datum("d", confidence=conf, observed_at=observed)
         assert tier_decision(d, now) is tier_decision(d, now)
+
+
+_IDS = tuple(f"d{i}" for i in range(8))
+_LINK_POOL = ("x", "y", "z") + _IDS
+_MISSING_POOL = ("m1", "m2", "m3")
+
+
+@st.composite
+def _span(draw, starts, widths):
+    # Small integer spans, some of zero length, so that keys touch, chain
+    # (meet only the cover of earlier keys) and coincide often.
+    start = float(draw(st.integers(0, starts)))
+    return start, start + draw(st.integers(widths[0], widths[1]))
+
+
+@st.composite
+def _fusion_datum(draw, datum_id):
+    t0, t1 = draw(_span(2, (0, 4)))
+    x0, x1 = draw(_span(6, (0, 4)))
+    y0, y1 = draw(_span(1, (1, 3)))
+    # One draw in four differs in text, kind or concept, so is never a duplicate.
+    odd = draw(st.integers(0, 11))
+    payload = {"storm_id": "st-2" if odd == 0 else "st-1"}
+    kind = NotionKind.Hypothesis if odd == 1 else NotionKind.Event
+    concept = "airspace/weather/other" if odd == 2 else "airspace/weather/storm"
+    complementary = draw(st.lists(st.sampled_from(_LINK_POOL), max_size=3, unique=True))
+    refuting = draw(st.lists(st.sampled_from(
+        [link for link in _LINK_POOL if link not in complementary]), max_size=3, unique=True))
+    created = draw(_times)
+    return ActiveDatum(
+        id=datum_id, kind=kind, payload=payload,
+        key=NearnessKey(TimeInterval(t0, t1), PlanarBox(x0, y0, x1, y1),
+                        ConceptPath.parse(concept)),
+        metadata=Metadata(source_id="radar", observed_at=created),
+        hyperdata=Hyperdata(
+            truth=draw(st.floats(-1.0, 1.0)),
+            confidence=draw(st.one_of(st.just(0.0), _unit)),
+            detail=draw(_unit),
+            exposure=draw(_unit),
+            complementary=tuple(complementary),
+            refuting=tuple(refuting),
+            missing=tuple(draw(st.lists(st.sampled_from(_MISSING_POOL), max_size=2,
+                                        unique=True))),
+            created_at=created,
+            updated_at=created + draw(_times),
+        ),
+    )
+
+
+@st.composite
+def fusion_inputs(draw):
+    ids = draw(st.lists(st.sampled_from(_IDS), min_size=2, max_size=len(_IDS),
+                        unique=True))
+    data = [draw(_fusion_datum(datum_id)) for datum_id in ids]
+    return data[0], data[1:]
+
+
+def reference_resolve(a, b):
+    """The pairwise merge rules spelled out on whole data, independent of
+    the kernel's fold: winner the smaller id, noisy-OR confidence,
+    confidence-weighted truth, max detail and exposure, covering key, and
+    link lists concatenated winner first without repeats."""
+    winner, loser = (a, b) if a.id <= b.id else (b, a)
+    ca, cb = a.confidence, b.confidence
+    confidence = 1.0 - (1.0 - ca) * (1.0 - cb)
+    truth = (ca * a.truth + cb * b.truth) / (ca + cb) if ca + cb > 0 \
+        else (a.truth + b.truth) / 2.0
+    hw, hl = winner.hyperdata, loser.hyperdata
+
+    def links(*lists):
+        out = []
+        for item in (x for part in lists for x in part):
+            if item not in out:
+                out.append(item)
+        return tuple(out)
+
+    complementary = links(hw.complementary, hl.complementary, (loser.id,))
+    return replace(winner, key=winner.key.cover(loser.key), hyperdata=replace(
+        hw,
+        truth=max(-1.0, min(1.0, truth)),
+        confidence=max(0.0, min(1.0, confidence)),
+        detail=max(hw.detail, hl.detail),
+        exposure=max(hw.exposure, hl.exposure),
+        complementary=complementary,
+        refuting=tuple(r for r in links(hw.refuting, hl.refuting)
+                       if r not in complementary),
+        missing=links(hw.missing, hl.missing),
+        created_at=min(hw.created_at, hl.created_at),
+        updated_at=max(hw.updated_at, hl.updated_at),
+    ))
+
+
+def pairwise_fold(datum, peers, merge=reference_resolve):
+    """Merge one peer at a time, ascending id, with the scheduler's rules
+    for skipping a peer."""
+    steps = []
+    for peer in sorted(peers, key=lambda p: p.id):
+        if not is_duplicate(datum, peer):
+            continue
+        if peer.id in datum.hyperdata.complementary or \
+                datum.id in peer.hyperdata.complementary:
+            continue
+        merged = merge(datum, peer)
+        steps.append((merged.id, peer.id if merged.id == datum.id else datum.id,
+                      merged.confidence))
+        datum = merged
+    return datum, steps
+
+
+class TestFuse:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=fusion_inputs())
+    def test_equals_pairwise_left_fold(self, inputs):
+        datum, peers = inputs
+        want = repr(pairwise_fold(datum, peers))
+        # ``repr`` tells -0.0 from 0.0, which ``==`` does not.
+        assert repr(fuse(datum, peers)) == want
+        assert repr(pairwise_fold(datum, peers, merge=resolve)) == want
+
+    def test_survivor_switches_once_and_key_chains(self):
+        d3 = make_datum("d3", confidence=0.5, key=make_key(box=(0.0, 0.0, 10.0, 10.0)))
+        d1 = make_datum("d1", confidence=0.2, key=make_key(box=(5.0, 0.0, 15.0, 10.0)))
+        # Meets only the cover of d3 and d1.
+        d2 = make_datum("d2", confidence=0.0, key=make_key(box=(12.0, 0.0, 20.0, 10.0)))
+        merged, merges = fuse(d3, [d2, d1])
+        assert [(s, a) for s, a, _ in merges] == [("d1", "d3"), ("d1", "d2")]
+        assert merged.id == "d1"
+        assert merged.hyperdata.complementary == ("d3", "d2")
+        assert merged.key.space == PlanarBox(0.0, 0.0, 20.0, 10.0)
+        assert repr((merged, merges)) == repr(pairwise_fold(d3, [d1, d2]))
+
+    def test_no_duplicate_returns_the_datum_itself(self):
+        d = make_datum("d")
+        other = make_datum("e", payload={"race": "mayor"})
+        assert fuse(d, [other]) == (d, [])
+        assert fuse(d, [other])[0] is d

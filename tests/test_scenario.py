@@ -20,7 +20,7 @@ from adatm import (
     run_simulation,
     simulate,
 )
-from adatm.errors import ParseError, UsageError, ValidationError
+from adatm.errors import AdatmError, ParseError, UsageError, ValidationError
 from adatm.scenario import Report, report_to_dict, scenario_from_dict
 from adatm.scheduler import Alert, RunStats
 from adatm.traffic import CongestionRecord, InsertOutcome, RouteChoice
@@ -148,15 +148,41 @@ def _node_paths(node, prefix=()):
         yield from _node_paths(child, prefix + (name,))
 
 
+#: Step budget of the simulation each loadable input gets.
+SIMULATE_STEPS = 200
+
+
+def _node_at(doc, path):
+    for name in path:
+        doc = doc[name]
+    return doc
+
+
+#: Paths of the numbers in ``VALID``, and numbers to put there: nearby
+#: values, signed zeros, extremes.
+NUMBER_PATHS = [path for path in _node_paths(VALID)
+                if isinstance(_node_at(VALID, path), (int, float))
+                and not isinstance(_node_at(VALID, path), bool)]
+NUMBERS = st.integers(-3, 20) | st.floats(-1e4, 1e4) | st.sampled_from(
+    [0.0, -0.0, 1e-9, -1e-9, 0.5, 1e9, -1e9, 1e300, 5e-324])
+
+
 def _loads_or_rejects(doc) -> None:
+    """Load ``doc``; a scenario that loads must also simulate, under a step
+    budget, raising nothing but an ``AdatmError``."""
     try:
-        scenario_from_dict(doc)
+        scenario = scenario_from_dict(doc)
     except ValidationError:
+        return
+    try:
+        simulate(scenario, max_steps=SIMULATE_STEPS)
+    except AdatmError:
         pass
 
 
 class TestLoadProperty:
-    """Loading either succeeds or raises ValidationError, whatever the input."""
+    """Loading either succeeds or raises ValidationError, whatever the input,
+    and a scenario that loads simulates or raises an ``AdatmError``."""
 
     @settings(max_examples=300, deadline=None)
     @given(JSON_VALUES)
@@ -166,6 +192,18 @@ class TestLoadProperty:
     @settings(max_examples=600, deadline=None)
     @given(st.sampled_from(list(_node_paths(VALID))[1:]), JSON_VALUES)
     def test_any_single_node_replacement(self, path, value):
+        doc = copy.deepcopy(VALID)
+        parent = doc
+        for name in path[:-1]:
+            parent = parent[name]
+        parent[path[-1]] = value
+        _loads_or_rejects(doc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(NUMBER_PATHS), NUMBERS)
+    def test_any_single_number_replacement(self, path, value):
+        # Most numbers load, so this reaches the simulation far more often
+        # than a replacement by any JSON value does.
         doc = copy.deepcopy(VALID)
         parent = doc
         for name in path[:-1]:

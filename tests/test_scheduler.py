@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from dataclasses import replace
+
 from adatm import (
     ActivationReason,
     Evidence,
@@ -18,10 +20,12 @@ from adatm import (
     TimeInterval,
 )
 from adatm.errors import LifecycleError, NotFoundError
+from adatm.kernel import apply_evidence, resolve
 from adatm.scheduler import legal_transition
 
 from conftest import make_datum, make_key
 from test_kernel import AF1_RULE, af1_candidates
+from test_kernel_properties import pairwise_fold
 
 
 def fresh_runtime(**kwargs):
@@ -236,6 +240,116 @@ class TestStepActivation:
         rt.run_until_quiescent(10)
         assert rt.lifecycle_of("d") is LifecycleState.Deleted
         assert rt.datum("d").tier is StorageTier.Deleted
+
+
+def fusion_data():
+    """The activated datum d5 and its peers.  d1 is its first duplicate and
+    has the smaller id, so the survivor switches to d1 at the first merge;
+    d2 meets only the key that d1's merge grows; d3 and d4 never merge."""
+    def datum(datum_id, box, confidence=0.4, payload=None, **hyperdata):
+        d = make_datum(datum_id, payload=payload, confidence=confidence,
+                       key=make_key(box=box))
+        return replace(d, hyperdata=replace(d.hyperdata, **hyperdata))
+
+    return {d.id: d for d in (
+        datum("d5", (0.0, 0.0, 10.0, 10.0), 0.5, complementary=("x",), refuting=("y",)),
+        datum("d1", (5.0, 0.0, 15.0, 10.0), 0.3, truth=-0.4, detail=0.9,
+              complementary=("z",), refuting=("x", "w")),
+        datum("d2", (10.5, 0.0, 20.0, 10.0), 0.0, exposure=0.2),
+        datum("d3", (0.0, 10.5, 10.0, 20.0)),
+        datum("d4", (0.0, 0.0, 10.0, 10.0), payload={"race": "mayor"}),
+        datum("d6", (2.0, 2.0, 8.0, 8.0), 0.2, missing=("m",), refuting=("z",)),
+    )}
+
+
+def pairwise_fusion(data, activated):
+    """Today's merge rules written out one ``resolve`` at a time: the
+    expected survivor, and the merged/deleted event lines in order."""
+    peers = [d for d in data.values() if d.id != activated]
+    survivor, steps = pairwise_fold(data[activated], peers, merge=resolve)
+    lines = []
+    for kept, absorbed, confidence in steps:
+        lines += [("merged", kept, f"absorbed={absorbed} confidence={confidence:.6f}"),
+                  ("deleted", absorbed, "absorbed by duplicate")]
+    return survivor, lines
+
+
+def fusion_lines(rt):
+    return [(e.event_type, e.datum_id, e.detail) for e in rt.event_log
+            if e.event_type in ("merged", "deleted")]
+
+
+class TestDuplicateFusion:
+    def test_one_pass_equals_pairwise_resolve_loop(self):
+        data = fusion_data()
+        rt = fresh_runtime()
+        for d in data.values():
+            rt.add(d)
+        rt.enqueue("d5", ActivationReason.NewData)
+        rt.step()
+        want, lines = pairwise_fusion(data, "d5")
+        absorbed = ["d5", "d2", "d6"]
+        assert [(kind, datum_id) for kind, datum_id, _ in lines] == [
+            step for loser in absorbed for step in (("merged", "d1"), ("deleted", loser))]
+        assert fusion_lines(rt) == lines
+        survivor = rt.datum("d1")
+        assert survivor.hyperdata == want.hyperdata
+        assert survivor.key == want.key == rt.index.key_of("d1")
+        assert survivor.key.space.x1 == 20.0  # grown by d2, which d5 alone never met
+        # Absorbing leaves the survivor's own lifecycle as it was; d1 still
+        # waits for an activation of its own.
+        assert rt.lifecycle_of("d1") is LifecycleState.Encapsulated
+        for loser in absorbed:
+            assert rt.lifecycle_of(loser) is LifecycleState.Deleted
+            assert loser not in rt.index
+            original = data[loser]
+            assert rt.datum(loser) == replace(original, hyperdata=replace(
+                original.hyperdata, tier=StorageTier.Deleted))
+        for untouched in ("d3", "d4"):
+            assert rt.lifecycle_of(untouched) is LifecycleState.Encapsulated
+            assert rt.datum(untouched) == data[untouched]
+
+    def test_forked_clone_among_peers_is_not_fused(self):
+        rt = fresh_runtime()
+        rt.add(make_datum("x", confidence=0.6))
+        rt.enqueue("x", ActivationReason.NewData)
+        rt.step()
+        _, clone_id = rt.fork("x")
+        rt.add(make_datum("y", confidence=0.5))
+        rt.enqueue("y", ActivationReason.NewData, priority=99)
+        rt.step()
+        # y's peers are x and its clone: x absorbs y, and the clone, which
+        # links back to x, stays a separate replica.
+        assert fusion_lines(rt) == [
+            ("merged", "x", "absorbed=y confidence=0.800000"),
+            ("deleted", "y", "absorbed by duplicate")]
+        rt.run_until_quiescent(10)
+        assert rt.lifecycle_of(clone_id) is LifecycleState.Active
+        assert rt.live_ids() == sorted(["x", clone_id])
+        assert rt.datum(clone_id).confidence == pytest.approx(0.6)
+
+    def test_evidence_on_absorbed_ids_reaches_survivor_in_arrival_order(self):
+        data = fusion_data()
+        rt = fresh_runtime()
+        for d in data.values():
+            rt.add(d)
+        posted = [("d2", EvidencePolarity.Complementary, 0.25, 300.0),
+                  ("d5", EvidencePolarity.Refuting, 0.5, 200.0),
+                  ("d1", EvidencePolarity.Complementary, 0.125, 400.0),
+                  ("d6", EvidencePolarity.Refuting, 0.75, 250.0),
+                  ("d2", EvidencePolarity.Refuting, 0.0625, 500.0)]
+        for target, polarity, strength, at in posted:
+            rt.post_evidence(target, Evidence(polarity, strength, f"src-{target}"), at=at)
+        rt.enqueue("d5", ActivationReason.TimerExpired)
+        rt.step()
+        want, _ = pairwise_fusion(data, "d5")
+        for target, polarity, strength, at in posted:
+            want = apply_evidence(want, Evidence(polarity, strength, f"src-{target}"), at=at)
+        evidence = [e for e in rt.event_log if e.event_type == "evidence"]
+        assert [e.datum_id for e in evidence] == ["d1"] * len(posted)
+        assert [e.detail.split()[:2] for e in evidence] == [
+            [f"polarity={p.value}", f"strength={s}"] for _, p, s, _ in posted]
+        assert rt.datum("d1").hyperdata == want.hyperdata
 
 
 class TestRunUntilQuiescent:
