@@ -17,8 +17,9 @@ runs are byte-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 
 from .errors import ConflictError, DomainError, NotFoundError, ValidationError
 
@@ -32,9 +33,12 @@ _MAX_CELLS_PER_ITEM = 1024
 # A query filters a grid cell by time slab only when the cell holds more
 # items than this, and takes a smaller cell whole.  Filtering every cell
 # (0 here) measures the same on the benchmark's headroom and storm
-# workloads; the threshold exists only to keep the candidate count that
-# bench/test_bench.py pins for its traced tiny scenario (three items in
-# one cell, each query scanning all three).  It goes with that pin.
+# workloads: simulate time within 1% either way, and each setting faster
+# in about half of 16 alternations of 4 scenarios (2-core Xeon, with the
+# slab-range lookup of ``_candidates``).  The threshold exists only to
+# keep the candidate count that bench/test_bench.py pins for its traced
+# tiny scenario (three items in one cell, each query scanning all
+# three).  It goes with that pin.
 _FILTER_ABOVE = 4
 
 
@@ -185,8 +189,11 @@ class QueryMode(Enum):
 class QuerySpec:
     """A neighborhood (center + radii) or focused (constraints) query.
 
-    Use the :meth:`neighborhood` / :meth:`focused` constructors; ``validate``
-    is called on every query.
+    Use the :meth:`neighborhood` / :meth:`focused` constructors.  A spec
+    is checked once, when it is built.  A neighborhood spec also keeps
+    its center's time and box bounds, its radii and its concept as one
+    tuple of plain values for :meth:`matches`; equality, hash and repr
+    ignore that tuple.
     """
 
     mode: QueryMode
@@ -197,66 +204,67 @@ class QuerySpec:
     time_window: TimeInterval | None = None
     box: PlanarBox | None = None
     concept_prefix: ConceptPath | None = None
+    _near: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    @classmethod
-    def neighborhood(cls, center: NearnessKey, time_radius: float,
-                     space_radius: float, concept_radius: float) -> "QuerySpec":
-        spec = cls(QueryMode.Neighborhood, center=center, time_radius=time_radius,
-                   space_radius=space_radius, concept_radius=concept_radius)
-        spec.validate()
-        return spec
-
-    @classmethod
-    def focused(cls, time_window: TimeInterval | None = None,
-                box: PlanarBox | None = None,
-                concept_prefix: ConceptPath | None = None) -> "QuerySpec":
-        spec = cls(QueryMode.Focused, time_window=time_window, box=box,
-                   concept_prefix=concept_prefix)
-        spec.validate()
-        return spec
-
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.mode is QueryMode.Neighborhood:
-            if self.center is None:
+            center = self.center
+            if center is None:
                 raise ValidationError("neighborhood query needs a center", "center")
             for name, radius in (("time_radius", self.time_radius),
                                  ("space_radius", self.space_radius),
                                  ("concept_radius", self.concept_radius)):
                 if math.isnan(radius) or radius < 0:
                     raise ValidationError(f"radius must be >= 0, got {radius}", name)
+            t, s = center.time, center.space
+            object.__setattr__(self, "_near", (
+                t.start, t.end, s.x0, s.y0, s.x1, s.y1, self.time_radius,
+                self.space_radius, self.concept_radius, center.concept))
         elif self.mode is QueryMode.Focused:
             if self.time_window is None and self.box is None and self.concept_prefix is None:
                 raise ValidationError("focused query needs at least one constraint",
                                       "constraints")
-        else:  # pragma: no cover - enum is closed
+        else:
             raise ValidationError(f"unknown mode {self.mode}", "mode")
+
+    @classmethod
+    def neighborhood(cls, center: NearnessKey, time_radius: float,
+                     space_radius: float, concept_radius: float) -> "QuerySpec":
+        return cls(QueryMode.Neighborhood, center=center, time_radius=time_radius,
+                   space_radius=space_radius, concept_radius=concept_radius)
+
+    @classmethod
+    def focused(cls, time_window: TimeInterval | None = None,
+                box: PlanarBox | None = None,
+                concept_prefix: ConceptPath | None = None) -> "QuerySpec":
+        return cls(QueryMode.Focused, time_window=time_window, box=box,
+                   concept_prefix=concept_prefix)
 
     def matches(self, key: NearnessKey) -> bool:
         """Evaluate this query's predicate against a single key."""
-        if self.mode is QueryMode.Neighborhood:
+        near = self._near
+        if near is not None:
+            ct0, ct1, cx0, cy0, cx1, cy1, rt, rs, rc, concept = near
             # The time gap, max(a, b, 0) for the two signed differences,
             # exceeds a radius r >= 0 exactly when a or b does.
-            center = self.center
-            ct, kt = center.time, key.time
-            r = self.time_radius
-            if kt.start - ct.end > r or ct.start - kt.end > r:
+            kt = key.time
+            if kt.start - ct1 > rt or ct0 - kt.end > rt:
                 return False
             # The box gap is Euclidean over the axis gaps.  An axis's gap is
             # whichever of its two differences is positive (both boxes have
-            # ordered corners, so at most one is), else 0.
-            cs, ks = center.space, key.space
-            dx = ks.x0 - cs.x1 if ks.x0 > cs.x1 else \
-                cs.x0 - ks.x1 if cs.x0 > ks.x1 else 0.0
-            dy = ks.y0 - cs.y1 if ks.y0 > cs.y1 else \
-                cs.y0 - ks.y1 if cs.y0 > ks.y1 else 0.0
-            if math.hypot(dx, dy) > self.space_radius:
+            # ordered corners, so at most one is), else 0; two zero gaps are
+            # within every radius.
+            ks = key.space
+            dx = ks.x0 - cx1 if ks.x0 > cx1 else cx0 - ks.x1 if cx0 > ks.x1 else 0.0
+            dy = ks.y0 - cy1 if ks.y0 > cy1 else cy0 - ks.y1 if cy0 > ks.y1 else 0.0
+            if (dx or dy) and math.hypot(dx, dy) > rs:
                 return False
             # Equal paths are at distance 0, within every valid radius.  The
             # identity test comes first because the dataclass ``__eq__`` is
             # a Python-level call, and keys of one kind share one path
             # object (every trajectory segment holds ``SEGMENT_CONCEPT``).
-            return center.concept is key.concept or center.concept == key.concept or \
-                _distance_or_inf(center.concept, key.concept) <= self.concept_radius
+            kc = key.concept
+            return concept is kc or concept == kc or _distance_or_inf(concept, kc) <= rc
         if self.time_window is not None and not self.time_window.intersects(key.time):
             return False
         if self.box is not None and not self.box.intersects(key.space):
@@ -305,6 +313,9 @@ class NearnessIndex:
         self._items: dict[str, NearnessKey] = {}
         self._grid: dict[tuple[int, int], _Cell] = {}
         self._oversize: set[str] = set()
+        # Gridded item -> (its cells' columns and rows, its slab range or
+        # None when it is long-lived).
+        self._where: dict[str, tuple[range, range, range | None]] = {}
 
     def __len__(self) -> int:
         return len(self._items)
@@ -318,8 +329,9 @@ class NearnessIndex:
         except KeyError:
             raise NotFoundError(item_id) from None
 
-    def _cells(self, box: PlanarBox) -> list[tuple[int, int]] | None:
-        """Grid cells the box touches; None when it is unbounded or too large."""
+    def _cells(self, box: PlanarBox) -> tuple[range, range] | None:
+        """Columns and rows of the grid cells the box touches; None when it
+        is unbounded or too large."""
         if any(math.isinf(v) for v in (box.x0, box.y0, box.x1, box.y1)):
             return None
         i0 = math.floor(box.x0 / self.cell_size)
@@ -328,7 +340,7 @@ class NearnessIndex:
         j1 = math.floor(box.y1 / self.cell_size)
         if (i1 - i0 + 1) * (j1 - j0 + 1) > _MAX_CELLS_PER_ITEM:
             return None
-        return [(i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
+        return range(i0, i1 + 1), range(j0, j1 + 1)
 
     def _slab_span(self, start: float, end: float) -> tuple[int, int] | None:
         """First and last slab the closed range [start, end] touches; None
@@ -357,7 +369,8 @@ class NearnessIndex:
             self._oversize.add(item_id)
             return
         slab_range = self._slab_range(key.time)
-        for cell in cells:
+        self._where[item_id] = *cells, slab_range
+        for cell in product(*cells):
             bucket = self._grid.get(cell)
             if bucket is None:
                 bucket = self._grid[cell] = _Cell()
@@ -369,14 +382,14 @@ class NearnessIndex:
                     bucket.slabs.setdefault(slab, set()).add(item_id)
 
     def remove(self, item_id: str) -> None:
-        key = self._items.pop(item_id, None)
-        if key is None:
+        if self._items.pop(item_id, None) is None:
             raise NotFoundError(item_id)
-        if item_id in self._oversize:
+        where = self._where.pop(item_id, None)
+        if where is None:
             self._oversize.discard(item_id)
             return
-        slab_range = self._slab_range(key.time)
-        for cell in self._cells(key.space):
+        cols, rows, slab_range = where
+        for cell in product(cols, rows):
             bucket = self._grid[cell]
             bucket.size -= 1
             if not bucket.size:
@@ -415,28 +428,36 @@ class NearnessIndex:
         cells = None if box is None else self._cells(box)
         if cells is None:
             return set(self._items)
-        lo, hi = span if span is not None else (-math.inf, math.inf)
+        lo, hi = span if span is not None else (0, 0)
         out = set(self._oversize)
-        for cell in cells:
-            bucket = self._grid.get(cell)
+        grid = self._grid
+        for cell in product(*cells):
+            bucket = grid.get(cell)
             if bucket is None:
                 continue
             out |= bucket.long_lived
-            whole = bucket.size <= _FILTER_ABOVE
-            for slab, ids in bucket.slabs.items():
-                if whole or lo <= slab <= hi:
+            slabs = bucket.slabs
+            if span is None or bucket.size <= _FILTER_ABOVE:
+                for ids in slabs.values():
                     out |= ids
+            elif hi - lo < len(slabs):  # fetch the slabs in range
+                for slab in range(lo, hi + 1):
+                    ids = slabs.get(slab)
+                    if ids is not None:
+                        out |= ids
+            else:  # the cell holds fewer slabs than the range spans
+                for slab, ids in slabs.items():
+                    if lo <= slab <= hi:
+                        out |= ids
         return out
 
     def query(self, spec: QuerySpec) -> list[str]:
         """Ids matching the query, in ascending identifier order."""
-        spec.validate()
-        items = self._items
-        hits = [i for i in self._candidates(spec) if spec.matches(items[i])]
+        items, matches = self._items, spec.matches
+        hits = [i for i in self._candidates(spec) if matches(items[i])]
         hits.sort()
         return hits
 
     def scan(self, spec: QuerySpec) -> list[str]:
         """Reference linear scan applying the same predicate to every item."""
-        spec.validate()
         return sorted(i for i, key in self._items.items() if spec.matches(key))

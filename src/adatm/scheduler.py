@@ -95,7 +95,6 @@ class Subscription:
     deliver_kinds: frozenset[NotionKind] = frozenset(NotionKind)
 
     def __post_init__(self):
-        self.spec.validate()
         if not 0.0 <= self.min_confidence <= 1.0:
             raise ValidationError("min_confidence outside [0, 1]", "min_confidence")
 
@@ -174,6 +173,8 @@ class Runtime:
                                    slab=self.config.time_radius)
         self._store: dict[str, ActiveDatum] = {}
         self._life: dict[str, LifecycleState] = {}
+        # Payload text -> ids of the live data that carry it.
+        self._by_text: dict[str, set[str]] = {}
         self._queue: list[tuple[tuple[int, int], ActivationTask]] = []
         self._task_seq = 0
         self._event_seq = 0
@@ -197,6 +198,7 @@ class Runtime:
             raise ConflictError(f"datum id already present: {datum.id}")
         self._store[datum.id] = datum
         self._life[datum.id] = LifecycleState.Encapsulated
+        self._by_text.setdefault(datum.text, set()).add(datum.id)
         self.index.insert(datum.id, datum.key)
 
     def datum(self, datum_id: str) -> ActiveDatum:
@@ -231,6 +233,10 @@ class Runtime:
             if datum_id in self.index:
                 self.index.remove(datum_id)
             d = self._store[datum_id]
+            ids = self._by_text[d.text]
+            ids.discard(datum_id)
+            if not ids:
+                del self._by_text[d.text]
             if d.tier is not StorageTier.Deleted:
                 self._store[datum_id] = replace(
                     d, hyperdata=replace(d.hyperdata, tier=StorageTier.Deleted))
@@ -394,13 +400,14 @@ class Runtime:
 
         # 2. duplicate fusion, one pass in ascending peer id.  A duplicate
         # has the same payload text, and a merge keeps the winner's payload,
-        # so only live peers with this text are passed to the fold.  The
+        # so only the live peers with this text are passed to the fold; the
+        # hits are read only when another live datum carries the text.  The
         # survivor is stored and re-indexed once; each absorbed id is then
-        # retired in merge order.
-        text = d.text
-        same_text = [peer for peer in (self._store[p] for p in peer_ids)
-                     if peer.text == text
-                     and self._life.get(peer.id) is not LifecycleState.Deleted]
+        # retired in merge order, and the survivor, which carries on with
+        # this activation, is Active.
+        twins = self._by_text[d.text]
+        same_text = [self._store[p] for p in peer_ids if p in twins] \
+            if len(twins) > 1 else []
         if same_text:
             d, merges = kernel.fuse(d, same_text)
             if merges:
@@ -420,6 +427,7 @@ class Runtime:
                 events.append(self.emit(
                     "merged", survivor, f"absorbed={absorbed} confidence={confidence:.6f}"))
                 events.append(self.emit("deleted", absorbed, "absorbed by duplicate"))
+            self._transition(datum_id, LifecycleState.Active)
 
         # 3. pending evidence, arrival order
         pending = self._evidence.pop(datum_id, [])

@@ -3,8 +3,9 @@
 Each input's report JSON, report CSV, event log and ``run_oracle`` JSON
 must hash to the digests recorded here.  The inputs are the demo
 scenario files, the fixtures of
-``test_acceptance.test_criterion_8_determinism_all_fixtures`` and the
-report-fusion fixture ``conftest.fusion_scenario``.
+``test_acceptance.test_criterion_8_determinism_all_fixtures``, the
+report-fusion fixture ``conftest.fusion_scenario`` and the benchmark's
+own inputs (``BENCH_PINS``).
 
 A speed-up or refactor must leave every digest unchanged.  An intended
 format or behaviour change (for example dropping the event log's
@@ -13,7 +14,9 @@ change in CHANGES.md.
 """
 
 import hashlib
+import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,12 +121,90 @@ def test_every_demo_scenario_is_pinned():
     assert demos == set(PINS) - set(FIXTURES)
 
 
+PARTS = ("report json", "report csv", "event log", "oracle json")
+
+
+def _outputs(scenario) -> tuple[str, str, str, str]:
+    run = simulate(scenario)
+    return (render_report(run.report, "json"), render_report(run.report, "csv"),
+            run.event_log, render_report(run_oracle(scenario), "json"))
+
+
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_outputs_match_their_pinned_digests(name):
-    scenario = _scenario(name)
-    run = simulate(scenario)
-    got = (_sha(render_report(run.report, "json")), _sha(render_report(run.report, "csv")),
-           _sha(run.event_log), _sha(render_report(run_oracle(scenario), "json")))
-    for part, want, have in zip(("report json", "report csv", "event log", "oracle json"),
-                                PINS[name], got):
+    got = [_sha(text) for text in _outputs(_scenario(name))]
+    for part, want, have in zip(PARTS, PINS[name], got):
         assert have == want, f"{name}: {part} changed"
+
+
+# -- the benchmark's own inputs ---------------------------------------------------
+
+def _bench_workloads():
+    """``bench/workloads.py``, imported under its own name and only read."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("adatm_bench_workloads", path)
+    module = sys.modules.get(spec.name)
+    if module is None:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return module
+
+
+#: Bench scenarios 0 to BENCH_SCENARIOS - 1 of each workload are pinned.
+BENCH_SCENARIOS = 6
+
+#: (workload, seed) -> per part, the SHA-256 of that part's digests over
+#: the scenarios in index order.  These follow the generators' bytes: a
+#: benchmark change that alters ``bench/workloads.py`` output re-records
+#: them in the same change.
+BENCH_PINS = {
+    ("contended", 3): (
+        "5e3830c8fd77d060424c46651cabc780dd857d410691471da361f2613f2d46c9",
+        "543f751e6ed643540ed3784d58c0e5a43f0c7fb8382b63dca28100f63a532ba1",
+        "2dc3766bcfdf92ae1659fb81a031795d54b48cf767df9a1e2d6fa7b60f0542ae",
+        "b8e3233f792669e82774012fc116b07f31e360fc8b1ebb7ccd4efe108e881bf7",
+    ),
+    ("contended", 7): (
+        "d79e0623ad59bccfbf2d1652242f5d20b38ebff9ee55972ce97c886058bbc065",
+        "ec2993c7a75a3df0ab3ae0aa87e54730b4f40ed00517437860f647e2a79d77d4",
+        "fbd1daea8e143c38567e507c2bc85805300e63c5209cd07ac61d46731dcc8251",
+        "dc7404caf430b08bd71d1d448e24188734d3a8d35ea00ae9b75d98e2ba1e71cf",
+    ),
+    ("headroom", 3): (
+        "2267f1ecf92520b882e37593af4777860f40d2771ef9965f1e332cdb713956f6",
+        "93745f51f2f31dc3c3f020666fc96e2dd933a7eff4d3c568d8058ac981848f25",
+        "c2bfdf8c66b75eb7a4e512d2fcd0b183422967fd927e34dbb6a1216e9b5c6491",
+        "a5af6102c823e0ee71f171011666be2d3f4ae1e651914d035501451b7c37a2ac",
+    ),
+    ("headroom", 7): (
+        "f26d3fe7aa1b33903cebb177fb9e9f659b3e2f58542b5489bc8e2de82c162a95",
+        "27ea134a49f71b30853e07d9588a2e57c22bceef45a9b1ceab15085e6d32e9d6",
+        "26694e808e8fff7ef63772c51fb08abed87d7128422a6f9ecb9202a57fb6e38d",
+        "80b9f5447e93fdb08bc93a4a6c0750d39af33acb673cf8d150f29649d599d972",
+    ),
+    ("storm", 3): (
+        "8fa2d987a02a1a57de6a6399aa1b29dd288708088ff8a62e4393a60480f00a3d",
+        "f47fad774e90974b85e40e616b1c3544daf6f9efdd650e35a832d6370fb0ffe9",
+        "c988f75fa6be89658cd5e585f07ee767c95dfef4bad422d05b6d56aae860b310",
+        "c85cc1c8837478873e0e51aed4c868f8ec917fa8e73f4ad2515475ea81314a66",
+    ),
+    ("storm", 7): (
+        "b021d6d19077ab2a54813db1cc869829a67cc5b9f5885cb9e97df76219d7cdb9",
+        "a195720ab4294126aa609a5650b190dc0ab4b86df77d97d43cdfbf5d80ef79f3",
+        "8d1829b68cc927d5a4f9a9dfdc0500162c76342ea6d8fb8acd378366f9eae4c6",
+        "eb03467971dc988cbdd1479c16bb3c868eff088111ad1fe9243985d76e9d1ef6",
+    ),
+}
+
+
+@pytest.mark.parametrize("workload, seed", sorted(BENCH_PINS))
+def test_bench_inputs_match_their_pinned_digests(workload, seed):
+    generate = _bench_workloads().WORKLOADS[workload].generate
+    digests = [hashlib.sha256() for _ in PARTS]
+    for index in range(BENCH_SCENARIOS):
+        outputs = _outputs(load_scenario(generate(seed, index)))
+        for digest, text in zip(digests, outputs):
+            digest.update(_sha(text).encode("ascii"))
+    for part, want, digest in zip(PARTS, BENCH_PINS[workload, seed], digests):
+        assert digest.hexdigest() == want, f"{workload} seed {seed}: {part} changed"

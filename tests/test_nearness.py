@@ -226,17 +226,23 @@ def _check_random_workload(rng, slab):
         assert index.query(spec) == index.scan(spec)
 
 
-def _gap_reference(spec, key):
-    """The neighborhood predicate as defined: time gap, Euclidean box gap
-    and concept tree distance, each within its radius."""
-    c = spec.center
-    time_gap = max(key.time.start - c.time.end, c.time.start - key.time.end, 0.0)
-    dx = max(key.space.x0 - c.space.x1, c.space.x0 - key.space.x1, 0.0)
-    dy = max(key.space.y0 - c.space.y1, c.space.y0 - key.space.y1, 0.0)
-    concept = concept_distance(c.concept, key.concept) \
-        if c.concept.root == key.concept.root else math.inf
-    return (time_gap <= spec.time_radius and math.hypot(dx, dy) <= spec.space_radius
-            and concept <= spec.concept_radius)
+def _naive_neighborhood(center, time_radius, space_radius, concept_radius, key):
+    """The neighborhood predicate written from its definitions alone."""
+    ct, kt = center.time, key.time
+    time_gap = max(kt.start - ct.end, ct.start - kt.end, 0)
+    cs, ks = center.space, key.space
+    dx = max(ks.x0 - cs.x1, cs.x0 - ks.x1, 0)
+    dy = max(ks.y0 - cs.y1, cs.y0 - ks.y1, 0)
+    a, b = center.concept.segments, key.concept.segments
+    if a[0] != b[0]:
+        tree = math.inf
+    else:
+        shared = 0
+        while shared < min(len(a), len(b)) and a[shared] == b[shared]:
+            shared += 1
+        tree = len(a) - shared + len(b) - shared
+    return (time_gap <= time_radius and math.hypot(dx, dy) <= space_radius
+            and tree <= concept_radius)
 
 
 # Quarter steps make touching, overlapping and sub-unit gaps common.
@@ -261,7 +267,76 @@ class TestNeighborhoodPredicate:
                            st.sampled_from([0, 1, 2, INFINITE_RADIUS])))
     def test_matches_the_gap_definition(self, center, key, radii):
         spec = QuerySpec.neighborhood(center, *radii)
-        assert spec.matches(key) == _gap_reference(spec, key)
+        assert spec.matches(key) == _naive_neighborhood(center, *radii, key)
+
+
+#: Box gaps whose Euclidean length is exactly a radius: radius -> (dx, dy).
+_DIAGONAL = {2.5: (1.5, 2.0), 5.0: (3.0, 4.0)}
+_RADII = [0.0, 1.0, 2.5, 5.0, INFINITE_RADIUS]
+
+
+def _place(draw, lo, hi, gap, length):
+    """A span of the given length at ``gap`` after [lo, hi], at ``gap``
+    before it, or overlapping it; sometimes nudged a quarter in or out."""
+    side = draw(st.sampled_from(["after", "before", "over"]))
+    if side == "after":
+        start = hi + gap
+    elif side == "before":
+        start = lo - gap - length
+    else:
+        start = lo
+    return start + draw(st.sampled_from([0.0, 0.0, 0.25, -0.25]))
+
+
+@st.composite
+def _neighborhood_cases(draw):
+    """(center, radii, key) with the key's time and box gaps on, just
+    inside or just outside the radius, point keys, shared edges (gap 0)
+    and concepts under another root."""
+    center = draw(_keys())
+    tr, sr = draw(st.sampled_from(_RADII)), draw(st.sampled_from(_RADII))
+    cr = draw(st.sampled_from([0, 1, 2, INFINITE_RADIUS]))
+    finite = st.sampled_from([0.0, 0.5, 2.0, 7.25])
+    t_gap = tr if math.isfinite(tr) else draw(finite)
+    t_gap = draw(st.sampled_from([0.0, t_gap]))
+    length = draw(_lengths)
+    t0 = _place(draw, center.time.start, center.time.end, t_gap, length)
+    if math.isfinite(sr):
+        gaps = [(0.0, 0.0), (sr, 0.0), (0.0, sr)] + \
+            ([_DIAGONAL[sr]] if sr in _DIAGONAL else [])
+    else:
+        gaps = [(0.0, 0.0), (draw(finite), draw(finite))]
+    dx, dy = draw(st.sampled_from(gaps))
+    cs = center.space
+    w, h = draw(_lengths), draw(_lengths)
+    x0 = _place(draw, cs.x0, cs.x1, dx, w)
+    y0 = _place(draw, cs.y0, cs.y1, dy, h)
+    concept = draw(st.sampled_from(["w", "w/a", "w/a/b", "w/b", "w/b/c", "v/a", "v"]))
+    key = make_key(t0=t0, t1=t0 + length, box=(x0, y0, x0 + w, y0 + h), concept=concept)
+    return center, (tr, sr, cr), key
+
+
+class TestPrecomputedPredicate:
+    @settings(max_examples=600)
+    @given(case=_neighborhood_cases())
+    def test_matches_the_naive_definition(self, case):
+        center, radii, key = case
+        spec = QuerySpec.neighborhood(center, *radii)
+        assert spec.matches(key) == _naive_neighborhood(center, *radii, key)
+
+    @given(case=_neighborhood_cases())
+    def test_equal_specs_compare_and_hash_equal(self, case):
+        center, radii, _ = case
+        spec = QuerySpec.neighborhood(center, *radii)
+        rebuilt = NearnessKey(TimeInterval(center.time.start, center.time.end),
+                              PlanarBox(center.space.x0, center.space.y0,
+                                        center.space.x1, center.space.y1),
+                              ConceptPath(tuple(center.concept.segments)))
+        twin = QuerySpec.neighborhood(rebuilt, *radii)
+        assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
+        assert "_near" not in repr(spec)
+        other = 1.0 if math.isinf(radii[0]) else radii[0] + 1.0
+        assert QuerySpec.neighborhood(center, other, *radii[1:]) != spec
 
 
 class TestFocusedNeighborhoodConsistency:

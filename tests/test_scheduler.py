@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dataclasses import replace
 
@@ -19,6 +21,7 @@ from adatm import (
     Subscription,
     TimeInterval,
 )
+from adatm import kernel
 from adatm.errors import LifecycleError, NotFoundError
 from adatm.kernel import apply_evidence, resolve
 from adatm.scheduler import legal_transition
@@ -296,9 +299,8 @@ class TestDuplicateFusion:
         assert survivor.hyperdata == want.hyperdata
         assert survivor.key == want.key == rt.index.key_of("d1")
         assert survivor.key.space.x1 == 20.0  # grown by d2, which d5 alone never met
-        # Absorbing leaves the survivor's own lifecycle as it was; d1 still
-        # waits for an activation of its own.
-        assert rt.lifecycle_of("d1") is LifecycleState.Encapsulated
+        # The rest of the activation runs on the survivor, so it is Active.
+        assert rt.lifecycle_of("d1") is LifecycleState.Active
         for loser in absorbed:
             assert rt.lifecycle_of(loser) is LifecycleState.Deleted
             assert loser not in rt.index
@@ -350,6 +352,105 @@ class TestDuplicateFusion:
         assert [e.detail.split()[:2] for e in evidence] == [
             [f"polarity={p.value}", f"strength={s}"] for _, p, s, _ in posted]
         assert rt.datum("d1").hyperdata == want.hyperdata
+
+    def test_suspended_survivor_is_active(self):
+        rt = fresh_runtime()
+        rt.subscribe(everything_subscription())
+        rt.add(make_datum("d1", confidence=0.4))
+        rt.enqueue("d1", ActivationReason.NewData)
+        rt.step()
+        rt.suspend("d1")
+        rt.add(make_datum("d2", confidence=0.3))
+        rt.enqueue("d2", ActivationReason.NewData)
+        rt.step()
+        assert fusion_lines(rt) == [
+            ("merged", "d1", "absorbed=d2 confidence=0.580000"),
+            ("deleted", "d2", "absorbed by duplicate")]
+        assert rt.lifecycle_of("d1") is LifecycleState.Active
+        assert not [e for e in rt.event_log if e.event_type == "error"]
+
+    def test_survivor_turning_cold_is_stored(self):
+        rt = fresh_runtime()
+        rt.now = 20_000.0  # beyond the warm age of data observed at 100 s
+        rt.add(make_datum("d1", confidence=0.4))
+        rt.add(make_datum("d2", confidence=0.3))
+        rt.enqueue("d2", ActivationReason.NewData)
+        rt.step()
+        assert [(e.event_type, e.datum_id, e.detail) for e in rt.event_log[2:]] == [
+            ("merged", "d1", "absorbed=d2 confidence=0.580000"),
+            ("deleted", "d2", "absorbed by duplicate"),
+            ("tier", "d1", "tier=cold")]
+        assert rt.lifecycle_of("d1") is LifecycleState.Stored
+        assert rt.datum("d1").tier is StorageTier.Cold
+
+    def test_no_live_same_text_peer_never_fuses(self, monkeypatch):
+        calls = []
+        real_fuse = kernel.fuse
+
+        def counted_fuse(*args):
+            calls.append(args[0].id)
+            return real_fuse(*args)
+
+        monkeypatch.setattr(kernel, "fuse", counted_fuse)
+        rt = fresh_runtime()
+        for i, text in enumerate(["a", "b", "a", "c"]):
+            rt.add(make_datum(f"d{i}", payload={"text": text}))
+        rt.mark_deleted("d0")
+        rt.enqueue("d2", ActivationReason.NewData)
+        rt.step()
+        # d2's peers d1 and d3 carry other texts; its one twin is deleted.
+        assert [(e.event_type, e.detail) for e in rt.event_log] == [
+            ("deleted", "forced"), ("activated", "reason=new-data priority=10 seq=1"),
+            ("peers", "count=2")]
+        assert calls == []
+        rt.add(make_datum("d4", payload={"text": "a"}))
+        rt.enqueue("d4", ActivationReason.NewData)
+        rt.step()
+        assert calls == ["d4"]
+        assert fusion_lines(rt)[-2:] == [
+            ("merged", "d2", "absorbed=d4 confidence=0.990000"),
+            ("deleted", "d4", "absorbed by duplicate")]
+
+
+def live_texts(rt):
+    """The payload-text map recounted from the store's live data."""
+    out: dict[str, set[str]] = {}
+    for datum_id in rt.live_ids():
+        out.setdefault(rt.datum(datum_id).text, set()).add(datum_id)
+    return out
+
+
+class TestTextMap:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(["add", "add", "activate", "activate", "fork", "delete", "refute"]),
+        st.integers(0, 7), st.integers(0, 1), st.integers(0, 2)), min_size=8, max_size=40))
+    def test_map_equals_a_recount_after_every_step(self, ops):
+        rt = fresh_runtime()
+        for op, pick, text, place in ops:
+            live = rt.live_ids()
+            target = live[pick % len(live)] if live else None
+            if op == "add":
+                rt.add(make_datum(f"n{rt.data_count():02d}", payload={"t": text},
+                                  confidence=0.3 + 0.1 * place,
+                                  key=make_key(box=(place * 4.0, 0.0,
+                                                    place * 4.0 + 5.0, 5.0))))
+            elif target is None:
+                continue
+            elif op == "activate":
+                rt.enqueue(target, ActivationReason.NewData)
+                rt.run_until_quiescent(100)
+            elif op == "fork":
+                if rt.lifecycle_of(target) is LifecycleState.Active:
+                    rt.fork(target)
+            elif op == "delete":
+                rt.mark_deleted(target)
+            else:  # a refutation that makes the datum delete itself by tier
+                rt.post_evidence(target, Evidence(EvidencePolarity.Refuting, 1.0, "x"),
+                                 at=150.0)
+                rt.run_until_quiescent(100)
+            assert rt._by_text == live_texts(rt)
+        assert not [e for e in rt.event_log if e.event_type == "error"]
 
 
 class TestRunUntilQuiescent:
