@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
 
 from .errors import ConflictError, DomainError, NotFoundError, ValidationError
 
@@ -33,12 +32,11 @@ _MAX_CELLS_PER_ITEM = 1024
 # A query filters a grid cell by time slab only when the cell holds more
 # items than this, and takes a smaller cell whole.  Filtering every cell
 # (0 here) measures the same on the benchmark's headroom and storm
-# workloads: simulate time within 1% either way, and each setting faster
-# in about half of 16 alternations of 4 scenarios (2-core Xeon, with the
-# slab-range lookup of ``_candidates``).  The threshold exists only to
-# keep the candidate count that bench/test_bench.py pins for its traced
-# tiny scenario (three items in one cell, each query scanning all
-# three).  It goes with that pin.
+# workloads: simulate time within 0.2% either way, and each setting
+# faster in about half of 16 alternations of 4 scenarios (2-core Xeon).
+# The threshold exists only to keep the candidate count that
+# bench/test_bench.py pins for its traced tiny scenario (three items in
+# one cell, each query scanning all three).  It goes with that pin.
 _FILTER_ABOVE = 4
 
 
@@ -313,9 +311,6 @@ class NearnessIndex:
         self._items: dict[str, NearnessKey] = {}
         self._grid: dict[tuple[int, int], _Cell] = {}
         self._oversize: set[str] = set()
-        # Gridded item -> (its cells' columns and rows, its slab range or
-        # None when it is long-lived).
-        self._where: dict[str, tuple[range, range, range | None]] = {}
 
     def __len__(self) -> int:
         return len(self._items)
@@ -329,9 +324,8 @@ class NearnessIndex:
         except KeyError:
             raise NotFoundError(item_id) from None
 
-    def _cells(self, box: PlanarBox) -> tuple[range, range] | None:
-        """Columns and rows of the grid cells the box touches; None when it
-        is unbounded or too large."""
+    def _cells(self, box: PlanarBox) -> list[tuple[int, int]] | None:
+        """Grid cells the box touches; None when it is unbounded or too large."""
         if any(math.isinf(v) for v in (box.x0, box.y0, box.x1, box.y1)):
             return None
         i0 = math.floor(box.x0 / self.cell_size)
@@ -340,7 +334,7 @@ class NearnessIndex:
         j1 = math.floor(box.y1 / self.cell_size)
         if (i1 - i0 + 1) * (j1 - j0 + 1) > _MAX_CELLS_PER_ITEM:
             return None
-        return range(i0, i1 + 1), range(j0, j1 + 1)
+        return [(i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
 
     def _slab_span(self, start: float, end: float) -> tuple[int, int] | None:
         """First and last slab the closed range [start, end] touches; None
@@ -369,8 +363,7 @@ class NearnessIndex:
             self._oversize.add(item_id)
             return
         slab_range = self._slab_range(key.time)
-        self._where[item_id] = *cells, slab_range
-        for cell in product(*cells):
+        for cell in cells:
             bucket = self._grid.get(cell)
             if bucket is None:
                 bucket = self._grid[cell] = _Cell()
@@ -382,14 +375,14 @@ class NearnessIndex:
                     bucket.slabs.setdefault(slab, set()).add(item_id)
 
     def remove(self, item_id: str) -> None:
-        if self._items.pop(item_id, None) is None:
+        key = self._items.pop(item_id, None)
+        if key is None:
             raise NotFoundError(item_id)
-        where = self._where.pop(item_id, None)
-        if where is None:
+        if item_id in self._oversize:
             self._oversize.discard(item_id)
             return
-        cols, rows, slab_range = where
-        for cell in product(cols, rows):
+        slab_range = self._slab_range(key.time)
+        for cell in self._cells(key.space):
             bucket = self._grid[cell]
             bucket.size -= 1
             if not bucket.size:
@@ -428,27 +421,17 @@ class NearnessIndex:
         cells = None if box is None else self._cells(box)
         if cells is None:
             return set(self._items)
-        lo, hi = span if span is not None else (0, 0)
+        lo, hi = span if span is not None else (-math.inf, math.inf)
         out = set(self._oversize)
-        grid = self._grid
-        for cell in product(*cells):
-            bucket = grid.get(cell)
+        for cell in cells:
+            bucket = self._grid.get(cell)
             if bucket is None:
                 continue
             out |= bucket.long_lived
-            slabs = bucket.slabs
-            if span is None or bucket.size <= _FILTER_ABOVE:
-                for ids in slabs.values():
+            whole = bucket.size <= _FILTER_ABOVE
+            for slab, ids in bucket.slabs.items():
+                if whole or lo <= slab <= hi:
                     out |= ids
-            elif hi - lo < len(slabs):  # fetch the slabs in range
-                for slab in range(lo, hi + 1):
-                    ids = slabs.get(slab)
-                    if ids is not None:
-                        out |= ids
-            else:  # the cell holds fewer slabs than the range spans
-                for slab, ids in slabs.items():
-                    if lo <= slab <= hi:
-                        out |= ids
         return out
 
     def query(self, spec: QuerySpec) -> list[str]:

@@ -259,17 +259,6 @@ def _keys(draw):
                     concept=draw(st.sampled_from(["w", "w/a", "w/a/b", "w/b", "v/a"])))
 
 
-class TestNeighborhoodPredicate:
-    @settings(max_examples=500)
-    @given(center=_keys(), key=_keys(),
-           radii=st.tuples(st.sampled_from([0.0, 1.0, 2.5, INFINITE_RADIUS]),
-                           st.sampled_from([0.0, 1.0, math.sqrt(2.0), INFINITE_RADIUS]),
-                           st.sampled_from([0, 1, 2, INFINITE_RADIUS])))
-    def test_matches_the_gap_definition(self, center, key, radii):
-        spec = QuerySpec.neighborhood(center, *radii)
-        assert spec.matches(key) == _naive_neighborhood(center, *radii, key)
-
-
 #: Box gaps whose Euclidean length is exactly a radius: radius -> (dx, dy).
 _DIAGONAL = {2.5: (1.5, 2.0), 5.0: (3.0, 4.0)}
 _RADII = [0.0, 1.0, 2.5, 5.0, INFINITE_RADIUS]
@@ -316,10 +305,19 @@ def _neighborhood_cases(draw):
     return center, (tr, sr, cr), key
 
 
-class TestPrecomputedPredicate:
-    @settings(max_examples=600)
-    @given(case=_neighborhood_cases())
-    def test_matches_the_naive_definition(self, case):
+#: (center, radii, key) drawn independently.
+_random_cases = st.tuples(
+    _keys(),
+    st.tuples(st.sampled_from([0.0, 1.0, 2.5, INFINITE_RADIUS]),
+              st.sampled_from([0.0, 1.0, math.sqrt(2.0), INFINITE_RADIUS]),
+              st.sampled_from([0, 1, 2, INFINITE_RADIUS])),
+    _keys())
+
+
+class TestNeighborhoodPredicate:
+    @settings(max_examples=1100)
+    @given(case=st.one_of(_random_cases, _neighborhood_cases()))
+    def test_matches_the_gap_definition(self, case):
         center, radii, key = case
         spec = QuerySpec.neighborhood(center, *radii)
         assert spec.matches(key) == _naive_neighborhood(center, *radii, key)
