@@ -129,17 +129,18 @@ def storm_overlap_window(storm: StormCell, box: PlanarBox) -> TimeInterval | Non
 
 
 def bucket_capacity(subsector: Subsector, bucket: TimeInterval,
-                    storms: tuple[StormCell, ...] | list[StormCell]) -> int:
+                    windows: tuple[TimeInterval, ...] | list[TimeInterval]) -> int:
     """Worst-case capacity over a time bucket.
 
-    A closure or storm touching any part of the bucket caps the whole
-    bucket, which keeps the per-bucket congestion check conservative.
+    ``windows`` are the subsector's storm windows, as
+    :func:`storm_overlap_window` gives them.  A closure or storm window
+    touching any part of the bucket caps the whole bucket, which keeps
+    the per-bucket congestion check conservative.
     """
     for closed in subsector.closed_intervals:
         if closed.intersects(bucket):
             return 0
-    for storm in storms:
-        window = storm_overlap_window(storm, subsector.bounds)
-        if window is not None and window.intersects(bucket):
+    for window in windows:
+        if window.intersects(bucket):
             return subsector.severe_capacity
     return subsector.calm_capacity

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from . import kernel
-from .airspace import GridSpec, StormCell, Subsector, bucket_capacity
+from .airspace import GridSpec, StormCell, Subsector, bucket_capacity, storm_overlap_window
 from .errors import ParseError, UsageError, ValidationError
 from .kernel import ActiveDatum, Metadata, NotionKind, noisy_or
 from .nearness import (
@@ -951,9 +951,13 @@ def run_oracle(scenario: Scenario, include_empty: bool = False) -> Report:
         flights = tuple(sorted(occupancy.get((cell, bucket_start), ())))
         subsector = Subsector(cell, grid.cell_bounds(*cell), scenario.calm_capacity,
                               scenario.severe_capacity, closures.get(cell, ()))
+        windows = []
+        for storm in storms:
+            window = storm_overlap_window(storm, subsector.bounds)
+            if window is not None:
+                windows.append(window)
         capacity = bucket_capacity(subsector,
-                                   TimeInterval(bucket_start, bucket_start + dt),
-                                   tuple(storms))
+                                   TimeInterval(bucket_start, bucket_start + dt), windows)
         records.append(CongestionRecord(cell, bucket_start, len(flights),
                                         capacity, flights))
     records.sort(key=lambda r: (r.bucket_start, r.subsector[0], r.subsector[1]))

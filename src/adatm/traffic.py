@@ -25,7 +25,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from operator import itemgetter
 
-from .airspace import GridSpec, StormCell, Subsector, bucket_capacity, storm_overlap_window
+# Segmentation and storm windows are called through their modules, where
+# the benchmark's tracer (bench/tracing.py) counts them.
+from . import airspace, trajectory
+from .airspace import GridSpec, StormCell, Subsector, bucket_capacity
 from .errors import ConflictError, NotFoundError, PreconditionError, ValidationError
 from .nearness import TimeInterval
 from .trajectory import FlightPlan, TrajectorySegment, plan_segments
@@ -218,10 +221,13 @@ class AirspaceState:
         self.now = now
         self.flights: dict[str, FlightAccount] = {}
         self._occ: dict[Spot, set[str]] = {}
-        #: Per cell, filled on first lookup: its subsector and the storms
-        #: that ever overlap it.  Closures and the calm/severe capacities
-        #: are fixed here; ``set_storms`` clears it.
-        self._cells: dict[tuple[int, int], tuple[Subsector, tuple[StormCell, ...]]] = {}
+        #: Segmentation per (plan, route), filled on first use.  It depends
+        #: on the plan and the grid alone, so equal plans share an entry.
+        self._routes: dict[tuple[FlightPlan, int], list[TrajectorySegment]] = {}
+        #: Per cell, filled on first lookup: its subsector (closures and the
+        #: calm/severe capacities are fixed here) and the windows of the
+        #: storms that cross it; ``set_storms`` clears it.
+        self._cells: dict[tuple[int, int], tuple[Subsector, tuple[TimeInterval, ...]]] = {}
         #: Capacity per spot, filled on first lookup; ``set_storms`` clears it.
         self._caps: dict[Spot, int] = {}
 
@@ -246,12 +252,9 @@ class AirspaceState:
         last = math.ceil(exit / dt)
         return [i * dt for i in range(first, last)]
 
-    def segment_spots(self, segments) -> list[Spot]:
-        spots: set[Spot] = set()
-        for seg in segments:
-            for b in self.buckets_over(seg.entry, seg.exit):
-                spots.add((seg.subsector, b))
-        return sorted(spots)
+    def segment_spots(self, segments) -> frozenset[Spot]:
+        return frozenset((seg.subsector, b) for seg in segments
+                         for b in self.buckets_over(seg.entry, seg.exit))
 
     def occupancy(self, subsector: tuple[int, int], bucket_start: float) -> int:
         return len(self._occ.get((subsector, bucket_start), ()))
@@ -266,19 +269,32 @@ class AirspaceState:
             cell = self._cells.get(subsector)
             if cell is None:
                 sub = self.subsector(*subsector)
-                cell = self._cells[subsector] = (sub, tuple(
-                    storm for storm in self.storms
-                    if storm_overlap_window(storm, sub.bounds) is not None))
-            cap = self._caps[spot] = bucket_capacity(
-                cell[0], self.bucket_interval(bucket_start), cell[1])
+                windows = (airspace.storm_overlap_window(storm, sub.bounds)
+                           for storm in self.storms)
+                cell = self._cells[subsector] = (
+                    sub, tuple(window for window in windows if window is not None))
+            sub, windows = cell
+            if sub.closed_intervals or windows:
+                cap = bucket_capacity(sub, self.bucket_interval(bucket_start), windows)
+            else:
+                cap = sub.calm_capacity
+            self._caps[spot] = cap
         return cap
 
     def account_for(self, plan: FlightPlan, route_index: int = -1,
                     added_delay: float = 0.0, version: int = 1) -> FlightAccount:
-        """The account a plan holds at one placement, segmented and bucketed."""
-        segments = self.effective_segments(plan, route_index, added_delay, version)
+        """The account a plan holds at one placement, segmented and bucketed.
+
+        The route is segmented once per plan; each placement shifts that
+        segmentation by its delays.
+        """
+        raw = self._routes.get((plan, route_index))
+        if raw is None:
+            raw = self._routes[plan, route_index] = trajectory.segment_trajectory(
+                plan, self.grid, route_index)
+        segments = tuple(plan_segments(plan, raw, added_delay, version))
         return FlightAccount(plan, route_index, added_delay, version, segments,
-                             frozenset(self.segment_spots(segments)))
+                             self.segment_spots(segments))
 
     def _place(self, flight_id: str, account: FlightAccount | None) -> None:
         """Move a flight's occupancy to ``account``; None removes the flight."""
@@ -295,11 +311,6 @@ class AirspaceState:
         self.flights[flight_id] = account
         for spot in account.spots:
             self._occ.setdefault(spot, set()).add(flight_id)
-
-    def effective_segments(self, plan: FlightPlan, route_index: int = -1,
-                           added_delay: float = 0.0, version: int = 1,
-                           ) -> tuple[TrajectorySegment, ...]:
-        return tuple(plan_segments(plan, self.grid, route_index, added_delay, version))
 
     def is_en_route(self, flight_id: str) -> bool:
         account = self.flights[flight_id]

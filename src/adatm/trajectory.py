@@ -178,14 +178,19 @@ def segment_trajectory(plan: FlightPlan, grid: GridSpec,
     return segments
 
 
-def plan_segments(plan: FlightPlan, grid: GridSpec, route_index: int = -1,
+def plan_segments(plan: FlightPlan, raw: list[TrajectorySegment],
                   added_delay: float = 0.0, version: int = 1) -> list[TrajectorySegment]:
-    """Effective segments of a plan: chosen route shifted by all delays.
+    """Effective segments of a plan: the segmentation ``raw`` of one of its
+    routes (see :func:`segment_trajectory`) shifted by all delays.
 
     A segment that the shift rounds to zero length is dropped; its
     neighbours still meet, at the instant it collapsed to.
     """
-    raw = segment_trajectory(plan, grid, route_index)
     total = plan.departure_delay + added_delay
-    return [replace(s, entry=s.entry + total, exit=s.exit + total, plan_version=version)
-            for s in raw if s.entry + total < s.exit + total]
+    out = []
+    for s in raw:
+        entry = s.entry + total
+        exit_ = s.exit + total
+        if entry < exit_:
+            out.append(TrajectorySegment(s.flight_id, s.subsector, entry, exit_, version))
+    return out

@@ -121,6 +121,52 @@ def storm_reroute_scenario(with_alternates=True, reported=True,
     })
 
 
+def delayed_negotiation_scenario() -> Scenario:
+    """Six flights on one zigzag route through a 3x2 grid, each filed with
+    a 32.6 s departure delay; two may fly the straight alternate.  Cell
+    (1, 1) is closed while they would cross it, so each insert
+    negotiates: the two with an alternate take it, three take a 900 s
+    delay and the last is rejected.  A confirmed storm then holds cell
+    (2, 0) at capacity 1 where the delayed flights pass, and two of them
+    move again by a further delay.
+
+    The routes end at 1647.4000000000003: shifted by 32.6 + 900 the
+    flight held at that delay ends just after 2580 and so holds bucket
+    [2580, 2640); shifted as (t + 32.6) + 900 it would end at 2580.0
+    exactly and not hold it.
+    """
+    zigzag = [[1.0, 5.0, 13.7], [15.0, 5.0, 505.1], [15.0, 15.0, 830.9],
+              [29.0, 15.0, 1322.3], [29.0, 5.0, 1647.4000000000003]]
+    straight = [[1.0, 5.0, 13.7], [29.0, 5.0, 1647.4000000000003]]
+    flights = []
+    for i in range(6):
+        flight = {"id": f"d{i + 1:02d}", "waypoints": zigzag,
+                  "departure_delay": 32.6, "priority": i % 3}
+        if i in (0, 3):
+            flight["alternates"] = [straight]
+        flights.append(flight)
+    box = [20.0, 0.0, 30.0, 10.0]
+    observations = [
+        {"payload": {"storm_id": "st-d", "kind": "radar-echo"},
+         "source": f"radar-{i + 1}", "confidence": conf,
+         "key": {"time": [2200.0, 2500.0], "box": box,
+                 "concept": "airspace/weather/storm"}}
+        for i, conf in enumerate((0.6, 0.5))
+    ]
+    return scenario_from_dict({
+        "grid": {"cols": 3, "rows": 2, "cell": 10.0},
+        "bucket_seconds": 60,
+        "horizon_seconds": 14400,
+        "capacity": {"calm": 3, "severe": 1},
+        "flights": flights,
+        "closures": [{"cell": [1, 1], "interval": [600.0, 1500.0]}],
+        "storms": [{"id": "st-d", "box": box, "velocity": [0.0, 0.0],
+                    "active": [2200.0, 2500.0], "reported": True}],
+        "observations": observations,
+        "seed": 11,
+    })
+
+
 def random_case1_scenario(rng: random.Random, max_flights=50) -> Scenario:
     """Random scenario guaranteed Case-1-only: capacity exceeds flight count."""
     n_flights = rng.randint(1, max_flights)

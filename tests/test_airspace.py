@@ -20,6 +20,12 @@ def cell_00(closed=()):
                      closed_intervals=tuple(closed))
 
 
+def windows(cell, *storms):
+    """The storm windows ``bucket_capacity`` reads for ``cell``."""
+    found = [storm_overlap_window(storm, cell.bounds) for storm in storms]
+    return [window for window in found if window is not None]
+
+
 def moving_storm(x0=-40.0, x1=-30.0, vx=0.05, active=(600.0, 3000.0)):
     return StormCell(id="st", box=PlanarBox(x0, 0.0, x1, 10.0),
                      velocity=(vx, 0.0), active=TimeInterval(*active))
@@ -96,12 +102,13 @@ class TestCapacity:
 
     def test_severe_capacity(self):
         storm = moving_storm()
-        assert bucket_capacity(cell_00(), TimeInterval(1300.0, 1301.0), [storm]) == 3
+        assert bucket_capacity(cell_00(), TimeInterval(1300.0, 1301.0),
+                               windows(cell_00(), storm)) == 3
 
     def test_severe_beats_calm_but_closure_beats_severe(self):
         storm = moving_storm()
         cell = cell_00(closed=[TimeInterval(1250.0, 1350.0)])
-        assert bucket_capacity(cell, TimeInterval(1300.0, 1301.0), [storm]) == 0
+        assert bucket_capacity(cell, TimeInterval(1300.0, 1301.0), windows(cell, storm)) == 0
 
     def test_invalid_capacity_ordering(self):
         with pytest.raises(ValidationError):
@@ -113,9 +120,9 @@ class TestBucketCapacity:
     def test_storm_touching_part_of_bucket_is_conservative(self):
         storm = moving_storm()  # severe during [1200, 1600)
         bucket = TimeInterval(1140.0, 1200.0)
-        assert bucket_capacity(cell_00(), bucket, [storm]) == 6
+        assert bucket_capacity(cell_00(), bucket, windows(cell_00(), storm)) == 6
         bucket = TimeInterval(1560.0, 1620.0)
-        assert bucket_capacity(cell_00(), bucket, [storm]) == 3
+        assert bucket_capacity(cell_00(), bucket, windows(cell_00(), storm)) == 3
 
     def test_closure_touching_bucket(self):
         cell = cell_00(closed=[TimeInterval(100.0, 110.0)])

@@ -4,8 +4,10 @@ Each input's report JSON, report CSV, event log and ``run_oracle`` JSON
 must hash to the digests recorded here.  The inputs are the demo
 scenario files, the fixtures of
 ``test_acceptance.test_criterion_8_determinism_all_fixtures``, the
-report-fusion fixture ``conftest.fusion_scenario`` and the benchmark's
-own inputs (``BENCH_PINS``).
+report-fusion fixture ``conftest.fusion_scenario``, the negotiation
+fixture ``conftest.delayed_negotiation_scenario`` (non-integral departure
+delays moved by alternate and by delay, which pins the float order of
+the delay shift) and the benchmark's own inputs (``BENCH_PINS``).
 
 A speed-up or refactor must leave every digest unchanged.  An intended
 format or behaviour change (for example dropping the event log's
@@ -25,6 +27,7 @@ from adatm import load_scenario, render_report, run_oracle, simulate
 
 from conftest import (
     congestion_scenario,
+    delayed_negotiation_scenario,
     fusion_scenario,
     random_case1_scenario,
     storm_reroute_scenario,
@@ -88,6 +91,12 @@ PINS = {
         "dc54cdfac58a75071b837ca87f2923eb47f0f48bf233b936f82563c9b6136da0",
         "3d7490836600080a70235c680a61afecef5099448642a6d5dcc144e66f5d7ac9",
     ),
+    "delayed-negotiation": (
+        "1fc830699757072b6408c6bdf6cc0ac344b1a6f0bef127e4d632cb8c810107be",
+        "5082d60ddb88dcdf046d4f56b2e1703f1a106074084cafd62e3f68f52218ed11",
+        "42a4597aff128c569cd615d6b810b4e9c4efe14cb29489ca5087419c5a8b65a7",
+        "08ad9a531f1dc3b2547f10441ea558b8810d1ea5410b61635a56f9a248f7194b",
+    ),
     "fusion": (
         "3f2468c01c8ebc8647517deffd1a884e2be906d4bc3150be818826d57763f05a",
         "7513645bf12d53187320671a5437c71cf11c74a13da88695b30622f3242d7afc",
@@ -103,6 +112,7 @@ FIXTURES = {
     "storm-bump": lambda: storm_reroute_scenario(with_alternates=False),
     "random-mix": lambda: random_case1_scenario(random.Random(88), max_flights=25),
     "fusion": fusion_scenario,
+    "delayed-negotiation": delayed_negotiation_scenario,
 }
 
 

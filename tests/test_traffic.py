@@ -6,6 +6,7 @@ candidate assignment.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -22,10 +23,10 @@ from adatm import (
     Waypoint,
 )
 from adatm import traffic
-from adatm.airspace import bucket_capacity
+from adatm.airspace import bucket_capacity, storm_overlap_window
 from adatm.errors import ConflictError, PreconditionError
 from adatm.traffic import DELAY_MENU, MAX_CHANGED_FLIGHTS
-from adatm.trajectory import route_spot_bound
+from adatm.trajectory import plan_segments, route_spot_bound, segment_trajectory
 
 
 def plan_of(fid, waypoints, alternates=(), priority=0, delay=0.0):
@@ -51,8 +52,15 @@ def two_by_two(calm=6, severe=3, **kwargs):
 
 def fresh_capacity(state, spot):
     """A spot's capacity computed anew, bypassing the state's capacity table."""
-    return bucket_capacity(state.subsector(*spot[0]), state.bucket_interval(spot[1]),
-                           state.storms)
+    sub = state.subsector(*spot[0])
+    windows = [storm_overlap_window(storm, sub.bounds) for storm in state.storms]
+    return bucket_capacity(sub, state.bucket_interval(spot[1]),
+                           [window for window in windows if window is not None])
+
+
+def fresh_segments(state, plan, route=-1, delay=0.0):
+    """A placement's segments computed anew, bypassing the state's route cache."""
+    return tuple(plan_segments(plan, segment_trajectory(plan, state.grid, route), delay))
 
 
 def brute_force_negotiate(state, conflicts, arriving,
@@ -71,7 +79,7 @@ def brute_force_negotiate(state, conflicts, arriving,
                      account.plan.priority_rank)
     if arriving is not None:
         info[arriving.flight_id] = (arriving, -1, 0.0,
-                                    state.effective_segments(arriving), True,
+                                    fresh_segments(state, arriving), True,
                                     arriving.priority_rank)
         involved = sorted(involved + [arriving.flight_id])
 
@@ -86,10 +94,10 @@ def brute_force_negotiate(state, conflicts, arriving,
         out = [((route, delay), current, 0)]
         if mutable:
             for ai in range(len(plan.alternates)):
-                segments = state.effective_segments(plan, ai, delay)
+                segments = fresh_segments(state, plan, ai, delay)
                 out.append(((ai, delay), segments, cost(segments)))
             for extra in delay_menu:
-                segments = state.effective_segments(plan, route, delay + extra)
+                segments = fresh_segments(state, plan, route, delay + extra)
                 out.append(((route, delay + extra), segments, cost(segments)))
         return out
 
@@ -286,7 +294,7 @@ class TestNegotiate:
         conflict_spots = set(verdict.spots)
         for choice in resolution.choices:
             if choice.flight_id == arriving.flight_id:
-                segments = state.effective_segments(arriving)
+                segments = fresh_segments(state, arriving)
             else:
                 segments = state.flights[choice.flight_id].segments
             touched = set(state.segment_spots(segments))
@@ -589,8 +597,63 @@ class TestSpotBound:
                     assert len(state.account_for(plan, r, d).spots) <= bound
 
 
+def placement_from_scratch(state, plan, route, delay, version):
+    """A placement's segments and spots from a fresh segmentation, the delay
+    shift written out, and a walk over the buckets each segment overlaps."""
+    total = plan.departure_delay + delay
+    segments = []
+    for s in segment_trajectory(plan, state.grid, route):
+        entry, exit_ = s.entry + total, s.exit + total
+        if entry < exit_:
+            segments.append((s.flight_id, s.subsector, entry, exit_, version))
+    dt = state.bucket_seconds
+    spots = {(cell, i * dt) for _, cell, entry, exit_, _ in segments
+             for i in range(math.floor(entry / dt), math.ceil(exit_ / dt))}
+    return segments, spots
+
+
+def placement_of(account):
+    return ([(s.flight_id, s.subsector, s.entry, s.exit, s.plan_version)
+             for s in account.segments], account.spots)
+
+
+class TestPlacementCache:
+    """``account_for`` segments a route once per plan and shifts that
+    segmentation per placement; each placement equals one from scratch."""
+
+    def test_placements_match_a_fresh_segmentation(self):
+        rng = random.Random("placement-cache")
+        state = AirspaceState(GridSpec(0, 0, 8, 8, 10.0), bucket_seconds=60.0)
+        for trial in range(150):
+            t0 = rng.uniform(0.0, 600.0)
+            t1 = t0 + rng.uniform(60.0, 2400.0)
+            route = _random_route(rng, t0, t1, rng.randint(1, 4))
+            if trial % 3 == 0:
+                route[-1][:2] = [10.0 * rng.randint(1, 7), 10.0 * rng.randint(1, 7)]
+            alternate = _random_route(rng, t0, t1, rng.randint(2, 4))
+            alternate[0][:2], alternate[-1][:2] = route[0][:2], route[-1][:2]
+            # Few flight ids, so different plans share one.
+            plan = plan_of(f"f{trial % 4}", route, alternates=[alternate],
+                           delay=rng.choice([37.3, rng.uniform(0.0, 900.0)]))
+            placements = [(r, d, rng.randint(1, 4)) for r in (-1, 0)
+                          for d in (0.0, *DELAY_MENU, DELAY_MENU[0] + DELAY_MENU[1])]
+            rng.shuffle(placements)
+            for r, d, v in placements:
+                assert placement_of(state.account_for(plan, r, d, v)) == \
+                    placement_from_scratch(state, plan, r, d, v)
+
+    def test_a_new_plan_under_a_removed_flights_id(self):
+        state = two_by_two()
+        state.try_insert(plan_of("0001", [[1.0, 5.0, 13.7], [9.0, 5.0, 1247.9]]))
+        state.remove_flight("0001")
+        again = plan_of("0001", [[1.0, 5.0, 13.7], [19.0, 15.0, 1247.9]], delay=37.3)
+        state.try_insert(again)
+        assert placement_of(state.flights["0001"]) == \
+            placement_from_scratch(state, again, -1, 0.0, 1)
+
+
 class TestCapacityTable:
-    def test_capacity_follows_the_weather(self):
+    def test_capacity_follows_the_weather(self, monkeypatch):
         # (0, 1) has a zero-length closure: it caps only the bucket holding
         # its instant.
         state = two_by_two(severe=1, closures={(1, 1): (TimeInterval(600.0, 900.0),),
@@ -636,6 +699,36 @@ class TestCapacityTable:
         assert state.capacity((0, 0), 1200.0) == 6
         assert state.capacity((1, 0), 1200.0) == 6
         assert state.capacity((1, 1), 600.0) == 0
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].index)
+            return bucket_capacity(*args)
+
+        monkeypatch.setattr(traffic, "bucket_capacity", counting)
+        # A storm standing over column 1 during [600, 1200): its window in
+        # (1, 0) ends exactly on the start of bucket [1200, 1260), and in
+        # (1, 1) it meets the closure [600, 900).  (0, 0) is crossed by no
+        # storm and touched by no closure.
+        column = StormCell(id="column", box=PlanarBox(10.0, 0.0, 20.0, 20.0),
+                           velocity=(0.0, 0.0), active=TimeInterval(600.0, 1200.0))
+        state.set_storms((column,))
+        assert [state.capacity((0, 0), i * 60.0) for i in range(70)] == [6] * 70
+        assert calls == []
+        assert [state.capacity((1, 0), t) for t in (540.0, 600.0, 1140.0, 1200.0)] == \
+            [6, 1, 1, 6]
+        assert [state.capacity((1, 1), t) for t in (600.0, 840.0, 900.0, 1200.0)] == \
+            [0, 0, 1, 6]
+        assert set(calls) == {(1, 0), (1, 1)}
+        assert_fresh()
+        # Clearing the storms clears the windows: (1, 0) is calm again
+        # without a bucket rule.
+        state.set_storms(())
+        del calls[:]
+        assert [state.capacity((1, 0), i * 60.0) for i in range(70)] == [6] * 70
+        assert calls == []
+        assert_fresh()
 
 
 class TestPredictCongestion:

@@ -148,16 +148,17 @@ class TestDelayPropagation:
             resegmented = segment_trajectory(shifted_plan, GRID)
             got = [(s.subsector, round(s.entry, 6), round(s.exit, 6))
                    for s in resegmented]
+            raw = segment_trajectory(plan, GRID)
             want = [(s.subsector, round(s.entry, 6), round(s.exit, 6))
-                    for s in plan_segments(plan, GRID, added_delay=delay)]
+                    for s in plan_segments(plan, raw, added_delay=delay)]
             assert got == want
 
 
 class TestPlanSegments:
     def test_departure_delay_is_applied(self):
         plan = plan_of([[1.0, 1.0, 0.0], [75.0, 1.0, 700.0]], departure_delay=120.0)
-        effective = plan_segments(plan, GRID)
         raw = segment_trajectory(plan, GRID)
+        effective = plan_segments(plan, raw)
         assert effective[0].entry == raw[0].entry + 120.0
 
     def test_delay_drops_segments_it_rounds_away(self):
@@ -166,7 +167,7 @@ class TestPlanSegments:
         plan = plan_of([[57.47568719104904, 20.0, 103.81763510831728],
                         [30.0, 40.0, 1619.1478587583488]])
         assert min(s.exit - s.entry for s in segment_trajectory(plan, GRID)) < 1e-9
-        effective = plan_segments(plan, GRID, added_delay=600.0)
+        effective = plan_segments(plan, segment_trajectory(plan, GRID), added_delay=600.0)
         assert all(s.entry < s.exit for s in effective)
         for a, b in zip(effective, effective[1:]):
             assert a.exit == b.entry
@@ -177,7 +178,7 @@ class TestPlanSegments:
             [[5.0, 5.0, 0.0], [75.0, 5.0, 700.0]],
             alternates=((Waypoint(5.0, 5.0, 0.0), Waypoint(35.0, 75.0, 350.0),
                          Waypoint(75.0, 5.0, 700.0)),))
-        primary = plan_segments(plan, GRID, route_index=-1)
-        alternate = plan_segments(plan, GRID, route_index=0)
+        primary = plan_segments(plan, segment_trajectory(plan, GRID, route_index=-1))
+        alternate = plan_segments(plan, segment_trajectory(plan, GRID, route_index=0))
         assert primary != alternate
         assert alternate[0].entry == 0.0
