@@ -63,8 +63,10 @@ class TimeInterval:
     end: float
 
     def __post_init__(self):
-        if self.start > self.end:
-            raise ValidationError(f"start {self.start} > end {self.end}", "time")
+        # Written so that NaN on either side fails the test too.
+        if not self.start <= self.end:
+            raise ValidationError(f"time bounds not ordered: start {self.start}, "
+                                  f"end {self.end}", "time")
 
     @property
     def is_point(self) -> bool:
@@ -90,8 +92,9 @@ class PlanarBox:
     y1: float
 
     def __post_init__(self):
-        if self.x0 > self.x1 or self.y0 > self.y1:
-            raise ValidationError("box corners out of order", "box")
+        # Written so that a NaN corner fails the test too.
+        if not (self.x0 <= self.x1 and self.y0 <= self.y1):
+            raise ValidationError("box corners out of order or NaN", "box")
 
     def intersects(self, other: "PlanarBox") -> bool:
         return spans_intersect(self.x0, self.x1, other.x0, other.x1) and \
@@ -273,16 +276,17 @@ class QuerySpec:
 
 
 class _Cell:
-    """Ids of the items whose boxes touch one grid cell.
+    """Ids of the items whose boxes touch the grid cell ``cell``.
 
     An item whose time span touches at most two slabs is filed under
     each of them; the rest (longer or unbounded spans, or every item when
     the grid has no slabs) are long-lived.  ``size`` counts the items.
     """
 
-    __slots__ = ("size", "long_lived", "slabs")
+    __slots__ = ("cell", "size", "long_lived", "slabs")
 
-    def __init__(self):
+    def __init__(self, cell: tuple[int, int]):
+        self.cell = cell
         self.size = 0
         self.long_lived: set[str] = set()
         self.slabs: dict[int, set[str]] = {}
@@ -298,7 +302,8 @@ class NearnessIndex:
     long-lived items and the slabs that range touches; with ``slab`` 0 or
     infinite every item is long-lived and the grid prunes by space only.
     The grid only prunes candidates; every candidate is run through the
-    exact query predicate, so results match a linear scan.
+    exact query predicate, so results match a linear scan.  The cells and
+    slabs an item is filed under are kept from its insert to its remove.
     """
 
     def __init__(self, cell_size: float = 1.0, slab: float = 0.0):
@@ -309,6 +314,10 @@ class NearnessIndex:
         self.cell_size = cell_size
         self.slab = slab
         self._items: dict[str, NearnessKey] = {}
+        # Id -> the cells it is filed in and its slab range (None: long-lived);
+        # oversize items are not filed.  A cell leaves the grid only when
+        # its last item is removed, so a kept cell is never stale.
+        self._filed: dict[str, tuple[list[_Cell], range | None]] = {}
         self._grid: dict[tuple[int, int], _Cell] = {}
         self._oversize: set[str] = set()
 
@@ -325,13 +334,14 @@ class NearnessIndex:
             raise NotFoundError(item_id) from None
 
     def _cells(self, box: PlanarBox) -> list[tuple[int, int]] | None:
-        """Grid cells the box touches; None when it is unbounded or too large."""
-        if any(math.isinf(v) for v in (box.x0, box.y0, box.x1, box.y1)):
+        """Grid cells the box touches; None when it is unbounded or too large
+        (a corner beyond the float range in cell units counts as unbounded)."""
+        size = self.cell_size
+        x0, y0, x1, y1 = box.x0 / size, box.y0 / size, box.x1 / size, box.y1 / size
+        if not (math.isfinite(x0) and math.isfinite(y0)
+                and math.isfinite(x1) and math.isfinite(y1)):
             return None
-        i0 = math.floor(box.x0 / self.cell_size)
-        i1 = math.floor(box.x1 / self.cell_size)
-        j0 = math.floor(box.y0 / self.cell_size)
-        j1 = math.floor(box.y1 / self.cell_size)
+        i0, i1, j0, j1 = math.floor(x0), math.floor(x1), math.floor(y0), math.floor(y1)
         if (i1 - i0 + 1) * (j1 - j0 + 1) > _MAX_CELLS_PER_ITEM:
             return None
         return [(i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
@@ -357,16 +367,20 @@ class NearnessIndex:
     def insert(self, item_id: str, key: NearnessKey) -> None:
         if item_id in self._items:
             raise ConflictError(f"id already indexed: {item_id}")
-        self._items[item_id] = key
+        # Placed first, so that an error leaves the index as it was.
         cells = self._cells(key.space)
+        slab_range = None if cells is None else self._slab_range(key.time)
+        self._items[item_id] = key
         if cells is None:
             self._oversize.add(item_id)
             return
-        slab_range = self._slab_range(key.time)
+        buckets = []
+        self._filed[item_id] = (buckets, slab_range)
         for cell in cells:
             bucket = self._grid.get(cell)
             if bucket is None:
-                bucket = self._grid[cell] = _Cell()
+                bucket = self._grid[cell] = _Cell(cell)
+            buckets.append(bucket)
             bucket.size += 1
             if slab_range is None:
                 bucket.long_lived.add(item_id)
@@ -375,18 +389,17 @@ class NearnessIndex:
                     bucket.slabs.setdefault(slab, set()).add(item_id)
 
     def remove(self, item_id: str) -> None:
-        key = self._items.pop(item_id, None)
-        if key is None:
+        if self._items.pop(item_id, None) is None:
             raise NotFoundError(item_id)
-        if item_id in self._oversize:
+        filed = self._filed.pop(item_id, None)
+        if filed is None:
             self._oversize.discard(item_id)
             return
-        slab_range = self._slab_range(key.time)
-        for cell in self._cells(key.space):
-            bucket = self._grid[cell]
+        buckets, slab_range = filed
+        for bucket in buckets:
             bucket.size -= 1
             if not bucket.size:
-                del self._grid[cell]
+                del self._grid[bucket.cell]
             elif slab_range is None:
                 bucket.long_lived.discard(item_id)
             else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from . import kernel
 from .errors import (
@@ -99,8 +100,11 @@ class Subscription:
             raise ValidationError("min_confidence outside [0, 1]", "min_confidence")
 
 
-@dataclass(frozen=True)
-class ActivationTask:
+class ActivationTask(NamedTuple):
+    """A queued activation.  A named tuple, like :class:`RuntimeEvent`:
+    as immutable as a frozen dataclass and cheaper to build, which counts
+    at one task per activation."""
+
     datum_id: str
     priority: int
     reason: ActivationReason
@@ -125,8 +129,10 @@ class Message:
     payload: object
 
 
-@dataclass(frozen=True)
-class RuntimeEvent:
+class RuntimeEvent(NamedTuple):
+    """One line of the event log; a named tuple because a run builds one
+    per logged step."""
+
     seq: int
     event_type: str
     datum_id: str
@@ -202,10 +208,19 @@ class Runtime:
         self.index.insert(datum.id, datum.key)
 
     def datum(self, datum_id: str) -> ActiveDatum:
+        """The datum as last stored; a deleted one reads tier Deleted.
+
+        Deletion changes only the lifecycle, so the Deleted view of a
+        datum stored at another tier is built here, on each read.
+        """
         try:
-            return self._store[datum_id]
+            d = self._store[datum_id]
         except KeyError:
             raise NotFoundError(datum_id) from None
+        if self._life[datum_id] is LifecycleState.Deleted and \
+                d.tier is not StorageTier.Deleted:
+            return replace(d, hyperdata=replace(d.hyperdata, tier=StorageTier.Deleted))
+        return d
 
     def lifecycle_of(self, datum_id: str) -> LifecycleState:
         try:
@@ -237,16 +252,13 @@ class Runtime:
             ids.discard(datum_id)
             if not ids:
                 del self._by_text[d.text]
-            if d.tier is not StorageTier.Deleted:
-                self._store[datum_id] = replace(
-                    d, hyperdata=replace(d.hyperdata, tier=StorageTier.Deleted))
 
     def suspend(self, datum_id: str) -> None:
-        self.datum(datum_id)
+        self.lifecycle_of(datum_id)
         self._transition(datum_id, LifecycleState.Suspended)
 
     def resume(self, datum_id: str) -> None:
-        self.datum(datum_id)
+        self.lifecycle_of(datum_id)
         self._transition(datum_id, LifecycleState.Active)
 
     def mark_deleted(self, datum_id: str) -> None:
@@ -298,14 +310,13 @@ class Runtime:
     # -- communications --------------------------------------------------
 
     def send(self, sender: str, receiver: str, payload: object) -> None:
-        self.datum(sender)
-        self.datum(receiver)
+        self.lifecycle_of(sender)
         if self.lifecycle_of(receiver) is LifecycleState.Deleted:
             raise LifecycleError(f"receiver {receiver} is deleted")
         self._mailboxes.setdefault(receiver, []).append(Message(sender, payload))
 
     def receive(self, owner: str) -> Message | None:
-        self.datum(owner)
+        self.lifecycle_of(owner)
         box = self._mailboxes.get(owner)
         if not box:
             return None
@@ -331,10 +342,11 @@ class Runtime:
 
     def fork(self, datum_id: str) -> tuple[str, str]:
         """Clone an active datum; the clone links back to the original."""
-        original = self.datum(datum_id)
-        if self.lifecycle_of(datum_id) is not LifecycleState.Active:
+        state = self.lifecycle_of(datum_id)
+        if state is not LifecycleState.Active:
             raise LifecycleError(f"fork requires an active datum, {datum_id} is "
-                                 f"{self.lifecycle_of(datum_id).value}")
+                                 f"{state.value}")
+        original = self._store[datum_id]
         n = self._fork_counts.get(datum_id, 0) + 1
         self._fork_counts[datum_id] = n
         clone_id = f"{datum_id}+f{n}"

@@ -77,6 +77,38 @@ class TestInsertRemove:
     def test_interleaved_ops_match_set_oracle(self):
         _check_interleaved_ops(NearnessIndex(cell_size=5.0), random.Random(11))
 
+    def test_failed_insert_leaves_the_index_unchanged(self, monkeypatch):
+        index = NearnessIndex(cell_size=1.0, slab=100.0)
+        index.insert("a", make_key(box=(0.0, 0.0, 2.0, 2.0)))
+
+        def failing(time):
+            raise ArithmeticError("cannot place")
+
+        monkeypatch.setattr(index, "_slab_range", failing)
+        with pytest.raises(ArithmeticError):
+            index.insert("b", make_key(box=(1.0, 1.0, 3.0, 3.0)))
+        assert "b" not in index and len(index) == 1
+        assert {cell: bucket.size for cell, bucket in index._grid.items()} == {
+            (i, j): 1 for i in range(3) for j in range(3)}
+        monkeypatch.undo()
+        index.insert("b", make_key(box=(1.0, 1.0, 3.0, 3.0)))
+        assert index.query(QuerySpec.focused(box=PlanarBox(2.5, 2.5, 2.6, 2.6))) == ["b"]
+
+
+class TestNaNBounds:
+    @pytest.mark.parametrize("bounds", [(math.nan, 1.0), (0.0, math.nan),
+                                        (math.nan, math.nan)])
+    def test_time_interval_rejects_nan(self, bounds):
+        with pytest.raises(ValidationError):
+            TimeInterval(*bounds)
+
+    @pytest.mark.parametrize("corner", range(4))
+    def test_box_rejects_a_nan_corner(self, corner):
+        corners = [0.0, 0.0, 1.0, 1.0]
+        corners[corner] = math.nan
+        with pytest.raises(ValidationError):
+            PlanarBox(*corners)
+
 
 def _check_interleaved_ops(index, rng):
     """600 random inserts and removals; after each, the index holds exactly
@@ -379,6 +411,18 @@ class TestGridInternals:
         index.insert("inf", make_key(box=(-math.inf, -math.inf, math.inf, math.inf)))
         spec = QuerySpec.focused(box=PlanarBox(0, 0, 1, 1))
         assert index.query(spec) == ["inf"]
+
+    def test_corner_beyond_the_float_range_in_cell_units(self):
+        # 1e300 / 1e-300 overflows to infinity: the box is unbounded to the grid.
+        index = NearnessIndex(cell_size=1e-300)
+        index.insert("far", make_key(box=(0.0, 0.0, 1e300, 1e-300)))
+        index.insert("near", make_key(box=(0.0, 0.0, 1e-300, 1e-300)))
+        assert index._oversize == {"far"}
+        spec = QuerySpec.focused(box=PlanarBox(0.0, 0.0, 5e-300, 5e-300))
+        assert index.query(spec) == index.scan(spec) == ["far", "near"]
+        index.remove("far")
+        index.remove("near")
+        assert len(index) == 0 and not index._oversize and not index._grid
 
 
 def _edge_specs(center_times, radii):

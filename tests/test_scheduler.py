@@ -13,6 +13,7 @@ from adatm import (
     Evidence,
     EvidencePolarity,
     LifecycleState,
+    NearnessIndex,
     NotionKind,
     QuerySpec,
     Runtime,
@@ -21,10 +22,10 @@ from adatm import (
     Subscription,
     TimeInterval,
 )
-from adatm import kernel
+from adatm import kernel, scheduler
 from adatm.errors import LifecycleError, NotFoundError
 from adatm.kernel import apply_evidence, resolve
-from adatm.scheduler import legal_transition
+from adatm.scheduler import ActivationTask, RuntimeEvent, legal_transition
 
 from conftest import make_datum, make_key
 from test_kernel import AF1_RULE, af1_candidates
@@ -412,6 +413,103 @@ class TestDuplicateFusion:
             ("deleted", "d4", "absorbed by duplicate")]
 
 
+class TestDeletedView:
+    """Deletion changes only the lifecycle; ``datum`` builds the Deleted view."""
+
+    def test_every_deletion_path_reads_tier_deleted(self):
+        rt = fresh_runtime()
+        far = make_key(box=(500.0, 500.0, 510.0, 510.0))
+        twin, loser = make_datum("a", confidence=0.5), make_datum("b", confidence=0.4)
+        forced = make_datum("forced", payload={"race": "mayor"}, key=far)
+        refuted = make_datum("refuted", payload={"race": "senate"}, confidence=0.5,
+                             key=far)
+        untouched = make_datum("untouched", payload={"race": "judge"}, key=far)
+        for d in (twin, loser, forced, refuted, untouched):
+            rt.add(d)
+        rt.enqueue("a", ActivationReason.NewData)
+        rt.step()
+        rt.mark_deleted("forced")
+        proof = Evidence(EvidencePolarity.Refuting, 1.0, "proof")
+        rt.post_evidence("refuted", proof, at=150.0)
+        rt.run_until_quiescent(10)
+        assert [(e.datum_id, e.detail) for e in rt.event_log
+                if e.event_type == "deleted"] == [
+            ("b", "absorbed by duplicate"), ("forced", "forced"),
+            ("refuted", "confidently false")]
+        refuted_last = apply_evidence(refuted, proof, at=150.0)
+        last_stored = {
+            "b": loser,
+            "forced": forced,
+            "refuted": replace(refuted_last, hyperdata=replace(
+                refuted_last.hyperdata, tier=StorageTier.Deleted)),
+        }
+        for datum_id, last in last_stored.items():
+            view = rt.datum(datum_id)
+            assert rt.lifecycle_of(datum_id) is LifecycleState.Deleted
+            assert view.tier is StorageTier.Deleted
+            assert replace(view, hyperdata=replace(view.hyperdata, tier=last.tier)) == last
+        # A live datum is handed out as stored, not copied.
+        assert rt.datum("untouched") is untouched
+        assert rt.datum("a") is rt.datum("a")
+        assert rt.datum("a").tier is StorageTier.Hot
+
+    def test_existence_checks_build_no_view(self, monkeypatch):
+        rt = fresh_runtime()
+        rt.add(make_datum("gone"))
+        rt.add(make_datum("here", payload={"race": "mayor"}))
+        rt.send("here", "gone", "early")
+        rt.mark_deleted("gone")
+
+        def no_view(*args, **kwargs):
+            raise AssertionError("Deleted view built")
+
+        monkeypatch.setattr(scheduler, "replace", no_view)
+        assert rt.receive("gone").payload == "early"
+        rt.send("gone", "here", "late")
+        for op in (rt.suspend, rt.resume):
+            with pytest.raises(LifecycleError):
+                op("gone")
+        with pytest.raises(LifecycleError):
+            rt.send("here", "gone", "refused")
+        with pytest.raises(LifecycleError):
+            rt.fork("gone")
+
+
+def grid_view(index):
+    """Every cell of an index's grid as plain values."""
+    return {cell: (bucket.cell, bucket.size, bucket.long_lived, bucket.slabs)
+            for cell, bucket in index._grid.items()}
+
+
+class TestIndexAfterFusion:
+    def test_grid_equals_a_fresh_index_of_the_live_items(self):
+        # 300 same-text reports over a few cells each, as in a storm; some
+        # span three 900 s slabs and are long-lived.  Another text is
+        # interleaved so that cells keep items when reports leave them.
+        rng = random.Random(23)
+        rt = Runtime(SchedulerConfig(), index_cell_size=1.0)
+        for i in range(300):
+            x0, y0 = 4.0 + rng.uniform(-2.0, 2.0), 4.0 + rng.uniform(-2.0, 2.0)
+            t0 = rng.uniform(0.0, 600.0)
+            key = make_key(t0=t0, t1=t0 + rng.choice([0.0, 60.0, 2000.0]),
+                           box=(x0, y0, x0 + rng.uniform(0.5, 4.0),
+                                y0 + rng.uniform(0.5, 4.0)))
+            payload = {"storm": "st-1"} if i % 10 else {"storm": f"other-{i}"}
+            rt.add(make_datum(f"obs-{i:03d}", payload=payload,
+                              confidence=rng.uniform(0.005, 0.02), key=key))
+            rt.enqueue(f"obs-{i:03d}", ActivationReason.NewData)
+        stats = rt.run_until_quiescent(1000)
+        assert stats.quiescent and stats.merges >= 250
+        live = rt.live_ids()
+        fresh = NearnessIndex(cell_size=1.0, slab=rt.config.time_radius)
+        for datum_id in live:
+            fresh.insert(datum_id, rt.datum(datum_id).key)
+        assert len(rt.index) == len(live)
+        assert grid_view(rt.index) == grid_view(fresh)
+        assert rt.index._oversize == fresh._oversize
+        assert sorted(rt.index._filed) == live
+
+
 def live_texts(rt):
     """The payload-text map recounted from the store's live data."""
     out: dict[str, set[str]] = {}
@@ -642,6 +740,21 @@ class TestDeterminism:
         assert stats.quiescent
         errors = [e for e in rt.event_log if e.event_type == "error"]
         assert errors == []
+
+    def test_events_and_tasks_are_immutable_values(self):
+        rt = fresh_runtime()
+        rt.add(make_datum("d"))
+        task = rt.enqueue("d", ActivationReason.NewData)
+        event = rt.step()[0]
+        for record, name in ((task, "priority"), (event, "detail")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        assert task == ActivationTask("d", 10, ActivationReason.NewData, 1)
+        assert task.sort_key() == (-10, 1)
+        assert event.render() == "1|activated|d|reason=new-data priority=10 seq=1"
+        same = RuntimeEvent(1, "activated", "d", "reason=new-data priority=10 seq=1")
+        assert {task: 1, event: 2}[same] == 2
+        assert hash(task) == hash(ActivationTask("d", 10, ActivationReason.NewData, 1))
 
     def test_event_log_line_format(self):
         rt = fresh_runtime()
