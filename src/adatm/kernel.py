@@ -112,7 +112,8 @@ class Hyperdata:
                 raise RangeError(f"{name} {v} outside [0, 1]")
         if self.updated_at < self.created_at:
             raise ValidationError("updated_at < created_at", "updated_at")
-        if set(self.complementary) & set(self.refuting):
+        if self.complementary and self.refuting and \
+                set(self.complementary) & set(self.refuting):
             raise ValidationError("complementary and refuting lists overlap",
                                   "complementary")
 

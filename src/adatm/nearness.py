@@ -19,15 +19,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 
 from .errors import ConflictError, DomainError, NotFoundError, ValidationError
 
 #: Radius value meaning "unbounded in this dimension".
 INFINITE_RADIUS = math.inf
 
-# Boxes spanning more than this many grid cells go to an overflow bucket
-# instead of being registered in every cell.
+# Boxes spanning more than this many grid cells go to an overflow set
+# instead of the grid, so that one huge item does not widen every query.
 _MAX_CELLS_PER_ITEM = 1024
+
+# A coordinate more than this many cells from 0 is unbounded to the grid.
+# Below it, ``x / cell_size`` errs by far less than a cell and consecutive
+# cell edges ``k * cell_size`` are distinct floats.
+_MAX_INDEX = 2.0 ** 50
 
 # A query filters a grid cell by time slab only when the cell holds more
 # items than this, and takes a smaller cell whole.  Filtering every cell
@@ -106,10 +112,6 @@ class PlanarBox:
             max(self.x1, other.x1), max(self.y1, other.y1),
         )
 
-    def inflate(self, margin: float) -> "PlanarBox":
-        return PlanarBox(self.x0 - margin, self.y0 - margin,
-                         self.x1 + margin, self.y1 + margin)
-
 
 @dataclass(frozen=True)
 class ConceptPath:
@@ -163,11 +165,23 @@ def _distance_or_inf(a: ConceptPath, b: ConceptPath) -> float:
 
 @dataclass(frozen=True)
 class NearnessKey:
-    """Position of a datum along all three nearness dimensions."""
+    """Position of a datum along all three nearness dimensions.
+
+    A key also keeps its six bounds and its concept as one tuple of plain
+    values, ``(t0, t1, x0, y0, x1, y1, concept)``, for
+    :meth:`QuerySpec.matches` and the index; equality, hash and repr
+    ignore that tuple.
+    """
 
     time: TimeInterval
     space: PlanarBox
     concept: ConceptPath
+    _flat: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        t, s = self.time, self.space
+        object.__setattr__(self, "_flat", (t.start, t.end, s.x0, s.y0, s.x1, s.y1,
+                                           self.concept))
 
     def cover(self, other: "NearnessKey") -> "NearnessKey":
         """Smallest key covering both; concepts collapse to their common prefix."""
@@ -217,10 +231,10 @@ class QuerySpec:
                                  ("concept_radius", self.concept_radius)):
                 if math.isnan(radius) or radius < 0:
                     raise ValidationError(f"radius must be >= 0, got {radius}", name)
-            t, s = center.time, center.space
+            t0, t1, x0, y0, x1, y1, concept = center._flat
             object.__setattr__(self, "_near", (
-                t.start, t.end, s.x0, s.y0, s.x1, s.y1, self.time_radius,
-                self.space_radius, self.concept_radius, center.concept))
+                t0, t1, x0, y0, x1, y1, self.time_radius, self.space_radius,
+                self.concept_radius, concept))
         elif self.mode is QueryMode.Focused:
             if self.time_window is None and self.box is None and self.concept_prefix is None:
                 raise ValidationError("focused query needs at least one constraint",
@@ -246,25 +260,23 @@ class QuerySpec:
         near = self._near
         if near is not None:
             ct0, ct1, cx0, cy0, cx1, cy1, rt, rs, rc, concept = near
+            kt0, kt1, kx0, ky0, kx1, ky1, kc = key._flat
             # The time gap, max(a, b, 0) for the two signed differences,
             # exceeds a radius r >= 0 exactly when a or b does.
-            kt = key.time
-            if kt.start - ct1 > rt or ct0 - kt.end > rt:
+            if kt0 - ct1 > rt or ct0 - kt1 > rt:
                 return False
             # The box gap is Euclidean over the axis gaps.  An axis's gap is
             # whichever of its two differences is positive (both boxes have
             # ordered corners, so at most one is), else 0; two zero gaps are
             # within every radius.
-            ks = key.space
-            dx = ks.x0 - cx1 if ks.x0 > cx1 else cx0 - ks.x1 if cx0 > ks.x1 else 0.0
-            dy = ks.y0 - cy1 if ks.y0 > cy1 else cy0 - ks.y1 if cy0 > ks.y1 else 0.0
+            dx = kx0 - cx1 if kx0 > cx1 else cx0 - kx1 if cx0 > kx1 else 0.0
+            dy = ky0 - cy1 if ky0 > cy1 else cy0 - ky1 if cy0 > ky1 else 0.0
             if (dx or dy) and math.hypot(dx, dy) > rs:
                 return False
             # Equal paths are at distance 0, within every valid radius.  The
             # identity test comes first because the dataclass ``__eq__`` is
             # a Python-level call, and keys of one kind share one path
             # object (every trajectory segment holds ``SEGMENT_CONCEPT``).
-            kc = key.concept
             return concept is kc or concept == kc or _distance_or_inf(concept, kc) <= rc
         if self.time_window is not None and not self.time_window.intersects(key.time):
             return False
@@ -276,7 +288,8 @@ class QuerySpec:
 
 
 class _Cell:
-    """Ids of the items whose boxes touch the grid cell ``cell``.
+    """Ids of the items whose boxes have their low corner in the grid
+    cell ``cell``.
 
     An item whose time span touches at most two slabs is filed under
     each of them; the rest (longer or unbounded spans, or every item when
@@ -293,17 +306,23 @@ class _Cell:
 
 
 class NearnessIndex:
-    """Uniform grid over space, split into time slabs, of :class:`NearnessKey`
-    items.
+    """Uniform loose grid over space, split into time slabs, of
+    :class:`NearnessKey` items.
 
-    Each item is registered in every grid cell its box touches, under the
-    slabs ``floor(t / slab)`` its time span touches if there are at most
-    two, else as long-lived.  A query with a time range visits a cell's
-    long-lived items and the slabs that range touches; with ``slab`` 0 or
-    infinite every item is long-lived and the grid prunes by space only.
-    The grid only prunes candidates; every candidate is run through the
-    exact query predicate, so results match a linear scan.  The cells and
-    slabs an item is filed under are kept from its insert to its remove.
+    Each item is filed in one grid cell, the cell of its box's low corner,
+    under the slabs ``floor(t / slab)`` its time span touches if there are
+    at most two, else as long-lived.  Cell ``k`` along an axis holds the
+    coordinates from ``k * cell_size`` up to ``(k + 1) * cell_size``, each
+    edge as the float product.  The index keeps the most cells any filed
+    box spans past its first one along each axis (they only grow), and a
+    query widens its cells on the low side by those counts, so it reaches
+    every item whose box can meet it (the loose grid of Ulrich's loose
+    octrees).  A query with a time range visits a cell's long-lived items
+    and the slabs that range touches; with ``slab`` 0 or infinite every
+    item is long-lived and the grid prunes by space only.  The grid only
+    prunes candidates; every candidate is run through the exact query
+    predicate, so results match a linear scan.  The cell and slabs an item
+    is filed under are kept from its insert to its remove.
     """
 
     def __init__(self, cell_size: float = 1.0, slab: float = 0.0):
@@ -314,12 +333,16 @@ class NearnessIndex:
         self.cell_size = cell_size
         self.slab = slab
         self._items: dict[str, NearnessKey] = {}
-        # Id -> the cells it is filed in and its slab range (None: long-lived);
+        # Id -> the cell it is filed in and its slab range (None: long-lived);
         # oversize items are not filed.  A cell leaves the grid only when
         # its last item is removed, so a kept cell is never stale.
-        self._filed: dict[str, tuple[list[_Cell], range | None]] = {}
+        self._filed: dict[str, tuple[_Cell, range | None]] = {}
         self._grid: dict[tuple[int, int], _Cell] = {}
         self._oversize: set[str] = set()
+        # The most cells any filed box has spanned past its first one,
+        # along x and along y.
+        self._wide = 0
+        self._tall = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -333,18 +356,54 @@ class NearnessIndex:
         except KeyError:
             raise NotFoundError(item_id) from None
 
-    def _cells(self, box: PlanarBox) -> list[tuple[int, int]] | None:
-        """Grid cells the box touches; None when it is unbounded or too large
-        (a corner beyond the float range in cell units counts as unbounded)."""
+    def _cell(self, x: float) -> int | None:
+        """The cell along an axis that holds x; None when x is unbounded
+        or more than ``_MAX_INDEX`` cells from 0."""
         size = self.cell_size
-        x0, y0, x1, y1 = box.x0 / size, box.y0 / size, box.x1 / size, box.y1 / size
-        if not (math.isfinite(x0) and math.isfinite(y0)
-                and math.isfinite(x1) and math.isfinite(y1)):
+        q = x / size
+        if not -_MAX_INDEX < q < _MAX_INDEX:
             return None
-        i0, i1, j0, j1 = math.floor(x0), math.floor(x1), math.floor(y0), math.floor(y1)
-        if (i1 - i0 + 1) * (j1 - j0 + 1) > _MAX_CELLS_PER_ITEM:
+        k = math.floor(q)
+        while k * size > x:
+            k -= 1
+        while (k + 1) * size <= x:
+            k += 1
+        return k
+
+    def _axis(self, c0: float, c1: float, r: float, widen: int) -> tuple[int, int] | None:
+        """First and last cell, along one axis, of the low corner of every
+        filed item whose span [k0, k1] can be within r of [c0, c1] by the
+        gaps that :meth:`QuerySpec.matches` computes: ``k0 - c1 <= r`` and
+        ``c0 - k1 <= r``, each difference rounded.  ``widen`` is the most
+        cells a filed span reaches past its first.  None when the range is
+        unbounded to the grid.
+
+        ``c1 + r`` and ``c0 - r`` can round across a cell edge either way,
+        so the end cells are checked against their edges: a cell is in
+        reach when its nearest float is.
+        """
+        size = self.cell_size
+        hi, lo = c1 + r, c0 - r
+        last, first = self._cell(hi), self._cell(lo)
+        if last is None or first is None:
             return None
-        return [(i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
+        # Within ``_MAX_INDEX`` cells of 0 a sum rounds by less than a cell,
+        # so each end moves by at most a cell or two.
+        # The last cell whose least float x has x - c1 <= r.
+        if hi - c1 > r:
+            if last * size - c1 > r:
+                last -= 1
+        else:
+            while (last + 1) * size - c1 <= r:
+                last += 1
+        # The first cell whose greatest float x has c0 - x <= r.
+        if c0 - lo > r:
+            if c0 - math.nextafter((first + 1) * size, -math.inf) > r:
+                first += 1
+        else:
+            while c0 - math.nextafter(first * size, -math.inf) <= r:
+                first -= 1
+        return first - widen, last
 
     def _slab_span(self, start: float, end: float) -> tuple[int, int] | None:
         """First and last slab the closed range [start, end] touches; None
@@ -368,25 +427,31 @@ class NearnessIndex:
         if item_id in self._items:
             raise ConflictError(f"id already indexed: {item_id}")
         # Placed first, so that an error leaves the index as it was.
-        cells = self._cells(key.space)
-        slab_range = None if cells is None else self._slab_range(key.time)
+        _, _, x0, y0, x1, y1, _ = key._flat
+        i0, j0, i1, j1 = self._cell(x0), self._cell(y0), self._cell(x1), self._cell(y1)
+        filed = not (i0 is None or j0 is None or i1 is None or j1 is None) and \
+            (i1 - i0 + 1) * (j1 - j0 + 1) <= _MAX_CELLS_PER_ITEM
+        slab_range = self._slab_range(key.time) if filed else None
         self._items[item_id] = key
-        if cells is None:
+        if not filed:
             self._oversize.add(item_id)
             return
-        buckets = []
-        self._filed[item_id] = (buckets, slab_range)
-        for cell in cells:
-            bucket = self._grid.get(cell)
-            if bucket is None:
-                bucket = self._grid[cell] = _Cell(cell)
-            buckets.append(bucket)
-            bucket.size += 1
-            if slab_range is None:
-                bucket.long_lived.add(item_id)
-            else:
-                for slab in slab_range:
-                    bucket.slabs.setdefault(slab, set()).add(item_id)
+        self._wide = max(self._wide, i1 - i0)
+        self._tall = max(self._tall, j1 - j0)
+        bucket = self._grid.get((i0, j0))
+        if bucket is None:
+            bucket = self._grid[i0, j0] = _Cell((i0, j0))
+        self._filed[item_id] = (bucket, slab_range)
+        bucket.size += 1
+        if slab_range is None:
+            bucket.long_lived.add(item_id)
+        else:
+            for slab in slab_range:
+                ids = bucket.slabs.get(slab)
+                if ids is None:
+                    bucket.slabs[slab] = {item_id}
+                else:
+                    ids.add(item_id)
 
     def remove(self, item_id: str) -> None:
         if self._items.pop(item_id, None) is None:
@@ -395,51 +460,61 @@ class NearnessIndex:
         if filed is None:
             self._oversize.discard(item_id)
             return
-        buckets, slab_range = filed
-        for bucket in buckets:
-            bucket.size -= 1
-            if not bucket.size:
-                del self._grid[bucket.cell]
-            elif slab_range is None:
-                bucket.long_lived.discard(item_id)
-            else:
-                for slab in slab_range:
-                    ids = bucket.slabs[slab]
-                    ids.discard(item_id)
-                    if not ids:
-                        del bucket.slabs[slab]
+        bucket, slab_range = filed
+        bucket.size -= 1
+        if not bucket.size:
+            del self._grid[bucket.cell]
+        elif slab_range is None:
+            bucket.long_lived.discard(item_id)
+        else:
+            for slab in slab_range:
+                ids = bucket.slabs[slab]
+                ids.discard(item_id)
+                if not ids:
+                    del bucket.slabs[slab]
 
     def _candidates(self, spec: QuerySpec) -> set[str]:
         """Ids in the cells and slabs the query can match, plus every
         oversize item.
 
-        A neighborhood query looks in its center's box inflated by the
-        space radius, over its center's time span widened by the time
-        radius; a focused query in its own box, over its time window.
-        Without a usable box every item is a candidate; without a usable
-        time range, every item of the box's cells is.  A cell of at most
+        A neighborhood query looks around its center's box by the space
+        radius, over its center's time span widened by the time radius; a
+        focused query in its own box, over its time window.  Without a
+        usable box every item is a candidate; without a usable time range,
+        every item of the box's cells is.  A cell of at most
         ``_FILTER_ABOVE`` items is taken whole.
         """
         if spec.mode is QueryMode.Neighborhood:
-            center, r = spec.center, spec.time_radius
-            box = None if math.isinf(spec.space_radius) \
-                else center.space.inflate(spec.space_radius)
+            t0, t1, x0, y0, x1, y1, rt, r, _, _ = spec._near
             # Widen by a few ulps so that rounding in the predicate's own
             # subtractions can never match an item outside the range.
-            pad = r + 4 * math.ulp(abs(center.time.start) + abs(center.time.end) + r)
-            span = self._slab_span(center.time.start - pad, center.time.end + pad)
+            pad = rt + 4 * math.ulp(abs(t0) + abs(t1) + rt)
+            span = self._slab_span(t0 - pad, t1 + pad)
+            box = None if math.isinf(r) else (x0, y0, x1, y1)
         else:
-            box, window = spec.box, spec.time_window
+            r, window, b = 0.0, spec.time_window, spec.box
             span = None if window is None else self._slab_span(window.start, window.end)
-        cells = None if box is None else self._cells(box)
-        if cells is None:
+            box = None if b is None else (b.x0, b.y0, b.x1, b.y1)
+        if box is None:
             return set(self._items)
+        x0, y0, x1, y1 = box
+        cols = self._axis(x0, x1, r, self._wide)
+        rows = self._axis(y0, y1, r, self._tall)
+        if cols is None or rows is None:
+            return set(self._items)
+        (i0, i1), (j0, j1) = cols, rows
+        # Look up the range's cells, or walk the grid when it has fewer: a
+        # range widened by wide items can span many empty cells.
+        grid = self._grid
+        if (i1 - i0 + 1) * (j1 - j0 + 1) <= len(grid):
+            buckets = [grid[cell] for cell in product(range(i0, i1 + 1), range(j0, j1 + 1))
+                       if cell in grid]
+        else:
+            buckets = [bucket for (i, j), bucket in grid.items()
+                       if i0 <= i <= i1 and j0 <= j <= j1]
         lo, hi = span if span is not None else (-math.inf, math.inf)
         out = set(self._oversize)
-        for cell in cells:
-            bucket = self._grid.get(cell)
-            if bucket is None:
-                continue
+        for bucket in buckets:
             out |= bucket.long_lived
             whole = bucket.size <= _FILTER_ABOVE
             for slab, ids in bucket.slabs.items():

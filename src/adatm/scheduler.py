@@ -243,15 +243,31 @@ class Runtime:
             return
         if not legal_transition(src, dst):
             raise LifecycleError(f"{datum_id}: illegal transition {src.value} -> {dst.value}")
-        self._life[datum_id] = dst
         if dst is LifecycleState.Deleted:
-            if datum_id in self.index:
-                self.index.remove(datum_id)
-            d = self._store[datum_id]
-            ids = self._by_text[d.text]
-            ids.discard(datum_id)
-            if not ids:
-                del self._by_text[d.text]
+            self._delete(datum_id)
+        else:
+            self._life[datum_id] = dst
+
+    def _delete(self, datum_id: str) -> None:
+        """Take a datum out of circulation: lifecycle, index and text map."""
+        self._life[datum_id] = LifecycleState.Deleted
+        if datum_id in self.index:
+            self.index.remove(datum_id)
+        d = self._store[datum_id]
+        ids = self._by_text[d.text]
+        ids.discard(datum_id)
+        if not ids:
+            del self._by_text[d.text]
+
+    def _retire(self, datum_id: str) -> None:
+        """Delete an absorbed datum with one lifecycle write, checked as the
+        legal path through Active (Encapsulated -> Active -> Deleted)."""
+        src = self._life[datum_id]
+        if src is not LifecycleState.Active and \
+                not legal_transition(src, LifecycleState.Active):
+            raise LifecycleError(f"{datum_id}: illegal transition {src.value} -> "
+                                 f"{LifecycleState.Active.value}")
+        self._delete(datum_id)
 
     def suspend(self, datum_id: str) -> None:
         self.lifecycle_of(datum_id)
@@ -429,9 +445,7 @@ class Runtime:
                     self.index.remove(datum_id)
                     self.index.insert(datum_id, d.key)
             for survivor, absorbed, confidence in merges:
-                if self._life[absorbed] is not LifecycleState.Active:
-                    self._transition(absorbed, LifecycleState.Active)
-                self._transition(absorbed, LifecycleState.Deleted)
+                self._retire(absorbed)
                 # Evidence queued against the absorbed id follows the survivor.
                 leftover = self._evidence.pop(absorbed, [])
                 if leftover:

@@ -19,10 +19,24 @@ from adatm import (
     resolve,
     tier_decision,
 )
-from adatm.errors import LifecycleError, PreconditionError, RangeError
-from adatm.kernel import match_gaps
+from adatm.errors import LifecycleError, PreconditionError, RangeError, ValidationError
+from adatm.kernel import Hyperdata, match_gaps
 
 from conftest import make_datum, make_key
+
+
+class TestHyperdataLinks:
+    def test_overlapping_complementary_and_refuting_links_rejected(self):
+        with pytest.raises(ValidationError):
+            Hyperdata(truth=1.0, confidence=0.5, complementary=("a", "b"),
+                      refuting=("c", "b"))
+
+    @pytest.mark.parametrize("complementary, refuting", [
+        ((), ()), (("a",), ()), ((), ("a",)), (("a",), ("b",))])
+    def test_disjoint_or_one_sided_links_accepted(self, complementary, refuting):
+        hd = Hyperdata(truth=1.0, confidence=0.5, complementary=complementary,
+                       refuting=refuting)
+        assert (hd.complementary, hd.refuting) == (complementary, refuting)
 
 
 class TestCanonicalText:

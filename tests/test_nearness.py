@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adatm import (
@@ -88,8 +88,8 @@ class TestInsertRemove:
         with pytest.raises(ArithmeticError):
             index.insert("b", make_key(box=(1.0, 1.0, 3.0, 3.0)))
         assert "b" not in index and len(index) == 1
-        assert {cell: bucket.size for cell, bucket in index._grid.items()} == {
-            (i, j): 1 for i in range(3) for j in range(3)}
+        assert {cell: bucket.size for cell, bucket in index._grid.items()} == {(0, 0): 1}
+        assert (index._wide, index._tall) == (2, 2)
         monkeypatch.undo()
         index.insert("b", make_key(box=(1.0, 1.0, 3.0, 3.0)))
         assert index.query(QuerySpec.focused(box=PlanarBox(2.5, 2.5, 2.6, 2.6))) == ["b"]
@@ -537,9 +537,9 @@ class TestTimeSlabs:
         index.remove("b")
         index.remove("a")
         index.insert("a", first.cover(second))
-        assert index._grid[(0, 0)].long_lived == index._grid[(1, 0)].long_lived == {"a"}
+        assert index._grid[(0, 0)].long_lived == {"a"}
         assert index._grid[(0, 0)].slabs == {50_000: set(_FAR)}
-        assert not index._grid[(1, 0)].slabs
+        assert (1, 0) not in index._grid and index._wide == 1
         specs = _edge_specs([(0.0, 0.0), (120.0, 130.0), (600.0, 600.0),
                              (1040.0, 1040.0), (2000.0, 2000.0)], [0.0, 100.0])
         for spec in specs:
@@ -601,3 +601,139 @@ class TestTimeSlabs:
         spans = [(t0, t0 + length) for t0, length in times]
         for spec in _edge_specs(spans, [radius]):
             assert index.query(spec) == index.scan(spec)
+
+
+class TestLooseGrid:
+    """Each item is filed in the cell of its box's low corner, and a query
+    widens its cells on the low side by the widest and tallest filed box."""
+
+    def test_storm_sized_box_is_filed_in_one_cell_and_found_from_each(self):
+        # 40 x 20 over 10-unit cells, as a storm report: it covers 5 x 3 cells.
+        index = NearnessIndex(cell_size=10.0, slab=900.0)
+        x0, y0, x1, y1 = 0.3, 0.4, 40.2, 20.3
+        index.insert("storm", make_key(t0=600.0, t1=3000.0, box=(x0, y0, x1, y1),
+                                       concept="w/a"))
+        assert list(index._grid) == [(0, 0)] and index._grid[(0, 0)].size == 1
+        assert (index._wide, index._tall) == (4, 2)
+        covered = [(i, j) for i in range(5) for j in range(3)]
+        for i, j in covered:
+            px = (max(10.0 * i, x0) + min(10.0 * (i + 1), x1)) / 2
+            py = (max(10.0 * j, y0) + min(10.0 * (j + 1), y1)) / 2
+            point = make_key(t0=1000.0, t1=1000.0, box=(px, py, px, py), concept="w/a")
+            assert index.query(QuerySpec.neighborhood(point, 0.0, 0.0, 0)) == ["storm"]
+            assert index.query(QuerySpec.focused(
+                box=PlanarBox(px, py, px, py))) == ["storm"]
+        index.remove("storm")
+        assert not index._grid and len(index) == 0
+
+    def test_removing_the_widest_item_keeps_later_queries_whole(self):
+        index = NearnessIndex(cell_size=1.0)
+        index.insert("wide", make_key(box=(0.5, 0.5, 8.5, 1.5)))
+        index.insert("mid", make_key(box=(0.5, 3.5, 4.5, 4.5)))
+        index.remove("wide")
+        # The extents only grow: the index still widens queries by 8 cells.
+        assert index._wide == 8
+        index.insert("late", make_key(box=(2.5, 6.5, 10.5, 7.5)))
+        for x in (0.5, 3.0, 4.5, 9.0, 10.5):
+            for y in (1.0, 4.0, 7.0):
+                point = make_key(box=(x, y, x, y))
+                for spec in (QuerySpec.neighborhood(point, 0.0, 0.0, 0),
+                             QuerySpec.neighborhood(point, 0.0, 1.5, 0),
+                             QuerySpec.focused(box=PlanarBox(x, y, x, y))):
+                    assert index.query(spec) == index.scan(spec)
+        far = make_key(box=(10.0, 7.0, 10.0, 7.0))
+        assert index.query(QuerySpec.focused(box=PlanarBox(10.0, 7.0, 10.0, 7.0))) \
+            == ["late"]
+        assert index.query(QuerySpec.neighborhood(far, 0.0, 7.0, 0)) == ["late", "mid"]
+
+    def test_peer_exactly_at_the_radius_across_a_rounded_cell_edge(self):
+        # 0.2 + 0.7 rounds to 0.8999999999999999, below the edge of cell 9
+        # at 0.9, where the item starts; the predicate's own 0.9 - 0.2
+        # rounds to 0.7, so the item is a match.
+        index = NearnessIndex(cell_size=0.1)
+        index.insert("c", make_key(box=(0.0, 0.0, 0.2, 1.0)))
+        index.insert("i", make_key(box=(0.9, 0.0, 1.9, 1.0)))
+        spec = QuerySpec.neighborhood(make_key(box=(0.0, 0.0, 0.2, 1.0)), 0.0, 0.7, 0)
+        assert index.query(spec) == index.scan(spec) == ["c", "i"]
+
+    def test_a_bound_on_a_cell_edge_adds_no_cell(self):
+        # A trajectory segment's key is its grid cell and the peer radius is
+        # one cell: the query's reach ends exactly on cell edges.
+        index = NearnessIndex(cell_size=10.0)
+        index.insert("seg", make_key(box=(20.0, 20.0, 30.0, 30.0)))
+        spec = QuerySpec.neighborhood(make_key(box=(20.0, 20.0, 30.0, 30.0)),
+                                      0.0, 10.0, 0)
+        assert index._axis(20.0, 30.0, 10.0, index._wide) == (0, 4)
+        assert index.query(spec) == ["seg"]
+        # The reach past 40 is one ulp short of the edge of cell 5.
+        short = math.nextafter(10.0, 0.0)
+        assert index._axis(20.0, 30.0, short, 0) == (1, 3)
+
+
+#: Cell sizes whose multiples are and are not exact in binary.
+_CELL_SIZES = [0.1, 1.0, 3.0, 10.0]
+
+
+@st.composite
+def _loose_grid_cases(draw):
+    """A cell size, items with narrow and wide boxes whose corners lie on,
+    next to or between cell edges, and queries whose radius reaches from
+    one side of the center's box exactly to, just inside or just outside a
+    cell edge, with an item on that edge."""
+    cell = draw(st.sampled_from(_CELL_SIZES))
+    spans = st.sampled_from([0.0, 0.3, 1.0, 2.0, 4.5])
+
+    def coord():
+        edge = draw(st.integers(-6, 6)) * cell
+        return draw(st.sampled_from([edge, math.nextafter(edge, math.inf),
+                                     math.nextafter(edge, -math.inf),
+                                     edge + 0.3 * cell]))
+
+    def box():
+        x0, y0 = coord(), coord()
+        return [x0, y0, x0 + draw(spans) * cell, y0 + draw(spans) * cell]
+
+    items = [box() for _ in range(draw(st.integers(0, 6)))]
+    queries = []
+    for _ in range(draw(st.integers(1, 4))):
+        center = box()
+        # Reach from side 0-3 (x0, y0, x1, y1) of the center to a cell edge
+        # past it; the item there meets the center along the other axis.
+        side = draw(st.integers(0, 3))
+        axis, high = side % 2, side >= 2
+        edge = (math.floor(center[side] / cell) + draw(st.sampled_from(range(-1, 13)))
+                * (1 if high else -1)) * cell
+        reach = abs(edge - center[side])
+        radius = draw(st.sampled_from([
+            reach, reach, math.nextafter(reach, math.inf), math.nextafter(reach, 0.0),
+            draw(st.integers(0, 8)) * cell]))
+        item = box()
+        item[axis], item[axis + 2] = (edge, edge + draw(spans) * cell) if high \
+            else (edge - draw(spans) * cell, edge)
+        item[1 - axis], item[3 - axis] = center[1 - axis], center[3 - axis]
+        items.append(item)
+        queries.append((center, radius))
+    return cell, items, queries
+
+
+class TestLooseGridMatchesScan:
+    @settings(max_examples=500)
+    @given(case=_loose_grid_cases())
+    # Reaches that the float sum of a side and the radius rounds short of
+    # the edge where an item starts: 0.2 + 0.7 and -10.000000000000002 + 20.
+    @example(case=(0.1, [[0.9, 0.0, 1.9, 1.0]], [([0.0, 0.0, 0.2, 1.0], 0.7)]))
+    @example(case=(10.0, [[10.0, 0.0, 15.0, 5.0]],
+                   [([-15.0, 0.0, -10.000000000000002, 5.0], 20.0)]))
+    def test_index_equals_scan_at_cell_edges(self, case):
+        cell, boxes, queries = case
+        index = NearnessIndex(cell_size=cell)
+        for n, box in enumerate(boxes):
+            index.insert(f"i{n}", make_key(box=tuple(box)))
+        # Removing an item, the widest perhaps, must not narrow any query.
+        index.insert("wide", make_key(box=(-50.0 * cell, 0.0, 50.0 * cell, cell)))
+        index.remove("wide")
+        for center, radius in queries:
+            key = make_key(box=tuple(center))
+            for spec in (QuerySpec.neighborhood(key, 0.0, radius, 0),
+                         QuerySpec.focused(box=key.space)):
+                assert index.query(spec) == index.scan(spec)

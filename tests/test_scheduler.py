@@ -283,6 +283,18 @@ def fusion_lines(rt):
             if e.event_type in ("merged", "deleted")]
 
 
+class _LifeWrites(dict):
+    """A lifecycle map that records every write."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.log = []
+
+    def __setitem__(self, key, value):
+        self.log.append((key, value))
+        super().__setitem__(key, value)
+
+
 class TestDuplicateFusion:
     def test_one_pass_equals_pairwise_resolve_loop(self):
         data = fusion_data()
@@ -311,6 +323,30 @@ class TestDuplicateFusion:
         for untouched in ("d3", "d4"):
             assert rt.lifecycle_of(untouched) is LifecycleState.Encapsulated
             assert rt.datum(untouched) == data[untouched]
+
+    def test_absorbed_datum_is_retired_in_one_lifecycle_write(self):
+        rt = fresh_runtime()
+        rt.add(make_datum("a", confidence=0.6))
+        rt.add(make_datum("b", confidence=0.5))
+        rt._life = writes = _LifeWrites(rt._life)
+        rt.enqueue("a", ActivationReason.NewData)
+        rt.step()
+        assert [line[:2] for line in fusion_lines(rt)] == [("merged", "a"), ("deleted", "b")]
+        # Encapsulated -> Deleted: the legal path's Active hop is not stored.
+        assert [state for datum_id, state in writes.log if datum_id == "b"] == [
+            LifecycleState.Deleted]
+        assert "b" not in rt.index and rt.live_ids() == ["a"]
+
+    def test_absorbed_datum_that_cannot_pass_through_active_is_kept(self):
+        rt = fresh_runtime()
+        rt.add(make_datum("a", confidence=0.6))
+        rt.add(make_datum("b", confidence=0.5))
+        rt._life["b"] = LifecycleState.Raw
+        rt.enqueue("a", ActivationReason.NewData)
+        events = rt.step()
+        assert (events[-1].event_type, events[-1].detail) == (
+            "error", "LifecycleError: b: illegal transition raw -> active")
+        assert rt.lifecycle_of("b") is LifecycleState.Raw and "b" in rt.index
 
     def test_forked_clone_among_peers_is_not_fused(self):
         rt = fresh_runtime()
