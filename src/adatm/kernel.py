@@ -412,9 +412,8 @@ class _Fusion:
         )
 
 
-def _merge_links(first: tuple[str, ...], second: tuple[str, ...],
-                 extra: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(dict.fromkeys((*first, *second, *extra)))
+def _merge_links(first: tuple[str, ...], extra: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(dict.fromkeys((*first, *extra)))
 
 
 def apply_evidence(d: ActiveDatum, e: Evidence, at: float | None = None) -> ActiveDatum:
@@ -434,11 +433,11 @@ def apply_evidence(d: ActiveDatum, e: Evidence, at: float | None = None) -> Acti
     confidence = _clamp(noisy_or(hd.confidence, e.strength), 0.0, 1.0)
     if e.polarity is EvidencePolarity.Complementary:
         truth = hd.truth
-        complementary = _merge_links(hd.complementary, (), (e.source_datum,))
+        complementary = _merge_links(hd.complementary, (e.source_datum,))
         refuting = tuple(r for r in hd.refuting if r != e.source_datum)
     else:
         truth = _clamp(hd.truth - e.strength * (hd.truth + 1.0), -1.0, 1.0)
-        refuting = _merge_links(hd.refuting, (), (e.source_datum,))
+        refuting = _merge_links(hd.refuting, (e.source_datum,))
         complementary = tuple(c for c in hd.complementary if c != e.source_datum)
     return replace(d, hyperdata=replace(
         hd, truth=truth, confidence=confidence,

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
+from typing import Iterable
 
 from .errors import ConflictError, DomainError, NotFoundError, ValidationError
 
@@ -34,17 +35,6 @@ _MAX_CELLS_PER_ITEM = 1024
 # Below it, ``x / cell_size`` errs by far less than a cell and consecutive
 # cell edges ``k * cell_size`` are distinct floats.
 _MAX_INDEX = 2.0 ** 50
-
-# A query filters a grid cell by time slab only when the cell holds more
-# items than this, and takes a smaller cell whole.  Filtering every cell
-# (0 here) measures the same on the benchmark's headroom and storm
-# workloads: simulate time within 0.2% either way, and each setting
-# faster in about half of 16 alternations of 4 scenarios (2-core Xeon).
-# The threshold exists only to keep the candidate count that
-# bench/test_bench.py pins for its traced tiny scenario (three items in
-# one cell, each query scanning all three).  It goes with that pin.
-_FILTER_ABOVE = 4
-
 
 def spans_intersect(a0: float, a1: float, b0: float, b1: float) -> bool:
     """Whether the half-open spans [a0, a1) and [b0, b1) meet.
@@ -287,57 +277,29 @@ class QuerySpec:
         return True
 
 
-class _Cell:
-    """Ids of the items whose boxes have their low corner in the grid
-    cell ``cell``.
-
-    An item whose time span touches at most two slabs is filed under
-    each of them; the rest (longer or unbounded spans, or every item when
-    the grid has no slabs) are long-lived.  ``size`` counts the items.
-    """
-
-    __slots__ = ("cell", "size", "long_lived", "slabs")
-
-    def __init__(self, cell: tuple[int, int]):
-        self.cell = cell
-        self.size = 0
-        self.long_lived: set[str] = set()
-        self.slabs: dict[int, set[str]] = {}
-
-
 class NearnessIndex:
-    """Uniform loose grid over space, split into time slabs, of
-    :class:`NearnessKey` items.
+    """Uniform loose grid over space of :class:`NearnessKey` items.
 
-    Each item is filed in one grid cell, the cell of its box's low corner,
-    under the slabs ``floor(t / slab)`` its time span touches if there are
-    at most two, else as long-lived.  Cell ``k`` along an axis holds the
-    coordinates from ``k * cell_size`` up to ``(k + 1) * cell_size``, each
-    edge as the float product.  The index keeps the most cells any filed
-    box spans past its first one along each axis (they only grow), and a
-    query widens its cells on the low side by those counts, so it reaches
-    every item whose box can meet it (the loose grid of Ulrich's loose
-    octrees).  A query with a time range visits a cell's long-lived items
-    and the slabs that range touches; with ``slab`` 0 or infinite every
-    item is long-lived and the grid prunes by space only.  The grid only
-    prunes candidates; every candidate is run through the exact query
-    predicate, so results match a linear scan.  The cell and slabs an item
-    is filed under are kept from its insert to its remove.
+    Each item is filed in one grid cell, the cell of its box's low corner.
+    Cell ``k`` along an axis holds the coordinates from ``k * cell_size``
+    up to ``(k + 1) * cell_size``, each edge as the float product.  The
+    index keeps the most cells any filed box spans past its first one
+    along each axis (they only grow), and a query widens its cells on the
+    low side by those counts, so it reaches every item whose box can meet
+    it (the loose grid of Ulrich's loose octrees).  The grid prunes by
+    space only; every candidate is run through the exact query predicate,
+    so results match a linear scan.
     """
 
-    def __init__(self, cell_size: float = 1.0, slab: float = 0.0):
+    def __init__(self, cell_size: float = 1.0):
         if cell_size <= 0:
             raise ValidationError("cell_size must be positive", "cell_size")
-        if math.isnan(slab) or slab < 0:
-            raise ValidationError("slab must be >= 0", "slab")
         self.cell_size = cell_size
-        self.slab = slab
         self._items: dict[str, NearnessKey] = {}
-        # Id -> the cell it is filed in and its slab range (None: long-lived);
-        # oversize items are not filed.  A cell leaves the grid only when
-        # its last item is removed, so a kept cell is never stale.
-        self._filed: dict[str, tuple[_Cell, range | None]] = {}
-        self._grid: dict[tuple[int, int], _Cell] = {}
+        # Id -> the cell it is filed in; oversize items are not filed.  A
+        # cell leaves the grid when its last item is removed.
+        self._filed: dict[str, tuple[int, int]] = {}
+        self._grid: dict[tuple[int, int], set[str]] = {}
         self._oversize: set[str] = set()
         # The most cells any filed box has spanned past its first one,
         # along x and along y.
@@ -405,127 +367,77 @@ class NearnessIndex:
                 first -= 1
         return first - widen, last
 
-    def _slab_span(self, start: float, end: float) -> tuple[int, int] | None:
-        """First and last slab the closed range [start, end] touches; None
-        when the grid has no slabs or the range is unbounded."""
-        if not 0 < self.slab < math.inf:
-            return None
-        lo, hi = start / self.slab, end / self.slab
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            return None
-        return math.floor(lo), math.floor(hi)
-
-    def _slab_range(self, time: TimeInterval) -> range | None:
-        """Slabs an item with this time span is filed under; None when it
-        is long-lived."""
-        span = self._slab_span(time.start, time.end)
-        if span is None or span[1] - span[0] > 1:
-            return None
-        return range(span[0], span[1] + 1)
-
     def insert(self, item_id: str, key: NearnessKey) -> None:
         if item_id in self._items:
             raise ConflictError(f"id already indexed: {item_id}")
         # Placed first, so that an error leaves the index as it was.
         _, _, x0, y0, x1, y1, _ = key._flat
         i0, j0, i1, j1 = self._cell(x0), self._cell(y0), self._cell(x1), self._cell(y1)
-        filed = not (i0 is None or j0 is None or i1 is None or j1 is None) and \
-            (i1 - i0 + 1) * (j1 - j0 + 1) <= _MAX_CELLS_PER_ITEM
-        slab_range = self._slab_range(key.time) if filed else None
         self._items[item_id] = key
-        if not filed:
+        if i0 is None or j0 is None or i1 is None or j1 is None or \
+                (i1 - i0 + 1) * (j1 - j0 + 1) > _MAX_CELLS_PER_ITEM:
             self._oversize.add(item_id)
             return
         self._wide = max(self._wide, i1 - i0)
         self._tall = max(self._tall, j1 - j0)
-        bucket = self._grid.get((i0, j0))
-        if bucket is None:
-            bucket = self._grid[i0, j0] = _Cell((i0, j0))
-        self._filed[item_id] = (bucket, slab_range)
-        bucket.size += 1
-        if slab_range is None:
-            bucket.long_lived.add(item_id)
+        cell = (i0, j0)
+        ids = self._grid.get(cell)
+        if ids is None:
+            self._grid[cell] = {item_id}
         else:
-            for slab in slab_range:
-                ids = bucket.slabs.get(slab)
-                if ids is None:
-                    bucket.slabs[slab] = {item_id}
-                else:
-                    ids.add(item_id)
+            ids.add(item_id)
+        self._filed[item_id] = cell
 
     def remove(self, item_id: str) -> None:
         if self._items.pop(item_id, None) is None:
             raise NotFoundError(item_id)
-        filed = self._filed.pop(item_id, None)
-        if filed is None:
+        cell = self._filed.pop(item_id, None)
+        if cell is None:
             self._oversize.discard(item_id)
             return
-        bucket, slab_range = filed
-        bucket.size -= 1
-        if not bucket.size:
-            del self._grid[bucket.cell]
-        elif slab_range is None:
-            bucket.long_lived.discard(item_id)
-        else:
-            for slab in slab_range:
-                ids = bucket.slabs[slab]
-                ids.discard(item_id)
-                if not ids:
-                    del bucket.slabs[slab]
+        ids = self._grid[cell]
+        ids.discard(item_id)
+        if not ids:
+            del self._grid[cell]
 
-    def _candidates(self, spec: QuerySpec) -> set[str]:
-        """Ids in the cells and slabs the query can match, plus every
-        oversize item.
+    def _candidates(self, spec: QuerySpec) -> list[Iterable[str]]:
+        """Disjoint collections of the ids the query can match: every
+        oversize item and the items of each cell in reach.
 
         A neighborhood query looks around its center's box by the space
-        radius, over its center's time span widened by the time radius; a
-        focused query in its own box, over its time window.  Without a
-        usable box every item is a candidate; without a usable time range,
-        every item of the box's cells is.  A cell of at most
-        ``_FILTER_ABOVE`` items is taken whole.
+        radius; a focused query in its own box.  Without a usable box
+        every item is a candidate.  Each filed item is in one cell and no
+        oversize item is in any, so no id is in two of the collections.
         """
         if spec.mode is QueryMode.Neighborhood:
-            t0, t1, x0, y0, x1, y1, rt, r, _, _ = spec._near
-            # Widen by a few ulps so that rounding in the predicate's own
-            # subtractions can never match an item outside the range.
-            pad = rt + 4 * math.ulp(abs(t0) + abs(t1) + rt)
-            span = self._slab_span(t0 - pad, t1 + pad)
-            box = None if math.isinf(r) else (x0, y0, x1, y1)
+            _, _, x0, y0, x1, y1, _, r, _, _ = spec._near
+            if math.isinf(r):
+                return [self._items]
         else:
-            r, window, b = 0.0, spec.time_window, spec.box
-            span = None if window is None else self._slab_span(window.start, window.end)
-            box = None if b is None else (b.x0, b.y0, b.x1, b.y1)
-        if box is None:
-            return set(self._items)
-        x0, y0, x1, y1 = box
+            b = spec.box
+            if b is None:
+                return [self._items]
+            r, x0, y0, x1, y1 = 0.0, b.x0, b.y0, b.x1, b.y1
         cols = self._axis(x0, x1, r, self._wide)
         rows = self._axis(y0, y1, r, self._tall)
         if cols is None or rows is None:
-            return set(self._items)
+            return [self._items]
         (i0, i1), (j0, j1) = cols, rows
         # Look up the range's cells, or walk the grid when it has fewer: a
         # range widened by wide items can span many empty cells.
         grid = self._grid
         if (i1 - i0 + 1) * (j1 - j0 + 1) <= len(grid):
-            buckets = [grid[cell] for cell in product(range(i0, i1 + 1), range(j0, j1 + 1))
-                       if cell in grid]
+            cells = [grid[cell] for cell in product(range(i0, i1 + 1), range(j0, j1 + 1))
+                     if cell in grid]
         else:
-            buckets = [bucket for (i, j), bucket in grid.items()
-                       if i0 <= i <= i1 and j0 <= j <= j1]
-        lo, hi = span if span is not None else (-math.inf, math.inf)
-        out = set(self._oversize)
-        for bucket in buckets:
-            out |= bucket.long_lived
-            whole = bucket.size <= _FILTER_ABOVE
-            for slab, ids in bucket.slabs.items():
-                if whole or lo <= slab <= hi:
-                    out |= ids
-        return out
+            cells = [ids for (i, j), ids in grid.items()
+                     if i0 <= i <= i1 and j0 <= j <= j1]
+        return [self._oversize, *cells]
 
     def query(self, spec: QuerySpec) -> list[str]:
         """Ids matching the query, in ascending identifier order."""
         items, matches = self._items, spec.matches
-        hits = [i for i in self._candidates(spec) if matches(items[i])]
+        hits = [i for ids in self._candidates(spec) for i in ids if matches(items[i])]
         hits.sort()
         return hits
 

@@ -153,12 +153,25 @@ class RunStats:
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Knobs for peer discovery and storage policy."""
+    """Knobs for peer discovery and storage policy.
+
+    The three radii bound each activation's peer query
+    (:meth:`QuerySpec.neighborhood`), and each must be >= 0.  They do not
+    size the nearness index: its grid is set by the runtime's
+    ``index_cell_size`` alone.
+    """
 
     time_radius: float = 900.0
     space_radius: float = 1.0
     concept_radius: float = 0.0
     tier_policy: TierPolicy = TierPolicy()
+
+    def __post_init__(self):
+        for name in ("time_radius", "space_radius", "concept_radius"):
+            radius = getattr(self, name)
+            # Written so that NaN fails the test too.
+            if not radius >= 0:
+                raise ValidationError(f"radius must be >= 0, got {radius}", name)
 
 
 @dataclass
@@ -175,8 +188,7 @@ class Runtime:
                  index_cell_size: float = 1.0):
         self.config = config or SchedulerConfig()
         self.now: float = 0.0
-        self.index = NearnessIndex(cell_size=index_cell_size,
-                                   slab=self.config.time_radius)
+        self.index = NearnessIndex(cell_size=index_cell_size)
         self._store: dict[str, ActiveDatum] = {}
         self._life: dict[str, LifecycleState] = {}
         # Payload text -> ids of the live data that carry it.
@@ -440,10 +452,7 @@ class Runtime:
             d, merges = kernel.fuse(d, same_text)
             if merges:
                 datum_id = d.id
-                self._store[datum_id] = d
-                if datum_id in self.index and self.index.key_of(datum_id) != d.key:
-                    self.index.remove(datum_id)
-                    self.index.insert(datum_id, d.key)
+                self._replace_datum(d)
             for survivor, absorbed, confidence in merges:
                 self._retire(absorbed)
                 # Evidence queued against the absorbed id follows the survivor.

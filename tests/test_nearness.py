@@ -78,17 +78,18 @@ class TestInsertRemove:
         _check_interleaved_ops(NearnessIndex(cell_size=5.0), random.Random(11))
 
     def test_failed_insert_leaves_the_index_unchanged(self, monkeypatch):
-        index = NearnessIndex(cell_size=1.0, slab=100.0)
+        index = NearnessIndex(cell_size=1.0)
         index.insert("a", make_key(box=(0.0, 0.0, 2.0, 2.0)))
 
-        def failing(time):
+        def failing(x):
             raise ArithmeticError("cannot place")
 
-        monkeypatch.setattr(index, "_slab_range", failing)
+        monkeypatch.setattr(index, "_cell", failing)
         with pytest.raises(ArithmeticError):
             index.insert("b", make_key(box=(1.0, 1.0, 3.0, 3.0)))
         assert "b" not in index and len(index) == 1
-        assert {cell: bucket.size for cell, bucket in index._grid.items()} == {(0, 0): 1}
+        assert index._grid == {(0, 0): {"a"}} and index._filed == {"a": (0, 0)}
+        assert not index._oversize
         assert (index._wide, index._tall) == (2, 2)
         monkeypatch.undo()
         index.insert("b", make_key(box=(1.0, 1.0, 3.0, 3.0)))
@@ -149,22 +150,37 @@ def _random_key(rng):
 
 
 def _populated_index(rng, n, slab=0.0):
-    index = NearnessIndex(cell_size=10.0, slab=slab)
+    """n random items; with ``slab``, their times lie on multiples of it."""
+    index = NearnessIndex(cell_size=10.0)
     for i in range(n):
-        index.insert(f"i{i:04d}", _random_key(rng))
+        index.insert(f"i{i:04d}", _slabbed(_random_key(rng), slab))
     return index
 
 
-def _random_spec(rng):
+def _slabbed(key, slab):
+    """The key with its time bounds moved down to multiples of ``slab``
+    (unchanged for 0), so that spans meet and touch on shared edges."""
+    t = key.time
+    return NearnessKey(_slabbed_time(t.start, t.end, slab), key.space, key.concept)
+
+
+def _slabbed_time(t0, t1, slab):
+    if not slab:
+        return TimeInterval(t0, t1)
+    return TimeInterval(t0 // slab * slab, t1 // slab * slab)
+
+
+def _random_spec(rng, slab=0.0):
+    """A random query; with ``slab``, its times lie on multiples of it."""
     if rng.random() < 0.5:
         return QuerySpec.neighborhood(
-            _random_key(rng),
+            _slabbed(_random_key(rng), slab),
             time_radius=rng.choice([0.0, 50.0, 400.0, INFINITE_RADIUS]),
             space_radius=rng.choice([0.0, 5.0, 30.0, INFINITE_RADIUS]),
             concept_radius=rng.choice([0, 1, 2, INFINITE_RADIUS]))
     t0 = rng.uniform(0, 9000)
     return QuerySpec.focused(
-        time_window=TimeInterval(t0, t0 + rng.uniform(0, 2000)),
+        time_window=_slabbed_time(t0, t0 + rng.uniform(0, 2000), slab),
         box=PlanarBox(*_random_box(rng)) if rng.random() < 0.7 else None,
         concept_prefix=ConceptPath.parse(
             rng.choice(["w", "w/a", "w/b"]))
@@ -234,6 +250,8 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("slab", [50.0, 400.0, 1000.0])
     @pytest.mark.parametrize("seed", range(5))
     def test_random_workload_matches_linear_scan_slabbed(self, seed, slab):
+        # Item and query times on multiples of ``slab``: many spans meet
+        # exactly at their ends.
         _check_random_workload(random.Random(seed), slab)
 
     @given(radii=st.tuples(
@@ -254,7 +272,7 @@ class TestOracleEquivalence:
 def _check_random_workload(rng, slab):
     index = _populated_index(rng, 400, slab)
     for _ in range(60):
-        spec = _random_spec(rng)
+        spec = _random_spec(rng, slab)
         assert index.query(spec) == index.scan(spec)
 
 
@@ -438,20 +456,24 @@ def _edge_specs(center_times, radii):
     return specs
 
 
-#: Items in cell (0, 0) far later than any query below: with them, the
-#: cell holds more items than ``_FILTER_ABOVE``, so queries filter it by slab.
+#: Items in cell (0, 0) far later than any query below: each query takes
+#: them as candidates, and the time test alone rejects them.
 _FAR = ("far0", "far1", "far2", "far3", "far4")
 
 
-def _far_filled_index(slab=100.0):
-    index = NearnessIndex(cell_size=10.0, slab=slab)
+def _far_filled_index():
+    index = NearnessIndex(cell_size=10.0)
     for far in _FAR:
         index.insert(far, make_key(t0=5e6, t1=5e6, box=(1.0, 1.0, 2.0, 2.0),
                                    concept="w/a"))
     return index
 
 
-#: Time spans on, just off and across the edges of 100 s slabs.
+def _candidate_ids(index, spec):
+    return set().union(*index._candidates(spec))
+
+
+#: Time spans on, just off and across the edges of 100 s slabs of time.
 _EDGE_TIMES = [
     (0.0, 0.0), (100.0, 100.0), (-100.0, -100.0), (100.0, 200.0), (99.5, 100.0),
     (math.nextafter(100.0, 0.0), 100.0), (200.0, math.nextafter(200.0, 300.0)),
@@ -460,12 +482,12 @@ _EDGE_TIMES = [
 
 
 class TestTimeSlabs:
-    """A slabbed index answers every query exactly as the linear scan."""
+    """Keys and queries on and across the edges of 100 s slabs of time:
+    the grid prunes by space only, and answers each as the linear scan."""
 
     def test_interleaved_ops_match_set_oracle(self):
-        # Coarse cells, so that most hold more than _FILTER_ABOVE items.
-        _check_interleaved_ops(NearnessIndex(cell_size=20.0, slab=400.0),
-                               random.Random(11))
+        # Coarse cells, so that most hold many items.
+        _check_interleaved_ops(NearnessIndex(cell_size=20.0), random.Random(11))
 
     def test_keys_and_queries_on_slab_edges(self):
         index = _far_filled_index()
@@ -487,20 +509,6 @@ class TestTimeSlabs:
         spec = QuerySpec.neighborhood(center, 100.0, 0.0, 0.0)
         assert index.query(spec) == index.scan(spec) == ["x"]
 
-    @pytest.mark.parametrize("slab", [0.0, INFINITE_RADIUS])
-    def test_zero_or_infinite_slab_files_every_item_long_lived(self, slab):
-        rng = random.Random(3)
-        index = _populated_index(rng, 300, slab)
-        assert index._grid and not any(cell.slabs for cell in index._grid.values())
-        for _ in range(40):
-            spec = _random_spec(rng)
-            assert index.query(spec) == index.scan(spec)
-
-    def test_invalid_slab_rejected(self):
-        for slab in (-1.0, math.nan):
-            with pytest.raises(ValidationError):
-                NearnessIndex(slab=slab)
-
     def test_infinite_time_keys(self):
         index = _far_filled_index()
         spans = [(-math.inf, math.inf), (0.0, math.inf), (-math.inf, 0.0),
@@ -514,18 +522,6 @@ class TestTimeSlabs:
         for spec in specs:
             assert index.query(spec) == index.scan(spec)
 
-    def test_long_lived_items_are_found_from_every_slab(self):
-        index = _far_filled_index()
-        index.insert("long", make_key(t0=50.0, t1=350.0, box=(1.0, 1.0, 2.0, 2.0)))
-        index.insert("two", make_key(t0=150.0, t1=250.0, box=(1.0, 1.0, 2.0, 2.0)))
-        assert index._grid[(0, 0)].long_lived == {"long"}
-        assert index._grid[(0, 0)].slabs == {1: {"two"}, 2: {"two"}, 50_000: set(_FAR)}
-        for t in (0.0, 60.0, 199.0, 340.0, 400.0, 1000.0):
-            spec = QuerySpec.focused(time_window=TimeInterval(t, t + 1.0),
-                                     box=PlanarBox(0.0, 0.0, 5.0, 5.0))
-            assert index.query(spec) == index.scan(spec)
-            assert "long" in index._candidates(spec)
-
     def test_key_grown_by_cover_is_reinserted(self):
         # The runtime re-registers a datum whose key grew in a merge.
         index = _far_filled_index()
@@ -537,9 +533,7 @@ class TestTimeSlabs:
         index.remove("b")
         index.remove("a")
         index.insert("a", first.cover(second))
-        assert index._grid[(0, 0)].long_lived == {"a"}
-        assert index._grid[(0, 0)].slabs == {50_000: set(_FAR)}
-        assert (1, 0) not in index._grid and index._wide == 1
+        assert index._grid == {(0, 0): {"a", *_FAR}} and index._wide == 1
         specs = _edge_specs([(0.0, 0.0), (120.0, 130.0), (600.0, 600.0),
                              (1040.0, 1040.0), (2000.0, 2000.0)], [0.0, 100.0])
         for spec in specs:
@@ -550,51 +544,22 @@ class TestTimeSlabs:
         index.remove("a")
         for far in _FAR:
             index.remove(far)
-        assert not index._grid and len(index) == 0
-
-    def test_narrow_time_window_prunes(self):
-        # Keys span at most 800 s, so none is long-lived with 1000 s slabs.
-        rng = random.Random(8)
-        index = _populated_index(rng, 400, slab=1000.0)
-        spec = QuerySpec.focused(time_window=TimeInterval(4000.0, 4010.0),
-                                 box=PlanarBox(0.0, 0.0, 100.0, 100.0))
-        assert len(index._candidates(spec)) < len(index) // 2
-        assert index.query(spec) == index.scan(spec)
-        center = make_key(t0=4000.0, t1=4010.0, box=(40.0, 40.0, 41.0, 41.0))
-        spec = QuerySpec.neighborhood(center, 100.0, INFINITE_RADIUS, INFINITE_RADIUS)
-        assert len(index._candidates(spec)) == len(index)
-        spec = QuerySpec.neighborhood(center, 100.0, 50.0, INFINITE_RADIUS)
-        assert len(index._candidates(spec)) < len(index) // 2
-        assert index.query(spec) == index.scan(spec)
-
-    def test_small_cell_is_taken_whole(self):
-        index = NearnessIndex(cell_size=10.0, slab=100.0)
-        for i, t in enumerate((0.0, 1000.0, 2000.0, 3000.0)):
-            index.insert(f"s{i}", make_key(t0=t, t1=t, box=(1.0, 1.0, 2.0, 2.0)))
-        spec = QuerySpec.focused(time_window=TimeInterval(0.0, 1.0),
-                                 box=PlanarBox(1.0, 1.0, 2.0, 2.0))
-        assert index._candidates(spec) == {"s0", "s1", "s2", "s3"}
-        index.insert("s4", make_key(t0=4000.0, t1=4000.0, box=(1.0, 1.0, 2.0, 2.0)))
-        assert index._candidates(spec) == {"s0"}
-        assert index.query(spec) == index.scan(spec) == ["s0"]
-        index.remove("s4")
-        assert index._candidates(spec) == {"s0", "s1", "s2", "s3"}
+        assert not index._grid and not index._filed and len(index) == 0
 
     def test_box_without_time_window_still_prunes_by_space(self):
         rng = random.Random(9)
-        index = _populated_index(rng, 400, slab=100.0)
+        index = _populated_index(rng, 400)
         spec = QuerySpec.focused(box=PlanarBox(0.0, 0.0, 5.0, 5.0))
-        assert len(index._candidates(spec)) < len(index) // 10
+        assert len(_candidate_ids(index, spec)) < len(index) // 10
         assert index.query(spec) == index.scan(spec)
 
     @given(times=st.lists(st.tuples(
         st.sampled_from([-200.0, -100.0, 0.0, 99.0, 100.0, 150.0, 200.0, 300.0,
                          math.nextafter(100.0, 0.0), 1e6]),
         st.sampled_from([0.0, 1.0, 50.0, 100.0, 200.0, 250.0])), min_size=1, max_size=12),
-        radius=st.sampled_from([0.0, 1.0, 50.0, 100.0, 101.0, 250.0]),
-        slab=st.sampled_from([1.0, 50.0, 100.0, 300.0]))
-    def test_edge_keys_match_scan(self, times, radius, slab):
-        index = _far_filled_index(slab)
+        radius=st.sampled_from([0.0, 1.0, 50.0, 100.0, 101.0, 250.0]))
+    def test_edge_keys_match_scan(self, times, radius):
+        index = _far_filled_index()
         for i, (t0, length) in enumerate(times):
             index.insert(f"k{i:02d}", make_key(t0=t0, t1=t0 + length,
                                                box=(1.0, 1.0, 2.0, 2.0), concept="w/a"))
@@ -609,11 +574,11 @@ class TestLooseGrid:
 
     def test_storm_sized_box_is_filed_in_one_cell_and_found_from_each(self):
         # 40 x 20 over 10-unit cells, as a storm report: it covers 5 x 3 cells.
-        index = NearnessIndex(cell_size=10.0, slab=900.0)
+        index = NearnessIndex(cell_size=10.0)
         x0, y0, x1, y1 = 0.3, 0.4, 40.2, 20.3
         index.insert("storm", make_key(t0=600.0, t1=3000.0, box=(x0, y0, x1, y1),
                                        concept="w/a"))
-        assert list(index._grid) == [(0, 0)] and index._grid[(0, 0)].size == 1
+        assert index._grid == {(0, 0): {"storm"}} and index._filed == {"storm": (0, 0)}
         assert (index._wide, index._tall) == (4, 2)
         covered = [(i, j) for i in range(5) for j in range(3)]
         for i, j in covered:
@@ -737,3 +702,53 @@ class TestLooseGridMatchesScan:
             for spec in (QuerySpec.neighborhood(key, 0.0, radius, 0),
                          QuerySpec.focused(box=key.space)):
                 assert index.query(spec) == index.scan(spec)
+
+
+#: Corners on and between unit cell edges, and extents that make narrow,
+#: wide (many cells), oversize (over 1024 cells) and unbounded boxes.
+_CORNERS = st.integers(-20, 20).map(float) | st.floats(-20.0, 20.0)
+_EXTENTS = st.sampled_from([0.0, 0.5, 1.0, 3.0, 12.0, 40.0, math.inf])
+_BOXES = st.builds(lambda x, y, w, h: (x, y, x + w, y + h),
+                   _CORNERS, _CORNERS, _EXTENTS, _EXTENTS)
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("insert"), _BOXES),
+    st.tuples(st.just("remove"), st.integers(0, 30)),
+    st.tuples(st.just("query"), _BOXES,
+              st.sampled_from([0.0, 1.0, 2.5, 10.0, INFINITE_RADIUS]), st.booleans())),
+    max_size=40)
+
+
+class TestDisjointCandidates:
+    """``query`` runs the predicate once per candidate and builds no union
+    of the candidate collections, so no id may be in two of them."""
+
+    @settings(max_examples=200)
+    @given(ops=_OPS)
+    def test_one_match_call_per_distinct_candidate(self, ops):
+        index = NearnessIndex(cell_size=1.0)
+        alive: list[str] = []
+        calls = []
+        matches = QuerySpec.matches
+
+        def spy(spec, key):
+            calls.append(key)
+            return matches(spec, key)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(QuerySpec, "matches", spy)
+            for n, op in enumerate(ops):
+                if op[0] == "insert":
+                    alive.append(f"i{n:02d}")
+                    index.insert(alive[-1], make_key(box=op[1]))
+                elif op[0] == "remove":
+                    if alive:
+                        index.remove(alive.pop(op[1] % len(alive)))
+                else:
+                    _, box, radius, focused = op
+                    spec = QuerySpec.focused(box=PlanarBox(*box)) if focused else \
+                        QuerySpec.neighborhood(make_key(box=box), 0.0, radius, 0)
+                    calls.clear()
+                    hits = index.query(spec)
+                    assert len(calls) == len(_candidate_ids(index, spec))
+                    assert len(set(hits)) == len(hits)
+                    assert hits == index.scan(spec)

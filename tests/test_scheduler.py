@@ -1,5 +1,6 @@
 """Tests for the deterministic activation runtime."""
 
+import math
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from adatm import (
     TimeInterval,
 )
 from adatm import kernel, scheduler
-from adatm.errors import LifecycleError, NotFoundError
+from adatm.errors import LifecycleError, NotFoundError, ValidationError
 from adatm.kernel import apply_evidence, resolve
 from adatm.scheduler import ActivationTask, RuntimeEvent, legal_transition
 
@@ -43,6 +44,22 @@ def everything_subscription(sub_id="watch", min_confidence=0.0, kinds=None):
         min_confidence=min_confidence,
         deliver_kinds=frozenset(kinds) if kinds else frozenset(NotionKind),
     )
+
+
+class TestSchedulerConfig:
+    @pytest.mark.parametrize("value", [-1.0, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["time_radius", "space_radius", "concept_radius"])
+    def test_negative_or_nan_radius_rejected(self, name, value):
+        # Rejected when the config is built, not as an error event logged by
+        # every activation's peer query.
+        with pytest.raises(ValidationError) as err:
+            SchedulerConfig(**{name: value})
+        assert err.value.path == name
+
+    @pytest.mark.parametrize("name", ["time_radius", "space_radius", "concept_radius"])
+    def test_zero_and_infinite_radius_accepted(self, name):
+        for value in (0.0, math.inf):
+            assert getattr(SchedulerConfig(**{name: value}), name) == value
 
 
 class TestLifecycle:
@@ -511,17 +528,11 @@ class TestDeletedView:
             rt.fork("gone")
 
 
-def grid_view(index):
-    """Every cell of an index's grid as plain values."""
-    return {cell: (bucket.cell, bucket.size, bucket.long_lived, bucket.slabs)
-            for cell, bucket in index._grid.items()}
-
-
 class TestIndexAfterFusion:
     def test_grid_equals_a_fresh_index_of_the_live_items(self):
-        # 300 same-text reports over a few cells each, as in a storm; some
-        # span three 900 s slabs and are long-lived.  Another text is
-        # interleaved so that cells keep items when reports leave them.
+        # 300 same-text reports over a few cells each, as in a storm.
+        # Another text is interleaved so that cells keep items when
+        # reports leave them.
         rng = random.Random(23)
         rt = Runtime(SchedulerConfig(), index_cell_size=1.0)
         for i in range(300):
@@ -537,11 +548,12 @@ class TestIndexAfterFusion:
         stats = rt.run_until_quiescent(1000)
         assert stats.quiescent and stats.merges >= 250
         live = rt.live_ids()
-        fresh = NearnessIndex(cell_size=1.0, slab=rt.config.time_radius)
+        fresh = NearnessIndex(cell_size=1.0)
         for datum_id in live:
             fresh.insert(datum_id, rt.datum(datum_id).key)
         assert len(rt.index) == len(live)
-        assert grid_view(rt.index) == grid_view(fresh)
+        assert rt.index._grid == fresh._grid
+        assert rt.index._filed == fresh._filed
         assert rt.index._oversize == fresh._oversize
         assert sorted(rt.index._filed) == live
 
