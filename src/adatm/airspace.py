@@ -29,8 +29,9 @@ class GridSpec:
     def __post_init__(self):
         if self.cols < 1 or self.rows < 1:
             raise ValidationError("grid needs at least one cell", "grid")
-        if self.cell <= 0:
-            raise ValidationError("cell edge must be positive", "grid.cell")
+        # Written so that NaN fails the test too.
+        if not 0 < self.cell < math.inf:
+            raise ValidationError("cell edge must be positive and finite", "grid.cell")
 
     @property
     def x1(self) -> float:

@@ -64,7 +64,7 @@ def format_scalar(value: Scalar) -> str:
 def canonical_text(payload: Payload) -> str:
     """Canonical form of a payload: fields sorted by name, ``name=value``
     pairs joined by ``;``.  Used for duplicate detection and reports."""
-    return ";".join(f"{k}={format_scalar(payload[k])}" for k in sorted(payload))
+    return ";".join([f"{k}={format_scalar(payload[k])}" for k in sorted(payload)])
 
 
 def _short_hash(*parts: str) -> str:

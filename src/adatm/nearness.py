@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
-from typing import Iterable
 
 from .errors import ConflictError, DomainError, NotFoundError, ValidationError
 
@@ -292,15 +291,17 @@ class NearnessIndex:
     """
 
     def __init__(self, cell_size: float = 1.0):
-        if cell_size <= 0:
-            raise ValidationError("cell_size must be positive", "cell_size")
+        # Written so that NaN fails the test too.
+        if not 0 < cell_size < math.inf:
+            raise ValidationError("cell_size must be positive and finite", "cell_size")
         self.cell_size = cell_size
         self._items: dict[str, NearnessKey] = {}
         # Id -> the cell it is filed in; oversize items are not filed.  A
-        # cell leaves the grid when its last item is removed.
+        # cell maps the ids filed in it to their keys, and leaves the grid
+        # when its last item is removed.
         self._filed: dict[str, tuple[int, int]] = {}
-        self._grid: dict[tuple[int, int], set[str]] = {}
-        self._oversize: set[str] = set()
+        self._grid: dict[tuple[int, int], dict[str, NearnessKey]] = {}
+        self._oversize: dict[str, NearnessKey] = {}
         # The most cells any filed box has spanned past its first one,
         # along x and along y.
         self._wide = 0
@@ -376,16 +377,16 @@ class NearnessIndex:
         self._items[item_id] = key
         if i0 is None or j0 is None or i1 is None or j1 is None or \
                 (i1 - i0 + 1) * (j1 - j0 + 1) > _MAX_CELLS_PER_ITEM:
-            self._oversize.add(item_id)
+            self._oversize[item_id] = key
             return
         self._wide = max(self._wide, i1 - i0)
         self._tall = max(self._tall, j1 - j0)
         cell = (i0, j0)
         ids = self._grid.get(cell)
         if ids is None:
-            self._grid[cell] = {item_id}
+            self._grid[cell] = {item_id: key}
         else:
-            ids.add(item_id)
+            ids[item_id] = key
         self._filed[item_id] = cell
 
     def remove(self, item_id: str) -> None:
@@ -393,21 +394,21 @@ class NearnessIndex:
             raise NotFoundError(item_id)
         cell = self._filed.pop(item_id, None)
         if cell is None:
-            self._oversize.discard(item_id)
+            del self._oversize[item_id]
             return
         ids = self._grid[cell]
-        ids.discard(item_id)
+        del ids[item_id]
         if not ids:
             del self._grid[cell]
 
-    def _candidates(self, spec: QuerySpec) -> list[Iterable[str]]:
-        """Disjoint collections of the ids the query can match: every
+    def _candidates(self, spec: QuerySpec) -> list[dict[str, NearnessKey]]:
+        """Disjoint id -> key maps of the items the query can match: every
         oversize item and the items of each cell in reach.
 
         A neighborhood query looks around its center's box by the space
         radius; a focused query in its own box.  Without a usable box
         every item is a candidate.  Each filed item is in one cell and no
-        oversize item is in any, so no id is in two of the collections.
+        oversize item is in any, so no id is in two of the maps.
         """
         if spec.mode is QueryMode.Neighborhood:
             _, _, x0, y0, x1, y1, _, r, _, _ = spec._near
@@ -427,8 +428,9 @@ class NearnessIndex:
         # range widened by wide items can span many empty cells.
         grid = self._grid
         if (i1 - i0 + 1) * (j1 - j0 + 1) <= len(grid):
-            cells = [grid[cell] for cell in product(range(i0, i1 + 1), range(j0, j1 + 1))
-                     if cell in grid]
+            get = grid.get
+            cells = [ids for cell in product(range(i0, i1 + 1), range(j0, j1 + 1))
+                     if (ids := get(cell)) is not None]
         else:
             cells = [ids for (i, j), ids in grid.items()
                      if i0 <= i <= i1 and j0 <= j <= j1]
@@ -436,8 +438,9 @@ class NearnessIndex:
 
     def query(self, spec: QuerySpec) -> list[str]:
         """Ids matching the query, in ascending identifier order."""
-        items, matches = self._items, spec.matches
-        hits = [i for ids in self._candidates(spec) for i in ids if matches(items[i])]
+        matches = spec.matches
+        hits = [i for ids in self._candidates(spec) for i, key in ids.items()
+                if matches(key)]
         hits.sort()
         return hits
 

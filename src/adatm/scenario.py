@@ -695,6 +695,9 @@ def _fused_storm_confidence_from_runtime(rt: Runtime, storm_id: str) -> float:
 
 def _segment_data(state: AirspaceState, flight_id: str) -> list[ActiveDatum]:
     account = state.flights[flight_id]
+    # Every segment payload below has the same six fields.
+    metadata = Metadata(source_id=flight_id, observed_at=max(0.0, state.now),
+                        size_hint=6, schema_tag="trajectory-segment")
     data = []
     for i, seg in enumerate(account.segments):
         payload = {
@@ -711,9 +714,7 @@ def _segment_data(state: AirspaceState, flight_id: str) -> list[ActiveDatum]:
             concept=SEGMENT_CONCEPT,
         )
         data.append(kernel.encapsulate(
-            payload, NotionKind.Assumption,
-            Metadata(source_id=flight_id, observed_at=max(0.0, state.now),
-                     size_hint=len(payload), schema_tag="trajectory-segment"),
+            payload, NotionKind.Assumption, metadata,
             source_confidence=1.0, key=key,
             datum_id=f"seg-{flight_id}-v{account.version}-{i:03d}"))
     return data
@@ -816,6 +817,12 @@ class _Driver:
 
     def _advance_weather(self, filed: list[StormCell],
                          confirmed: list[StormCell]) -> None:
+        # Without a confirmed storm the storms are the filed ones, under
+        # which every insertion was classified, and no insertion leaves a
+        # spot over its room, so there is nothing to re-check.  Returning
+        # also keeps the capacities memoised while inserting.
+        if not confirmed:
+            return
         self.state.set_storms(tuple(filed + confirmed))
         events = self.state.advance_weather(0.0)
         touched_cells: set[tuple[int, int]] = set()

@@ -12,6 +12,7 @@ identical across runs.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
@@ -434,8 +435,11 @@ class Runtime:
         self._transition(datum_id, LifecycleState.Active)
         d = self._store[datum_id]
 
-        # 1. neighborhood peers
-        peer_ids = [p for p in self.index.query(self._peer_query(d)) if p != d.id]
+        # 1. neighborhood peers: the sorted hits without the datum itself
+        peer_ids = self.index.query(self._peer_query(d))
+        i = bisect_left(peer_ids, d.id)
+        if i < len(peer_ids) and peer_ids[i] == d.id:
+            del peer_ids[i]
         events.append(self.emit("peers", d.id, f"count={len(peer_ids)}"))
 
         # 2. duplicate fusion, one pass in ascending peer id.  A duplicate

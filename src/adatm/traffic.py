@@ -319,19 +319,20 @@ class AirspaceState:
     # -- classification ----------------------------------------------------
 
     def classify_insert(self, spots) -> Classification:
-        """Sort a proposed placement's spots into one of the three insert cases."""
+        """Sort a proposed placement's spots into one of the three insert cases;
+        the offending spots come in ascending order."""
         hard: list[Spot] = []
         soft: list[Spot] = []
-        for spot in sorted(spots):
+        for spot in spots:
             cap = self.capacity(*spot)
             if cap == 0:
                 hard.append(spot)
             elif self.occupancy(*spot) + 1 > cap:
                 soft.append(spot)
         if hard:
-            return Classification(CaseKind.Case3, tuple(hard))
+            return Classification(CaseKind.Case3, tuple(sorted(hard)))
         if soft:
-            return Classification(CaseKind.Case2, tuple(soft))
+            return Classification(CaseKind.Case2, tuple(sorted(soft)))
         return Classification(CaseKind.Case1)
 
     # -- insertion ----------------------------------------------------------

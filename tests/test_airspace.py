@@ -1,5 +1,7 @@
 """Weather, capacity, and storm-window tests."""
 
+import math
+
 import pytest
 
 from adatm import (
@@ -36,6 +38,13 @@ class TestGridSpec:
         for cols, rows, cell in [(0, 4, 10.0), (3, 0, 10.0), (3, 4, 0.0), (3, 4, -10.0)]:
             with pytest.raises(ValidationError):
                 GridSpec(0, 0, cols, rows, cell)
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+    def test_nan_or_infinite_cell_rejected(self, cell):
+        # A NaN cell would put every point outside the grid bounds.
+        with pytest.raises(ValidationError) as err:
+            GridSpec(0, 0, 3, 4, cell)
+        assert err.value.path == "grid.cell"
 
     def test_cell_lookup(self):
         grid = GridSpec(0, 0, 4, 4, 10.0)

@@ -79,7 +79,8 @@ class TestInsertRemove:
 
     def test_failed_insert_leaves_the_index_unchanged(self, monkeypatch):
         index = NearnessIndex(cell_size=1.0)
-        index.insert("a", make_key(box=(0.0, 0.0, 2.0, 2.0)))
+        key = make_key(box=(0.0, 0.0, 2.0, 2.0))
+        index.insert("a", key)
 
         def failing(x):
             raise ArithmeticError("cannot place")
@@ -88,7 +89,7 @@ class TestInsertRemove:
         with pytest.raises(ArithmeticError):
             index.insert("b", make_key(box=(1.0, 1.0, 3.0, 3.0)))
         assert "b" not in index and len(index) == 1
-        assert index._grid == {(0, 0): {"a"}} and index._filed == {"a": (0, 0)}
+        assert index._grid == {(0, 0): {"a": key}} and index._filed == {"a": (0, 0)}
         assert not index._oversize
         assert (index._wide, index._tall) == (2, 2)
         monkeypatch.undo()
@@ -109,6 +110,14 @@ class TestNaNBounds:
         corners[corner] = math.nan
         with pytest.raises(ValidationError):
             PlanarBox(*corners)
+
+    @pytest.mark.parametrize("cell_size", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_index_rejects_a_cell_size_not_positive_and_finite(self, cell_size):
+        # A NaN or infinite cell would file every item as oversize and make
+        # every query a linear scan.
+        with pytest.raises(ValidationError) as err:
+            NearnessIndex(cell_size=cell_size)
+        assert err.value.path == "cell_size"
 
 
 def _check_interleaved_ops(index, rng):
@@ -433,9 +442,10 @@ class TestGridInternals:
     def test_corner_beyond_the_float_range_in_cell_units(self):
         # 1e300 / 1e-300 overflows to infinity: the box is unbounded to the grid.
         index = NearnessIndex(cell_size=1e-300)
-        index.insert("far", make_key(box=(0.0, 0.0, 1e300, 1e-300)))
+        far = make_key(box=(0.0, 0.0, 1e300, 1e-300))
+        index.insert("far", far)
         index.insert("near", make_key(box=(0.0, 0.0, 1e-300, 1e-300)))
-        assert index._oversize == {"far"}
+        assert index._oversize == {"far": far}
         spec = QuerySpec.focused(box=PlanarBox(0.0, 0.0, 5e-300, 5e-300))
         assert index.query(spec) == index.scan(spec) == ["far", "near"]
         index.remove("far")
@@ -532,8 +542,10 @@ class TestTimeSlabs:
         index.insert("b", second)
         index.remove("b")
         index.remove("a")
-        index.insert("a", first.cover(second))
-        assert index._grid == {(0, 0): {"a", *_FAR}} and index._wide == 1
+        grown = first.cover(second)
+        index.insert("a", grown)
+        assert index._grid == {(0, 0): {"a": grown, **{f: index.key_of(f) for f in _FAR}}}
+        assert index._wide == 1
         specs = _edge_specs([(0.0, 0.0), (120.0, 130.0), (600.0, 600.0),
                              (1040.0, 1040.0), (2000.0, 2000.0)], [0.0, 100.0])
         for spec in specs:
@@ -576,9 +588,10 @@ class TestLooseGrid:
         # 40 x 20 over 10-unit cells, as a storm report: it covers 5 x 3 cells.
         index = NearnessIndex(cell_size=10.0)
         x0, y0, x1, y1 = 0.3, 0.4, 40.2, 20.3
-        index.insert("storm", make_key(t0=600.0, t1=3000.0, box=(x0, y0, x1, y1),
-                                       concept="w/a"))
-        assert index._grid == {(0, 0): {"storm"}} and index._filed == {"storm": (0, 0)}
+        key = make_key(t0=600.0, t1=3000.0, box=(x0, y0, x1, y1), concept="w/a")
+        index.insert("storm", key)
+        assert index._grid == {(0, 0): {"storm": key}}
+        assert index._filed == {"storm": (0, 0)}
         assert (index._wide, index._tall) == (4, 2)
         covered = [(i, j) for i in range(5) for j in range(3)]
         for i, j in covered:
@@ -752,3 +765,45 @@ class TestDisjointCandidates:
                     assert len(calls) == len(_candidate_ids(index, spec))
                     assert len(set(hits)) == len(hits)
                     assert hits == index.scan(spec)
+
+
+class TestCellsHoldKeys:
+    """Each cell and the oversize map hold their items' keys, which
+    ``query`` reads instead of looking each id up."""
+
+    @settings(max_examples=200)
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("insert"), _BOXES),
+        st.tuples(st.just("remove"), st.integers(0, 30)),
+        st.tuples(st.just("grow"), st.integers(0, 30), _BOXES),
+        st.tuples(st.just("query"), _BOXES,
+                  st.sampled_from([0.0, 1.0, 2.5, 10.0, INFINITE_RADIUS]), st.booleans())),
+        max_size=40))
+    def test_every_candidate_map_sends_each_id_to_its_key(self, ops):
+        index = NearnessIndex(cell_size=1.0)
+        alive: list[str] = []
+        for n, op in enumerate(ops):
+            if op[0] == "insert":
+                alive.append(f"i{n:02d}")
+                index.insert(alive[-1], make_key(box=op[1]))
+            elif op[0] == "remove":
+                if alive:
+                    index.remove(alive.pop(op[1] % len(alive)))
+            elif op[0] == "grow":
+                # As a fusion re-registers its survivor under the grown key.
+                if alive:
+                    survivor = alive[op[1] % len(alive)]
+                    grown = index.key_of(survivor).cover(make_key(box=op[2]))
+                    index.remove(survivor)
+                    index.insert(survivor, grown)
+            else:
+                _, box, radius, focused = op
+                spec = QuerySpec.focused(box=PlanarBox(*box)) if focused else \
+                    QuerySpec.neighborhood(make_key(box=box), 0.0, radius, 0)
+                for ids in index._candidates(spec):
+                    for item_id, key in ids.items():
+                        assert key is index.key_of(item_id)
+                assert index.query(spec) == index.scan(spec)
+        whole = QuerySpec.focused(time_window=TimeInterval(-math.inf, math.inf))
+        seen = [i for ids in index._candidates(whole) for i in ids]
+        assert sorted(seen) == sorted(alive)

@@ -21,7 +21,7 @@ from adatm import (
     simulate,
 )
 from adatm.errors import AdatmError, ParseError, UsageError, ValidationError
-from adatm.scenario import Report, report_to_dict, scenario_from_dict
+from adatm.scenario import _Driver, Report, report_to_dict, scenario_from_dict
 from adatm.scheduler import Alert, RunStats
 from adatm.traffic import CongestionRecord, InsertOutcome, RouteChoice
 
@@ -31,6 +31,8 @@ from conftest import (
     random_case1_scenario,
     storm_reroute_scenario,
 )
+from test_golden import BENCH_SCENARIOS, PINS, _bench_workloads
+from test_golden import _scenario as golden_scenario
 
 
 def minimal_dict(**overrides):
@@ -524,3 +526,43 @@ class TestOracleEquivalence:
         assert touched
         assert touched <= allowed_cells
         assert (3, 1) not in touched
+
+
+def _inserted_under_filed_storms(scenario):
+    """The airspace state after the driver's insertion phase."""
+    driver = _Driver(scenario, None, False)
+    driver.state.set_storms(tuple(s.cell for s in scenario.storms if not s.reported))
+    driver._insert_flights()
+    return driver.state
+
+
+def _confirms_a_storm(run) -> bool:
+    return any(e.event_type == "storm" and e.detail.startswith("confirmed")
+               for e in run.runtime.event_log)
+
+
+class TestNoWeatherRecheckWithoutAConfirmedStorm:
+    """The driver skips ``advance_weather`` when no reported storm is
+    confirmed: the storms are then the filed ones, under which every
+    insertion was classified, and no insertion leaves a spot over its
+    room."""
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_demos_and_fixtures(self, name):
+        scenario = golden_scenario(name)
+        assert _inserted_under_filed_storms(scenario)._capacity_violations() == ()
+        run = simulate(scenario)
+        if not _confirms_a_storm(run):
+            assert run.state.advance_weather(0.0) == []
+
+    @pytest.mark.parametrize("workload", ["headroom", "contended", "storm"])
+    def test_bench_scenarios(self, workload):
+        spec = _bench_workloads().WORKLOADS[workload]
+        for index in range(spec.scenarios):
+            scenario = load_scenario(spec.generate(1, index))
+            assert _inserted_under_filed_storms(scenario)._capacity_violations() == (), \
+                index
+            if index < BENCH_SCENARIOS:
+                run = simulate(scenario)
+                if not _confirms_a_storm(run):
+                    assert run.state.advance_weather(0.0) == []

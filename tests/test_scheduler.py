@@ -61,6 +61,12 @@ class TestSchedulerConfig:
         for value in (0.0, math.inf):
             assert getattr(SchedulerConfig(**{name: value}), name) == value
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_index_cell_size_not_positive_and_finite_rejected(self, value):
+        with pytest.raises(ValidationError) as err:
+            Runtime(SchedulerConfig(), index_cell_size=value)
+        assert err.value.path == "cell_size"
+
 
 class TestLifecycle:
     def test_legal_transition_table(self):
@@ -556,6 +562,11 @@ class TestIndexAfterFusion:
         assert rt.index._filed == fresh._filed
         assert rt.index._oversize == fresh._oversize
         assert sorted(rt.index._filed) == live
+        # The cells hold each survivor's grown key, as the store does.
+        for datum_id in live:
+            for ids in rt.index._candidates(rt._peer_query(rt.datum(datum_id))):
+                for peer, key in ids.items():
+                    assert key == rt.datum(peer).key
 
 
 def live_texts(rt):
