@@ -93,10 +93,13 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.bucket_seconds <= 0:
-            raise ValidationError("bucket_seconds must be positive", "bucket_seconds")
-        if self.horizon_seconds <= 0:
-            raise ValidationError("horizon_seconds must be positive", "horizon_seconds")
+        # Written so that NaN fails the tests too.
+        if not 0 < self.bucket_seconds < math.inf:
+            raise ValidationError("bucket_seconds must be positive and finite",
+                                  "bucket_seconds")
+        if not 0 < self.horizon_seconds < math.inf:
+            raise ValidationError("horizon_seconds must be positive and finite",
+                                  "horizon_seconds")
         if not 0 <= self.severe_capacity <= self.calm_capacity:
             raise ValidationError("capacities must satisfy 0 <= severe <= calm", "capacity")
         if self.horizon_seconds / self.bucket_seconds > MAX_SPOTS:

@@ -156,11 +156,14 @@ def _objective(picks: tuple[Option, ...],
 
 
 def _feasible(picks: tuple[Option, ...], accounts: dict[str, FlightAccount],
-              base: dict[Spot, int], room: dict[Spot, int]) -> bool:
+              base: dict[Spot, int], room: dict[Spot, int],
+              state: AirspaceState) -> bool:
     """Check every touched or already-conflicted spot against its headroom.
 
-    ``base`` holds the occupancy change before any deviation; ``room`` is
-    capacity minus current occupancy.
+    ``base`` holds the occupancy change before any deviation; ``room`` maps
+    a spot to its capacity minus current occupancy and is filled here on
+    a miss, so only the spots some checked assignment touches are looked
+    up.
     """
     delta = dict(base)
     for option in picks:
@@ -168,7 +171,14 @@ def _feasible(picks: tuple[Option, ...], accounts: dict[str, FlightAccount],
             delta[spot] = delta.get(spot, 0) - 1
         for spot in option.spots:
             delta[spot] = delta.get(spot, 0) + 1
-    return all(d <= room[spot] for spot, d in delta.items())
+    occ = state._occ
+    for spot, d in delta.items():
+        free = room.get(spot)
+        if free is None:
+            free = room[spot] = state.capacity(*spot) - len(occ.get(spot, ()))
+        if d > free:
+            return False
+    return True
 
 
 def _cover_menus(deviators: tuple[str, ...], bit: dict[str, int],
@@ -207,10 +217,13 @@ class AirspaceState:
                  storms: tuple[StormCell, ...] = (),
                  closures: dict[tuple[int, int], tuple[TimeInterval, ...]] | None = None,
                  horizon_seconds: float = 14400.0, now: float = 0.0):
-        if bucket_seconds <= 0:
-            raise ValidationError("bucket_seconds must be positive", "bucket_seconds")
-        if horizon_seconds <= 0:
-            raise ValidationError("horizon_seconds must be positive", "horizon_seconds")
+        # Written so that NaN fails the tests too.
+        if not 0 < bucket_seconds < math.inf:
+            raise ValidationError("bucket_seconds must be positive and finite",
+                                  "bucket_seconds")
+        if not 0 < horizon_seconds < math.inf:
+            raise ValidationError("horizon_seconds must be positive and finite",
+                                  "horizon_seconds")
         self.grid = grid
         self.bucket_seconds = bucket_seconds
         self.calm_capacity = calm_capacity
@@ -253,8 +266,11 @@ class AirspaceState:
         return [i * dt for i in range(first, last)]
 
     def segment_spots(self, segments) -> frozenset[Spot]:
-        return frozenset((seg.subsector, b) for seg in segments
-                         for b in self.buckets_over(seg.entry, seg.exit))
+        """The (cell, bucket start) spots the segments hold: the buckets of
+        :meth:`buckets_over`, read from their indices."""
+        dt = self.bucket_seconds
+        return frozenset((seg.subsector, i * dt) for seg in segments
+                         for i in range(math.floor(seg.entry / dt), math.ceil(seg.exit / dt)))
 
     def occupancy(self, subsector: tuple[int, int], bucket_start: float) -> int:
         return len(self._occ.get((subsector, bucket_start), ()))
@@ -423,9 +439,10 @@ class AirspaceState:
             options[arriving.plan.flight_id] = self._options_for(newcomer, True)
             for spot in newcomer.spots:
                 base[spot] = 1
-        room = {spot: self.capacity(*spot) - self.occupancy(*spot)
-                for spot in set(base).union(
-                    *(option.spots for opts in options.values() for option in opts))}
+        # Capacity minus occupancy, looked up on a spot's first read: here
+        # for the base spots, in ``_feasible`` for the spots it checks.
+        room: dict[Spot, int] = {}
+        occ = self._occ
 
         # Spots over their room, grouped by the flights able to deviate that
         # hold them (a bit mask) and by how far over they are.
@@ -433,7 +450,8 @@ class AirspaceState:
         bit = {fid: 1 << i for i, fid in enumerate(movable)}
         short: dict[tuple[int, int], list[Spot]] = {}
         for spot, count in base.items():
-            need = count - room[spot]
+            free = room[spot] = self.capacity(*spot) - len(occ.get(spot, ()))
+            need = count - free
             if need > 0:
                 holders = sum(bit[fid] for fid in movable if spot in accounts[fid].spots)
                 short.setdefault((holders, need), []).append(spot)
@@ -458,7 +476,7 @@ class AirspaceState:
                     objective = _objective(picks, accounts)
                     if best is not None and objective >= best:
                         continue
-                    if _feasible(picks, accounts, base, room):
+                    if _feasible(picks, accounts, base, room, self):
                         best, best_picks = objective, picks
         if best is None:
             return None
@@ -561,8 +579,8 @@ class AirspaceState:
             now = self.now
         if horizon is None:
             horizon = self.horizon_seconds
-        if horizon <= 0:
-            raise PreconditionError("horizon must be positive")
+        if not 0 < horizon < math.inf:
+            raise PreconditionError("horizon must be positive and finite")
         dt = self.bucket_seconds
         first = math.floor(now / dt)
         window_end = now + horizon

@@ -50,6 +50,13 @@ class FlightPlan:
                     (alt[-1].x, alt[-1].y) != (last.x, last.y):
                 raise ValidationError("alternate endpoints differ from primary route",
                                       f"alternates[{i}]")
+        # Placement caches are keyed by the plan: hash its waypoints once.
+        object.__setattr__(self, "_hash", hash((
+            self.flight_id, self.waypoints, self.alternates, self.departure_delay,
+            self.priority_rank)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def departure(self) -> float:
@@ -82,8 +89,10 @@ class TrajectorySegment:
     plan_version: int = 1
 
     def __post_init__(self):
-        if self.entry >= self.exit:
-            raise ValidationError(f"entry {self.entry} >= exit {self.exit}", "segment")
+        # Written so that NaN fails the test too.
+        if not self.entry < self.exit:
+            raise ValidationError(f"entry {self.entry} is not before exit {self.exit}",
+                                  "segment")
 
 
 def position_at(waypoints: tuple[Waypoint, ...], t: float) -> tuple[float, float]:

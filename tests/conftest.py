@@ -279,3 +279,71 @@ def fusion_scenario() -> Scenario:
         "observations": observations,
         "seed": 11,
     })
+
+
+def contended_stress_scenario(n_flights=100, seed=2) -> Scenario:
+    """Many flights over a small, tight grid: 4x4 cells, calm capacity 4.
+
+    Each flight flies from A to B, both uniform over the grid, departing
+    U(0, 3600) s and flying U(600, 1800) s, with one alternate through a
+    random midpoint.  Most insertions negotiate; at the defaults 38 are
+    accepted, 59 rerouted and 3 rejected, and the rejected ones search
+    every deviator set without finding a feasible one.
+    """
+    rng = random.Random(seed)
+    flights = []
+    for i in range(n_flights):
+        a = [rng.uniform(0.5, 39.5), rng.uniform(0.5, 39.5)]
+        b = [rng.uniform(0.5, 39.5), rng.uniform(0.5, 39.5)]
+        t0 = rng.uniform(0.0, 3600.0)
+        t1 = t0 + rng.uniform(600.0, 1800.0)
+        mid = [rng.uniform(0.5, 39.5), rng.uniform(0.5, 39.5), (t0 + t1) / 2]
+        flights.append({"id": f"f{i:03d}", "waypoints": [a + [t0], b + [t1]],
+                        "alternates": [[a + [t0], mid, b + [t1]]]})
+    return scenario_from_dict({
+        "grid": {"cols": 4, "rows": 4, "cell": 10.0},
+        "bucket_seconds": 60,
+        "horizon_seconds": 14400,
+        "capacity": {"calm": 4, "severe": 2},
+        "flights": flights,
+        "seed": seed,
+    })
+
+
+def wide_storm_scenario(n_flights=80, seed=2) -> Scenario:
+    """Dwell flights under one wide storm, resolved by one global weather
+    negotiation.
+
+    Flight i dwells U(1200, 2400) s from U(0, 1200) s in cell (i % 4,
+    i // 4 % 2), so the 8 cells of rows 0-1 of a 4x4 grid fill round-robin,
+    each flight with one alternate through the row above.  Storm [0, 0,
+    40, 20], drifting north and active [600, 4200) s, covers them all; one
+    report of confidence 0.9 confirms it, and it drops capacity from 6 to 1.
+    """
+    rng = random.Random(seed)
+    flights = []
+    for i in range(n_flights):
+        x0, y0 = i % 4 * 10.0, i // 4 % 2 * 10.0
+        y = y0 + rng.uniform(2.0, 8.0)
+        t0 = rng.uniform(0.0, 1200.0)
+        t1 = t0 + rng.uniform(1200.0, 2400.0)
+        start, end = [x0 + 1.0, y, t0], [x0 + 9.0, y, t1]
+        detour = [x0 + 5.0, y0 + 15.0, (t0 + t1) / 2]
+        flights.append({"id": f"w{i:03d}", "waypoints": [start, end],
+                        "alternates": [[start, detour, end]]})
+    box = [0.0, 0.0, 40.0, 20.0]
+    return scenario_from_dict({
+        "grid": {"cols": 4, "rows": 4, "cell": 10.0},
+        "bucket_seconds": 60,
+        "horizon_seconds": 14400,
+        "capacity": {"calm": 6, "severe": 1},
+        "flights": flights,
+        "storms": [{"id": "st-w", "box": box, "velocity": [0.0, 0.005],
+                    "active": [600.0, 4200.0], "reported": True}],
+        "observations": [{
+            "payload": {"storm_id": "st-w", "kind": "radar-echo"},
+            "source": "radar-1", "confidence": 0.9,
+            "key": {"time": [600.0, 4200.0], "box": box,
+                    "concept": "airspace/weather/storm"}}],
+        "seed": seed,
+    })

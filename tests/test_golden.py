@@ -7,7 +7,10 @@ scenario files, the fixtures of
 report-fusion fixture ``conftest.fusion_scenario``, the negotiation
 fixture ``conftest.delayed_negotiation_scenario`` (non-integral departure
 delays moved by alternate and by delay, which pins the float order of
-the delay shift) and the benchmark's own inputs (``BENCH_PINS``).
+the delay shift), the two stress scenarios ``conftest.contended_stress_scenario``
+(100 flights, most of them negotiating) and ``conftest.wide_storm_scenario``
+(80 flights under one storm) and the benchmark's own inputs
+(``BENCH_PINS``).
 
 A speed-up or refactor must leave every digest unchanged.  An intended
 format or behaviour change (for example dropping the event log's
@@ -27,10 +30,12 @@ from adatm import load_scenario, render_report, run_oracle, simulate
 
 from conftest import (
     congestion_scenario,
+    contended_stress_scenario,
     delayed_negotiation_scenario,
     fusion_scenario,
     random_case1_scenario,
     storm_reroute_scenario,
+    wide_storm_scenario,
 )
 
 DEMO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -97,6 +102,18 @@ PINS = {
         "42a4597aff128c569cd615d6b810b4e9c4efe14cb29489ca5087419c5a8b65a7",
         "08ad9a531f1dc3b2547f10441ea558b8810d1ea5410b61635a56f9a248f7194b",
     ),
+    "contended-100": (
+        "095d06574ed061ede13f00870c04c7d36eafcfa3e4cd4868eba96e6114fd9f56",
+        "d239f10e2383ae3f0b43ab7ab6acd17c3d1dee54157f4b9fb39da979b08f579f",
+        "f0272cc2fd3c57bcf11797ceefec8441247f332ea8e722f6d76a00152d19f3ff",
+        "6f8df1aed273a73144974a52e3915a3e3d5fddf239d7017c7f8fa6d53003b649",
+    ),
+    "wide-storm-80": (
+        "0c5928ed54220bf3449b1dd6affb1ad9867b64ee24564ab074ca7d37c2f79d3c",
+        "394b283ca51341c36795916d85ed2a6c871ad080ea827446347047a28f2d24d9",
+        "b6672de94277bde3b9d4b5bf6fcb86ddcd913f18d7a4e8839bfcf33d640cc84b",
+        "35beeb224ab8d761c2a6ade69a3e45e8871c97c9919e267dafc120c2d7ab1bbe",
+    ),
     "fusion": (
         "3f2468c01c8ebc8647517deffd1a884e2be906d4bc3150be818826d57763f05a",
         "7513645bf12d53187320671a5437c71cf11c74a13da88695b30622f3242d7afc",
@@ -113,6 +130,8 @@ FIXTURES = {
     "random-mix": lambda: random_case1_scenario(random.Random(88), max_flights=25),
     "fusion": fusion_scenario,
     "delayed-negotiation": delayed_negotiation_scenario,
+    "contended-100": contended_stress_scenario,
+    "wide-storm-80": wide_storm_scenario,
 }
 
 

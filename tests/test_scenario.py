@@ -1,6 +1,7 @@
 """Scenario codec, simulation driver, oracle equivalence, and diff tests."""
 
 import copy
+import dataclasses
 import json
 import math
 import random
@@ -180,6 +181,20 @@ def _loads_or_rejects(doc) -> None:
         simulate(scenario, max_steps=SIMULATE_STEPS)
     except AdatmError:
         pass
+
+
+class TestNonFiniteWindow:
+    """A NaN or infinite bucket or horizon is rejected when the scenario is
+    built; it used to raise a raw ``ValueError`` from ``simulate`` or give an
+    empty report although a flight flies."""
+
+    @pytest.mark.parametrize("field", ["bucket_seconds", "horizon_seconds"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejected(self, field, value):
+        flying = congestion_scenario(residents=1, arriving=False)
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(flying, **{field: value})
+        assert err.value.path == field
 
 
 class TestLoadProperty:

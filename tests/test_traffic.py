@@ -8,9 +8,10 @@ candidate assignment.
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adatm import (
@@ -22,11 +23,12 @@ from adatm import (
     PlanarBox,
     StormCell,
     TimeInterval,
+    TrajectorySegment,
     Waypoint,
 )
 from adatm import traffic
 from adatm.airspace import bucket_capacity, storm_overlap_window
-from adatm.errors import ConflictError, PreconditionError
+from adatm.errors import ConflictError, PreconditionError, ValidationError
 from adatm.traffic import DELAY_MENU, MAX_CHANGED_FLIGHTS
 from adatm.trajectory import plan_segments, route_spot_bound, segment_trajectory
 
@@ -695,6 +697,90 @@ class TestPlacementCache:
             placement_from_scratch(state, again, -1, 0.0, 1)
 
 
+def _segment_times(dt, near):
+    """Times within 40 buckets of ``near``: on a bucket edge or anywhere."""
+    edge = st.integers(-40, 40).map(lambda k: (math.floor(near / dt) + k) * dt)
+    free = st.floats(-40.0, 40.0).map(lambda f: near + f * dt)
+    return st.one_of(edge, free)
+
+
+class TestSpotsFromBucketIndices:
+    """``segment_spots`` reads each segment's buckets from their indices;
+    it holds exactly the spots ``buckets_over`` lists."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dt=st.sampled_from([0.1, 7.0, 60.0]), data=st.data())
+    def test_equals_the_buckets_over_set(self, dt, data):
+        state = AirspaceState(GridSpec(0, 0, 2, 2, 10.0), bucket_seconds=dt)
+        # Both ends near 0 or both near 2**40, so a segment spans few buckets.
+        times = _segment_times(dt, data.draw(st.sampled_from([0.0, 2.0 ** 40])))
+        segments = []
+        for n in range(data.draw(st.integers(1, 4))):
+            entry = data.draw(times)
+            if data.draw(st.booleans()):  # shorter than a bucket
+                exit_ = entry + data.draw(st.floats(0.0, 1.0, exclude_min=True,
+                                                    exclude_max=True)) * dt
+            else:
+                exit_ = data.draw(times)
+            assume(entry < exit_)
+            segments.append(TrajectorySegment("f", (n % 2, 0), entry, exit_))
+        expected = {(seg.subsector, b) for seg in segments
+                    for b in state.buckets_over(seg.entry, seg.exit)}
+        assert state.segment_spots(segments) == expected
+
+
+def contended_bank():
+    """A bench-like contended bank: five flights leave cell (0, 1) in its
+    first bucket and cross row 1 of a 4x4 grid of calm capacity 4, each
+    with an alternate through row 2."""
+    rng = random.Random("contended-bank")
+    plans = []
+    for i in range(5):
+        a = [rng.uniform(0.5, 9.5), rng.uniform(10.5, 19.5)]
+        b = [rng.uniform(30.5, 39.5), rng.uniform(10.5, 19.5)]
+        t0 = rng.uniform(0.0, 59.0)
+        t1 = t0 + rng.uniform(600.0, 1800.0)
+        mid = [(a[0] + b[0]) / 2, 25.0, (t0 + t1) / 2]
+        plans.append(plan_of(f"c{i}", [a + [t0], b + [t1]],
+                             alternates=[[a + [t0], mid, b + [t1]]]))
+    state = AirspaceState(GridSpec(0, 0, 4, 4, 10.0), bucket_seconds=60.0,
+                          calm_capacity=4, severe_capacity=2)
+    return state, plans
+
+
+class TestRoomOnFirstRead:
+    """``negotiate`` looks up a spot's room when the search first reads it,
+    not for every spot some option holds."""
+
+    def test_contended_negotiation_reads_fewer_spots_than_its_options_hold(
+            self, monkeypatch):
+        state, plans = contended_bank()
+        for plan in plans[:4]:
+            assert state.try_insert(plan).status is InsertStatus.Accepted
+        arriving = state.account_for(plans[4])
+        verdict = state.classify_insert(arriving.spots)
+        assert verdict.kind is CaseKind.Case2
+        expected = brute_force_negotiate(state, verdict.spots, plans[4])
+        occupants = set().union(*(state.flights_in(*spot) for spot in verdict.spots))
+        held = set().union(*(option.spots for fid in occupants
+                             for option in state._options_for(state.flights[fid], True)))
+        held |= set().union(*(option.spots for option in state._options_for(
+            replace(arriving, version=0), True)))
+        looked_up = []
+        real = AirspaceState.capacity
+
+        def spy(self, subsector, bucket_start):
+            looked_up.append((subsector, bucket_start))
+            return real(self, subsector, bucket_start)
+
+        monkeypatch.setattr(AirspaceState, "capacity", spy)
+        resolution = state.negotiate(verdict.spots, arriving)
+        assert resolution is not None and resolution.objective == expected
+        assert len(looked_up) == len(set(looked_up))
+        assert set(looked_up) <= held
+        assert len(looked_up) < len(held)
+
+
 class TestCapacityTable:
     def test_capacity_follows_the_weather(self, monkeypatch):
         # (0, 1) has a zero-length closure: it caps only the bucket holding
@@ -805,3 +891,18 @@ class TestPredictCongestion:
     def test_rejects_bad_horizon(self):
         with pytest.raises(PreconditionError):
             two_by_two().predict_congestion(horizon=0.0)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_rejects_a_nan_or_infinite_horizon(self, horizon):
+        # An infinite horizon would list empty buckets forever.
+        with pytest.raises(PreconditionError):
+            two_by_two().predict_congestion(horizon=horizon, include_empty=True)
+
+
+class TestWindowValidation:
+    @pytest.mark.parametrize("field", ["bucket_seconds", "horizon_seconds"])
+    @pytest.mark.parametrize("value", [0.0, -60.0, math.nan, math.inf, -math.inf])
+    def test_non_positive_nan_or_infinite_window_rejected(self, field, value):
+        with pytest.raises(ValidationError) as err:
+            AirspaceState(GridSpec(0, 0, 2, 2, 10.0), **{field: value})
+        assert err.value.path == field

@@ -1,5 +1,6 @@
 """Segmentation tests, checked against a fine-step sampling oracle."""
 
+import math
 import random
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 from adatm import (
     FlightPlan,
     GridSpec,
+    TrajectorySegment,
     Waypoint,
     plan_segments,
     position_at,
@@ -182,3 +184,32 @@ class TestPlanSegments:
         alternate = plan_segments(plan, segment_trajectory(plan, GRID, route_index=0))
         assert primary != alternate
         assert alternate[0].entry == 0.0
+
+
+class TestSegmentInterval:
+    @pytest.mark.parametrize("entry, exit_", [
+        (math.nan, 10.0), (0.0, math.nan), (math.nan, math.nan), (5.0, 5.0), (6.0, 5.0)])
+    def test_empty_or_nan_interval_rejected(self, entry, exit_):
+        # NaN compares false both ways, so only ``not entry < exit`` catches it.
+        with pytest.raises(ValidationError) as err:
+            TrajectorySegment("f1", (0, 0), entry, exit_)
+        assert err.value.path == "segment"
+
+
+class TestPlanHash:
+    """A plan hashes its fields once; placement caches key on it."""
+
+    def test_equal_plans_hash_alike_and_differing_ones_are_told_apart(self):
+        route = [[1.0, 5.0, 0.0], [9.0, 5.0, 600.0]]
+        alternate = [[1.0, 5.0, 0.0], [5.0, 15.0, 300.0], [9.0, 5.0, 600.0]]
+        a = plan_of(route, alternates=(tuple(Waypoint(*w) for w in alternate),))
+        b = plan_of(route, alternates=(tuple(Waypoint(*w) for w in alternate),))
+        assert a == b and hash(a) == hash(b)
+        cache = {(a, -1): "a"}
+        assert cache[b, -1] == "a"
+        for changed in (replace(a, departure_delay=37.3), replace(a, priority_rank=2),
+                        replace(a, alternates=()), replace(a, flight_id="f2"),
+                        plan_of([[1.0, 5.0, 0.0], [9.0, 5.0, 601.0]])):
+            assert changed != a
+            assert (changed, -1) not in cache
+            assert hash(changed) == hash(replace(changed))
