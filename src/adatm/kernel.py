@@ -63,8 +63,14 @@ def format_scalar(value: Scalar) -> str:
 
 def canonical_text(payload: Payload) -> str:
     """Canonical form of a payload: fields sorted by name, ``name=value``
-    pairs joined by ``;``.  Used for duplicate detection and reports."""
-    return ";".join([f"{k}={format_scalar(payload[k])}" for k in sorted(payload)])
+    pairs joined by ``;``.  Used for duplicate detection and reports.
+
+    A value of exact type ``str`` or ``int`` is its own text and is written
+    as it is; any other value goes through :func:`format_scalar`.
+    """
+    return ";".join([f"{k}={v}" if type(v) is str or type(v) is int
+                     else f"{k}={format_scalar(v)}"
+                     for k, v in sorted(payload.items())])
 
 
 def _short_hash(*parts: str) -> str:

@@ -45,16 +45,18 @@ from .scheduler import (
     SchedulerConfig,
     Subscription,
 )
-from .traffic import AirspaceState, CongestionRecord, InsertOutcome, InsertStatus, RouteChoice
+from .traffic import (
+    MAX_SPOTS,
+    AirspaceState,
+    CongestionRecord,
+    InsertOutcome,
+    InsertStatus,
+    RouteChoice,
+)
 from .trajectory import FlightPlan, Waypoint, route_spot_bound, segment_trajectory
 
 #: Fused observation confidence at which a reported storm is taken as real.
 STORM_CONFIRMATION = 0.75
-
-#: Most buckets a scenario's horizon may span, and most (cell, bucket)
-#: spots any one of its routes may hold: a bound on the work a loaded
-#: scenario can ask for.
-MAX_SPOTS = 100_000
 
 #: Concept filed for trajectory-segment data in the nearness index.
 SEGMENT_CONCEPT = ConceptPath(("airspace", "traffic", "segment"))

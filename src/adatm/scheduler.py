@@ -4,9 +4,11 @@ The runtime owns the datum store, the nearness index, a single priority
 queue of activation tasks, subscriptions, and per-datum mailboxes.  Each
 :meth:`Runtime.step` pops exactly one task and runs the fixed activation
 recipe: find peers, fuse duplicates, fold pending evidence, fire
-hypothesis rules, re-tier, and publish alerts.  Given the same initial
-state and task sequence, the emitted event log is byte-for-byte
-identical across runs.
+hypothesis rules, re-tier, and publish alerts.  A datum acts only while
+it is live: a task queued for a datum deleted since is dropped when it
+is popped, without a log line, and still counts as a step.  Given the
+same initial state and task sequence, the emitted event log is
+byte-for-byte identical across runs.
 """
 
 from __future__ import annotations
@@ -411,19 +413,22 @@ class Runtime:
             self.index.insert(datum.id, datum.key)
 
     def step(self) -> list[RuntimeEvent]:
-        """Run one activation; empty queue is a no-op returning []."""
+        """Pop one task and run its activation; returns the events logged.
+
+        An empty queue is a no-op returning [].  A task whose datum was
+        deleted after it was queued (absorbed by a duplicate, forced out
+        or found confidently false) leaves the queue here and also returns
+        []: it writes no line, but it is still a step.
+        """
         if not self._queue:
             return []
         _, task = heapq.heappop(self._queue)
-        events: list[RuntimeEvent] = []
         datum_id = task.datum_id
-        events.append(self.emit(
+        if self._life[datum_id] is LifecycleState.Deleted:
+            return []
+        events = [self.emit(
             "activated", datum_id,
-            f"reason={task.reason.value} priority={task.priority} seq={task.enqueued_seq}"))
-        state = self._life.get(datum_id)
-        if state is None or state is LifecycleState.Deleted:
-            events.append(self.emit("skipped", datum_id, "datum no longer live"))
-            return events
+            f"reason={task.reason.value} priority={task.priority} seq={task.enqueued_seq}")]
         try:
             events.extend(self._activate(datum_id))
         except Exception as exc:  # activation failures become events, never aborts

@@ -36,6 +36,11 @@ from .trajectory import FlightPlan, TrajectorySegment, plan_segments
 DELAY_MENU: tuple[float, ...] = (300.0, 600.0, 900.0)
 MAX_CHANGED_FLIGHTS = 3
 
+#: Most (cell, bucket) spots one placement may hold, and so a bound on the
+#: work a loaded scenario can ask for: ``Scenario`` also caps the buckets
+#: of its horizon and each route's ``route_spot_bound`` by it.
+MAX_SPOTS = 100_000
+
 #: A (subsector index, bucket start) pair naming one congestion slot.
 Spot = tuple[tuple[int, int], float]
 
@@ -258,19 +263,20 @@ class AirspaceState:
     def bucket_interval(self, bucket_start: float) -> TimeInterval:
         return TimeInterval(bucket_start, bucket_start + self.bucket_seconds)
 
-    def buckets_over(self, entry: float, exit: float) -> list[float]:
-        """Starts of the buckets a half-open [entry, exit) interval overlaps."""
-        dt = self.bucket_seconds
-        first = math.floor(entry / dt)
-        last = math.ceil(exit / dt)
-        return [i * dt for i in range(first, last)]
-
     def segment_spots(self, segments) -> frozenset[Spot]:
-        """The (cell, bucket start) spots the segments hold: the buckets of
-        :meth:`buckets_over`, read from their indices."""
+        """The (cell, bucket start) spots the segments hold.
+
+        A segment [entry, exit) holds buckets ``floor(entry / dt)`` up to,
+        not including, ``ceil(exit / dt)``, each starting at its index
+        times ``dt``.  More than ``MAX_SPOTS`` of them in all is a
+        ``PreconditionError``, raised before any spot is built.
+        """
         dt = self.bucket_seconds
-        return frozenset((seg.subsector, i * dt) for seg in segments
-                         for i in range(math.floor(seg.entry / dt), math.ceil(seg.exit / dt)))
+        spans = [(seg.subsector, math.floor(seg.entry / dt), math.ceil(seg.exit / dt))
+                 for seg in segments]
+        if sum(hi - lo for _, lo, hi in spans) > MAX_SPOTS:
+            raise PreconditionError(f"segments hold more than {MAX_SPOTS} spots")
+        return frozenset((cell, i * dt) for cell, lo, hi in spans for i in range(lo, hi))
 
     def occupancy(self, subsector: tuple[int, int], bucket_start: float) -> int:
         return len(self._occ.get((subsector, bucket_start), ()))
@@ -540,14 +546,24 @@ class AirspaceState:
         return events
 
     def _capacity_violations(self) -> tuple[Spot, ...]:
-        window_end = self.now + self.horizon_seconds
+        """The occupied spots of the look-ahead window over their capacity,
+        sorted.  Each spot is read once; only the violating ones are
+        sorted."""
+        now = self.now
+        dt = self.bucket_seconds
+        window_end = now + self.horizon_seconds
+        caps = self._caps
         out = []
-        for spot in sorted(self._occ):
+        for spot, members in self._occ.items():
             start = spot[1]
-            if start + self.bucket_seconds <= self.now or start >= window_end:
+            if start + dt <= now or start >= window_end:
                 continue
-            if self.occupancy(*spot) > self.capacity(*spot):
+            cap = caps.get(spot)
+            if cap is None:
+                cap = self.capacity(*spot)
+            if len(members) > cap:
                 out.append(spot)
+        out.sort()
         return tuple(out)
 
     def _bump_excess(self, violations: tuple[Spot, ...]) -> list[WeatherEvent]:

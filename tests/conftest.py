@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import math
 import random
 
 import pytest
@@ -15,6 +16,14 @@ from adatm import (
     encapsulate,
 )
 from adatm.scenario import scenario_from_dict
+
+
+def buckets_over(bucket_seconds, entry, exit):
+    """Starts of the buckets a half-open [entry, exit) interval overlaps:
+    the reference for ``AirspaceState.segment_spots``."""
+    first = math.floor(entry / bucket_seconds)
+    last = math.ceil(exit / bucket_seconds)
+    return [i * bucket_seconds for i in range(first, last)]
 
 
 def make_key(t0=0.0, t1=3600.0, box=(0.0, 0.0, 10.0, 10.0),

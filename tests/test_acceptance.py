@@ -29,6 +29,7 @@ from adatm import (
 )
 
 from conftest import (
+    buckets_over,
     congestion_scenario,
     make_datum,
     random_case1_scenario,
@@ -218,7 +219,7 @@ def _recompute_occupancy(state: AirspaceState) -> dict:
     occ: dict = {}
     for fid, account in state.flights.items():
         for seg in account.segments:
-            for b in state.buckets_over(seg.entry, seg.exit):
+            for b in buckets_over(state.bucket_seconds, seg.entry, seg.exit):
                 occ.setdefault((seg.subsector, b), set()).add(fid)
     return occ
 

@@ -63,7 +63,7 @@ PINS = {
     "storm_reroute.json": (
         "25047fd2ba6318d50f778f0a68c4f911e8dabd0a73c0a6f2241209289ce0e203",
         "7513645bf12d53187320671a5437c71cf11c74a13da88695b30622f3242d7afc",
-        "b4f8acd7cb4b517c46a19dd72b340d53dc92c7ca4fd3c3a83f5d40c0f6b7a158",
+        "72a013b518959479533ab0cbc1ba33ec5feb88f246cba2509f83fefdf1e30091",
         "8dc192c9936e62af18c393501b138e9948b4f92d8670dc1da3e86f703d9d4df5",
     ),
     "headroom": (
@@ -81,13 +81,13 @@ PINS = {
     "storm-reroute": (
         "25047fd2ba6318d50f778f0a68c4f911e8dabd0a73c0a6f2241209289ce0e203",
         "7513645bf12d53187320671a5437c71cf11c74a13da88695b30622f3242d7afc",
-        "b4f8acd7cb4b517c46a19dd72b340d53dc92c7ca4fd3c3a83f5d40c0f6b7a158",
+        "72a013b518959479533ab0cbc1ba33ec5feb88f246cba2509f83fefdf1e30091",
         "8dc192c9936e62af18c393501b138e9948b4f92d8670dc1da3e86f703d9d4df5",
     ),
     "storm-bump": (
         "a21f93edd4d08c9cdd7d9834f37b314d18e2aff0412c30de670b772ba873dae1",
         "74c711aff6339e3edd3ffa469ea8af929d7063663b3adb9ea9948dc56c10c534",
-        "a3847ea03fb566cc6b8cb48e9b6d16bd8f2651780d2046565a505afbe1540d9c",
+        "dcef090c9f65dcbfadd169c4854bebbaeb73ac80769b473d271f3c6807cbf7a3",
         "8dc192c9936e62af18c393501b138e9948b4f92d8670dc1da3e86f703d9d4df5",
     ),
     "random-mix": (
@@ -99,25 +99,25 @@ PINS = {
     "delayed-negotiation": (
         "1fc830699757072b6408c6bdf6cc0ac344b1a6f0bef127e4d632cb8c810107be",
         "5082d60ddb88dcdf046d4f56b2e1703f1a106074084cafd62e3f68f52218ed11",
-        "42a4597aff128c569cd615d6b810b4e9c4efe14cb29489ca5087419c5a8b65a7",
+        "a539be9317585412283946f66a777d14d5461adedb3c482b120d82ab27a0047d",
         "08ad9a531f1dc3b2547f10441ea558b8810d1ea5410b61635a56f9a248f7194b",
     ),
     "contended-100": (
         "095d06574ed061ede13f00870c04c7d36eafcfa3e4cd4868eba96e6114fd9f56",
         "d239f10e2383ae3f0b43ab7ab6acd17c3d1dee54157f4b9fb39da979b08f579f",
-        "f0272cc2fd3c57bcf11797ceefec8441247f332ea8e722f6d76a00152d19f3ff",
+        "a2f62d1b64cd112542e35843630b0989fc1ef9b8d0bdf6047ab51fab96f52b66",
         "6f8df1aed273a73144974a52e3915a3e3d5fddf239d7017c7f8fa6d53003b649",
     ),
     "wide-storm-80": (
         "0c5928ed54220bf3449b1dd6affb1ad9867b64ee24564ab074ca7d37c2f79d3c",
         "394b283ca51341c36795916d85ed2a6c871ad080ea827446347047a28f2d24d9",
-        "b6672de94277bde3b9d4b5bf6fcb86ddcd913f18d7a4e8839bfcf33d640cc84b",
+        "d012560a45c4eca18321588f224394845ccc05c650430b4d3620692b557abb0c",
         "35beeb224ab8d761c2a6ade69a3e45e8871c97c9919e267dafc120c2d7ab1bbe",
     ),
     "fusion": (
         "3f2468c01c8ebc8647517deffd1a884e2be906d4bc3150be818826d57763f05a",
         "7513645bf12d53187320671a5437c71cf11c74a13da88695b30622f3242d7afc",
-        "cbf61e5ff5f59818e0a6744abf3de5ad9f9e41ca7e46aeee1a5d561d174f3754",
+        "acf81250a32448a74c01d5e44ac2b8b898a628eb129763a4c426d37fdc781b79",
         "85e18b045051eb459fc14a683e7fc8464f8f99aa9ffd9459282185e855432a15",
     ),
 }
@@ -191,13 +191,13 @@ BENCH_PINS = {
     ("contended", 3): (
         "5e3830c8fd77d060424c46651cabc780dd857d410691471da361f2613f2d46c9",
         "543f751e6ed643540ed3784d58c0e5a43f0c7fb8382b63dca28100f63a532ba1",
-        "2dc3766bcfdf92ae1659fb81a031795d54b48cf767df9a1e2d6fa7b60f0542ae",
+        "b809c9c8eec95dd671841a90b03cad89a60bffe22e7f8a0589b834e447cb9a33",
         "b8e3233f792669e82774012fc116b07f31e360fc8b1ebb7ccd4efe108e881bf7",
     ),
     ("contended", 7): (
         "d79e0623ad59bccfbf2d1652242f5d20b38ebff9ee55972ce97c886058bbc065",
         "ec2993c7a75a3df0ab3ae0aa87e54730b4f40ed00517437860f647e2a79d77d4",
-        "fbd1daea8e143c38567e507c2bc85805300e63c5209cd07ac61d46731dcc8251",
+        "a8c30667e2ac34a1dff7b9d48224b9f29b11e158413c163021b6617ef0a41e34",
         "dc7404caf430b08bd71d1d448e24188734d3a8d35ea00ae9b75d98e2ba1e71cf",
     ),
     ("headroom", 3): (
@@ -215,13 +215,13 @@ BENCH_PINS = {
     ("storm", 3): (
         "8fa2d987a02a1a57de6a6399aa1b29dd288708088ff8a62e4393a60480f00a3d",
         "f47fad774e90974b85e40e616b1c3544daf6f9efdd650e35a832d6370fb0ffe9",
-        "c988f75fa6be89658cd5e585f07ee767c95dfef4bad422d05b6d56aae860b310",
+        "220a961e50c4e621dd8b641e87fcccf1ea18de51b7b6b9631857226909732992",
         "c85cc1c8837478873e0e51aed4c868f8ec917fa8e73f4ad2515475ea81314a66",
     ),
     ("storm", 7): (
         "b021d6d19077ab2a54813db1cc869829a67cc5b9f5885cb9e97df76219d7cdb9",
         "a195720ab4294126aa609a5650b190dc0ab4b86df77d97d43cdfbf5d80ef79f3",
-        "8d1829b68cc927d5a4f9a9dfdc0500162c76342ea6d8fb8acd378366f9eae4c6",
+        "8e9e1a16993a5858453dffc42e7177a80ea3434bfd38cee0bd9780716c8adb46",
         "eb03467971dc988cbdd1479c16bb3c868eff088111ad1fe9243985d76e9d1ef6",
     ),
 }

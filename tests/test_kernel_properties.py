@@ -23,11 +23,13 @@ from adatm import (
     TimeInterval,
     aggregate,
     apply_evidence,
+    canonical_text,
     fuse,
     is_duplicate,
     resolve,
     tier_decision,
 )
+from adatm.kernel import format_scalar
 
 from conftest import make_datum, make_key
 
@@ -279,3 +281,24 @@ class TestFuse:
         other = make_datum("e", payload={"race": "mayor"})
         assert fuse(d, [other]) == (d, [])
         assert fuse(d, [other])[0] is d
+
+
+_scalars = st.one_of(
+    st.text(max_size=8),
+    st.integers(-10**20, 10**20),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6).map(float),  # integral floats
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, 2.0 ** 63, 1e22, -1e16]),
+)
+
+
+class TestCanonicalText:
+    """Strings and ints are written as they are, everything else through
+    ``format_scalar``; the text equals the one formula for every value."""
+
+    @settings(max_examples=400)
+    @given(payload=st.dictionaries(st.text(max_size=6), _scalars, max_size=6))
+    def test_equals_format_scalar_of_every_field(self, payload):
+        expected = ";".join(f"{k}={format_scalar(payload[k])}" for k in sorted(payload))
+        assert canonical_text(payload) == expected

@@ -165,6 +165,50 @@ class TestQueueOrdering:
         assert order == ["timer-expired", "weather-changed", "peer-arrived", "new-data"]
 
 
+def assert_silent_after_deletion(rt, datum_id):
+    """No line names the datum after its ``deleted`` line, and the log's
+    ``seq`` runs 1, 2, ... without a gap."""
+    assert [e.seq for e in rt.event_log] == list(range(1, len(rt.event_log) + 1))
+    lines = [(e.event_type, e.datum_id) for e in rt.event_log]
+    deleted = lines.index(("deleted", datum_id))
+    assert all(named != datum_id for _, named in lines[deleted + 1:])
+
+
+class TestDroppedTask:
+    """A task whose datum was deleted after it was queued is popped and
+    counted as a step, but writes no line."""
+
+    def test_absorbed_datum_task_counts_as_a_silent_step(self):
+        rt = fresh_runtime()
+        rt.add(make_datum("a", confidence=0.6))
+        rt.add(make_datum("b", confidence=0.5))
+        rt.enqueue("a", ActivationReason.NewData)
+        rt.enqueue("b", ActivationReason.NewData)
+        stats = rt.run_until_quiescent(10)
+        assert (stats.steps, stats.merges, stats.deletions) == (2, 1, 1)
+        assert stats.quiescent
+        assert [(e.event_type, e.datum_id) for e in rt.event_log] == [
+            ("activated", "a"), ("peers", "a"), ("merged", "a"), ("deleted", "b")]
+        assert_silent_after_deletion(rt, "b")
+
+    def test_forced_deletion_leaves_its_tasks_queued_until_popped(self):
+        rt = fresh_runtime()
+        rt.add(make_datum("d", payload={"x": 1}))
+        rt.add(make_datum("e", payload={"x": 2}))
+        rt.enqueue("d", ActivationReason.NewData)
+        rt.enqueue("d", ActivationReason.PeerArrived)
+        rt.enqueue("e", ActivationReason.NewData)
+        rt.enqueue("d", ActivationReason.TimerExpired)
+        rt.mark_deleted("d")
+        # The tasks are not cancelled: the step budget still sees them.
+        assert rt.pending_tasks() == 4
+        stats = rt.run_until_quiescent(10)
+        assert stats.steps == 4 and stats.quiescent
+        assert [(e.event_type, e.datum_id) for e in rt.event_log] == [
+            ("deleted", "d"), ("activated", "e"), ("peers", "e")]
+        assert_silent_after_deletion(rt, "d")
+
+
 class TestStepActivation:
     def test_empty_queue_is_noop(self):
         assert fresh_runtime().step() == []
@@ -178,13 +222,16 @@ class TestStepActivation:
         rt.enqueue("a", ActivationReason.NewData)
         rt.enqueue("b", ActivationReason.NewData)
         rt.step()
-        rt.step()
+        assert rt.pending_tasks() == 1
+        # The second task finds its datum absorbed and leaves without a line.
+        assert rt.step() == []
+        assert rt.pending_tasks() == 0
         assert rt.lifecycle_of("a") is LifecycleState.Active
         assert rt.lifecycle_of("b") is LifecycleState.Deleted
         assert rt.datum("a").confidence == pytest.approx(0.8, abs=1e-12)
         types = [e.event_type for e in rt.event_log]
         assert "merged" in types
-        assert "skipped" in types  # second task found its datum absorbed
+        assert_silent_after_deletion(rt, "b")
 
     def test_alert_published_once(self):
         rt = fresh_runtime()

@@ -26,11 +26,14 @@ from adatm import (
     TrajectorySegment,
     Waypoint,
 )
+from adatm import scenario as scenario_module
 from adatm import traffic
 from adatm.airspace import bucket_capacity, storm_overlap_window
 from adatm.errors import ConflictError, PreconditionError, ValidationError
 from adatm.traffic import DELAY_MENU, MAX_CHANGED_FLIGHTS
 from adatm.trajectory import plan_segments, route_spot_bound, segment_trajectory
+
+from conftest import buckets_over
 
 
 def plan_of(fid, waypoints, alternates=(), priority=0, delay=0.0):
@@ -117,11 +120,11 @@ def brute_force_negotiate(state, conflicts, arriving,
             segments = menu[fid][picked[fid]][1] if fid in picked \
                 else account.segments
             for seg in segments:
-                for b in state.buckets_over(seg.entry, seg.exit):
+                for b in buckets_over(state.bucket_seconds, seg.entry, seg.exit):
                     occ.setdefault((seg.subsector, b), set()).add(fid)
         if arriving is not None:
             for seg in menu[arriving.flight_id][picked[arriving.flight_id]][1]:
-                for b in state.buckets_over(seg.entry, seg.exit):
+                for b in buckets_over(state.bucket_seconds, seg.entry, seg.exit):
                     occ.setdefault((seg.subsector, b), set()).add(arriving.flight_id)
         if any(len(ids) > fresh_capacity(state, spot) for spot, ids in occ.items()):
             continue
@@ -539,7 +542,7 @@ def assert_occupancy_matches_accounts(state):
         assert account.spots == set(state.segment_spots(account.segments))
         for seg in account.segments:
             assert seg.plan_version == account.version
-            for b in state.buckets_over(seg.entry, seg.exit):
+            for b in buckets_over(state.bucket_seconds, seg.entry, seg.exit):
                 rebuilt.setdefault((seg.subsector, b), set()).add(fid)
     assert state._occ == rebuilt
 
@@ -567,6 +570,43 @@ class TestOccupancyInvariant:
 
 
 _ROW_0 = [(0, 0), (1, 0), (2, 0)]
+
+
+class TestCapacityViolations:
+    """The weather re-check reads each occupied spot once and sorts only the
+    spots over capacity: after ``set_storms`` lowers capacities it equals a
+    sorted scan of every occupied spot of the window against a capacity
+    computed anew."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(calm=st.integers(1, 3), severe=st.integers(0, 1),
+           horizon=st.sampled_from([300.0, 900.0, 14400.0]),
+           now=st.sampled_from([0.0, 150.0, 300.0, 900.0]),
+           storm=st.tuples(st.sampled_from([0.0, 10.0]), st.sampled_from([10.0, 20.0]),
+                           st.sampled_from([0.0, 600.0])),
+           warm=st.integers(0, 8),
+           flights=st.lists(st.tuples(
+               st.sampled_from(_ROW_0), st.sampled_from([0.0, 300.0, 600.0]),
+               st.sampled_from([600.0, 1200.0])), min_size=1, max_size=8))
+    def test_equals_the_sorted_scan(self, calm, severe, horizon, now, storm, warm,
+                                    flights):
+        state = AirspaceState(GridSpec(0, 0, 3, 2, 10.0), bucket_seconds=300.0,
+                              calm_capacity=calm, severe_capacity=severe,
+                              horizon_seconds=horizon)
+        for i, (cell, t0, length) in enumerate(flights):
+            state.try_insert(dwell(f"{i + 1:04d}", cell, t0, t0 + length))
+        state.set_storms((StormCell(
+            "st", PlanarBox(storm[0], 0.0, storm[0] + storm[1], 10.0), (0.0, 0.0),
+            TimeInterval(storm[2], storm[2] + 1800.0)),))
+        state.now = now
+        # Some spots are read from the capacity table, the rest on a miss.
+        for spot in sorted(state._occ)[:warm]:
+            state.capacity(*spot)
+        dt = state.bucket_seconds
+        expected = sorted(spot for spot, ids in state._occ.items()
+                          if spot[1] + dt > now and spot[1] < now + horizon
+                          and len(ids) > fresh_capacity(state, spot))
+        assert state._capacity_violations() == tuple(expected)
 
 
 class TestInsertionKeepsRoom:
@@ -706,7 +746,8 @@ def _segment_times(dt, near):
 
 class TestSpotsFromBucketIndices:
     """``segment_spots`` reads each segment's buckets from their indices;
-    it holds exactly the spots ``buckets_over`` lists."""
+    it holds exactly the spots the reference ``conftest.buckets_over``
+    lists."""
 
     @settings(max_examples=300, deadline=None)
     @given(dt=st.sampled_from([0.1, 7.0, 60.0]), data=st.data())
@@ -725,8 +766,45 @@ class TestSpotsFromBucketIndices:
             assume(entry < exit_)
             segments.append(TrajectorySegment("f", (n % 2, 0), entry, exit_))
         expected = {(seg.subsector, b) for seg in segments
-                    for b in state.buckets_over(seg.entry, seg.exit)}
+                    for b in buckets_over(dt, seg.entry, seg.exit)}
         assert state.segment_spots(segments) == expected
+
+
+class TestSpotAllocationBound:
+    """``segment_spots`` counts the buckets before it builds a spot: more
+    than ``MAX_SPOTS`` in all is a ``PreconditionError``.  The bound is
+    patched small, so a missing guard fails an assertion, not the
+    allocator."""
+
+    def test_the_bound_is_the_scenario_bound(self):
+        assert scenario_module.MAX_SPOTS is traffic.MAX_SPOTS
+
+    def test_more_buckets_than_the_bound_raise(self, monkeypatch):
+        monkeypatch.setattr(traffic, "MAX_SPOTS", 10)
+        state = two_by_two()
+        # Ten buckets of cell (0, 0), then one more in cell (1, 0).
+        segments = [TrajectorySegment("f", (0, 0), 0.0, 600.0)]
+        assert len(state.segment_spots(segments)) == 10
+        segments.append(TrajectorySegment("f", (1, 0), 600.0, 630.0))
+        with pytest.raises(PreconditionError):
+            state.segment_spots(segments)
+
+    def test_counts_every_segment_bucket_not_the_distinct_spots(self, monkeypatch):
+        monkeypatch.setattr(traffic, "MAX_SPOTS", 11)
+        state = two_by_two()
+        # Eleven segment buckets: the two segments share bucket 540's spot.
+        segments = [TrajectorySegment("f", (0, 0), 0.0, 570.0),
+                    TrajectorySegment("f", (0, 0), 570.0, 600.0)]
+        assert len(state.segment_spots(segments)) == 10
+        with pytest.raises(PreconditionError):
+            state.segment_spots(segments + [TrajectorySegment("f", (0, 0), 0.0, 1.0)])
+
+    def test_account_for_a_long_flight_raises(self, monkeypatch):
+        monkeypatch.setattr(traffic, "MAX_SPOTS", 100)
+        state = two_by_two()
+        assert len(state.account_for(dwell("f", t1=6000.0)).spots) == 100
+        with pytest.raises(PreconditionError):
+            state.account_for(dwell("g", t1=6030.0))
 
 
 def contended_bank():
