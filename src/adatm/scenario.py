@@ -182,6 +182,17 @@ def _count(value, path: str) -> int:
     return value
 
 
+def _bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"expected true or false, got {value!r}", path)
+    return value
+
+
+def _cell(value, path: str) -> tuple[int, int]:
+    col, row = _list(value, path, "[col, row]", 2)
+    return _count(col, path), _count(row, path)
+
+
 def _radius(value, path: str) -> float:
     if value == "inf":
         return math.inf
@@ -319,10 +330,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
     storms: list[ScenarioStorm] = []
     for path, s in _objects(obj, "storms"):
         vx, vy = _list(s.get("velocity", [0.0, 0.0]), f"{path}.velocity", "[vx, vy]", 2)
-        reported = s.get("reported", False)
-        if not isinstance(reported, bool):
-            raise ValidationError(f"expected true or false, got {reported!r}",
-                                  f"{path}.reported")
+        reported = _bool(s.get("reported", False), f"{path}.reported")
         storms.append(ScenarioStorm(
             cell=StormCell(
                 id=str(_need(s, "id", path)),
@@ -372,8 +380,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
             raise ValidationError(str(exc), path) from None
     closures: list[tuple[tuple[int, int], TimeInterval]] = []
     for path, c in _objects(obj, "closures"):
-        col, row = (_count(v, f"{path}.cell")
-                    for v in _list(_need(c, "cell", path), f"{path}.cell", "[col, row]", 2))
+        col, row = _cell(_need(c, "cell", path), f"{path}.cell")
         if not (0 <= col < grid.cols and 0 <= row < grid.rows):
             raise ValidationError(f"cell ({col}, {row}) outside grid", f"{path}.cell")
         closures.append(((col, row), _interval(_need(c, "interval", path),
@@ -487,16 +494,29 @@ def _outcome_to_dict(outcome: InsertOutcome) -> dict:
     }
 
 
-def _outcome_from_dict(obj: dict) -> InsertOutcome:
+def _outcome_from_dict(obj, path: str) -> InsertOutcome:
+    status = _need(obj, "status", path)
+    if status not in [s.value for s in InsertStatus]:
+        raise ValidationError(f"unknown status {status!r}", f"{path}.status")
+    new_plans = []
+    for i, p in enumerate(_list(obj.get("new_plans", []), f"{path}.new_plans",
+                                "a list of objects")):
+        where = f"{path}.new_plans[{i}]"
+        new_plans.append(RouteChoice(
+            _need(p, "flight", where), _count(_need(p, "route", where), f"{where}.route"),
+            _num(_need(p, "added_delay", where), f"{where}.added_delay")))
     violated = obj.get("violated")
+    if violated is not None:
+        where = f"{path}.violated"
+        cell, bucket = _list(violated, where, "[[col, row], bucket]", 2)
+        violated = (_cell(cell, where), _num(bucket, where))
     return InsertOutcome(
-        status=InsertStatus(obj["status"]),
-        changed_flights=tuple(obj.get("changed_flights", [])),
-        new_plans=tuple(RouteChoice(p["flight"], p["route"], p["added_delay"])
-                        for p in obj.get("new_plans", [])),
+        status=InsertStatus(status),
+        changed_flights=tuple(_list(obj.get("changed_flights", []),
+                                    f"{path}.changed_flights", "a list of flight ids")),
+        new_plans=tuple(new_plans),
         reason=obj.get("reason", ""),
-        violated=None if violated is None else
-        ((int(violated[0][0]), int(violated[0][1])), float(violated[1])),
+        violated=violated,
     )
 
 
@@ -537,38 +557,46 @@ def report_to_dict(r: Report) -> dict:
 
 
 def parse_report(text: str) -> Report:
-    obj = _parse_json(text)
-    try:
-        records = tuple(
-            CongestionRecord(
-                subsector=(int(rec["subsector"][0]), int(rec["subsector"][1])),
-                bucket_start=float(rec["bucket_start"]),
-                occupancy=int(rec["occupancy"]),
-                capacity=int(rec["capacity"]),
-                flight_ids=tuple(rec["flight_ids"]),
-            )
-            for rec in obj["records"]
-        )
-        stats = obj["stats"]
-        return Report(
-            seed=int(obj["seed"]),
-            bucket_seconds=float(obj["bucket_seconds"]),
-            grid_cols=int(obj["grid"]["cols"]),
-            grid_rows=int(obj["grid"]["rows"]),
-            records=records,
-            outcomes=tuple(sorted(
-                (fid, _outcome_from_dict(o)) for fid, o in obj["outcomes"].items())),
-            alerts=tuple(
-                Alert(a["subscription"], a["datum"], float(a["emitted_at"]),
-                      a["payload_text"])
-                for a in obj["alerts"]
-            ),
-            stats=RunStats(steps=int(stats["steps"]), alerts=int(stats["alerts"]),
-                           merges=int(stats["merges"]), deletions=int(stats["deletions"]),
-                           quiescent=bool(stats["quiescent"])),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"not a report document: {exc}", "$") from None
+    """Read a JSON report through the scenario readers: anything but a
+    report document raises ``ValidationError``."""
+    obj = _obj(_parse_json(text), "$")
+    records = []
+    for i, rec in enumerate(_list(_need(obj, "records", "$"), "records",
+                                  "a list of objects")):
+        path = f"records[{i}]"
+        records.append(CongestionRecord(
+            subsector=_cell(_need(rec, "subsector", path), f"{path}.subsector"),
+            bucket_start=_num(_need(rec, "bucket_start", path), f"{path}.bucket_start"),
+            occupancy=_count(_need(rec, "occupancy", path), f"{path}.occupancy"),
+            capacity=_count(_need(rec, "capacity", path), f"{path}.capacity"),
+            flight_ids=tuple(_list(_need(rec, "flight_ids", path), f"{path}.flight_ids",
+                                   "a list of flight ids")),
+        ))
+    alerts = []
+    for i, a in enumerate(_list(_need(obj, "alerts", "$"), "alerts", "a list of objects")):
+        path = f"alerts[{i}]"
+        alerts.append(Alert(_need(a, "subscription", path), _need(a, "datum", path),
+                            _num(_need(a, "emitted_at", path), f"{path}.emitted_at"),
+                            _need(a, "payload_text", path)))
+    outcomes = _obj(_need(obj, "outcomes", "$"), "outcomes")
+    grid = _need(obj, "grid", "$")
+    stats = _need(obj, "stats", "$")
+    return Report(
+        seed=_count(_need(obj, "seed", "$"), "seed"),
+        bucket_seconds=_num(_need(obj, "bucket_seconds", "$"), "bucket_seconds"),
+        grid_cols=_count(_need(grid, "cols", "grid"), "grid.cols"),
+        grid_rows=_count(_need(grid, "rows", "grid"), "grid.rows"),
+        records=tuple(records),
+        outcomes=tuple(sorted((fid, _outcome_from_dict(o, f"outcomes.{fid}"))
+                              for fid, o in outcomes.items())),
+        alerts=tuple(alerts),
+        stats=RunStats(
+            steps=_count(_need(stats, "steps", "stats"), "stats.steps"),
+            alerts=_count(_need(stats, "alerts", "stats"), "stats.alerts"),
+            merges=_count(_need(stats, "merges", "stats"), "stats.merges"),
+            deletions=_count(_need(stats, "deletions", "stats"), "stats.deletions"),
+            quiescent=_bool(_need(stats, "quiescent", "stats"), "stats.quiescent")),
+    )
 
 
 #: The top-level records key of an indented report whose records are empty.
@@ -711,7 +739,7 @@ def _segment_data(state: AirspaceState, flight_id: str) -> list[ActiveDatum]:
             "row": seg.subsector[1],
             "entry": seg.entry,
             "exit": seg.exit,
-            "version": seg.plan_version,
+            "version": account.version,
         }
         key = NearnessKey(
             time=TimeInterval(seg.entry, seg.exit),
@@ -750,13 +778,18 @@ class _Driver:
 
     def _budget(self) -> int:
         if self.max_steps is not None:
-            return max(1, self.max_steps - self.steps_used)
+            return self.max_steps - self.steps_used
         return max(1, 10 * (self.rt.data_count() + self.rt.pending_tasks() + 1))
 
     def _drain(self) -> None:
         if self.rt.pending_tasks() == 0:
             return
-        stats = self.rt.run_until_quiescent(self._budget())
+        budget = self._budget()
+        # ``max_steps`` caps the whole run: once it is spent, tasks stay queued.
+        if budget < 1:
+            self.total.quiescent = False
+            return
+        stats = self.rt.run_until_quiescent(budget)
         self.steps_used += stats.steps
         self.total.steps += stats.steps
         self.total.alerts += stats.alerts
@@ -848,15 +881,14 @@ class _Driver:
                     self.rt.mark_deleted(datum_id)
             elif event.kind == "reroute":
                 fid = event.flight_ids[0]
-                account = self.state.flights[fid]
-                choice = RouteChoice(fid, account.route_index, account.added_delay)
                 previous = self.outcomes.get(fid)
                 merged_changed = (fid,)
                 if previous is not None and previous.status is InsertStatus.Rerouted:
                     merged_changed = tuple(sorted(set(previous.changed_flights) | {fid}))
                 self.outcomes[fid] = InsertOutcome(
                     InsertStatus.Rerouted, changed_flights=merged_changed,
-                    new_plans=(choice,), reason="severe weather reroute")
+                    new_plans=(self.state.flights[fid].choice,),
+                    reason="severe weather reroute")
                 self._publish_flight(fid)
         # Residents of weather-affected cells re-examine their placement.
         for fid in sorted(self.state.flights):

@@ -95,17 +95,6 @@ class CongestionRecord:
 
 
 @dataclass(frozen=True)
-class Option:
-    """One placement a flight may take in a negotiation, segmented once."""
-
-    choice: RouteChoice
-    segments: tuple[TrajectorySegment, ...]
-    spots: frozenset[Spot]
-    #: Segments absent from the flight's current placement.
-    cost: int
-
-
-@dataclass(frozen=True)
 class WeatherEvent:
     kind: str  # capacity-drop | reroute | bumped | excess
     subsector: tuple[int, int]
@@ -114,8 +103,11 @@ class WeatherEvent:
     detail: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlightAccount:
+    """A flight's placement: the one record of its route, delay, plan
+    version, segments and spots."""
+
     plan: FlightPlan
     route_index: int = -1
     added_delay: float = 0.0
@@ -123,26 +115,33 @@ class FlightAccount:
     segments: tuple[TrajectorySegment, ...] = ()
     spots: frozenset[Spot] = frozenset()
 
+    @property
+    def choice(self) -> RouteChoice:
+        return RouteChoice(self.plan.flight_id, self.route_index, self.added_delay)
+
+
+@dataclass(frozen=True)
+class Option:
+    """An account a flight may move to in a negotiation."""
+
+    account: FlightAccount
+    #: Segments absent from the flight's current placement.
+    cost: int
+
 
 @dataclass(frozen=True)
 class Resolution:
-    """Feasible negotiation result: the picked deviations plus their cost.
-
-    ``arriving`` is the arriving flight's version-0 account, from which its
-    deviation is built when it is one of the deviators.
-    """
+    """Feasible negotiation result: the picked moves plus their objective."""
 
     options: tuple[Option, ...]
     objective: tuple
-    arriving: FlightAccount | None = None
 
     @property
     def choices(self) -> tuple[RouteChoice, ...]:
-        return tuple(option.choice for option in self.options)
+        return tuple(option.account.choice for option in self.options)
 
 
-def _objective(picks: tuple[Option, ...],
-               accounts: dict[str, FlightAccount]) -> tuple:
+def _objective(picks: tuple[Option, ...]) -> tuple:
     """Total order over negotiation assignments, smaller is better.
 
     ``picks`` are the deviators' options in flight-id order.  Compares total
@@ -151,11 +150,11 @@ def _objective(picks: tuple[Option, ...],
     on flight ids and chosen options so the optimum is unique and
     deterministic.
     """
-    ids = tuple(option.choice.flight_id for option in picks)
-    rank_key = tuple(sorted((accounts[fid].plan.priority_rank for fid in ids),
+    moved = [option.account for option in picks]
+    ids = tuple(account.plan.flight_id for account in moved)
+    rank_key = tuple(sorted((account.plan.priority_rank for account in moved),
                             reverse=True))
-    option_tags = tuple((option.choice.route_index, option.choice.added_delay)
-                        for option in picks)
+    option_tags = tuple((account.route_index, account.added_delay) for account in moved)
     return (sum(option.cost for option in picks), len(picks), rank_key, ids,
             option_tags)
 
@@ -172,9 +171,10 @@ def _feasible(picks: tuple[Option, ...], accounts: dict[str, FlightAccount],
     """
     delta = dict(base)
     for option in picks:
-        for spot in accounts[option.choice.flight_id].spots:
+        moved = option.account
+        for spot in accounts[moved.plan.flight_id].spots:
             delta[spot] = delta.get(spot, 0) - 1
-        for spot in option.spots:
+        for spot in moved.spots:
             delta[spot] = delta.get(spot, 0) + 1
     occ = state._occ
     for spot, d in delta.items():
@@ -205,7 +205,7 @@ def _cover_menus(deviators: tuple[str, ...], bit: dict[str, int],
             return None
         if held == need:
             tight += spots
-    menus = [[option for option in options[fid][1:] if option.spots.isdisjoint(tight)]
+    menus = [[option for option in options[fid] if option.account.spots.isdisjoint(tight)]
              for fid in deviators]
     return menus if all(menus) else None
 
@@ -314,7 +314,7 @@ class AirspaceState:
         if raw is None:
             raw = self._routes[plan, route_index] = trajectory.segment_trajectory(
                 plan, self.grid, route_index)
-        segments = tuple(plan_segments(plan, raw, added_delay, version))
+        segments = tuple(plan_segments(plan, raw, added_delay))
         return FlightAccount(plan, route_index, added_delay, version, segments,
                              self.segment_spots(segments))
 
@@ -389,29 +389,25 @@ class AirspaceState:
 
     # -- negotiation ---------------------------------------------------------
 
-    def _options_for(self, account: FlightAccount, mutable: bool) -> list[Option]:
-        """The account's placements, keep-option first.
+    def _options_for(self, account: FlightAccount) -> list[Option]:
+        """The accounts the flight may move to, at its next plan version.
 
-        Deviations are segmented at the account's next plan version.  Cost
-        is the number of proposed segments absent from the current
-        placement, compared by (cell, entry, exit).
+        Cost is the number of a move's segments absent from the current
+        placement, compared as (cell, entry, exit) tuples, which hash faster
+        than the segments.
         """
         plan = account.plan
-        current_set = {(s.subsector, s.entry, s.exit) for s in account.segments}
-        keep = RouteChoice(plan.flight_id, account.route_index, account.added_delay)
-        options = [Option(keep, account.segments, account.spots, 0)]
-        if not mutable:
-            return options
+        current = {(s.subsector, s.entry, s.exit) for s in account.segments}
         moves = [(alt_index, account.added_delay)
                  for alt_index in range(len(plan.alternates))]
         moves += [(account.route_index, account.added_delay + extra)
                   for extra in DELAY_MENU]
+        options = []
         for route_index, delay in moves:
             moved = self.account_for(plan, route_index, delay, account.version + 1)
             cost = sum(1 for s in moved.segments
-                       if (s.subsector, s.entry, s.exit) not in current_set)
-            options.append(Option(RouteChoice(plan.flight_id, route_index, delay),
-                                  moved.segments, moved.spots, cost))
+                       if (s.subsector, s.entry, s.exit) not in current)
+            options.append(Option(moved, cost))
         return options
 
     def negotiate(self, conflicts: tuple[Spot, ...] | list[Spot],
@@ -420,8 +416,8 @@ class AirspaceState:
 
         Involved flights are the arriving one plus every current occupant of
         a conflicted spot.  ``arriving`` is the arriving flight's account at
-        its filed placement; it negotiates at version 0, so its deviations
-        are segmented at plan version 1.  Returns the optimal feasible
+        its filed placement; it negotiates at version 0, so its moves are
+        built at plan version 1.  Returns the optimal feasible
         assignment with at most ``MAX_CHANGED_FLIGHTS`` deviators, or None
         when none restores headroom.
         """
@@ -433,16 +429,15 @@ class AirspaceState:
         for spot in conflict_spots:
             occupants |= self._occ.get(spot, set())
         accounts = {fid: self.flights[fid] for fid in occupants}
-        options = {fid: self._options_for(account, not self.is_en_route(fid))
-                   for fid, account in accounts.items()}
+        options = {fid: self._options_for(account)
+                   for fid, account in accounts.items() if not self.is_en_route(fid)}
         # Occupancy deltas against the current map; the arriving flight is
         # counted at its proposed placement until it deviates.
         base: dict[Spot, int] = dict.fromkeys(conflict_spots, 0)
-        newcomer = None
         if arriving is not None:
             newcomer = replace(arriving, version=0)
             accounts[arriving.plan.flight_id] = newcomer
-            options[arriving.plan.flight_id] = self._options_for(newcomer, True)
+            options[arriving.plan.flight_id] = self._options_for(newcomer)
             for spot in newcomer.spots:
                 base[spot] = 1
         # Capacity minus occupancy, looked up on a spot's first read: here
@@ -452,7 +447,7 @@ class AirspaceState:
 
         # Spots over their room, grouped by the flights able to deviate that
         # hold them (a bit mask) and by how far over they are.
-        movable = [fid for fid in sorted(accounts) if len(options[fid]) > 1]
+        movable = sorted(options)
         bit = {fid: 1 << i for i, fid in enumerate(movable)}
         short: dict[tuple[int, int], list[Spot]] = {}
         for spot, count in base.items():
@@ -479,14 +474,14 @@ class AirspaceState:
                     if best is not None and sum(option.cost for option in picks) > best[0]:
                         continue
                     # Objectives are distinct, so skipping ties keeps the optimum.
-                    objective = _objective(picks, accounts)
+                    objective = _objective(picks)
                     if best is not None and objective >= best:
                         continue
                     if _feasible(picks, accounts, base, room, self):
                         best, best_picks = objective, picks
         if best is None:
             return None
-        return Resolution(options=best_picks, objective=best, arriving=newcomer)
+        return Resolution(options=best_picks, objective=best)
 
     def apply_resolution(self, resolution: Resolution) -> tuple[str, ...]:
         """Apply all deviations atomically; returns the changed flight ids.
@@ -495,12 +490,8 @@ class AirspaceState:
         account.
         """
         for option in resolution.options:
-            fid = option.choice.flight_id
-            account = self.flights.get(fid, resolution.arriving)
-            self._place(fid, FlightAccount(
-                account.plan, option.choice.route_index, option.choice.added_delay,
-                account.version + 1, option.segments, option.spots))
-        return tuple(option.choice.flight_id for option in resolution.options)
+            self._place(option.account.plan.flight_id, option.account)
+        return tuple(option.account.plan.flight_id for option in resolution.options)
 
     # -- weather reaction ----------------------------------------------------
 

@@ -80,13 +80,12 @@ def _check_route(waypoints: tuple[Waypoint, ...], path: str) -> None:
 
 @dataclass(frozen=True)
 class TrajectorySegment:
-    """Time a flight spends in one subsector: half-open [entry, exit)."""
+    """Time spent in one subsector: half-open [entry, exit).  The flight and
+    its plan version are on the account that holds the segment."""
 
-    flight_id: str
     subsector: tuple[int, int]
     entry: float
     exit: float
-    plan_version: int = 1
 
     def __post_init__(self):
         # Written so that NaN fails the test too.
@@ -183,12 +182,12 @@ def segment_trajectory(plan: FlightPlan, grid: GridSpec,
             last = segments[-1]
             segments[-1] = replace(last, exit=tb)
         else:
-            segments.append(TrajectorySegment(plan.flight_id, cell, ta, tb))
+            segments.append(TrajectorySegment(cell, ta, tb))
     return segments
 
 
 def plan_segments(plan: FlightPlan, raw: list[TrajectorySegment],
-                  added_delay: float = 0.0, version: int = 1) -> list[TrajectorySegment]:
+                  added_delay: float = 0.0) -> list[TrajectorySegment]:
     """Effective segments of a plan: the segmentation ``raw`` of one of its
     routes (see :func:`segment_trajectory`) shifted by all delays.
 
@@ -201,5 +200,5 @@ def plan_segments(plan: FlightPlan, raw: list[TrajectorySegment],
         entry = s.entry + total
         exit_ = s.exit + total
         if entry < exit_:
-            out.append(TrajectorySegment(s.flight_id, s.subsector, entry, exit_, version))
+            out.append(TrajectorySegment(s.subsector, entry, exit_))
     return out

@@ -1,6 +1,8 @@
 """Command-line interface tests: commands, formats, exit codes."""
 
 import json
+import math
+import re
 
 import pytest
 
@@ -229,6 +231,34 @@ class TestMalformedScenario:
         assert "more than 100000 records" in capsys.readouterr().err
 
 
+def _edited(edit):
+    """A report-text edit made by changing the parsed document."""
+    def apply(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return apply
+
+
+#: Malformed reports, each with the path its error names: the first four
+#: used to end in a traceback from ``diff``, the last three were misread
+#: without an error.
+MALFORMED_REPORTS = {
+    "outcomes-a-list": (_edited(lambda doc: doc.update(outcomes=[])), "outcomes"),
+    "outcome-not-an-object": (
+        _edited(lambda doc: doc["outcomes"].update({"0001": 7})), "outcomes.0001"),
+    "subsector-of-one": (_edited(lambda doc: doc["records"][0].update(subsector=[1])),
+                         "records[0].subsector"),
+    "seed-1e400": (lambda text: re.sub(r'"seed": \d+', '"seed": 1e400', text), "seed"),
+    "quiescent-a-string": (
+        _edited(lambda doc: doc["stats"].update(quiescent="false")), "stats.quiescent"),
+    "steps-a-fraction": (_edited(lambda doc: doc["stats"].update(steps=2.7)),
+                         "stats.steps"),
+    "bucket-seconds-nan": (_edited(lambda doc: doc.update(bucket_seconds=math.nan)),
+                           "bucket_seconds"),
+}
+
+
 class TestDiff:
     def _json_report(self, scenario_path, tmp_path, name, command):
         out = tmp_path / name
@@ -256,3 +286,19 @@ class TestDiff:
 
     def test_missing_argument_is_usage_error(self):
         assert main(["diff", "only-one"]) == 1
+
+    @pytest.mark.parametrize("edit", sorted(MALFORMED_REPORTS))
+    def test_malformed_report_is_one_error_line(self, edit, tmp_path, capsys):
+        scenario = tmp_path / "storm.json"
+        scenario.write_text(render_scenario(storm_reroute_scenario()), encoding="utf-8")
+        good = self._json_report(scenario, tmp_path, "good.json", "simulate")
+        text = good.read_text(encoding="utf-8")
+        bad = tmp_path / "bad.json"
+        apply, path = MALFORMED_REPORTS[edit]
+        bad.write_text(apply(text), encoding="utf-8")
+        assert bad.read_text(encoding="utf-8") != text
+        capsys.readouterr()
+        assert main(["diff", str(bad), str(good)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f" {path}: " in err

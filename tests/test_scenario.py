@@ -32,7 +32,7 @@ from conftest import (
     random_case1_scenario,
     storm_reroute_scenario,
 )
-from test_golden import BENCH_SCENARIOS, PINS, _bench_workloads
+from test_golden import BENCH_SCENARIOS, DEMO_SCENARIOS, PINS, _bench_workloads
 from test_golden import _scenario as golden_scenario
 
 
@@ -314,16 +314,74 @@ REPORTS = st.builds(
               st.booleans()))
 
 
+def _report_floats(report):
+    yield report.bucket_seconds
+    yield from (rec.bucket_start for rec in report.records)
+    yield from (alert.emitted_at for alert in report.alerts)
+    for _, outcome in report.outcomes:
+        yield from (choice.added_delay for choice in outcome.new_plans)
+        if outcome.violated is not None:
+            yield outcome.violated[1]
+
+
 class TestReportJson:
-    """The JSON renderer writes ``json.dumps(..., indent=2)``'s bytes."""
+    """The JSON renderer writes ``json.dumps(..., indent=2)``'s bytes, and a
+    report reads back unless it holds a NaN or infinite number, which no
+    run writes and ``parse_report`` rejects."""
 
     @settings(max_examples=400, deadline=None)
     @given(REPORTS)
     def test_render_matches_indented_dumps_and_round_trips(self, report):
         text = render_report(report, "json")
         assert text == json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-        # NaN is unequal to itself, so the round trip compares bytes.
-        assert render_report(parse_report(text), "json") == text
+        if all(math.isfinite(value) for value in _report_floats(report)):
+            # -0.0 equals 0.0, so the round trip compares bytes.
+            assert render_report(parse_report(text), "json") == text
+        else:
+            with pytest.raises(ValidationError):
+                parse_report(text)
+
+
+#: A report document that uses every field of the format.
+REPORT_DOC = report_to_dict(Report(
+    seed=3, bucket_seconds=60.0, grid_cols=2, grid_rows=2,
+    records=(CongestionRecord((0, 1), 60.0, 2, 1, ("a", "b")),),
+    outcomes=(("a", InsertOutcome(InsertStatus.Rerouted, ("a",),
+                                  (RouteChoice("a", 0, 300.0),))),
+              ("b", InsertOutcome(InsertStatus.Rejected, reason="full",
+                                  violated=((0, 1), 60.0)))),
+    alerts=(Alert("watch", "seg-a", 5.0, "x=1"),),
+    stats=RunStats(3, 1, 0, 0, True)))
+
+
+class TestParseReportProperty:
+    """Reading a report either succeeds or raises ValidationError, whatever
+    the input: ``adatm diff`` never ends in a traceback."""
+
+    def test_the_document_reads_back(self):
+        text = json.dumps(REPORT_DOC)
+        assert report_to_dict(parse_report(text)) == REPORT_DOC
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_any_json_value(self, value):
+        try:
+            parse_report(json.dumps(value))
+        except ValidationError:
+            pass
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.sampled_from(list(_node_paths(REPORT_DOC))[1:]), JSON_VALUES)
+    def test_any_single_node_replacement(self, path, value):
+        doc = copy.deepcopy(REPORT_DOC)
+        parent = doc
+        for name in path[:-1]:
+            parent = parent[name]
+        parent[path[-1]] = value
+        try:
+            parse_report(json.dumps(doc))
+        except ValidationError:
+            pass
 
 
 class TestDiffReports:
@@ -396,6 +454,18 @@ class TestRunSimulation:
     def test_non_quiescent_flagged(self, headroom_scenario):
         report = run_simulation(headroom_scenario, max_steps=1)
         assert not report.stats.quiescent
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in DEMO_SCENARIOS.glob("*.json")))
+    def test_max_steps_is_a_hard_cap(self, name):
+        # The ingest drain used to get one more step after the budget was spent.
+        scenario = load_scenario((DEMO_SCENARIOS / name).read_text(encoding="utf-8"))
+        full = run_simulation(scenario)
+        assert full.stats.quiescent
+        for n in range(1, full.stats.steps + 1):
+            report = run_simulation(scenario, max_steps=n)
+            assert report.stats.steps <= n
+            assert report.stats.quiescent == (n == full.stats.steps)
+        assert report == full
 
 
 class TestSubscriptionsEndToEnd:

@@ -415,7 +415,7 @@ def spy_feasible(monkeypatch):
     real = traffic._feasible
 
     def spy(picks, *args):
-        reached.append({option.choice.flight_id for option in picks})
+        reached.append({option.account.plan.flight_id for option in picks})
         return real(picks, *args)
 
     monkeypatch.setattr(traffic, "_feasible", spy)
@@ -536,23 +536,61 @@ class TestWeatherNegotiate:
 
 
 def assert_occupancy_matches_accounts(state):
-    """The incremental occupancy map equals one rebuilt from the accounts."""
+    """The incremental occupancy map equals one rebuilt from the accounts,
+    and the segment data published for a flight carry its account's
+    version."""
     rebuilt = {}
     for fid, account in state.flights.items():
         assert account.spots == set(state.segment_spots(account.segments))
         for seg in account.segments:
-            assert seg.plan_version == account.version
             for b in buckets_over(state.bucket_seconds, seg.entry, seg.exit):
                 rebuilt.setdefault((seg.subsector, b), set()).add(fid)
+        data = scenario_module._segment_data(state, fid)
+        assert [d.payload["version"] for d in data] == [account.version] * len(data)
     assert state._occ == rebuilt
+
+
+def spy_applied(monkeypatch):
+    """Record each applied resolution with the accounts its movers held
+    before (None for the arriving flight)."""
+    applied = []
+    real = AirspaceState.apply_resolution
+
+    def spy(self, resolution):
+        applied.append((resolution, {option.account.plan.flight_id:
+                                     self.flights.get(option.account.plan.flight_id)
+                                     for option in resolution.options}))
+        return real(self, resolution)
+
+    monkeypatch.setattr(AirspaceState, "apply_resolution", spy)
+    return applied
+
+
+def assert_movers_hold_the_picked_accounts(state, applied):
+    """Each moved flight holds its picked option's account itself, one plan
+    version past its previous one (an arrival at version 1), equal to the
+    same placement built by a fresh state."""
+    fresh = AirspaceState(state.grid, bucket_seconds=state.bucket_seconds)
+    assert applied
+    for resolution, before in applied:
+        for option in resolution.options:
+            moved = option.account
+            previous = before[moved.plan.flight_id]
+            assert state.flights[moved.plan.flight_id] is moved
+            assert moved.version == (1 if previous is None else previous.version + 1)
+            assert moved == fresh.account_for(moved.plan, moved.route_index,
+                                              moved.added_delay, moved.version)
 
 
 class TestOccupancyInvariant:
     @pytest.mark.parametrize("seed", range(12))
-    def test_after_negotiated_insert_and_removal(self, seed):
+    def test_after_negotiated_insert_and_removal(self, seed, monkeypatch):
         state, arriving, _ = draw_conflicted_instance(random.Random(seed))
-        state.try_insert(arriving)
+        applied = spy_applied(monkeypatch)
+        outcome = state.try_insert(arriving)
         assert_occupancy_matches_accounts(state)
+        if outcome.status is InsertStatus.Rerouted:
+            assert_movers_hold_the_picked_accounts(state, applied)
         for fid in sorted(state.flights):
             state.remove_flight(fid)
             assert_occupancy_matches_accounts(state)
@@ -560,13 +598,16 @@ class TestOccupancyInvariant:
 
     @pytest.mark.parametrize("alternates, kind", [([arc_alt()], "reroute"),
                                                   ((), "bumped")])
-    def test_after_weather(self, alternates, kind):
+    def test_after_weather(self, alternates, kind, monkeypatch):
         state = two_by_two()
         for i in range(4):
             state.try_insert(dwell(f"{i + 1:04d}", alternates=alternates))
         state.set_storms((storm_covering_00(),))
+        applied = spy_applied(monkeypatch)
         assert kind in [e.kind for e in state.advance_weather(0.0)]
         assert_occupancy_matches_accounts(state)
+        if kind == "reroute":
+            assert_movers_hold_the_picked_accounts(state, applied)
 
 
 _ROW_0 = [(0, 0), (1, 0), (2, 0)]
@@ -683,23 +724,24 @@ class TestSpotBound:
 
 
 def placement_from_scratch(state, plan, route, delay, version):
-    """A placement's segments and spots from a fresh segmentation, the delay
-    shift written out, and a walk over the buckets each segment overlaps."""
+    """A placement's flight, version, segments and spots from a fresh
+    segmentation, the delay shift written out, and a walk over the buckets
+    each segment overlaps."""
     total = plan.departure_delay + delay
     segments = []
     for s in segment_trajectory(plan, state.grid, route):
         entry, exit_ = s.entry + total, s.exit + total
         if entry < exit_:
-            segments.append((s.flight_id, s.subsector, entry, exit_, version))
+            segments.append((s.subsector, entry, exit_))
     dt = state.bucket_seconds
-    spots = {(cell, i * dt) for _, cell, entry, exit_, _ in segments
+    spots = {(cell, i * dt) for cell, entry, exit_ in segments
              for i in range(math.floor(entry / dt), math.ceil(exit_ / dt))}
-    return segments, spots
+    return plan.flight_id, version, segments, spots
 
 
 def placement_of(account):
-    return ([(s.flight_id, s.subsector, s.entry, s.exit, s.plan_version)
-             for s in account.segments], account.spots)
+    return (account.plan.flight_id, account.version,
+            [(s.subsector, s.entry, s.exit) for s in account.segments], account.spots)
 
 
 class TestPlacementCache:
@@ -764,7 +806,7 @@ class TestSpotsFromBucketIndices:
             else:
                 exit_ = data.draw(times)
             assume(entry < exit_)
-            segments.append(TrajectorySegment("f", (n % 2, 0), entry, exit_))
+            segments.append(TrajectorySegment((n % 2, 0), entry, exit_))
         expected = {(seg.subsector, b) for seg in segments
                     for b in buckets_over(dt, seg.entry, seg.exit)}
         assert state.segment_spots(segments) == expected
@@ -783,9 +825,9 @@ class TestSpotAllocationBound:
         monkeypatch.setattr(traffic, "MAX_SPOTS", 10)
         state = two_by_two()
         # Ten buckets of cell (0, 0), then one more in cell (1, 0).
-        segments = [TrajectorySegment("f", (0, 0), 0.0, 600.0)]
+        segments = [TrajectorySegment((0, 0), 0.0, 600.0)]
         assert len(state.segment_spots(segments)) == 10
-        segments.append(TrajectorySegment("f", (1, 0), 600.0, 630.0))
+        segments.append(TrajectorySegment((1, 0), 600.0, 630.0))
         with pytest.raises(PreconditionError):
             state.segment_spots(segments)
 
@@ -793,11 +835,11 @@ class TestSpotAllocationBound:
         monkeypatch.setattr(traffic, "MAX_SPOTS", 11)
         state = two_by_two()
         # Eleven segment buckets: the two segments share bucket 540's spot.
-        segments = [TrajectorySegment("f", (0, 0), 0.0, 570.0),
-                    TrajectorySegment("f", (0, 0), 570.0, 600.0)]
+        segments = [TrajectorySegment((0, 0), 0.0, 570.0),
+                    TrajectorySegment((0, 0), 570.0, 600.0)]
         assert len(state.segment_spots(segments)) == 10
         with pytest.raises(PreconditionError):
-            state.segment_spots(segments + [TrajectorySegment("f", (0, 0), 0.0, 1.0)])
+            state.segment_spots(segments + [TrajectorySegment((0, 0), 0.0, 1.0)])
 
     def test_account_for_a_long_flight_raises(self, monkeypatch):
         monkeypatch.setattr(traffic, "MAX_SPOTS", 100)
@@ -840,10 +882,10 @@ class TestRoomOnFirstRead:
         assert verdict.kind is CaseKind.Case2
         expected = brute_force_negotiate(state, verdict.spots, plans[4])
         occupants = set().union(*(state.flights_in(*spot) for spot in verdict.spots))
-        held = set().union(*(option.spots for fid in occupants
-                             for option in state._options_for(state.flights[fid], True)))
-        held |= set().union(*(option.spots for option in state._options_for(
-            replace(arriving, version=0), True)))
+        accounts = [state.flights[fid] for fid in occupants] + [replace(arriving, version=0)]
+        held = set().union(*(account.spots for account in accounts),
+                           *(option.account.spots for account in accounts
+                             for option in state._options_for(account)))
         looked_up = []
         real = AirspaceState.capacity
 

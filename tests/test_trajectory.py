@@ -192,7 +192,7 @@ class TestSegmentInterval:
     def test_empty_or_nan_interval_rejected(self, entry, exit_):
         # NaN compares false both ways, so only ``not entry < exit`` catches it.
         with pytest.raises(ValidationError) as err:
-            TrajectorySegment("f1", (0, 0), entry, exit_)
+            TrajectorySegment((0, 0), entry, exit_)
         assert err.value.path == "segment"
 
 
