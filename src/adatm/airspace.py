@@ -41,9 +41,6 @@ class GridSpec:
     def y1(self) -> float:
         return self.y0 + self.rows * self.cell
 
-    def bounds(self) -> PlanarBox:
-        return PlanarBox(self.x0, self.y0, self.x1, self.y1)
-
     def contains(self, x: float, y: float) -> bool:
         return self.x0 <= x < self.x1 and self.y0 <= y < self.y1
 

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .errors import AdatmError, ParseError, UsageError, ValidationError
+from .kernel import format_scalar
 from .scenario import (diff_reports, load_scenario, parse_report, render_report, run_oracle,
                        simulate)
 
@@ -98,9 +99,9 @@ def _cmd_diff(args) -> int:
         print("reports are identical")
         return EXIT_OK
     for key in result.only_in_a:
-        print(f"only in {args.a}: subsector={key[0]} bucket={key[1]:g}")
+        print(f"only in {args.a}: subsector={key[0]} bucket={format_scalar(key[1])}")
     for key in result.only_in_b:
-        print(f"only in {args.b}: subsector={key[0]} bucket={key[1]:g}")
+        print(f"only in {args.b}: subsector={key[0]} bucket={format_scalar(key[1])}")
     for line in result.mismatched:
         print(f"mismatch: {line}")
     return EXIT_REPORTS_DIFFER

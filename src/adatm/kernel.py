@@ -267,13 +267,7 @@ def encapsulate(payload: Payload, kind: NotionKind, metadata: Metadata,
 def is_duplicate(a: ActiveDatum, b: ActiveDatum) -> bool:
     """True when payload text and kind are equal and the keys overlap in
     every dimension (time and box intersect, concept paths are equal)."""
-    return (
-        a.text == b.text
-        and a.kind is b.kind
-        and a.key.concept == b.key.concept
-        and a.key.time.intersects(b.key.time)
-        and a.key.space.intersects(b.key.space)
-    )
+    return _Fusion(a).duplicates(b)
 
 
 def resolve(a: ActiveDatum, b: ActiveDatum) -> ActiveDatum:
@@ -347,7 +341,8 @@ class _Fusion:
         self.missing = dict.fromkeys(hd.missing)
 
     def duplicates(self, peer: ActiveDatum) -> bool:
-        """:func:`is_duplicate` of the running result and ``peer``."""
+        """Whether ``peer`` duplicates the running result: the one
+        definition behind :func:`is_duplicate`."""
         w, time, space = self.winner, peer.key.time, peer.key.space
         return (
             w.text == peer.text
@@ -505,22 +500,26 @@ def _pattern_matches(pattern: Payload, datum: ActiveDatum) -> bool:
     )
 
 
-def _find_assignment(rule: HypothesisRule,
-                     candidates: list[ActiveDatum]) -> list[ActiveDatum] | None:
-    """First injective premise->datum assignment in ascending-id order."""
+def _find_assignment(patterns: tuple[Payload, ...], candidates: list[ActiveDatum],
+                     picked: tuple[ActiveDatum, ...] = ()
+                     ) -> tuple[ActiveDatum, ...] | None:
+    """First injective premise->datum assignment in ascending-id order that
+    extends ``picked``, the data matched to the leading patterns.
 
-    def extend(idx: int, used: set[str], picked: list[ActiveDatum]):
-        if idx == len(rule.premise_patterns):
-            return picked
-        for d in candidates:
-            if d.id in used or not _pattern_matches(rule.premise_patterns[idx], d):
-                continue
-            result = extend(idx + 1, used | {d.id}, picked + [d])
-            if result is not None:
-                return result
-        return None
-
-    return extend(0, set(), [])
+    A plain recursion: a nested function that calls itself would be a
+    reference cycle, left for the cyclic collector after every call.
+    """
+    if len(picked) == len(patterns):
+        return picked
+    pattern = patterns[len(picked)]
+    used = {p.id for p in picked}
+    for d in candidates:
+        if d.id in used or not _pattern_matches(pattern, d):
+            continue
+        result = _find_assignment(patterns, candidates, picked + (d,))
+        if result is not None:
+            return result
+    return None
 
 
 def infer(rule: HypothesisRule, candidates: list[ActiveDatum] | set[ActiveDatum],
@@ -532,7 +531,7 @@ def infer(rule: HypothesisRule, candidates: list[ActiveDatum] | set[ActiveDatum]
     confidences and truth the minimum premise truth; otherwise None.
     """
     pool = sorted(candidates, key=lambda d: d.id)
-    premises = _find_assignment(rule, pool)
+    premises = _find_assignment(rule.premise_patterns, pool)
     if premises is None:
         return None
     payload: dict[str, Scalar] = {}

@@ -556,22 +556,47 @@ def report_to_dict(r: Report) -> dict:
     return out
 
 
+def _record_from_dict(obj, path: str) -> CongestionRecord:
+    """One congestion record: counts are not negative, and the occupancy is
+    the number of its distinct flight ids, which are strings."""
+    subsector = _cell(_need(obj, "subsector", path), f"{path}.subsector")
+    bucket_start = _num(_need(obj, "bucket_start", path), f"{path}.bucket_start")
+    occupancy = _count(_need(obj, "occupancy", path), f"{path}.occupancy")
+    capacity = _count(_need(obj, "capacity", path), f"{path}.capacity")
+    for name, value in (("occupancy", occupancy), ("capacity", capacity)):
+        if value < 0:
+            raise ValidationError(f"expected a count >= 0, got {value}", f"{path}.{name}")
+    where = f"{path}.flight_ids"
+    ids = tuple(_list(_need(obj, "flight_ids", path), where, "a list of flight ids"))
+    for fid in ids:
+        if type(fid) is not str:
+            raise ValidationError(f"expected a flight id string, got {fid!r}", where)
+    if len(set(ids)) != len(ids):
+        raise ValidationError("a flight id repeats", where)
+    if occupancy != len(ids):
+        raise ValidationError(f"occupancy {occupancy} but {len(ids)} flight ids",
+                              f"{path}.occupancy")
+    return CongestionRecord(subsector, bucket_start, occupancy, capacity, ids)
+
+
 def parse_report(text: str) -> Report:
     """Read a JSON report through the scenario readers: anything but a
-    report document raises ``ValidationError``."""
+    report document, or a report holding two records for one spot, raises
+    ``ValidationError``."""
     obj = _obj(_parse_json(text), "$")
     records = []
+    spots = set()
     for i, rec in enumerate(_list(_need(obj, "records", "$"), "records",
                                   "a list of objects")):
         path = f"records[{i}]"
-        records.append(CongestionRecord(
-            subsector=_cell(_need(rec, "subsector", path), f"{path}.subsector"),
-            bucket_start=_num(_need(rec, "bucket_start", path), f"{path}.bucket_start"),
-            occupancy=_count(_need(rec, "occupancy", path), f"{path}.occupancy"),
-            capacity=_count(_need(rec, "capacity", path), f"{path}.capacity"),
-            flight_ids=tuple(_list(_need(rec, "flight_ids", path), f"{path}.flight_ids",
-                                   "a list of flight ids")),
-        ))
+        record = _record_from_dict(rec, path)
+        spot = (record.subsector, record.bucket_start)
+        if spot in spots:
+            raise ValidationError(
+                f"a second record for subsector={record.subsector} "
+                f"bucket={kernel.format_scalar(record.bucket_start)}", path)
+        spots.add(spot)
+        records.append(record)
     alerts = []
     for i, a in enumerate(_list(_need(obj, "alerts", "$"), "alerts", "a list of objects")):
         path = f"alerts[{i}]"
@@ -729,7 +754,7 @@ def _fused_storm_confidence_from_runtime(rt: Runtime, storm_id: str) -> float:
 def _segment_data(state: AirspaceState, flight_id: str) -> list[ActiveDatum]:
     account = state.flights[flight_id]
     # Every segment payload below has the same six fields.
-    metadata = Metadata(source_id=flight_id, observed_at=max(0.0, state.now),
+    metadata = Metadata(source_id=flight_id, observed_at=state.now,
                         size_hint=6, schema_tag="trajectory-segment")
     data = []
     for i, seg in enumerate(account.segments):
@@ -774,11 +799,10 @@ class _Driver:
         self.outcomes: dict[str, InsertOutcome] = {}
         self.segment_data: dict[str, list[str]] = {}
         self.total = RunStats(quiescent=True)
-        self.steps_used = 0
 
     def _budget(self) -> int:
         if self.max_steps is not None:
-            return self.max_steps - self.steps_used
+            return self.max_steps - self.total.steps
         return max(1, 10 * (self.rt.data_count() + self.rt.pending_tasks() + 1))
 
     def _drain(self) -> None:
@@ -790,7 +814,6 @@ class _Driver:
             self.total.quiescent = False
             return
         stats = self.rt.run_until_quiescent(budget)
-        self.steps_used += stats.steps
         self.total.steps += stats.steps
         self.total.alerts += stats.alerts
         self.total.merges += stats.merges
@@ -875,7 +898,7 @@ class _Driver:
                 self.outcomes[fid] = InsertOutcome(
                     InsertStatus.Rejected,
                     reason=f"capacity lost to severe weather: subsector={event.subsector} "
-                           f"bucket={event.bucket_start:g}",
+                           f"bucket={kernel.format_scalar(event.bucket_start)}",
                     violated=(event.subsector, event.bucket_start))
                 for datum_id in self.segment_data.pop(fid, []):
                     self.rt.mark_deleted(datum_id)
@@ -906,9 +929,7 @@ class _Driver:
         self._insert_flights()
         self._advance_weather(filed, confirmed)
         self._drain()
-        records = self.state.predict_congestion(
-            now=0.0, horizon=self.scenario.horizon_seconds,
-            include_empty=self.include_empty)
+        records = self.state.predict_congestion(include_empty=self.include_empty)
         report = Report(
             seed=self.scenario.seed,
             bucket_seconds=self.scenario.bucket_seconds,

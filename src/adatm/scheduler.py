@@ -253,36 +253,27 @@ class Runtime:
         return sorted(i for i, s in self._life.items() if s is not LifecycleState.Deleted)
 
     def _transition(self, datum_id: str, dst: LifecycleState) -> None:
+        """Move a datum to ``dst`` with one lifecycle write.
+
+        A deletion is legal from every state that may become Active, since
+        its legal path runs through Active, and it also takes the datum out
+        of the index and the text map.
+        """
         src = self._life[datum_id]
         if src is dst:
             return
-        if not legal_transition(src, dst):
-            raise LifecycleError(f"{datum_id}: illegal transition {src.value} -> {dst.value}")
+        step = LifecycleState.Active if dst is LifecycleState.Deleted else dst
+        if not legal_transition(src, step):
+            raise LifecycleError(f"{datum_id}: illegal transition {src.value} -> {step.value}")
+        self._life[datum_id] = dst
         if dst is LifecycleState.Deleted:
-            self._delete(datum_id)
-        else:
-            self._life[datum_id] = dst
-
-    def _delete(self, datum_id: str) -> None:
-        """Take a datum out of circulation: lifecycle, index and text map."""
-        self._life[datum_id] = LifecycleState.Deleted
-        if datum_id in self.index:
-            self.index.remove(datum_id)
-        d = self._store[datum_id]
-        ids = self._by_text[d.text]
-        ids.discard(datum_id)
-        if not ids:
-            del self._by_text[d.text]
-
-    def _retire(self, datum_id: str) -> None:
-        """Delete an absorbed datum with one lifecycle write, checked as the
-        legal path through Active (Encapsulated -> Active -> Deleted)."""
-        src = self._life[datum_id]
-        if src is not LifecycleState.Active and \
-                not legal_transition(src, LifecycleState.Active):
-            raise LifecycleError(f"{datum_id}: illegal transition {src.value} -> "
-                                 f"{LifecycleState.Active.value}")
-        self._delete(datum_id)
+            if datum_id in self.index:
+                self.index.remove(datum_id)
+            text = self._store[datum_id].text
+            ids = self._by_text[text]
+            ids.discard(datum_id)
+            if not ids:
+                del self._by_text[text]
 
     def suspend(self, datum_id: str) -> None:
         self.lifecycle_of(datum_id)
@@ -293,12 +284,9 @@ class Runtime:
         self._transition(datum_id, LifecycleState.Active)
 
     def mark_deleted(self, datum_id: str) -> None:
-        """Force a datum out of circulation (activating it first if needed)."""
-        state = self.lifecycle_of(datum_id)
-        if state is LifecycleState.Deleted:
+        """Force a datum out of circulation."""
+        if self.lifecycle_of(datum_id) is LifecycleState.Deleted:
             return
-        if state is not LifecycleState.Active:
-            self._transition(datum_id, LifecycleState.Active)
         self._transition(datum_id, LifecycleState.Deleted)
         self.emit("deleted", datum_id, "forced")
 
@@ -452,7 +440,7 @@ class Runtime:
         # so only the live peers with this text are passed to the fold; the
         # hits are read only when another live datum carries the text.  The
         # survivor is stored and re-indexed once; each absorbed id is then
-        # retired in merge order, and the survivor, which carries on with
+        # deleted in merge order, and the survivor, which carries on with
         # this activation, is Active.
         twins = self._by_text[d.text]
         same_text = [self._store[p] for p in peer_ids if p in twins] \
@@ -463,7 +451,7 @@ class Runtime:
                 datum_id = d.id
                 self._replace_datum(d)
             for survivor, absorbed, confidence in merges:
-                self._retire(absorbed)
+                self._transition(absorbed, LifecycleState.Deleted)
                 # Evidence queued against the absorbed id follows the survivor.
                 leftover = self._evidence.pop(absorbed, [])
                 if leftover:

@@ -30,6 +30,7 @@ from operator import itemgetter
 from . import airspace, trajectory
 from .airspace import GridSpec, StormCell, Subsector, bucket_capacity
 from .errors import ConflictError, NotFoundError, PreconditionError, ValidationError
+from .kernel import format_scalar
 from .nearness import TimeInterval
 from .trajectory import FlightPlan, TrajectorySegment, plan_segments
 
@@ -221,7 +222,7 @@ class AirspaceState:
                  calm_capacity: int = 6, severe_capacity: int = 3,
                  storms: tuple[StormCell, ...] = (),
                  closures: dict[tuple[int, int], tuple[TimeInterval, ...]] | None = None,
-                 horizon_seconds: float = 14400.0, now: float = 0.0):
+                 horizon_seconds: float = 14400.0):
         # Written so that NaN fails the tests too.
         if not 0 < bucket_seconds < math.inf:
             raise ValidationError("bucket_seconds must be positive and finite",
@@ -236,7 +237,8 @@ class AirspaceState:
         self.storms: tuple[StormCell, ...] = tuple(storms)
         self.closures = dict(closures or {})
         self.horizon_seconds = horizon_seconds
-        self.now = now
+        #: The clock starts at 0 and only ``advance_weather`` moves it.
+        self.now = 0.0
         self.flights: dict[str, FlightAccount] = {}
         self._occ: dict[Spot, set[str]] = {}
         #: Segmentation per (plan, route), filled on first use.  It depends
@@ -373,7 +375,8 @@ class AirspaceState:
             spot = verdict.spots[0]
             return InsertOutcome(
                 InsertStatus.Rejected,
-                reason=f"no feasible plan: subsector={spot[0]} bucket={spot[1]:g} "
+                reason=f"no feasible plan: subsector={spot[0]} "
+                       f"bucket={format_scalar(spot[1])} "
                        f"occupancy={self.occupancy(*spot)} capacity={self.capacity(*spot)}",
                 violated=spot)
         changed = self.apply_resolution(resolution)
@@ -507,10 +510,12 @@ class AirspaceState:
         a negotiation among the residents; when none succeeds, the least
         important resident flights are bumped (their outcome becomes a
         rejection) until the remaining traffic fits, leaving any excess by
-        immovable en-route flights reported rather than resolved.
+        immovable en-route flights reported rather than resolved.  The
+        clock moves only forward, to a finite time.
         """
-        if to_time < self.now:
-            raise PreconditionError(f"cannot rewind weather from {self.now} to {to_time}")
+        # Written so that NaN fails the test too.
+        if not self.now <= to_time < math.inf:
+            raise PreconditionError(f"cannot move the clock from {self.now} to {to_time}")
         self.now = to_time
         events: list[WeatherEvent] = []
         violations = self._capacity_violations()
@@ -578,19 +583,13 @@ class AirspaceState:
 
     # -- prediction ------------------------------------------------------------
 
-    def predict_congestion(self, now: float | None = None,
-                           horizon: float | None = None,
-                           include_empty: bool = False) -> list[CongestionRecord]:
-        """Occupancy/capacity records for every bucket in the look-ahead window."""
-        if now is None:
-            now = self.now
-        if horizon is None:
-            horizon = self.horizon_seconds
-        if not 0 < horizon < math.inf:
-            raise PreconditionError("horizon must be positive and finite")
+    def predict_congestion(self, include_empty: bool = False) -> list[CongestionRecord]:
+        """Occupancy/capacity records for every bucket of the look-ahead
+        window, ``horizon_seconds`` from ``now``."""
+        now = self.now
         dt = self.bucket_seconds
         first = math.floor(now / dt)
-        window_end = now + horizon
+        window_end = now + self.horizon_seconds
         occ = self._occ
         if include_empty:
             spots = []

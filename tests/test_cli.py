@@ -3,12 +3,15 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
 from adatm.cli import EXIT_RUN_FAILED, main
 from adatm.errors import PreconditionError
-from adatm.scenario import render_scenario
+from adatm.scenario import Report, render_report, render_scenario
+from adatm.scheduler import RunStats
+from adatm.traffic import CongestionRecord
 
 from conftest import congestion_scenario, dwell_route, storm_reroute_scenario
 
@@ -240,9 +243,15 @@ def _edited(edit):
     return apply
 
 
+def _first_record(**fields):
+    return _edited(lambda doc: doc["records"][0].update(fields))
+
+
 #: Malformed reports, each with the path its error names: the first four
-#: used to end in a traceback from ``diff``, the last three were misread
-#: without an error.
+#: used to end in a traceback from ``diff``, the next three were misread
+#: without an error, and the last six hold records that no run writes but
+#: that used to read back (the first of them, a contradicting record before
+#: the true one, diffed as identical).
 MALFORMED_REPORTS = {
     "outcomes-a-list": (_edited(lambda doc: doc.update(outcomes=[])), "outcomes"),
     "outcome-not-an-object": (
@@ -256,6 +265,15 @@ MALFORMED_REPORTS = {
                          "stats.steps"),
     "bucket-seconds-nan": (_edited(lambda doc: doc.update(bucket_seconds=math.nan)),
                            "bucket_seconds"),
+    "record-twice": (_edited(lambda doc: doc["records"].insert(
+        0, dict(doc["records"][0], occupancy=1, flight_ids=["zz"]))), "records[1]"),
+    "occupancy-negative": (_first_record(occupancy=-3), "records[0].occupancy"),
+    "capacity-negative": (_first_record(capacity=-1), "records[0].capacity"),
+    "flight-id-not-a-string": (_first_record(occupancy=2, flight_ids=[1, None]),
+                               "records[0].flight_ids"),
+    "flight-id-repeats": (_first_record(occupancy=2, flight_ids=["0001", "0001"]),
+                          "records[0].flight_ids"),
+    "occupancy-not-the-ids": (_first_record(occupancy=5), "records[0].occupancy"),
 }
 
 
@@ -286,6 +304,20 @@ class TestDiff:
 
     def test_missing_argument_is_usage_error(self):
         assert main(["diff", "only-one"]) == 1
+
+    def test_only_in_lines_name_each_bucket_in_full(self, tmp_path, capsys):
+        # Six significant digits would print both buckets as 1.00001e+07.
+        empty = Report(seed=0, bucket_seconds=60.0, grid_cols=1, grid_rows=1,
+                       records=(), outcomes=(), alerts=(), stats=RunStats())
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(render_report(replace(empty, records=tuple(
+            CongestionRecord((0, 0), start, 1, 6, ("f1",))
+            for start in (10_000_080.0, 10_000_140.0))), "json"), encoding="utf-8")
+        b.write_text(render_report(empty, "json"), encoding="utf-8")
+        assert main(["diff", str(a), str(b)]) == 4
+        assert capsys.readouterr().out.splitlines() == [
+            f"only in {a}: subsector=(0, 0) bucket=10000080",
+            f"only in {a}: subsector=(0, 0) bucket=10000140"]
 
     @pytest.mark.parametrize("edit", sorted(MALFORMED_REPORTS))
     def test_malformed_report_is_one_error_line(self, edit, tmp_path, capsys):

@@ -237,3 +237,13 @@ def test_bench_inputs_match_their_pinned_digests(workload, seed):
             digest.update(_sha(text).encode("ascii"))
     for part, want, digest in zip(PARTS, BENCH_PINS[workload, seed], digests):
         assert digest.hexdigest() == want, f"{workload} seed {seed}: {part} changed"
+
+
+def test_digest_tool_lists_125_distinct_inputs():
+    path = Path(__file__).resolve().parent.parent / "tools" / "digests.py"
+    spec = importlib.util.spec_from_file_location("adatm_tools_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    names = [name for name, _ in tool.inputs(sys.modules[__name__])]
+    assert len(names) == len(set(names)) == 125
+    assert set(PINS) - set(names) == set()

@@ -1,5 +1,7 @@
 """Unit tests for the data-element activity functions."""
 
+import gc
+
 import pytest
 
 from adatm import (
@@ -306,6 +308,25 @@ class TestInfer:
             "subject": "Air Force One", "event": "arrived", "city": "Paris",
             "person": "The US President", "aboard": "Air Force One"})
         assert infer(AF1_RULE, [both]) is None
+
+    def test_premises_are_matched_in_ascending_id_order(self):
+        _, aboard = af1_candidates()
+        arrivals = [make_datum(datum_id, payload={
+            "subject": "Air Force One", "event": "arrived", "city": "Paris", "gate": gate})
+            for datum_id, gate in (("news-3", 3), ("news-0", 0))]
+        hyp = infer(AF1_RULE, [aboard, *arrivals])
+        assert hyp.hyperdata.complementary == ("news-0", "news-2")
+
+    def test_leaves_no_garbage_for_the_cyclic_collector(self):
+        candidates = list(af1_candidates())
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                assert infer(AF1_RULE, candidates) is not None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestTierDecision:

@@ -296,6 +296,14 @@ REPORT_FLOATS = st.floats() | st.sampled_from(
 REPORT_INTS = st.integers(-10**20, 10**20)
 REPORT_IDS = st.lists(REPORT_TEXT, max_size=3).map(tuple)
 SPOTS = st.tuples(st.tuples(REPORT_INTS, REPORT_INTS), REPORT_FLOATS)
+#: Records as ``parse_report`` reads them: no count is negative, the flight
+#: ids are distinct and the occupancy is their number.  A report holds one
+#: record per spot (0.0 and -0.0 are one spot).
+RECORDS = st.lists(
+    st.builds(lambda spot, capacity, ids: CongestionRecord(*spot, len(ids), capacity, ids),
+              SPOTS, st.integers(0, 10**20),
+              st.lists(REPORT_TEXT, max_size=3, unique=True).map(tuple)),
+    max_size=4, unique_by=lambda rec: (rec.subsector, rec.bucket_start)).map(tuple)
 OUTCOMES = st.builds(
     InsertOutcome, st.sampled_from(list(InsertStatus)), REPORT_IDS,
     st.lists(st.builds(RouteChoice, REPORT_TEXT, REPORT_INTS, REPORT_FLOATS),
@@ -303,9 +311,7 @@ OUTCOMES = st.builds(
     REPORT_TEXT, st.none() | SPOTS)
 REPORTS = st.builds(
     Report, REPORT_INTS, REPORT_FLOATS, REPORT_INTS, REPORT_INTS,
-    st.lists(st.builds(CongestionRecord, st.tuples(REPORT_INTS, REPORT_INTS),
-                       REPORT_FLOATS, REPORT_INTS, REPORT_INTS, REPORT_IDS),
-             max_size=4).map(tuple),
+    RECORDS,
     st.dictionaries(REPORT_TEXT, OUTCOMES, max_size=3).map(
         lambda d: tuple(sorted(d.items()))),
     st.lists(st.builds(Alert, REPORT_TEXT, REPORT_TEXT, REPORT_FLOATS, REPORT_TEXT),

@@ -365,6 +365,37 @@ class _LifeWrites(dict):
         super().__setitem__(key, value)
 
 
+class TestMarkDeleted:
+    """A forced deletion is one lifecycle write from every state that may
+    become Active; Raw may not, so it is refused and nothing changes."""
+
+    @pytest.mark.parametrize("state", [
+        LifecycleState.Encapsulated, LifecycleState.Active, LifecycleState.Suspended,
+        LifecycleState.Stored, LifecycleState.Archived])
+    def test_one_lifecycle_write(self, state):
+        rt = fresh_runtime()
+        rt.add(make_datum("d"))
+        rt.add(make_datum("e"))  # same text: the text map keeps e
+        rt._life["d"] = state
+        rt._life = writes = _LifeWrites(rt._life)
+        rt.mark_deleted("d")
+        assert writes.log == [("d", LifecycleState.Deleted)]
+        assert "d" not in rt.index and "e" in rt.index
+        assert rt._by_text == {rt.datum("e").text: {"e"}}
+        assert [e.render() for e in rt.event_log] == ["1|deleted|d|forced"]
+
+    def test_raw_datum_is_refused_and_left_as_it_was(self):
+        rt = fresh_runtime()
+        rt.add(make_datum("d"))
+        rt._life["d"] = LifecycleState.Raw
+        rt._life = writes = _LifeWrites(rt._life)
+        with pytest.raises(LifecycleError, match="^d: illegal transition raw -> active$"):
+            rt.mark_deleted("d")
+        assert writes.log == [] and rt.lifecycle_of("d") is LifecycleState.Raw
+        assert "d" in rt.index and rt._by_text == {rt.datum("d").text: {"d"}}
+        assert rt.event_log == []
+
+
 class TestDuplicateFusion:
     def test_one_pass_equals_pairwise_resolve_loop(self):
         data = fusion_data()

@@ -205,6 +205,14 @@ class TestTryInsert:
         assert "3412" not in state.flights
         assert state.occupancy((0, 0), 0.0) == 6  # state unchanged
 
+    def test_rejection_names_its_bucket_in_full(self):
+        # Six significant digits would print 10,000,200 as 1.00002e+07.
+        state = two_by_two(closures={(0, 0): (TimeInterval(10_000_200.0, 10_003_000.0),)})
+        outcome = state.try_insert(dwell("3412", t0=10_000_210.0, t1=10_000_330.0))
+        assert outcome.status is InsertStatus.Rejected
+        assert outcome.reason == ("no feasible plan: subsector=(0, 0) bucket=10000200 "
+                                  "occupancy=0 capacity=0")
+
     def test_rerouted_via_own_alternate(self):
         state = two_by_two()
         for i in range(6):
@@ -377,8 +385,8 @@ def draw_storm_instance(rng, max_flights=5):
     while True:
         state = AirspaceState(GridSpec(0, 0, 3, 2, 10.0), bucket_seconds=300.0,
                               calm_capacity=rng.randint(2, 3),
-                              severe_capacity=rng.choice([0, 1, 1]),
-                              now=rng.choice([0.0, 300.0]))
+                              severe_capacity=rng.choice([0, 1, 1]))
+        state.advance_weather(rng.choice([0.0, 300.0]))
         for i in range(rng.randint(2, max_flights)):
             cell = rng.choice([(0, 0), (0, 0), (1, 0), (2, 0)])
             t0 = rng.choice([0.0, 300.0, 600.0])
@@ -479,6 +487,20 @@ class TestAdvanceWeather:
         state.advance_weather(100.0)
         with pytest.raises(PreconditionError):
             state.advance_weather(50.0)
+
+    @pytest.mark.parametrize("to_time", [math.nan, math.inf, -math.inf, 99.0, -1.0])
+    def test_clock_moves_only_forward_to_a_finite_time(self, to_time):
+        state = two_by_two()
+        for i in range(4):
+            state.try_insert(dwell(f"{i + 1:04d}", t0=300.0))
+        state.advance_weather(100.0)
+        # A re-check at any time from 100 s on would bump 0001.
+        state.set_storms((storm_covering_00(),))
+        flights, records = dict(state.flights), state.predict_congestion()
+        with pytest.raises(PreconditionError):
+            state.advance_weather(to_time)
+        assert state.now == 100.0
+        assert state.flights == flights and state.predict_congestion() == records
 
 
 class TestWeatherNegotiate:
@@ -1007,16 +1029,6 @@ class TestPredictCongestion:
         records = state.predict_congestion()
         keys = [(r.bucket_start, r.subsector[0], r.subsector[1]) for r in records]
         assert keys == sorted(keys)
-
-    def test_rejects_bad_horizon(self):
-        with pytest.raises(PreconditionError):
-            two_by_two().predict_congestion(horizon=0.0)
-
-    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
-    def test_rejects_a_nan_or_infinite_horizon(self, horizon):
-        # An infinite horizon would list empty buckets forever.
-        with pytest.raises(PreconditionError):
-            two_by_two().predict_congestion(horizon=horizon, include_empty=True)
 
 
 class TestWindowValidation:
