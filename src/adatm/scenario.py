@@ -176,10 +176,27 @@ def _num(value, path: str) -> float:
     return float(value)
 
 
-def _count(value, path: str) -> int:
+def _count(value, path: str, least: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"expected an integer, got {value!r}", path)
+    if least is not None and value < least:
+        raise ValidationError(f"expected an integer >= {least}, got {value}", path)
     return value
+
+
+def _text(value, path: str) -> str:
+    if type(value) is not str:
+        raise ValidationError(f"expected a string, got {value!r}", path)
+    return value
+
+
+def _ids(value, path: str) -> tuple[str, ...]:
+    """A list of flight ids, each a string."""
+    ids = tuple(_list(value, path, "a list of flight ids"))
+    for fid in ids:
+        if type(fid) is not str:
+            raise ValidationError(f"expected a flight id string, got {fid!r}", path)
+    return ids
 
 
 def _bool(value, path: str) -> bool:
@@ -503,7 +520,8 @@ def _outcome_from_dict(obj, path: str) -> InsertOutcome:
                                 "a list of objects")):
         where = f"{path}.new_plans[{i}]"
         new_plans.append(RouteChoice(
-            _need(p, "flight", where), _count(_need(p, "route", where), f"{where}.route"),
+            _text(_need(p, "flight", where), f"{where}.flight"),
+            _count(_need(p, "route", where), f"{where}.route"),
             _num(_need(p, "added_delay", where), f"{where}.added_delay")))
     violated = obj.get("violated")
     if violated is not None:
@@ -512,10 +530,9 @@ def _outcome_from_dict(obj, path: str) -> InsertOutcome:
         violated = (_cell(cell, where), _num(bucket, where))
     return InsertOutcome(
         status=InsertStatus(status),
-        changed_flights=tuple(_list(obj.get("changed_flights", []),
-                                    f"{path}.changed_flights", "a list of flight ids")),
+        changed_flights=_ids(obj.get("changed_flights", []), f"{path}.changed_flights"),
         new_plans=tuple(new_plans),
-        reason=obj.get("reason", ""),
+        reason=_text(obj.get("reason", ""), f"{path}.reason"),
         violated=violated,
     )
 
@@ -561,16 +578,10 @@ def _record_from_dict(obj, path: str) -> CongestionRecord:
     the number of its distinct flight ids, which are strings."""
     subsector = _cell(_need(obj, "subsector", path), f"{path}.subsector")
     bucket_start = _num(_need(obj, "bucket_start", path), f"{path}.bucket_start")
-    occupancy = _count(_need(obj, "occupancy", path), f"{path}.occupancy")
-    capacity = _count(_need(obj, "capacity", path), f"{path}.capacity")
-    for name, value in (("occupancy", occupancy), ("capacity", capacity)):
-        if value < 0:
-            raise ValidationError(f"expected a count >= 0, got {value}", f"{path}.{name}")
+    occupancy = _count(_need(obj, "occupancy", path), f"{path}.occupancy", least=0)
+    capacity = _count(_need(obj, "capacity", path), f"{path}.capacity", least=0)
     where = f"{path}.flight_ids"
-    ids = tuple(_list(_need(obj, "flight_ids", path), where, "a list of flight ids"))
-    for fid in ids:
-        if type(fid) is not str:
-            raise ValidationError(f"expected a flight id string, got {fid!r}", where)
+    ids = _ids(_need(obj, "flight_ids", path), where)
     if len(set(ids)) != len(ids):
         raise ValidationError("a flight id repeats", where)
     if occupancy != len(ids):
@@ -581,8 +592,10 @@ def _record_from_dict(obj, path: str) -> CongestionRecord:
 
 def parse_report(text: str) -> Report:
     """Read a JSON report through the scenario readers: anything but a
-    report document, or a report holding two records for one spot, raises
-    ``ValidationError``."""
+    report document, or a report holding a value that no run writes,
+    raises ``ValidationError`` naming the field's path.  No run writes two
+    records for one spot, a grid size below 1, or an id or text that is
+    not a string."""
     obj = _obj(_parse_json(text), "$")
     records = []
     spots = set()
@@ -600,17 +613,19 @@ def parse_report(text: str) -> Report:
     alerts = []
     for i, a in enumerate(_list(_need(obj, "alerts", "$"), "alerts", "a list of objects")):
         path = f"alerts[{i}]"
-        alerts.append(Alert(_need(a, "subscription", path), _need(a, "datum", path),
-                            _num(_need(a, "emitted_at", path), f"{path}.emitted_at"),
-                            _need(a, "payload_text", path)))
+        alerts.append(Alert(
+            _text(_need(a, "subscription", path), f"{path}.subscription"),
+            _text(_need(a, "datum", path), f"{path}.datum"),
+            _num(_need(a, "emitted_at", path), f"{path}.emitted_at"),
+            _text(_need(a, "payload_text", path), f"{path}.payload_text")))
     outcomes = _obj(_need(obj, "outcomes", "$"), "outcomes")
     grid = _need(obj, "grid", "$")
     stats = _need(obj, "stats", "$")
     return Report(
         seed=_count(_need(obj, "seed", "$"), "seed"),
         bucket_seconds=_num(_need(obj, "bucket_seconds", "$"), "bucket_seconds"),
-        grid_cols=_count(_need(grid, "cols", "grid"), "grid.cols"),
-        grid_rows=_count(_need(grid, "rows", "grid"), "grid.rows"),
+        grid_cols=_count(_need(grid, "cols", "grid"), "grid.cols", least=1),
+        grid_rows=_count(_need(grid, "rows", "grid"), "grid.rows", least=1),
         records=tuple(records),
         outcomes=tuple(sorted((fid, _outcome_from_dict(o, f"outcomes.{fid}"))
                               for fid, o in outcomes.items())),
@@ -752,29 +767,42 @@ def _fused_storm_confidence_from_runtime(rt: Runtime, storm_id: str) -> float:
 
 
 def _segment_data(state: AirspaceState, flight_id: str) -> list[ActiveDatum]:
+    """One datum per segment of the flight's account.
+
+    The data share one metadata and the hyperdata that ``kernel.encapsulate``
+    gives the first of them, and a cell's box is its subsector's.
+    """
     account = state.flights[flight_id]
+    version = account.version
     # Every segment payload below has the same six fields.
     metadata = Metadata(source_id=flight_id, observed_at=state.now,
                         size_hint=6, schema_tag="trajectory-segment")
+    hyperdata = None
     data = []
     for i, seg in enumerate(account.segments):
+        cell = seg.subsector
         payload = {
             "flight": flight_id,
-            "col": seg.subsector[0],
-            "row": seg.subsector[1],
+            "col": cell[0],
+            "row": cell[1],
             "entry": seg.entry,
             "exit": seg.exit,
-            "version": account.version,
+            "version": version,
         }
         key = NearnessKey(
             time=TimeInterval(seg.entry, seg.exit),
-            space=state.grid.cell_bounds(*seg.subsector),
+            space=state.subsector(*cell).bounds,
             concept=SEGMENT_CONCEPT,
         )
-        data.append(kernel.encapsulate(
-            payload, NotionKind.Assumption, metadata,
-            source_confidence=1.0, key=key,
-            datum_id=f"seg-{flight_id}-v{account.version}-{i:03d}"))
+        datum_id = f"seg-{flight_id}-v{version}-{i:03d}"
+        if hyperdata is None:
+            datum = kernel.encapsulate(payload, NotionKind.Assumption, metadata,
+                                       source_confidence=1.0, key=key, datum_id=datum_id)
+            hyperdata = datum.hyperdata
+        else:
+            datum = ActiveDatum(datum_id, NotionKind.Assumption, payload, key,
+                                metadata, hyperdata)
+        data.append(datum)
     return data
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 
@@ -123,9 +123,15 @@ class FlightAccount:
 
 @dataclass(frozen=True)
 class Option:
-    """An account a flight may move to in a negotiation."""
+    """A placement a flight may move to in a negotiation, with what the
+    search reads of it: its spots and its cost.  The account is built only
+    when the option is applied."""
 
-    account: FlightAccount
+    plan: FlightPlan
+    route_index: int
+    added_delay: float
+    version: int
+    spots: frozenset[Spot]
     #: Segments absent from the flight's current placement.
     cost: int
 
@@ -139,7 +145,8 @@ class Resolution:
 
     @property
     def choices(self) -> tuple[RouteChoice, ...]:
-        return tuple(option.account.choice for option in self.options)
+        return tuple(RouteChoice(option.plan.flight_id, option.route_index,
+                                 option.added_delay) for option in self.options)
 
 
 def _objective(picks: tuple[Option, ...]) -> tuple:
@@ -151,11 +158,10 @@ def _objective(picks: tuple[Option, ...]) -> tuple:
     on flight ids and chosen options so the optimum is unique and
     deterministic.
     """
-    moved = [option.account for option in picks]
-    ids = tuple(account.plan.flight_id for account in moved)
-    rank_key = tuple(sorted((account.plan.priority_rank for account in moved),
+    ids = tuple(option.plan.flight_id for option in picks)
+    rank_key = tuple(sorted((option.plan.priority_rank for option in picks),
                             reverse=True))
-    option_tags = tuple((account.route_index, account.added_delay) for account in moved)
+    option_tags = tuple((option.route_index, option.added_delay) for option in picks)
     return (sum(option.cost for option in picks), len(picks), rank_key, ids,
             option_tags)
 
@@ -172,10 +178,9 @@ def _feasible(picks: tuple[Option, ...], accounts: dict[str, FlightAccount],
     """
     delta = dict(base)
     for option in picks:
-        moved = option.account
-        for spot in accounts[moved.plan.flight_id].spots:
+        for spot in accounts[option.plan.flight_id].spots:
             delta[spot] = delta.get(spot, 0) - 1
-        for spot in moved.spots:
+        for spot in option.spots:
             delta[spot] = delta.get(spot, 0) + 1
     occ = state._occ
     for spot, d in delta.items():
@@ -206,9 +211,24 @@ def _cover_menus(deviators: tuple[str, ...], bit: dict[str, int],
             return None
         if held == need:
             tight += spots
-    menus = [[option for option in options[fid] if option.account.spots.isdisjoint(tight)]
+    menus = [[option for option in options[fid] if option.spots.isdisjoint(tight)]
              for fid in deviators]
     return menus if all(menus) else None
+
+
+def _spots_held(triples, dt: float) -> frozenset[Spot]:
+    """The (cell, bucket start) spots that (cell, entry, exit) triples hold.
+
+    A triple's [entry, exit) holds buckets ``floor(entry / dt)`` up to, not
+    including, ``ceil(exit / dt)``, each starting at its index times
+    ``dt``.  More than ``MAX_SPOTS`` of them in all is a
+    ``PreconditionError``, raised before any spot is built.
+    """
+    spans = [(cell, math.floor(entry / dt), math.ceil(exit_ / dt))
+             for cell, entry, exit_ in triples]
+    if sum(hi - lo for _, lo, hi in spans) > MAX_SPOTS:
+        raise PreconditionError(f"segments hold more than {MAX_SPOTS} spots")
+    return frozenset((cell, i * dt) for cell, lo, hi in spans for i in range(lo, hi))
 
 
 class AirspaceState:
@@ -244,41 +264,37 @@ class AirspaceState:
         #: Segmentation per (plan, route), filled on first use.  It depends
         #: on the plan and the grid alone, so equal plans share an entry.
         self._routes: dict[tuple[FlightPlan, int], list[TrajectorySegment]] = {}
-        #: Per cell, filled on first lookup: its subsector (closures and the
-        #: calm/severe capacities are fixed here) and the windows of the
-        #: storms that cross it; ``set_storms`` clears it.
-        self._cells: dict[tuple[int, int], tuple[Subsector, tuple[TimeInterval, ...]]] = {}
+        #: Subsector per cell, filled on first lookup.  Its box, closures and
+        #: calm/severe capacities are fixed here, so it is never cleared.
+        self._subsectors: dict[tuple[int, int], Subsector] = {}
+        #: Per cell, filled on first lookup: the windows of the storms that
+        #: cross it; ``set_storms`` clears it.
+        self._windows: dict[tuple[int, int], tuple[TimeInterval, ...]] = {}
         #: Capacity per spot, filled on first lookup; ``set_storms`` clears it.
         self._caps: dict[Spot, int] = {}
 
     # -- geometry and bookkeeping -----------------------------------------
 
     def subsector(self, col: int, row: int) -> Subsector:
-        return Subsector(
-            index=(col, row),
-            bounds=self.grid.cell_bounds(col, row),
-            calm_capacity=self.calm_capacity,
-            severe_capacity=self.severe_capacity,
-            closed_intervals=self.closures.get((col, row), ()),
-        )
+        sub = self._subsectors.get((col, row))
+        if sub is None:
+            sub = self._subsectors[col, row] = Subsector(
+                index=(col, row),
+                bounds=self.grid.cell_bounds(col, row),
+                calm_capacity=self.calm_capacity,
+                severe_capacity=self.severe_capacity,
+                closed_intervals=self.closures.get((col, row), ()),
+            )
+        return sub
 
     def bucket_interval(self, bucket_start: float) -> TimeInterval:
         return TimeInterval(bucket_start, bucket_start + self.bucket_seconds)
 
     def segment_spots(self, segments) -> frozenset[Spot]:
-        """The (cell, bucket start) spots the segments hold.
-
-        A segment [entry, exit) holds buckets ``floor(entry / dt)`` up to,
-        not including, ``ceil(exit / dt)``, each starting at its index
-        times ``dt``.  More than ``MAX_SPOTS`` of them in all is a
-        ``PreconditionError``, raised before any spot is built.
-        """
-        dt = self.bucket_seconds
-        spans = [(seg.subsector, math.floor(seg.entry / dt), math.ceil(seg.exit / dt))
-                 for seg in segments]
-        if sum(hi - lo for _, lo, hi in spans) > MAX_SPOTS:
-            raise PreconditionError(f"segments hold more than {MAX_SPOTS} spots")
-        return frozenset((cell, i * dt) for cell, lo, hi in spans for i in range(lo, hi))
+        """The (cell, bucket start) spots the segments hold (see
+        :func:`_spots_held`)."""
+        return _spots_held(((seg.subsector, seg.entry, seg.exit) for seg in segments),
+                           self.bucket_seconds)
 
     def occupancy(self, subsector: tuple[int, int], bucket_start: float) -> int:
         return len(self._occ.get((subsector, bucket_start), ()))
@@ -290,14 +306,13 @@ class AirspaceState:
         spot = (subsector, bucket_start)
         cap = self._caps.get(spot)
         if cap is None:
-            cell = self._cells.get(subsector)
-            if cell is None:
-                sub = self.subsector(*subsector)
-                windows = (airspace.storm_overlap_window(storm, sub.bounds)
-                           for storm in self.storms)
-                cell = self._cells[subsector] = (
-                    sub, tuple(window for window in windows if window is not None))
-            sub, windows = cell
+            sub = self.subsector(*subsector)
+            windows = self._windows.get(subsector)
+            if windows is None:
+                overlaps = (airspace.storm_overlap_window(storm, sub.bounds)
+                            for storm in self.storms)
+                windows = self._windows[subsector] = tuple(
+                    window for window in overlaps if window is not None)
             if sub.closed_intervals or windows:
                 cap = bucket_capacity(sub, self.bucket_interval(bucket_start), windows)
             else:
@@ -312,13 +327,17 @@ class AirspaceState:
         The route is segmented once per plan; each placement shifts that
         segmentation by its delays.
         """
+        segments = tuple(plan_segments(plan, self._route(plan, route_index), added_delay))
+        return FlightAccount(plan, route_index, added_delay, version, segments,
+                             self.segment_spots(segments))
+
+    def _route(self, plan: FlightPlan, route_index: int) -> list[TrajectorySegment]:
+        """The segmentation of one of the plan's routes, before any delay."""
         raw = self._routes.get((plan, route_index))
         if raw is None:
             raw = self._routes[plan, route_index] = trajectory.segment_trajectory(
                 plan, self.grid, route_index)
-        segments = tuple(plan_segments(plan, raw, added_delay))
-        return FlightAccount(plan, route_index, added_delay, version, segments,
-                             self.segment_spots(segments))
+        return raw
 
     def _place(self, flight_id: str, account: FlightAccount | None) -> None:
         """Move a flight's occupancy to ``account``; None removes the flight."""
@@ -347,11 +366,15 @@ class AirspaceState:
         the offending spots come in ascending order."""
         hard: list[Spot] = []
         soft: list[Spot] = []
+        caps = self._caps
+        occ = self._occ
         for spot in spots:
-            cap = self.capacity(*spot)
+            cap = caps.get(spot)
+            if cap is None:
+                cap = self.capacity(*spot)
             if cap == 0:
                 hard.append(spot)
-            elif self.occupancy(*spot) + 1 > cap:
+            elif len(occ.get(spot, ())) + 1 > cap:
                 soft.append(spot)
         if hard:
             return Classification(CaseKind.Case3, tuple(sorted(hard)))
@@ -392,12 +415,13 @@ class AirspaceState:
 
     # -- negotiation ---------------------------------------------------------
 
-    def _options_for(self, account: FlightAccount) -> list[Option]:
-        """The accounts the flight may move to, at its next plan version.
+    def _options_for(self, account: FlightAccount, version: int) -> list[Option]:
+        """The placements the flight may move to, at plan version ``version``.
 
-        Cost is the number of a move's segments absent from the current
-        placement, compared as (cell, entry, exit) tuples, which hash faster
-        than the segments.
+        Each move's segments are kept as (cell, entry, exit) triples,
+        shifted by the same sums as :func:`plan_segments`, so its spots and
+        cost equal those of the account it would build.  Cost is the number
+        of triples absent from the current placement.
         """
         plan = account.plan
         current = {(s.subsector, s.entry, s.exit) for s in account.segments}
@@ -405,12 +429,16 @@ class AirspaceState:
                  for alt_index in range(len(plan.alternates))]
         moves += [(account.route_index, account.added_delay + extra)
                   for extra in DELAY_MENU]
+        dt = self.bucket_seconds
         options = []
         for route_index, delay in moves:
-            moved = self.account_for(plan, route_index, delay, account.version + 1)
-            cost = sum(1 for s in moved.segments
-                       if (s.subsector, s.entry, s.exit) not in current)
-            options.append(Option(moved, cost))
+            total = plan.departure_delay + delay
+            shifted = [(s.subsector, s.entry + total, s.exit + total)
+                       for s in self._route(plan, route_index)]
+            triples = [t for t in shifted if t[1] < t[2]]
+            cost = sum(1 for t in triples if t not in current)
+            options.append(Option(plan, route_index, delay, version,
+                                  _spots_held(triples, dt), cost))
         return options
 
     def negotiate(self, conflicts: tuple[Spot, ...] | list[Spot],
@@ -419,10 +447,9 @@ class AirspaceState:
 
         Involved flights are the arriving one plus every current occupant of
         a conflicted spot.  ``arriving`` is the arriving flight's account at
-        its filed placement; it negotiates at version 0, so its moves are
-        built at plan version 1.  Returns the optimal feasible
-        assignment with at most ``MAX_CHANGED_FLIGHTS`` deviators, or None
-        when none restores headroom.
+        its filed placement; its moves are at plan version 1.  Returns the
+        optimal feasible assignment with at most ``MAX_CHANGED_FLIGHTS``
+        deviators, or None when none restores headroom.
         """
         if not conflicts:
             raise PreconditionError("negotiate requires at least one conflict")
@@ -432,16 +459,15 @@ class AirspaceState:
         for spot in conflict_spots:
             occupants |= self._occ.get(spot, set())
         accounts = {fid: self.flights[fid] for fid in occupants}
-        options = {fid: self._options_for(account)
+        options = {fid: self._options_for(account, account.version + 1)
                    for fid, account in accounts.items() if not self.is_en_route(fid)}
         # Occupancy deltas against the current map; the arriving flight is
         # counted at its proposed placement until it deviates.
         base: dict[Spot, int] = dict.fromkeys(conflict_spots, 0)
         if arriving is not None:
-            newcomer = replace(arriving, version=0)
-            accounts[arriving.plan.flight_id] = newcomer
-            options[arriving.plan.flight_id] = self._options_for(newcomer)
-            for spot in newcomer.spots:
+            accounts[arriving.plan.flight_id] = arriving
+            options[arriving.plan.flight_id] = self._options_for(arriving, 1)
+            for spot in arriving.spots:
                 base[spot] = 1
         # Capacity minus occupancy, looked up on a spot's first read: here
         # for the base spots, in ``_feasible`` for the spots it checks.
@@ -489,18 +515,19 @@ class AirspaceState:
     def apply_resolution(self, resolution: Resolution) -> tuple[str, ...]:
         """Apply all deviations atomically; returns the changed flight ids.
 
-        A kept arriving flight is not placed here: its caller holds its
-        account.
+        Each pick's account is built here, once.  A kept arriving flight is
+        not placed here: its caller holds its account.
         """
         for option in resolution.options:
-            self._place(option.account.plan.flight_id, option.account)
-        return tuple(option.account.plan.flight_id for option in resolution.options)
+            self._place(option.plan.flight_id, self.account_for(
+                option.plan, option.route_index, option.added_delay, option.version))
+        return tuple(option.plan.flight_id for option in resolution.options)
 
     # -- weather reaction ----------------------------------------------------
 
     def set_storms(self, storms: tuple[StormCell, ...]) -> None:
         self.storms = tuple(storms)
-        self._cells.clear()
+        self._windows.clear()
         self._caps.clear()
 
     def advance_weather(self, to_time: float) -> list[WeatherEvent]:

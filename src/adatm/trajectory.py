@@ -192,9 +192,13 @@ def plan_segments(plan: FlightPlan, raw: list[TrajectorySegment],
     routes (see :func:`segment_trajectory`) shifted by all delays.
 
     A segment that the shift rounds to zero length is dropped; its
-    neighbours still meet, at the instant it collapsed to.
+    neighbours still meet, at the instant it collapsed to.  At a zero shift
+    the segments are ``raw``'s own: ``x + 0.0`` equals ``x`` for every time
+    but -0.0, which reads as 0 wherever a segment time is used.
     """
     total = plan.departure_delay + added_delay
+    if total == 0:
+        return list(raw)
     out = []
     for s in raw:
         entry = s.entry + total

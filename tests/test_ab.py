@@ -1,0 +1,42 @@
+"""The in-process A/B timer ``tools/ab.py``."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "ab.py"
+
+
+def _ab(parent, change, *extra):
+    return subprocess.run(
+        [sys.executable, str(TOOL), str(parent), str(change), "--workload", "contended",
+         "--seed", "1", "--rounds", "1", "--scenarios", "2", *extra],
+        capture_output=True, text=True, timeout=120)
+
+
+def test_the_working_tree_against_itself():
+    done = _ab(ROOT, ROOT)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "outputs agree on 2 contended scenarios (seed 1)"
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "parent median round", "change median round",
+        "change/parent ratio, median over rounds", "rounds won by change"]
+    assert lines[-1].endswith("/1")
+
+
+def test_differing_outputs_exit_1(tmp_path):
+    # A copy whose event log words a reroute differently.
+    shutil.copytree(ROOT / "src" / "adatm", tmp_path / "src" / "adatm",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = tmp_path / "src" / "adatm" / "scenario.py"
+    text = source.read_text(encoding="utf-8")
+    assert text.count('self.rt.emit("rerouted"') == 1
+    source.write_text(text.replace('self.rt.emit("rerouted"', 'self.rt.emit("moved"'),
+                      encoding="utf-8")
+    done = _ab(ROOT, tmp_path)
+    assert done.returncode == 1
+    assert done.stderr == "error: outputs differ, scenario 0: event log differs\n"
+    assert "rounds won" not in done.stdout

@@ -247,11 +247,19 @@ def _first_record(**fields):
     return _edited(lambda doc: doc["records"][0].update(fields))
 
 
+def _alert(**fields):
+    """An edit adding one alert, well formed but for ``fields``."""
+    alert = {"subscription": "watch", "datum": "seg-0001-v1-000", "emitted_at": 0.0,
+             "payload_text": "x=1"}
+    return _edited(lambda doc: doc["alerts"].append(alert | fields))
+
+
 #: Malformed reports, each with the path its error names: the first four
 #: used to end in a traceback from ``diff``, the next three were misread
-#: without an error, and the last six hold records that no run writes but
-#: that used to read back (the first of them, a contradicting record before
-#: the true one, diffed as identical).
+#: without an error, the next six hold records that no run writes but that
+#: used to read back (the first of them, a contradicting record before the
+#: true one, diffed as identical), and the last eight hold an outcome, a
+#: grid size or an alert that no run writes but that used to read back.
 MALFORMED_REPORTS = {
     "outcomes-a-list": (_edited(lambda doc: doc.update(outcomes=[])), "outcomes"),
     "outcome-not-an-object": (
@@ -274,6 +282,19 @@ MALFORMED_REPORTS = {
     "flight-id-repeats": (_first_record(occupancy=2, flight_ids=["0001", "0001"]),
                           "records[0].flight_ids"),
     "occupancy-not-the-ids": (_first_record(occupancy=5), "records[0].occupancy"),
+    "reason-a-number": (_edited(lambda doc: doc["outcomes"]["0001"].update(reason=5)),
+                        "outcomes.0001.reason"),
+    "changed-flights-not-strings": (
+        _edited(lambda doc: doc["outcomes"]["0001"].update(changed_flights=[None, 3])),
+        "outcomes.0001.changed_flights"),
+    "new-plan-flight-a-number": (
+        _edited(lambda doc: doc["outcomes"]["0001"]["new_plans"][0].update(flight=7)),
+        "outcomes.0001.new_plans[0].flight"),
+    "grid-cols-negative": (_edited(lambda doc: doc["grid"].update(cols=-4)), "grid.cols"),
+    "grid-rows-zero": (_edited(lambda doc: doc["grid"].update(rows=0)), "grid.rows"),
+    "alert-subscription-a-number": (_alert(subscription=1), "alerts[0].subscription"),
+    "alert-datum-null": (_alert(datum=None), "alerts[0].datum"),
+    "alert-payload-text-a-list": (_alert(payload_text=[]), "alerts[0].payload_text"),
 }
 
 

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adatm import (
+    AirspaceState,
+    FlightPlan,
+    GridSpec,
     InsertStatus,
+    NotionKind,
+    Waypoint,
     diff_reports,
     load_scenario,
     parse_report,
@@ -21,8 +26,15 @@ from adatm import (
     run_simulation,
     simulate,
 )
+from adatm import kernel
 from adatm.errors import AdatmError, ParseError, UsageError, ValidationError
-from adatm.scenario import _Driver, Report, report_to_dict, scenario_from_dict
+from adatm.scenario import (
+    Report,
+    _Driver,
+    _segment_data,
+    report_to_dict,
+    scenario_from_dict,
+)
 from adatm.scheduler import Alert, RunStats
 from adatm.traffic import CongestionRecord, InsertOutcome, RouteChoice
 
@@ -33,6 +45,7 @@ from conftest import (
     storm_reroute_scenario,
 )
 from test_golden import BENCH_SCENARIOS, DEMO_SCENARIOS, PINS, _bench_workloads
+from test_golden import _outputs as golden_outputs
 from test_golden import _scenario as golden_scenario
 
 
@@ -309,8 +322,9 @@ OUTCOMES = st.builds(
     st.lists(st.builds(RouteChoice, REPORT_TEXT, REPORT_INTS, REPORT_FLOATS),
              max_size=2).map(tuple),
     REPORT_TEXT, st.none() | SPOTS)
+#: Reports as ``parse_report`` reads them: the grid is at least 1 x 1.
 REPORTS = st.builds(
-    Report, REPORT_INTS, REPORT_FLOATS, REPORT_INTS, REPORT_INTS,
+    Report, REPORT_INTS, REPORT_FLOATS, st.integers(1, 10**20), st.integers(1, 10**20),
     RECORDS,
     st.dictionaries(REPORT_TEXT, OUTCOMES, max_size=3).map(
         lambda d: tuple(sorted(d.items()))),
@@ -510,6 +524,57 @@ class TestSubscriptionsEndToEnd:
         alerted = {a.datum_id for a in report.alerts}
         assert "obs-001" not in alerted
         assert any(d.startswith("seg-f1-") for d in alerted)
+
+
+class TestSegmentDataShareTheirParts:
+    """The segment data of one publication share the first datum's
+    hyperdata and metadata, and a cell's box is one object."""
+
+    def test_one_hyperdata_and_one_box_per_cell(self):
+        state = AirspaceState(GridSpec(0, 0, 2, 2, 10.0))
+        # Out to cell (1, 0) and back: two segments in cell (0, 0).
+        state.try_insert(FlightPlan("f1", (Waypoint(1.0, 5.0, 0.0),
+                                           Waypoint(15.0, 5.0, 600.0),
+                                           Waypoint(1.0, 5.0, 1200.0))))
+        state.try_insert(FlightPlan("f2", (Waypoint(1.0, 5.0, 0.0),
+                                           Waypoint(9.0, 5.0, 900.0))))
+        boxes = {}
+        for fid in ("f1", "f2"):
+            data = _segment_data(state, fid)
+            assert len(data) == len(state.flights[fid].segments)
+            first = data[0]
+            for datum in data:
+                assert datum == kernel.encapsulate(
+                    datum.payload, NotionKind.Assumption, datum.metadata,
+                    source_confidence=1.0, key=datum.key, datum_id=datum.id)
+                assert datum.hyperdata is first.hyperdata
+                assert datum.metadata is first.metadata
+                cell = (datum.payload["col"], datum.payload["row"])
+                assert datum.key.space == state.grid.cell_bounds(*cell)
+                assert boxes.setdefault(cell, datum.key.space) is datum.key.space
+        assert len(_segment_data(state, "f1")) == 3 and set(boxes) == {(0, 0), (1, 0)}
+
+
+class TestNegativeZeroTime:
+    """A route starting at -0.0 keeps that sign in its shared segments, and
+    every output reads it as 0."""
+
+    def test_same_outputs_as_a_start_at_zero(self):
+        doc = json.loads((DEMO_SCENARIOS / "saturated_cell_reroute.json").read_text())
+        doc["subscriptions"] = [{"id": "segments", "query": {
+            "mode": "focused", "concept_prefix": "airspace/traffic/segment"}}]
+        negative = copy.deepcopy(doc)
+        for flight in negative["flights"]:
+            for route in [flight["waypoints"], *flight["alternates"]]:
+                assert route[0][2] == 0.0
+                route[0][2] = -0.0
+        zero, signed = (load_scenario(json.dumps(d)) for d in (doc, negative))
+        assert math.copysign(1.0, signed.flights[0].waypoints[0].t) == -1.0
+        run = simulate(signed)
+        assert run.report.alerts
+        assert any(math.copysign(1.0, account.segments[0].entry) == -1.0
+                   for account in run.state.flights.values())
+        assert golden_outputs(signed) == golden_outputs(zero)
 
 
 class TestStormConfirmation:

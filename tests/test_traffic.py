@@ -8,7 +8,6 @@ candidate assignment.
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -423,7 +422,7 @@ def spy_feasible(monkeypatch):
     real = traffic._feasible
 
     def spy(picks, *args):
-        reached.append({option.account.plan.flight_id for option in picks})
+        reached.append({option.plan.flight_id for option in picks})
         return real(picks, *args)
 
     monkeypatch.setattr(traffic, "_feasible", spy)
@@ -579,8 +578,8 @@ def spy_applied(monkeypatch):
     real = AirspaceState.apply_resolution
 
     def spy(self, resolution):
-        applied.append((resolution, {option.account.plan.flight_id:
-                                     self.flights.get(option.account.plan.flight_id)
+        applied.append((resolution, {option.plan.flight_id:
+                                     self.flights.get(option.plan.flight_id)
                                      for option in resolution.options}))
         return real(self, resolution)
 
@@ -589,19 +588,17 @@ def spy_applied(monkeypatch):
 
 
 def assert_movers_hold_the_picked_accounts(state, applied):
-    """Each moved flight holds its picked option's account itself, one plan
-    version past its previous one (an arrival at version 1), equal to the
-    same placement built by a fresh state."""
+    """Each moved flight holds its picked placement, one plan version past
+    its previous one (an arrival at version 1), equal to the same placement
+    built by a fresh state."""
     fresh = AirspaceState(state.grid, bucket_seconds=state.bucket_seconds)
     assert applied
     for resolution, before in applied:
         for option in resolution.options:
-            moved = option.account
-            previous = before[moved.plan.flight_id]
-            assert state.flights[moved.plan.flight_id] is moved
-            assert moved.version == (1 if previous is None else previous.version + 1)
-            assert moved == fresh.account_for(moved.plan, moved.route_index,
-                                              moved.added_delay, moved.version)
+            previous = before[option.plan.flight_id]
+            version = 1 if previous is None else previous.version + 1
+            assert state.flights[option.plan.flight_id] == fresh.account_for(
+                option.plan, option.route_index, option.added_delay, version)
 
 
 class TestOccupancyInvariant:
@@ -871,6 +868,57 @@ class TestSpotAllocationBound:
             state.account_for(dwell("g", t1=6030.0))
 
 
+class TestOptionsMatchTheirAccounts:
+    """An option holds the spots and the cost of the account it would
+    build: ``segment_spots`` of that account's segments, and the number of
+    them absent from the flight's current placement."""
+
+    @pytest.mark.parametrize("bucket", [7.0, 60.0])
+    def test_spots_and_cost_equal_account_for(self, bucket):
+        rng = random.Random(f"options:{bucket}")
+        state = AirspaceState(GridSpec(0, 0, 8, 8, 10.0), bucket_seconds=bucket)
+        for trial in range(100):
+            t0 = rng.uniform(0.0, 600.0)
+            t1 = t0 + rng.uniform(60.0, 2400.0)
+            route = _random_route(rng, t0, t1, rng.randint(1, 4))
+            alternates = []
+            for _ in range(rng.randint(0, 2)):
+                alternate = _random_route(rng, t0, t1, rng.randint(2, 4))
+                alternate[0][:2], alternate[-1][:2] = route[0][:2], route[-1][:2]
+                alternates.append(alternate)
+            # An alternate equal to the filed route costs nothing at the same delay.
+            if alternates and rng.random() < 0.5:
+                alternates[0] = route
+            plan = plan_of(f"f{trial % 4}", route, alternates=alternates,
+                           delay=rng.choice([0.0, 37.3, rng.uniform(0.0, 900.0)]))
+            current = state.account_for(
+                plan, rng.randrange(-1, len(alternates)),
+                rng.choice([0.0, *DELAY_MENU, rng.uniform(0.0, 900.0)]), rng.randint(1, 4))
+            held = {(s.subsector, s.entry, s.exit) for s in current.segments}
+            options = state._options_for(current, current.version + 1)
+            assert [(o.route_index, o.added_delay) for o in options] == \
+                [(i, current.added_delay) for i in range(len(alternates))] + \
+                [(current.route_index, current.added_delay + d) for d in DELAY_MENU]
+            for option in options:
+                moved = state.account_for(plan, option.route_index, option.added_delay,
+                                          option.version)
+                assert option.plan is plan and option.version == current.version + 1
+                assert option.spots == state.segment_spots(moved.segments)
+                assert option.cost == sum(1 for s in moved.segments
+                                          if (s.subsector, s.entry, s.exit) not in held)
+
+    def test_an_over_long_option_raises(self, monkeypatch):
+        # The filed dwell holds 101 buckets; its alternate enters and leaves
+        # the cell above mid-bucket, so its three segments hold 103.
+        monkeypatch.setattr(traffic, "MAX_SPOTS", 101)
+        state = two_by_two()
+        plan = dwell("f", t1=6030.0, alternates=[arc_alt(t1=6030.0)])
+        current = state.account_for(plan)
+        assert len(current.spots) == 101
+        with pytest.raises(PreconditionError):
+            state._options_for(current, 2)
+
+
 def contended_bank():
     """A bench-like contended bank: five flights leave cell (0, 1) in its
     first bucket and cross row 1 of a 4x4 grid of calm capacity 4, each
@@ -904,10 +952,11 @@ class TestRoomOnFirstRead:
         assert verdict.kind is CaseKind.Case2
         expected = brute_force_negotiate(state, verdict.spots, plans[4])
         occupants = set().union(*(state.flights_in(*spot) for spot in verdict.spots))
-        accounts = [state.flights[fid] for fid in occupants] + [replace(arriving, version=0)]
+        accounts = [state.flights[fid] for fid in occupants] + [arriving]
+        options = [option for account in accounts
+                   for option in state._options_for(account, account.version + 1)]
         held = set().union(*(account.spots for account in accounts),
-                           *(option.account.spots for account in accounts
-                             for option in state._options_for(account)))
+                           *(option.spots for option in options))
         looked_up = []
         real = AirspaceState.capacity
 

@@ -186,6 +186,29 @@ class TestPlanSegments:
         assert alternate[0].entry == 0.0
 
 
+class TestZeroShift:
+    """At a zero total delay ``plan_segments`` returns the route's own
+    segments; any other shift builds new ones."""
+
+    def test_the_routes_own_segments(self):
+        plan = plan_of([[1.0, 1.0, 0.0], [75.0, 41.0, 700.0]])
+        raw = segment_trajectory(plan, GRID)
+        assert len(raw) > 1
+        shared = plan_segments(plan, raw)
+        assert shared == raw and shared is not raw
+        assert all(a is b for a, b in zip(shared, raw))
+        moved = plan_segments(plan, raw, added_delay=60.0)
+        assert not any(a is b for a, b in zip(moved, raw))
+
+    def test_a_negative_zero_start_keeps_its_sign(self):
+        # -0.0 + 0.0 is 0.0, so the shared segment is the one time that a
+        # shift by zero would have written differently; it compares as 0.
+        plan = plan_of([[1.0, 1.0, -0.0], [75.0, 1.0, 700.0]])
+        first = plan_segments(plan, segment_trajectory(plan, GRID))[0]
+        assert math.copysign(1.0, first.entry) == -1.0
+        assert first.entry == 0.0 and hash(first.entry) == hash(0.0)
+
+
 class TestSegmentInterval:
     @pytest.mark.parametrize("entry, exit_", [
         (math.nan, 10.0), (0.0, math.nan), (math.nan, math.nan), (5.0, 5.0), (6.0, 5.0)])

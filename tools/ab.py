@@ -1,0 +1,154 @@
+"""Time two trees of this repository against each other in one process.
+
+Usage::
+
+    python tools/ab.py PARENT_TREE CHANGE_TREE --workload contended --seed 7 --rounds 20
+
+Each tree's ``src/adatm`` is copied into a temporary directory under its
+own package name (``adatm_a`` for PARENT_TREE, ``adatm_b`` for
+CHANGE_TREE), so both load side by side.  The scenarios are those of one
+benchmark workload at one seed (``bench/workloads.py`` of this
+repository; ``--scenarios`` takes only the first few).
+
+First every scenario is run once on each tree: unless the report JSON and
+the event log have the same SHA-256 on both, the tool prints the first
+scenario that differs and exits 1.  Then each round times ``simulate``
+plus the JSON render of every scenario on both trees, the tree that goes
+first alternating from one call to the next.  The tool prints each tree's
+median round time, the median over rounds of CHANGE/PARENT round time,
+and the rounds that CHANGE won.
+
+Both trees see the same machine at nearly the same moment, so the ratio
+holds up when the machine's speed drifts.  That makes the tool fit for
+attributing a change to its parts (each part left out in turn); a speed
+claim still comes from ``bench/run.py``.  Nothing is written inside
+either tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import hashlib
+import importlib
+import importlib.util
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Package name of each side's copy of ``adatm``.
+PACKAGES = ("adatm_a", "adatm_b")
+
+
+def _workloads():
+    """``bench/workloads.py`` of this repository, imported without
+    touching ``bench/``."""
+    spec = importlib.util.spec_from_file_location(
+        "adatm_ab_workloads", ROOT / "bench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def _load_trees(trees: list[Path], into: Path) -> list:
+    """Each tree's ``adatm.scenario``, imported from a renamed copy."""
+    sys.path.insert(0, str(into))
+    modules = []
+    for tree, package in zip(trees, PACKAGES):
+        shutil.copytree(tree / "src" / "adatm", into / package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        modules.append(importlib.import_module(f"{package}.scenario"))
+    return modules
+
+
+def _run(scenario_mod, scenario) -> tuple[str, str]:
+    """The report JSON and the event log of one simulation."""
+    run = scenario_mod.simulate(scenario)
+    return scenario_mod.render_report(run.report, "json"), run.event_log
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _first_difference(modules, scenarios) -> str | None:
+    for index, pair in enumerate(zip(*scenarios)):
+        outputs = [_run(mod, scenario) for mod, scenario in zip(modules, pair)]
+        for part, a, b in zip(("report JSON", "event log"), *outputs):
+            if _sha(a) != _sha(b):
+                return f"scenario {index}: {part} differs"
+    return None
+
+
+def _time_rounds(modules, scenarios, rounds: int) -> list[tuple[float, float]]:
+    """Per round, each tree's summed ``simulate`` plus render time."""
+    out = []
+    calls = 0
+    for _ in range(rounds):
+        totals = [0.0, 0.0]
+        for pair in zip(*scenarios):
+            order = (0, 1) if calls % 2 == 0 else (1, 0)
+            calls += 1
+            for side in order:
+                gc.collect()
+                start = time.perf_counter()
+                _run(modules[side], pair[side])
+                totals[side] += time.perf_counter() - start
+        out.append((totals[0], totals[1]))
+    return out
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(
+        prog="tools/ab.py", description=__doc__.split("\n", 1)[0])
+    parser.add_argument("parent", type=Path, help="tree timed as PARENT")
+    parser.add_argument("change", type=Path, help="tree timed as CHANGE")
+    parser.add_argument("--workload", required=True, help="benchmark workload name")
+    parser.add_argument("--seed", type=int, required=True, help="workload seed")
+    parser.add_argument("--rounds", type=int, default=20, help="timed rounds")
+    parser.add_argument("--scenarios", type=int, default=None,
+                        help="use only the first N scenarios of the workload")
+    args = parser.parse_args(argv)
+    sys.dont_write_bytecode = True  # leave both trees and bench/ as they were
+    workloads = _workloads()
+    if args.workload not in workloads:
+        parser.error(f"unknown workload {args.workload!r}; "
+                     f"one of {', '.join(sorted(workloads))}")
+    if args.rounds < 1 or args.scenarios is not None and args.scenarios < 1:
+        parser.error("--rounds and --scenarios must be at least 1")
+    trees = [args.parent.resolve(), args.change.resolve()]
+    for tree in trees:
+        if not (tree / "src" / "adatm").is_dir():
+            parser.error(f"{tree} has no src/adatm")
+    spec = workloads[args.workload]
+    count = spec.scenarios if args.scenarios is None else min(args.scenarios,
+                                                              spec.scenarios)
+    texts = [spec.generate(args.seed, index) for index in range(count)]
+
+    with tempfile.TemporaryDirectory(prefix="adatm-ab-") as tmp:
+        modules = _load_trees(trees, Path(tmp))
+        scenarios = [[mod.load_scenario(text) for text in texts] for mod in modules]
+        difference = _first_difference(modules, scenarios)
+        if difference is not None:
+            print(f"error: outputs differ, {difference}", file=sys.stderr)
+            return 1
+        print(f"outputs agree on {count} {args.workload} scenarios (seed {args.seed})")
+        rounds = _time_rounds(modules, scenarios, args.rounds)
+    parent_s = statistics.median(a for a, _ in rounds)
+    change_s = statistics.median(b for _, b in rounds)
+    ratio = statistics.median(b / a for a, b in rounds)
+    won = sum(1 for a, b in rounds if b < a)
+    print(f"parent median round: {parent_s:.6f} s")
+    print(f"change median round: {change_s:.6f} s")
+    print(f"change/parent ratio, median over rounds: {ratio:.3f}")
+    print(f"rounds won by change: {won}/{len(rounds)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
