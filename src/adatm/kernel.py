@@ -14,9 +14,8 @@ monotone, and closed over [0, 1].
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping
 
@@ -134,12 +133,13 @@ class ActiveDatum:
     key: NearnessKey
     metadata: Metadata
     hyperdata: Hyperdata
+    #: The payload's canonical text, built once: the payload never changes
+    #: once wrapped, and duplicate detection compares it on every peer
+    #: encounter.  Equality, hash and repr ignore it.
+    text: str = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
-    def text(self) -> str:
-        # The payload never changes once wrapped, so cache the canonical form;
-        # duplicate detection compares it on every peer encounter.
-        return canonical_text(self.payload)
+    def __post_init__(self):
+        object.__setattr__(self, "text", canonical_text(self.payload))
 
     @property
     def confidence(self) -> float:

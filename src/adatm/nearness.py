@@ -248,12 +248,14 @@ class QuerySpec:
         """Evaluate this query's predicate against a single key."""
         near = self._near
         if near is not None:
-            ct0, ct1, cx0, cy0, cx1, cy1, rt, rs, rc, concept = near
-            kt0, kt1, kx0, ky0, kx1, ky1, kc = key._flat
+            flat = key._flat
             # The time gap, max(a, b, 0) for the two signed differences,
-            # exceeds a radius r >= 0 exactly when a or b does.
-            if kt0 - ct1 > rt or ct0 - kt1 > rt:
+            # exceeds a radius r >= 0 exactly when a or b does.  It comes
+            # first, and the rest is unpacked only for keys that pass it.
+            if flat[0] - near[1] > near[6] or near[0] - flat[1] > near[6]:
                 return False
+            _, _, cx0, cy0, cx1, cy1, _, rs, rc, concept = near
+            _, _, kx0, ky0, kx1, ky1, kc = flat
             # The box gap is Euclidean over the axis gaps.  An axis's gap is
             # whichever of its two differences is positive (both boxes have
             # ordered corners, so at most one is), else 0; two zero gaps are
@@ -276,6 +278,17 @@ class QuerySpec:
         return True
 
 
+def _reach(spec: QuerySpec) -> tuple | None:
+    """What :meth:`NearnessIndex._candidates` reads of a query: the box
+    it looks in and the space radius around it, or None when every item
+    is a candidate."""
+    if spec.mode is QueryMode.Neighborhood:
+        _, _, x0, y0, x1, y1, _, r, _, _ = spec._near
+        return None if math.isinf(r) else (x0, y0, x1, y1, r)
+    b = spec.box
+    return None if b is None else (b.x0, b.y0, b.x1, b.y1, 0.0)
+
+
 class NearnessIndex:
     """Uniform loose grid over space of :class:`NearnessKey` items.
 
@@ -288,6 +301,10 @@ class NearnessIndex:
     it (the loose grid of Ulrich's loose octrees).  The grid prunes by
     space only; every candidate is run through the exact query predicate,
     so results match a linear scan.
+
+    Queries with one reach (see :func:`_reach`) have the same candidates
+    until the next write, so the index keeps each reach's candidate ids
+    and keys, in id order, until an insert or a remove clears them all.
     """
 
     def __init__(self, cell_size: float = 1.0):
@@ -306,6 +323,8 @@ class NearnessIndex:
         # along x and along y.
         self._wide = 0
         self._tall = 0
+        #: Reach -> its candidates' ids in ascending order and their keys.
+        self._memo: dict[tuple | None, tuple[tuple[str, ...], tuple[NearnessKey, ...]]] = {}
 
     def __len__(self) -> int:
         return len(self._items)
@@ -375,6 +394,7 @@ class NearnessIndex:
         _, _, x0, y0, x1, y1, _ = key._flat
         i0, j0, i1, j1 = self._cell(x0), self._cell(y0), self._cell(x1), self._cell(y1)
         self._items[item_id] = key
+        self._memo.clear()
         if i0 is None or j0 is None or i1 is None or j1 is None or \
                 (i1 - i0 + 1) * (j1 - j0 + 1) > _MAX_CELLS_PER_ITEM:
             self._oversize[item_id] = key
@@ -392,6 +412,7 @@ class NearnessIndex:
     def remove(self, item_id: str) -> None:
         if self._items.pop(item_id, None) is None:
             raise NotFoundError(item_id)
+        self._memo.clear()
         cell = self._filed.pop(item_id, None)
         if cell is None:
             del self._oversize[item_id]
@@ -410,15 +431,10 @@ class NearnessIndex:
         every item is a candidate.  Each filed item is in one cell and no
         oversize item is in any, so no id is in two of the maps.
         """
-        if spec.mode is QueryMode.Neighborhood:
-            _, _, x0, y0, x1, y1, _, r, _, _ = spec._near
-            if math.isinf(r):
-                return [self._items]
-        else:
-            b = spec.box
-            if b is None:
-                return [self._items]
-            r, x0, y0, x1, y1 = 0.0, b.x0, b.y0, b.x1, b.y1
+        reach = _reach(spec)
+        if reach is None:
+            return [self._items]
+        x0, y0, x1, y1, r = reach
         cols = self._axis(x0, x1, r, self._wide)
         rows = self._axis(y0, y1, r, self._tall)
         if cols is None or rows is None:
@@ -437,12 +453,15 @@ class NearnessIndex:
         return [self._oversize, *cells]
 
     def query(self, spec: QuerySpec) -> list[str]:
-        """Ids matching the query, in ascending identifier order."""
+        """Ids matching the query, in ascending identifier order, as a new
+        list the caller may change."""
+        reach = _reach(spec)
+        memo = self._memo.get(reach)
+        if memo is None:
+            ids = sorted(i for cell in self._candidates(spec) for i in cell)
+            memo = self._memo[reach] = tuple(ids), tuple(map(self._items.__getitem__, ids))
         matches = spec.matches
-        hits = [i for ids in self._candidates(spec) for i, key in ids.items()
-                if matches(key)]
-        hits.sort()
-        return hits
+        return [i for i, key in zip(*memo) if matches(key)]
 
     def scan(self, spec: QuerySpec) -> list[str]:
         """Reference linear scan applying the same predicate to every item."""

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
+from types import MappingProxyType
 
 # Segmentation and storm windows are called through their modules, where
 # the benchmark's tracer (bench/tracing.py) counts them.
@@ -254,8 +255,9 @@ class AirspaceState:
         self.bucket_seconds = bucket_seconds
         self.calm_capacity = calm_capacity
         self.severe_capacity = severe_capacity
-        self.storms: tuple[StormCell, ...] = tuple(storms)
-        self.closures = dict(closures or {})
+        self._storms: tuple[StormCell, ...] = tuple(storms)
+        #: Read-only: capacity is memoised, so later writes would be ignored.
+        self.closures = MappingProxyType(dict(closures or {}))
         self.horizon_seconds = horizon_seconds
         #: The clock starts at 0 and only ``advance_weather`` moves it.
         self.now = 0.0
@@ -525,8 +527,13 @@ class AirspaceState:
 
     # -- weather reaction ----------------------------------------------------
 
+    @property
+    def storms(self) -> tuple[StormCell, ...]:
+        """The storm picture; only :meth:`set_storms` changes it."""
+        return self._storms
+
     def set_storms(self, storms: tuple[StormCell, ...]) -> None:
-        self.storms = tuple(storms)
+        self._storms = tuple(storms)
         self._windows.clear()
         self._caps.clear()
 

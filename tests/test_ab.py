@@ -40,3 +40,21 @@ def test_differing_outputs_exit_1(tmp_path):
     assert done.returncode == 1
     assert done.stderr == "error: outputs differ, scenario 0: event log differs\n"
     assert "rounds won" not in done.stdout
+
+
+def test_flights_scales_the_headroom_workload():
+    done = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--workload", "headroom",
+         "--seed", "1", "--rounds", "1", "--scenarios", "1", "--flights", "8"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "outputs agree on 1 headroom scenarios (seed 1, 8 flights each)"
+    assert lines[-1].endswith("/1")
+
+
+def test_flights_is_refused_for_another_workload():
+    done = _ab(ROOT, ROOT, "--flights", "8")
+    assert done.returncode == 2
+    assert "--flights applies to the headroom workload only" in done.stderr
+    assert done.stdout == ""

@@ -1,6 +1,7 @@
 """Unit tests for the data-element activity functions."""
 
 import gc
+from dataclasses import fields, replace
 
 import pytest
 
@@ -50,6 +51,23 @@ class TestCanonicalText:
 
     def test_bool_is_lowercase(self):
         assert canonical_text({"ok": True}) == "ok=true"
+
+
+class TestDatumText:
+    def test_text_is_built_once_and_left_out_of_equality_and_repr(self):
+        d = make_datum("d", payload={"b": 2.0, "a": "x"})
+        assert d.text == "a=x;b=2" and d.text is d.text
+        assert "text" not in repr(d) and "a=x;b=2" not in repr(d)
+        twin = make_datum("d", payload={"b": 2, "a": "x"})
+        assert twin.text == d.text and twin == d
+        assert "text" not in [f.name for f in fields(d) if f.compare or f.hash]
+
+    def test_replace_builds_the_text_of_the_new_payload(self):
+        d = make_datum("d", payload={"a": "x"})
+        assert replace(d, payload={"a": "y"}).text == "a=y"
+        assert replace(d, metadata=Metadata("ops", 5.0)).text == "a=x"
+        with pytest.raises(ValueError):
+            replace(d, text="a=z")
 
 
 class TestEncapsulate:
@@ -196,7 +214,7 @@ class TestApplyEvidence:
         assert out.tier is not StorageTier.Deleted
 
     def test_deleted_datum_rejected(self):
-        from dataclasses import replace
+        from dataclasses import fields, replace
         d = make_datum("d")
         dead = replace(d, hyperdata=replace(d.hyperdata, tier=StorageTier.Deleted))
         with pytest.raises(LifecycleError):

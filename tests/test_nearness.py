@@ -731,6 +731,20 @@ _OPS = st.lists(st.one_of(
     max_size=40)
 
 
+def _spy_on_matches(patch):
+    """The keys that ``QuerySpec.matches`` is called on, while ``patch``
+    is in force."""
+    calls = []
+    matches = QuerySpec.matches
+
+    def spy(spec, key):
+        calls.append(key)
+        return matches(spec, key)
+
+    patch.setattr(QuerySpec, "matches", spy)
+    return calls
+
+
 class TestDisjointCandidates:
     """``query`` runs the predicate once per candidate and builds no union
     of the candidate collections, so no id may be in two of them."""
@@ -740,15 +754,8 @@ class TestDisjointCandidates:
     def test_one_match_call_per_distinct_candidate(self, ops):
         index = NearnessIndex(cell_size=1.0)
         alive: list[str] = []
-        calls = []
-        matches = QuerySpec.matches
-
-        def spy(spec, key):
-            calls.append(key)
-            return matches(spec, key)
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(QuerySpec, "matches", spy)
+            calls = _spy_on_matches(patch)
             for n, op in enumerate(ops):
                 if op[0] == "insert":
                     alive.append(f"i{n:02d}")
@@ -807,3 +814,82 @@ class TestCellsHoldKeys:
         whole = QuerySpec.focused(time_window=TimeInterval(-math.inf, math.inf))
         seen = [i for ids in index._candidates(whole) for i in ids]
         assert sorted(seen) == sorted(alive)
+
+
+#: Time spans of keys and query centers: long, later, and a point.
+_SPANS = st.sampled_from([(0.0, 3600.0), (5000.0, 6000.0), (100.0, 100.0)])
+
+
+class TestReachMemo:
+    """``query`` keeps each reach's candidates until the next write: a
+    query asked again answers from the memo with one predicate call per
+    candidate, as the first did, and every write clears the memo."""
+
+    def _ask_twice(self, index, spec, calls):
+        first = None
+        for _ in range(2):
+            calls.clear()
+            hits = index.query(spec)
+            assert len(calls) == len(_candidate_ids(index, spec))
+            assert hits == index.scan(spec)
+            if first is None:
+                first = hits
+                assert index._memo
+                # The runtime deletes the datum's own id from its answer.
+                first.append("mutated")
+            else:
+                assert "mutated" not in hits and hits is not first
+
+    @settings(max_examples=200)
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("insert"), _BOXES, _SPANS),
+        st.tuples(st.just("remove"), st.integers(0, 30)),
+        st.tuples(st.just("grow"), st.integers(0, 30), _BOXES, _SPANS),
+        st.tuples(st.just("query"), _BOXES, _SPANS, st.sampled_from([0.0, 500.0]),
+                  st.sampled_from([0.0, 1.0, 2.5, 10.0, INFINITE_RADIUS]), st.booleans())),
+        max_size=40))
+    def test_a_repeated_query_answers_as_the_scan(self, ops):
+        index = NearnessIndex(cell_size=1.0)
+        alive: list[str] = []
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _spy_on_matches(patch)
+            for n, op in enumerate(ops):
+                if op[0] == "query":
+                    _, box, span, time_radius, radius, focused = op
+                    spec = QuerySpec.focused(box=PlanarBox(*box)) if focused else \
+                        QuerySpec.neighborhood(make_key(*span, box=box), time_radius,
+                                               radius, 0)
+                    self._ask_twice(index, spec, calls)
+                    continue
+                if op[0] == "insert":
+                    alive.append(f"i{n:02d}")
+                    index.insert(alive[-1], make_key(*op[2], box=op[1]))
+                elif not alive:
+                    continue
+                elif op[0] == "remove":
+                    index.remove(alive.pop(op[1] % len(alive)))
+                else:
+                    # As a fusion re-registers its survivor under the grown key.
+                    survivor = alive[op[1] % len(alive)]
+                    grown = index.key_of(survivor).cover(make_key(*op[3], box=op[2]))
+                    index.remove(survivor)
+                    index.insert(survivor, grown)
+                assert not index._memo
+
+    def test_a_write_in_reach_between_equal_queries_is_seen(self):
+        index = NearnessIndex(cell_size=1.0)
+        index.insert("a", make_key(box=(0.5, 0.5, 0.5, 0.5)))
+        index.insert("far", make_key(box=(9.5, 9.5, 9.5, 9.5)))
+        spec = QuerySpec.neighborhood(make_key(box=(0.5, 0.5, 0.5, 0.5)), 0.0, 1.0, 0)
+        focused = QuerySpec.focused(box=PlanarBox(0.0, 0.0, 2.0, 2.0))
+        assert index.query(spec) == index.query(focused) == ["a"]
+        assert len(index._memo) == 2
+        index.insert("b", make_key(box=(1.2, 0.5, 1.2, 0.5)))
+        assert not index._memo
+        assert index.query(spec) == index.query(focused) == ["a", "b"]
+        index.remove("a")
+        assert index.query(spec) == index.query(focused) == ["b"]
+        index.remove("b")
+        index.insert("b", make_key(t0=5000.0, t1=6000.0, box=(1.2, 0.5, 1.2, 0.5)))
+        assert index.query(spec) == []
+        assert index.query(focused) == ["b"]

@@ -25,7 +25,7 @@ from adatm import (
 )
 from adatm import kernel, scheduler
 from adatm.errors import LifecycleError, NotFoundError, ValidationError
-from adatm.kernel import apply_evidence, resolve
+from adatm.kernel import apply_evidence, canonical_text, resolve
 from adatm.scheduler import ActivationTask, RuntimeEvent, legal_transition
 
 from conftest import make_datum, make_key
@@ -745,6 +745,7 @@ class TestFork:
         original, clone = rt.datum(original_id), rt.datum(clone_id)
         assert original_id == "d" and clone_id != "d"
         assert clone.payload == original.payload
+        assert clone.text == original.text == canonical_text(original.payload)
         hd_o, hd_c = original.hyperdata, clone.hyperdata
         assert (hd_c.truth, hd_c.confidence, hd_c.detail, hd_c.exposure,
                 hd_c.tier) == (hd_o.truth, hd_o.confidence, hd_o.detail,

@@ -163,6 +163,32 @@ class TestOccupancy:
             state.try_insert(dwell("0001"))
 
 
+class TestWeatherInputs:
+    """Capacity is memoised, so closures and storms change only where the
+    memo is cleared: closures never, storms through ``set_storms``."""
+
+    def test_writes_past_the_capacity_memo_raise(self):
+        closed = {(0, 0): (TimeInterval(0.0, 60.0),)}
+        storm = StormCell(id="st", box=PlanarBox(0.0, 0.0, 10.0, 10.0),
+                          velocity=(0.0, 0.0), active=TimeInterval(0.0, 3600.0))
+        assert two_by_two(closures=closed).capacity((0, 0), 0.0) == 0
+        assert two_by_two(storms=(storm,)).capacity((0, 0), 0.0) == 3
+        state = two_by_two(closures=closed)
+        closed[(0, 1)] = (TimeInterval(0.0, 60.0),)
+        assert state.capacity((0, 1), 0.0) == 6  # the state took a copy
+        state = two_by_two()
+        assert state.capacity((0, 0), 0.0) == 6
+        with pytest.raises(TypeError):
+            state.closures[(0, 0)] = (TimeInterval(0.0, 60.0),)
+        with pytest.raises(AttributeError):
+            state.storms = (storm,)
+        assert state.closures == {} and state.storms == ()
+        assert state.capacity((0, 0), 0.0) == 6
+        state.set_storms((storm,))
+        assert state.storms == (storm,)
+        assert state.capacity((0, 0), 0.0) == 3
+
+
 class TestClassifyInsert:
     def test_case1_with_headroom(self):
         state = two_by_two()

@@ -8,7 +8,10 @@ Each tree's ``src/adatm`` is copied into a temporary directory under its
 own package name (``adatm_a`` for PARENT_TREE, ``adatm_b`` for
 CHANGE_TREE), so both load side by side.  The scenarios are those of one
 benchmark workload at one seed (``bench/workloads.py`` of this
-repository; ``--scenarios`` takes only the first few).
+repository; ``--scenarios`` takes only the first few).  ``--flights N``
+gives each headroom scenario N flights instead of the benchmark's 50, to
+show how a change scales; it sets ``HEADROOM_FLIGHTS`` in the tool's own
+copy of ``bench/workloads.py``.
 
 First every scenario is run once on each tree: unless the report JSON and
 the event log have the same SHA-256 on both, the tool prints the first
@@ -45,14 +48,14 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGES = ("adatm_a", "adatm_b")
 
 
-def _workloads():
+def _workloads_module():
     """``bench/workloads.py`` of this repository, imported without
     touching ``bench/``."""
     spec = importlib.util.spec_from_file_location(
         "adatm_ab_workloads", ROOT / "bench" / "workloads.py")
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
 def _load_trees(trees: list[Path], into: Path) -> list:
@@ -113,14 +116,23 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--rounds", type=int, default=20, help="timed rounds")
     parser.add_argument("--scenarios", type=int, default=None,
                         help="use only the first N scenarios of the workload")
+    parser.add_argument("--flights", type=int, default=None,
+                        help="flights per headroom scenario")
     args = parser.parse_args(argv)
     sys.dont_write_bytecode = True  # leave both trees and bench/ as they were
-    workloads = _workloads()
+    module = _workloads_module()
+    workloads = module.WORKLOADS
     if args.workload not in workloads:
         parser.error(f"unknown workload {args.workload!r}; "
                      f"one of {', '.join(sorted(workloads))}")
     if args.rounds < 1 or args.scenarios is not None and args.scenarios < 1:
         parser.error("--rounds and --scenarios must be at least 1")
+    if args.flights is not None:
+        if args.workload != "headroom":
+            parser.error("--flights applies to the headroom workload only")
+        if args.flights < 1:
+            parser.error("--flights must be at least 1")
+        module.HEADROOM_FLIGHTS = args.flights
     trees = [args.parent.resolve(), args.change.resolve()]
     for tree in trees:
         if not (tree / "src" / "adatm").is_dir():
@@ -137,7 +149,11 @@ def main(argv: list[str]) -> int:
         if difference is not None:
             print(f"error: outputs differ, {difference}", file=sys.stderr)
             return 1
-        print(f"outputs agree on {count} {args.workload} scenarios (seed {args.seed})")
+        # Read from the scenarios, so that the line shows the flights run.
+        flights = "" if args.flights is None else \
+            f", {len(scenarios[0][0].flights)} flights each"
+        print(f"outputs agree on {count} {args.workload} scenarios "
+              f"(seed {args.seed}{flights})")
         rounds = _time_rounds(modules, scenarios, args.rounds)
     parent_s = statistics.median(a for a, _ in rounds)
     change_s = statistics.median(b for _, b in rounds)
