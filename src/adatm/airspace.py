@@ -16,7 +16,7 @@ from .errors import DomainError, ValidationError
 from .nearness import PlanarBox, TimeInterval
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridSpec:
     """Uniform grid of square subsectors."""
 
@@ -61,7 +61,7 @@ class GridSpec:
         return [(c, r) for r in range(self.rows) for c in range(self.cols)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subsector:
     """Smallest unit at which congestion is defined."""
 
@@ -76,7 +76,7 @@ class Subsector:
             raise ValidationError("severe capacity exceeds calm capacity", "capacity")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StormCell:
     """A severe-weather box translating at constant velocity.
 

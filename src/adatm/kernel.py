@@ -77,7 +77,7 @@ def _short_hash(*parts: str) -> str:
     return digest[:10]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Metadata:
     """Objective description of a datum: who produced it, when, how big."""
 
@@ -93,7 +93,7 @@ class Metadata:
             raise ValidationError("observed_at must be >= 0", "observed_at")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hyperdata:
     """Subjective, dynamic attributes of a datum."""
 
@@ -123,7 +123,7 @@ class Hyperdata:
                                   "complementary")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActiveDatum:
     """The atomic element of the system: payload + metadata + hyperdata."""
 
@@ -136,7 +136,7 @@ class ActiveDatum:
     #: The payload's canonical text, built once: the payload never changes
     #: once wrapped, and duplicate detection compares it on every peer
     #: encounter.  Equality, hash and repr ignore it.
-    text: str = field(default=None, init=False, repr=False, compare=False)
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "text", canonical_text(self.payload))
@@ -154,7 +154,7 @@ class ActiveDatum:
         return self.hyperdata.tier
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Evidence:
     """A single supporting or refuting observation about a datum."""
 
@@ -167,7 +167,7 @@ class Evidence:
             raise RangeError(f"strength {self.strength} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TierPolicy:
     """Thresholds for the storage-tier decision."""
 
@@ -182,7 +182,7 @@ class TierPolicy:
 DEFAULT_TIER_POLICY = TierPolicy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HypothesisRule:
     """Pattern -> template rule producing an explanatory datum.
 
@@ -343,11 +343,15 @@ class _Fusion:
     def duplicates(self, peer: ActiveDatum) -> bool:
         """Whether ``peer`` duplicates the running result: the one
         definition behind :func:`is_duplicate`."""
-        w, time, space = self.winner, peer.key.time, peer.key.space
+        w, key = self.winner, peer.key
+        time, space, concept = key.time, key.space, key.concept
+        # Identity first, as in ``QuerySpec.matches``: the dataclass
+        # ``__eq__`` is a Python-level call, and the data of one load or one
+        # kind share their concept path.
         return (
             w.text == peer.text
             and w.kind is peer.kind
-            and w.key.concept == peer.key.concept
+            and (w.key.concept is concept or w.key.concept == concept)
             and spans_intersect(self.t0, self.t1, time.start, time.end)
             and spans_intersect(self.x0, self.x1, space.x0, space.x1)
             and spans_intersect(self.y0, self.y1, space.y0, space.y1)

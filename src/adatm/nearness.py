@@ -50,7 +50,7 @@ def spans_intersect(a0: float, a1: float, b0: float, b1: float) -> bool:
     return max(a0, b0) < min(a1, b1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeInterval:
     """Half-open interval [start, end) in seconds; start == end is a point."""
 
@@ -77,7 +77,7 @@ class TimeInterval:
         return self.start <= t < self.end or (self.is_point and t == self.start)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanarBox:
     """Half-open axis-aligned box [x0, x1) x [y0, y1); zero extent is a point."""
 
@@ -102,7 +102,7 @@ class PlanarBox:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConceptPath:
     """Path from the root of a concept tree, e.g. root/military/operations."""
 
@@ -152,7 +152,7 @@ def _distance_or_inf(a: ConceptPath, b: ConceptPath) -> float:
     return concept_distance(a, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NearnessKey:
     """Position of a datum along all three nearness dimensions.
 
@@ -165,7 +165,7 @@ class NearnessKey:
     time: TimeInterval
     space: PlanarBox
     concept: ConceptPath
-    _flat: tuple = field(default=None, init=False, repr=False, compare=False)
+    _flat: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t, s = self.time, self.space
@@ -189,7 +189,7 @@ class QueryMode(Enum):
     Focused = "focused"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuerySpec:
     """A neighborhood (center + radii) or focused (constraints) query.
 

@@ -62,7 +62,7 @@ STORM_CONFIRMATION = 0.75
 SEGMENT_CONCEPT = ConceptPath(("airspace", "traffic", "segment"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioStorm:
     """A storm plus whether it needs observational confirmation."""
 
@@ -70,7 +70,7 @@ class ScenarioStorm:
     reported: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """A raw weather report to be encapsulated into the runtime."""
 
@@ -80,8 +80,11 @@ class Observation:
     metadata: Metadata
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
+    """A checked scenario: the grid and its bucketing, the capacities, and
+    the flights, storms, observations, subscriptions and closures to run."""
+
     grid: GridSpec
     bucket_seconds: float = 60.0
     horizon_seconds: float = 14400.0
@@ -117,8 +120,11 @@ class Scenario:
                         f"flights[{i}].{name}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Report:
+    """The outcome of a run: congestion records, each flight's insert
+    outcome, the alerts raised and the runtime's counts."""
+
     seed: int
     bucket_seconds: float
     grid_cols: int
@@ -129,8 +135,11 @@ class Report:
     stats: RunStats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiffResult:
+    """Spots found in only one of two reports, and the spots whose records
+    disagree."""
+
     only_in_a: tuple[tuple[tuple[int, int], float], ...]
     only_in_b: tuple[tuple[tuple[int, int], float], ...]
     mismatched: tuple[str, ...]
@@ -140,7 +149,7 @@ class DiffResult:
         return not (self.only_in_a or self.only_in_b or self.mismatched)
 
 
-@dataclass
+@dataclass(slots=True)
 class SimulationRun:
     """A report plus the runtime artifacts behind it."""
 
@@ -229,19 +238,25 @@ def _objects(obj: dict, name: str) -> list[tuple[str, dict]]:
 
 
 def _box(value, path: str) -> PlanarBox:
-    return PlanarBox(*(_num(v, path) for v in _list(value, path, "[x0, y0, x1, y1]", 4)))
+    x0, y0, x1, y1 = _list(value, path, "[x0, y0, x1, y1]", 4)
+    return PlanarBox(_num(x0, path), _num(y0, path), _num(x1, path), _num(y1, path))
 
 
 def _interval(value, path: str) -> TimeInterval:
-    return TimeInterval(*(_num(v, path) for v in _list(value, path, "[start, end]", 2)))
+    start, end = _list(value, path, "[start, end]", 2)
+    return TimeInterval(_num(start, path), _num(end, path))
 
 
-def _key_from_dict(obj: dict, path: str) -> NearnessKey:
-    return NearnessKey(
-        time=_interval(_need(obj, "time", path), f"{path}.time"),
-        space=_box(_need(obj, "box", path), f"{path}.box"),
-        concept=ConceptPath.parse(str(_need(obj, "concept", path))),
-    )
+def _key_from_dict(obj: dict, path: str, concepts: dict[str, ConceptPath]) -> NearnessKey:
+    """A key; ``concepts`` maps each concept text read so far in this load
+    to its one path, so that keys with equal concepts share it."""
+    time = _interval(_need(obj, "time", path), f"{path}.time")
+    space = _box(_need(obj, "box", path), f"{path}.box")
+    text = str(_need(obj, "concept", path))
+    concept = concepts.get(text)
+    if concept is None:
+        concept = concepts[text] = ConceptPath.parse(text)
+    return NearnessKey(time, space, concept)
 
 
 def _key_to_dict(key: NearnessKey) -> dict:
@@ -252,11 +267,11 @@ def _key_to_dict(key: NearnessKey) -> dict:
     }
 
 
-def _query_from_dict(obj: dict, path: str) -> QuerySpec:
+def _query_from_dict(obj: dict, path: str, concepts: dict[str, ConceptPath]) -> QuerySpec:
     mode = str(_need(obj, "mode", path))
     if mode == "neighborhood":
         return QuerySpec.neighborhood(
-            center=_key_from_dict(_need(obj, "center", path), f"{path}.center"),
+            center=_key_from_dict(_need(obj, "center", path), f"{path}.center", concepts),
             time_radius=_radius(_need(obj, "time_radius", path), f"{path}.time_radius"),
             space_radius=_radius(_need(obj, "space_radius", path), f"{path}.space_radius"),
             concept_radius=_radius(_need(obj, "concept_radius", path),
@@ -304,7 +319,7 @@ def _route(raw, path: str, grid: GridSpec) -> tuple[Waypoint, ...]:
             raise ValidationError("waypoint must be [x, y, t] (an altitude, if "
                                   "present, is accepted and ignored)", where)
         # A 4-element waypoint carries altitude in slot 2; the plane is flat here.
-        w = Waypoint(*(_num(v, where) for v in (item[0], item[1], item[-1])))
+        w = Waypoint(_num(item[0], where), _num(item[1], where), _num(item[-1], where))
         if not grid.contains(w.x, w.y):
             raise ValidationError(f"waypoint ({w.x:g}, {w.y:g}) outside grid", where)
         if w.t < 0:
@@ -317,7 +332,11 @@ def scenario_from_dict(obj: dict) -> Scenario:
     """Check and build a scenario.
 
     Every check on the input happens here, so a scenario that loads runs
-    under both :func:`simulate` and :func:`run_oracle`.
+    under both :func:`simulate` and :func:`run_oracle`.  The scenario
+    shares nothing mutable with ``obj``.  Within one load, equal concept
+    paths are one object, and so are equal observation sources and
+    payload strings, where a decoded document holds a new string for
+    each occurrence.
     """
     if not isinstance(obj, dict):
         raise ValidationError("scenario root must be an object", "$")
@@ -357,26 +376,34 @@ def scenario_from_dict(obj: dict) -> Scenario:
             ),
             reported=reported,
         ))
+    # Concept text -> its path; a string -> its first copy.  Two maps, so
+    # that a payload value equal to a concept text stays a string.
+    concepts: dict[str, ConceptPath] = {}
+    strings: dict[str, str] = {}
     observations: list[Observation] = []
     for path, o in _objects(obj, "observations"):
-        payload = _obj(_need(o, "payload", path), f"{path}.payload")
-        for name, value in payload.items():
-            if not isinstance(value, (str, int, float, bool)):
+        payload = {}
+        for name, value in _obj(_need(o, "payload", path), f"{path}.payload").items():
+            if type(value) is str:
+                value = strings.setdefault(value, value)
+            elif not isinstance(value, (str, int, float, bool)):
                 raise ValidationError(f"payload field {name!r} must be scalar",
                                       f"{path}.payload")
-        key = _key_from_dict(_need(o, "key", path), f"{path}.key")
+            payload[name] = value
+        key = _key_from_dict(_need(o, "key", path), f"{path}.key", concepts)
         confidence = _num(_need(o, "confidence", path), f"{path}.confidence")
         if not 0.0 <= confidence <= 1.0:
             raise ValidationError("confidence outside [0, 1]", f"{path}.confidence")
         try:
+            source = str(_need(o, "source", path))
             metadata = Metadata(
-                source_id=str(_need(o, "source", path)),
+                source_id=strings.setdefault(source, source),
                 observed_at=_num(o.get("observed_at", key.time.start),
                                  f"{path}.observed_at"),
                 size_hint=len(payload), schema_tag="weather-report")
         except ValidationError as exc:
             raise ValidationError(str(exc), path) from None
-        observations.append(Observation(dict(payload), confidence, key, metadata))
+        observations.append(Observation(payload, confidence, key, metadata))
     subscriptions: dict[str, Subscription] = {}
     for path, s in _objects(obj, "subscriptions"):
         sid = str(_need(s, "id", path))
@@ -386,7 +413,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
         try:
             subscriptions[sid] = Subscription(
                 id=sid,
-                spec=_query_from_dict(_need(s, "query", path), f"{path}.query"),
+                spec=_query_from_dict(_need(s, "query", path), f"{path}.query", concepts),
                 min_confidence=_num(s.get("min_confidence", 0.0),
                                     f"{path}.min_confidence"),
                 deliver_kinds=frozenset(NotionKind) if kinds is None else frozenset(

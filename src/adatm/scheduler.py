@@ -91,8 +91,11 @@ _TIER_TO_LIFECYCLE: dict[StorageTier, LifecycleState] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subscription:
+    """A standing query: a datum of a kind in ``deliver_kinds`` that
+    matches ``spec`` with at least ``min_confidence`` raises one alert."""
+
     id: str
     spec: QuerySpec
     min_confidence: float = 0.0
@@ -118,16 +121,20 @@ class ActivationTask(NamedTuple):
         return (-self.priority, self.enqueued_seq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alert:
+    """A datum delivered to a subscription, with its payload text."""
+
     subscription_id: str
     datum_id: str
     emitted_at: float
     payload_text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
+    """A message waiting in a datum's mailbox."""
+
     sender: str
     payload: object
 
@@ -145,8 +152,10 @@ class RuntimeEvent(NamedTuple):
         return f"{self.seq}|{self.event_type}|{self.datum_id}|{self.detail}"
 
 
-@dataclass
+@dataclass(slots=True)
 class RunStats:
+    """Counts of a drain of the activation queue."""
+
     steps: int = 0
     alerts: int = 0
     merges: int = 0
@@ -154,7 +163,7 @@ class RunStats:
     quiescent: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchedulerConfig:
     """Knobs for peer discovery and storage policy.
 
@@ -177,8 +186,10 @@ class SchedulerConfig:
                 raise ValidationError(f"radius must be >= 0, got {radius}", name)
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingEvidence:
+    """Evidence posted to a datum, applied at its next activation."""
+
     seq: int
     evidence: Evidence
     at: float
@@ -242,9 +253,6 @@ class Runtime:
             return self._life[datum_id]
         except KeyError:
             raise NotFoundError(datum_id) from None
-
-    def data_ids(self) -> list[str]:
-        return sorted(self._store)
 
     def data_count(self) -> int:
         return len(self._store)

@@ -53,8 +53,10 @@ class CaseKind(Enum):
     Case3 = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
+    """The insert case of a placement, and its offending spots."""
+
     kind: CaseKind
     spots: tuple[Spot, ...] = ()
 
@@ -65,7 +67,7 @@ class InsertStatus(Enum):
     Rejected = "rejected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RouteChoice:
     """One flight's deviation: chosen route (-1 = filed) plus extra delay."""
 
@@ -74,8 +76,11 @@ class RouteChoice:
     added_delay: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InsertOutcome:
+    """What became of a flight: its status, the flights whose plans changed
+    and their choices, and for a rejection the reason and the spot."""
+
     status: InsertStatus
     changed_flights: tuple[str, ...] = ()
     new_plans: tuple[RouteChoice, ...] = ()
@@ -83,8 +88,11 @@ class InsertOutcome:
     violated: Spot | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CongestionRecord:
+    """Occupancy and capacity of one (subsector, bucket), with the ids of
+    the flights in it."""
+
     subsector: tuple[int, int]
     bucket_start: float
     occupancy: int
@@ -96,8 +104,10 @@ class CongestionRecord:
         return self.occupancy > self.capacity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeatherEvent:
+    """One effect of a weather change at one (subsector, bucket)."""
+
     kind: str  # capacity-drop | reroute | bumped | excess
     subsector: tuple[int, int]
     bucket_start: float
@@ -105,7 +115,7 @@ class WeatherEvent:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlightAccount:
     """A flight's placement: the one record of its route, delay, plan
     version, segments and spots."""
@@ -122,7 +132,7 @@ class FlightAccount:
         return RouteChoice(self.plan.flight_id, self.route_index, self.added_delay)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Option:
     """A placement a flight may move to in a negotiation, with what the
     search reads of it: its spots and its cost.  The account is built only
@@ -137,7 +147,7 @@ class Option:
     cost: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Resolution:
     """Feasible negotiation result: the picked moves plus their objective."""
 

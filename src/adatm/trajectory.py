@@ -10,20 +10,22 @@ exactly through a grid corner steps diagonally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .airspace import GridSpec
 from .errors import DomainError, ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Waypoint:
+    """A position to be reached at time ``t``, in seconds."""
+
     x: float
     y: float
     t: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlightPlan:
     """Requested route: primary waypoints plus optional alternates.
 
@@ -36,6 +38,9 @@ class FlightPlan:
     alternates: tuple[tuple[Waypoint, ...], ...] = ()
     departure_delay: float = 0.0
     priority_rank: int = 0
+    #: Placement caches are keyed by the plan, so its hash is taken once,
+    #: in ``__post_init__``.  Equality and repr ignore it.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.flight_id:
@@ -50,7 +55,6 @@ class FlightPlan:
                     (alt[-1].x, alt[-1].y) != (last.x, last.y):
                 raise ValidationError("alternate endpoints differ from primary route",
                                       f"alternates[{i}]")
-        # Placement caches are keyed by the plan: hash its waypoints once.
         object.__setattr__(self, "_hash", hash((
             self.flight_id, self.waypoints, self.alternates, self.departure_delay,
             self.priority_rank)))
@@ -78,7 +82,7 @@ def _check_route(waypoints: tuple[Waypoint, ...], path: str) -> None:
                                   f"({a.t} -> {b.t})", path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectorySegment:
     """Time spent in one subsector: half-open [entry, exit).  The flight and
     its plan version are on the account that holds the segment."""

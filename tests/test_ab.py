@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "ab.py"
 
@@ -51,6 +53,22 @@ def test_flights_scales_the_headroom_workload():
     lines = done.stdout.splitlines()
     assert lines[0] == "outputs agree on 1 headroom scenarios (seed 1, 8 flights each)"
     assert lines[-1].endswith("/1")
+
+
+def test_memory_reports_held_and_peak_bytes():
+    done = _ab(ROOT, ROOT, "--memory")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "outputs agree on 2 contended scenarios (seed 1)"
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        f"{side} {label}" for label in ("scenario set held", "simulate+render peak")
+        for side in ("parent", "change", "change/parent")]
+    values = [float(line.split(": ")[1].removesuffix(" B")) for line in lines[1:]]
+    # The same tree on both sides: equal bytes, give or take what a first
+    # call caches on the process's shared modules.
+    for parent, change, ratio in (values[:3], values[3:]):
+        assert parent > 0 and ratio == pytest.approx(change / parent, abs=1e-3)
+        assert ratio == pytest.approx(1.0, abs=0.02)
 
 
 def test_flights_is_refused_for_another_workload():

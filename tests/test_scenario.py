@@ -28,6 +28,7 @@ from adatm import (
 )
 from adatm import kernel
 from adatm.errors import AdatmError, ParseError, UsageError, ValidationError
+from adatm.nearness import ConceptPath
 from adatm.scenario import (
     Report,
     _Driver,
@@ -41,6 +42,7 @@ from adatm.traffic import CongestionRecord, InsertOutcome, RouteChoice
 from conftest import (
     congestion_scenario,
     dwell_route,
+    fusion_scenario,
     random_case1_scenario,
     storm_reroute_scenario,
 )
@@ -553,6 +555,67 @@ class TestSegmentDataShareTheirParts:
                 assert datum.key.space == state.grid.cell_bounds(*cell)
                 assert boxes.setdefault(cell, datum.key.space) is datum.key.space
         assert len(_segment_data(state, "f1")) == 3 and set(boxes) == {(0, 0), (1, 0)}
+
+
+class TestLoadSharesRepeatedValues:
+    """One load keeps one concept path per concept text and one string per
+    repeated payload string or source, and copies nothing it may share
+    with its input."""
+
+    DOC = json.dumps(minimal_dict(observations=[
+        {"payload": {"storm_id": "st-1", "kind": "radar-echo", "n": 1},
+         "source": "radar-1", "confidence": 0.5,
+         "key": {"time": [0, 60], "box": [0, 0, 1, 1], "concept": "a/b"}},
+        {"payload": {"storm_id": "st-1", "kind": "radar-echo", "n": 2},
+         "source": "radar-1", "confidence": 0.5,
+         "key": {"time": [0, 60], "box": [0, 0, 1, 1], "concept": "a/b"}},
+        {"payload": {"storm_id": "st-1", "kind": "a/b"},
+         "source": "radar-2", "confidence": 0.5,
+         "key": {"time": [0, 60], "box": [0, 0, 1, 1], "concept": "a/c"}},
+    ], subscriptions=[
+        {"id": "near", "query": {
+            "mode": "neighborhood",
+            "center": {"time": [0, 60], "box": [0, 0, 1, 1], "concept": "a/b"},
+            "time_radius": 1, "space_radius": 1, "concept_radius": 0}},
+    ]))
+
+    def test_equal_values_are_one_object(self):
+        doc = json.loads(self.DOC)
+        first, second = (o["payload"]["storm_id"] for o in doc["observations"][:2])
+        assert first == second and first is not second  # as the decoder gives them
+        s = scenario_from_dict(doc)
+        a, b, c = s.observations
+        assert a.key.concept is b.key.concept
+        assert a.key.concept is s.subscriptions[0].spec.center.concept
+        assert c.key.concept == ConceptPath(("a", "c"))
+        for name in ("storm_id", "kind"):
+            assert a.payload[name] is b.payload[name]
+        assert a.payload["storm_id"] is c.payload["storm_id"]
+        assert a.metadata.source_id is b.metadata.source_id == "radar-1"
+        # A payload value that reads like a concept text stays a string.
+        assert type(c.payload["kind"]) is str and c.payload["kind"] == "a/b"
+
+    def test_changing_the_input_after_the_load_leaves_the_scenario(self):
+        doc = json.loads(self.DOC)
+        s = scenario_from_dict(doc)
+        before = [dict(o.payload) for o in s.observations]
+        for o in doc["observations"]:
+            o["payload"]["storm_id"] = "st-9"
+            o["payload"]["extra"] = True
+        assert [o.payload for o in s.observations] == before
+        assert s == scenario_from_dict(json.loads(self.DOC))
+
+    def test_outputs_do_not_rest_on_shared_concepts(self):
+        loaded = fusion_scenario()
+        shared = loaded.observations[0].key.concept
+        assert all(o.key.concept is shared for o in loaded.observations)
+        apart = dataclasses.replace(loaded, observations=tuple(
+            dataclasses.replace(o, key=dataclasses.replace(
+                o.key, concept=ConceptPath(tuple(shared.segments))))
+            for o in loaded.observations))
+        assert apart.observations[0].key.concept is not apart.observations[1].key.concept
+        assert golden_outputs(apart) == golden_outputs(loaded)
+        assert simulate(loaded).report.stats.merges > 0
 
 
 class TestNegativeZeroTime:

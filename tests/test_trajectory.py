@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -236,3 +236,15 @@ class TestPlanHash:
             assert changed != a
             assert (changed, -1) not in cache
             assert hash(changed) == hash(replace(changed))
+
+    def test_the_stored_hash_is_in_neither_repr_nor_equality(self):
+        a = plan_of([[1.0, 5.0, 0.0], [9.0, 5.0, 600.0]])
+        b = plan_of([[1.0, 5.0, 0.0], [9.0, 5.0, 600.0]])
+        assert "_hash" not in repr(a)
+        assert repr(a) == repr(b)
+        # A plan whose stored hash is off still equals its twin: ``==``
+        # reads the fields alone.
+        object.__setattr__(b, "_hash", hash(a) + 1)
+        assert a == b
+        assert [f.name for f in fields(FlightPlan) if f.compare] == [
+            "flight_id", "waypoints", "alternates", "departure_delay", "priority_rank"]

@@ -26,6 +26,15 @@ holds up when the machine's speed drifts.  That makes the tool fit for
 attributing a change to its parts (each part left out in turn); a speed
 claim still comes from ``bench/run.py``.  Nothing is written inside
 either tree.
+
+``--memory`` measures memory instead of time, under ``tracemalloc``.  In
+each round each tree, the first alternating as above, loads the
+scenarios afresh; the tool takes the traced bytes the loaded set still
+holds, then the highest traced peak, above what is held before it, of one
+``simulate`` plus JSON render over the scenarios.  It prints each tree's
+median of both and their CHANGE/PARENT ratios.  Traced bytes count only
+what Python allocates, so they split a memory change into its parts more
+finely than the benchmark's peak RSS.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +116,49 @@ def _time_rounds(modules, scenarios, rounds: int) -> list[tuple[float, float]]:
     return out
 
 
+def _memory(scenario_mod, texts: list[str]) -> tuple[int, int]:
+    """The traced bytes that the scenarios loaded from ``texts`` hold, and
+    the highest traced peak of one of their simulations plus render, above
+    what was held before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        scenarios = [scenario_mod.load_scenario(text) for text in texts]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        peak = 0
+        for scenario in scenarios:
+            gc.collect()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _run(scenario_mod, scenario)
+            peak = max(peak, tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    return held, peak
+
+
+def _memory_rounds(modules, texts: list[str], rounds: int) -> list[tuple[int, int, int, int]]:
+    """Per round, the held and peak bytes of PARENT, then of CHANGE."""
+    out = []
+    for round_ in range(rounds):
+        sides = [(0, 0), (0, 0)]
+        for side in ((0, 1) if round_ % 2 == 0 else (1, 0)):
+            sides[side] = _memory(modules[side], texts)
+        out.append((*sides[0], *sides[1]))
+    return out
+
+
+def _print_memory(rounds: list[tuple[int, int, int, int]]) -> None:
+    for label, parent_at, change_at in (("scenario set held", 0, 2),
+                                        ("simulate+render peak", 1, 3)):
+        parent = statistics.median(r[parent_at] for r in rounds)
+        change = statistics.median(r[change_at] for r in rounds)
+        print(f"parent {label}: {parent:.0f} B")
+        print(f"change {label}: {change:.0f} B")
+        print(f"change/parent {label}: {change / parent:.3f}")
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="tools/ab.py", description=__doc__.split("\n", 1)[0])
@@ -118,6 +171,8 @@ def main(argv: list[str]) -> int:
                         help="use only the first N scenarios of the workload")
     parser.add_argument("--flights", type=int, default=None,
                         help="flights per headroom scenario")
+    parser.add_argument("--memory", action="store_true",
+                        help="measure traced memory instead of time")
     args = parser.parse_args(argv)
     sys.dont_write_bytecode = True  # leave both trees and bench/ as they were
     module = _workloads_module()
@@ -154,6 +209,9 @@ def main(argv: list[str]) -> int:
             f", {len(scenarios[0][0].flights)} flights each"
         print(f"outputs agree on {count} {args.workload} scenarios "
               f"(seed {args.seed}{flights})")
+        if args.memory:
+            _print_memory(_memory_rounds(modules, texts, args.rounds))
+            return 0
         rounds = _time_rounds(modules, scenarios, args.rounds)
     parent_s = statistics.median(a for a, _ in rounds)
     change_s = statistics.median(b for _, b in rounds)
