@@ -252,7 +252,7 @@ def _key_from_dict(obj: dict, path: str, concepts: dict[str, ConceptPath]) -> Ne
     to its one path, so that keys with equal concepts share it."""
     time = _interval(_need(obj, "time", path), f"{path}.time")
     space = _box(_need(obj, "box", path), f"{path}.box")
-    text = str(_need(obj, "concept", path))
+    text = _text(_need(obj, "concept", path), f"{path}.concept")
     concept = concepts.get(text)
     if concept is None:
         concept = concepts[text] = ConceptPath.parse(text)
@@ -268,7 +268,7 @@ def _key_to_dict(key: NearnessKey) -> dict:
 
 
 def _query_from_dict(obj: dict, path: str, concepts: dict[str, ConceptPath]) -> QuerySpec:
-    mode = str(_need(obj, "mode", path))
+    mode = _text(_need(obj, "mode", path), f"{path}.mode")
     if mode == "neighborhood":
         return QuerySpec.neighborhood(
             center=_key_from_dict(_need(obj, "center", path), f"{path}.center", concepts),
@@ -284,7 +284,8 @@ def _query_from_dict(obj: dict, path: str, concepts: dict[str, ConceptPath]) -> 
         return QuerySpec.focused(
             time_window=None if time is None else _interval(time, f"{path}.time"),
             box=None if box is None else _box(box, f"{path}.box"),
-            concept_prefix=None if prefix is None else ConceptPath.parse(str(prefix)),
+            concept_prefix=None if prefix is None else ConceptPath.parse(
+                _text(prefix, f"{path}.concept_prefix")),
         )
     raise ValidationError(f"unknown query mode {mode!r}", f"{path}.mode")
 
@@ -350,7 +351,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
     capacity = _obj(obj.get("capacity", {}), "capacity")
     flights: dict[str, FlightPlan] = {}
     for path, f in _objects(obj, "flights"):
-        fid = str(_need(f, "id", path))
+        fid = _text(_need(f, "id", path), f"{path}.id")
         if fid in flights:
             raise ValidationError(f"duplicate flight id {fid!r}", path)
         waypoints = _route(_need(f, "waypoints", path), f"{path}.waypoints", grid)
@@ -369,7 +370,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
         reported = _bool(s.get("reported", False), f"{path}.reported")
         storms.append(ScenarioStorm(
             cell=StormCell(
-                id=str(_need(s, "id", path)),
+                id=_text(_need(s, "id", path), f"{path}.id"),
                 box=_box(_need(s, "box", path), f"{path}.box"),
                 velocity=(_num(vx, f"{path}.velocity"), _num(vy, f"{path}.velocity")),
                 active=_interval(_need(s, "active", path), f"{path}.active"),
@@ -394,8 +395,8 @@ def scenario_from_dict(obj: dict) -> Scenario:
         confidence = _num(_need(o, "confidence", path), f"{path}.confidence")
         if not 0.0 <= confidence <= 1.0:
             raise ValidationError("confidence outside [0, 1]", f"{path}.confidence")
+        source = _text(_need(o, "source", path), f"{path}.source")
         try:
-            source = str(_need(o, "source", path))
             metadata = Metadata(
                 source_id=strings.setdefault(source, source),
                 observed_at=_num(o.get("observed_at", key.time.start),
@@ -406,7 +407,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
         observations.append(Observation(payload, confidence, key, metadata))
     subscriptions: dict[str, Subscription] = {}
     for path, s in _objects(obj, "subscriptions"):
-        sid = str(_need(s, "id", path))
+        sid = _text(_need(s, "id", path), f"{path}.id")
         if sid in subscriptions:
             raise ValidationError(f"duplicate subscription id {sid!r}", path)
         kinds = s.get("kinds")

@@ -46,6 +46,10 @@ MAX_SPOTS = 100_000
 #: A (subsector index, bucket start) pair naming one congestion slot.
 Spot = tuple[tuple[int, int], float]
 
+#: What a cell's capacity rests on under one storm picture: its subsector
+#: and the windows of the storms that cross it.
+CellRecord = tuple[Subsector, tuple[TimeInterval, ...]]
+
 
 class CaseKind(Enum):
     Case1 = 1
@@ -245,13 +249,12 @@ def _spots_held(triples, dt: float) -> frozenset[Spot]:
 class AirspaceState:
     """Mutable traffic picture over one grid.
 
-    All mutation happens through :meth:`try_insert`, :meth:`advance_weather`
-    and the helpers they call; reads are pure.
+    All mutation happens through :meth:`try_insert`, :meth:`set_storms`,
+    :meth:`advance_weather` and the helpers they call; reads are pure.
     """
 
     def __init__(self, grid: GridSpec, bucket_seconds: float = 60.0,
                  calm_capacity: int = 6, severe_capacity: int = 3,
-                 storms: tuple[StormCell, ...] = (),
                  closures: dict[tuple[int, int], tuple[TimeInterval, ...]] | None = None,
                  horizon_seconds: float = 14400.0):
         # Written so that NaN fails the tests too.
@@ -265,7 +268,7 @@ class AirspaceState:
         self.bucket_seconds = bucket_seconds
         self.calm_capacity = calm_capacity
         self.severe_capacity = severe_capacity
-        self._storms: tuple[StormCell, ...] = tuple(storms)
+        self._storms: tuple[StormCell, ...] = ()
         #: Read-only: capacity is memoised, so later writes would be ignored.
         self.closures = MappingProxyType(dict(closures or {}))
         self.horizon_seconds = horizon_seconds
@@ -276,28 +279,27 @@ class AirspaceState:
         #: Segmentation per (plan, route), filled on first use.  It depends
         #: on the plan and the grid alone, so equal plans share an entry.
         self._routes: dict[tuple[FlightPlan, int], list[TrajectorySegment]] = {}
-        #: Subsector per cell, filled on first lookup.  Its box, closures and
-        #: calm/severe capacities are fixed here, so it is never cleared.
-        self._subsectors: dict[tuple[int, int], Subsector] = {}
-        #: Per cell, filled on first lookup: the windows of the storms that
-        #: cross it; ``set_storms`` clears it.
-        self._windows: dict[tuple[int, int], tuple[TimeInterval, ...]] = {}
-        #: Capacity per spot, filled on first lookup; ``set_storms`` clears it.
+        #: Per cell, filled on first lookup: its subsector and the windows of
+        #: the storms that cross it.  ``set_storms`` clears it.
+        self._cells: dict[tuple[int, int], CellRecord] = {}
+        #: Capacity per spot of a cell with a closure or a storm window,
+        #: filled on first lookup; ``set_storms`` clears it.  A calm cell's
+        #: spots answer ``calm_capacity`` and keep no entry.
         self._caps: dict[Spot, int] = {}
 
     # -- geometry and bookkeeping -----------------------------------------
 
+    def _new_cell(self, cell: tuple[int, int]) -> CellRecord:
+        """Build and keep a cell's record."""
+        sub = Subsector(cell, self.grid.cell_bounds(*cell), self.calm_capacity,
+                        self.severe_capacity, self.closures.get(cell, ()))
+        overlaps = (airspace.storm_overlap_window(storm, sub.bounds)
+                    for storm in self._storms)
+        record = self._cells[cell] = (sub, tuple(w for w in overlaps if w is not None))
+        return record
+
     def subsector(self, col: int, row: int) -> Subsector:
-        sub = self._subsectors.get((col, row))
-        if sub is None:
-            sub = self._subsectors[col, row] = Subsector(
-                index=(col, row),
-                bounds=self.grid.cell_bounds(col, row),
-                calm_capacity=self.calm_capacity,
-                severe_capacity=self.severe_capacity,
-                closed_intervals=self.closures.get((col, row), ()),
-            )
-        return sub
+        return (self._cells.get((col, row)) or self._new_cell((col, row)))[0]
 
     def bucket_interval(self, bucket_start: float) -> TimeInterval:
         return TimeInterval(bucket_start, bucket_start + self.bucket_seconds)
@@ -315,21 +317,16 @@ class AirspaceState:
         return tuple(sorted(self._occ.get((subsector, bucket_start), ())))
 
     def capacity(self, subsector: tuple[int, int], bucket_start: float) -> int:
+        """The spot's capacity, the one place it is read: a calm cell's from
+        its record, any other's from ``_caps``, filled on a miss."""
+        sub, windows = self._cells.get(subsector) or self._new_cell(subsector)
+        if not (windows or sub.closed_intervals):
+            return sub.calm_capacity
         spot = (subsector, bucket_start)
         cap = self._caps.get(spot)
         if cap is None:
-            sub = self.subsector(*subsector)
-            windows = self._windows.get(subsector)
-            if windows is None:
-                overlaps = (airspace.storm_overlap_window(storm, sub.bounds)
-                            for storm in self.storms)
-                windows = self._windows[subsector] = tuple(
-                    window for window in overlaps if window is not None)
-            if sub.closed_intervals or windows:
-                cap = bucket_capacity(sub, self.bucket_interval(bucket_start), windows)
-            else:
-                cap = sub.calm_capacity
-            self._caps[spot] = cap
+            cap = self._caps[spot] = bucket_capacity(
+                sub, self.bucket_interval(bucket_start), windows)
         return cap
 
     def account_for(self, plan: FlightPlan, route_index: int = -1,
@@ -378,12 +375,10 @@ class AirspaceState:
         the offending spots come in ascending order."""
         hard: list[Spot] = []
         soft: list[Spot] = []
-        caps = self._caps
+        capacity = self.capacity
         occ = self._occ
         for spot in spots:
-            cap = caps.get(spot)
-            if cap is None:
-                cap = self.capacity(*spot)
+            cap = capacity(*spot)
             if cap == 0:
                 hard.append(spot)
             elif len(occ.get(spot, ())) + 1 > cap:
@@ -544,7 +539,7 @@ class AirspaceState:
 
     def set_storms(self, storms: tuple[StormCell, ...]) -> None:
         self._storms = tuple(storms)
-        self._windows.clear()
+        self._cells.clear()
         self._caps.clear()
 
     def advance_weather(self, to_time: float) -> list[WeatherEvent]:
@@ -592,16 +587,13 @@ class AirspaceState:
         now = self.now
         dt = self.bucket_seconds
         window_end = now + self.horizon_seconds
-        caps = self._caps
+        capacity = self.capacity
         out = []
         for spot, members in self._occ.items():
             start = spot[1]
             if start + dt <= now or start >= window_end:
                 continue
-            cap = caps.get(spot)
-            if cap is None:
-                cap = self.capacity(*spot)
-            if len(members) > cap:
+            if len(members) > capacity(*spot):
                 out.append(spot)
         out.sort()
         return tuple(out)

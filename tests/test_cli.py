@@ -185,6 +185,7 @@ MALFORMED = {
         dict(doc["subscriptions"][0])),
     "overlong-integer": lambda doc: doc.update(bucket_seconds=10 ** 400),
     "reported-not-a-flag": lambda doc: doc["storms"][0].update(reported="no"),
+    "flight-id-null": lambda doc: doc["flights"][0].update(id=None),
     # Scenarios that load on their own terms but ask for unbounded work.
     "flight-spanning-1e7-s": lambda doc: doc["flights"][0].update(
         waypoints=[[1, 5, 0], [9, 5, 1e7]], alternates=[]),

@@ -212,6 +212,51 @@ class TestNonFiniteWindow:
         assert err.value.path == field
 
 
+#: The string fields of a scenario, as paths into ``VALID``.
+STRING_FIELDS = [
+    ("flights", 0, "id"),
+    ("storms", 0, "id"),
+    ("observations", 0, "source"),
+    ("observations", 0, "key", "concept"),
+    ("subscriptions", 0, "id"),
+    ("subscriptions", 0, "query", "mode"),
+    ("subscriptions", 0, "query", "concept_prefix"),
+    ("subscriptions", 1, "query", "center", "concept"),
+]
+
+
+def _field_path(path) -> str:
+    """``("flights", 0, "id")`` as the loader names it: ``flights[0].id``."""
+    return "".join(f"[{name}]" if isinstance(name, int) else f".{name}"
+                   for name in path).lstrip(".")
+
+
+class TestStringFields:
+    """An id, a source, a concept or a query mode that is not a string is
+    rejected with the field's path; it used to be read through ``str``, so
+    a null id loaded as ``"None"``."""
+
+    # A null concept_prefix means no prefix.
+    @pytest.mark.parametrize("path, value", [
+        (path, value) for path in STRING_FIELDS for value in [None, True, 3, ["x", "y"]]
+        if not (path[-1] == "concept_prefix" and value is None)])
+    def test_non_string_rejected(self, path, value):
+        doc = copy.deepcopy(VALID)
+        _node_at(doc, path[:-1])[path[-1]] = value
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(doc)
+        assert f"{_field_path(path)}: expected a string, got {value!r}" in str(err.value)
+
+    def test_null_id_beside_a_none_flight_is_not_a_duplicate(self):
+        doc = copy.deepcopy(VALID)
+        doc["flights"][0]["id"] = "None"
+        doc["flights"][1]["id"] = None
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(doc)
+        assert err.value.path == "flights[1].id"
+        assert "duplicate" not in str(err.value)
+
+
 class TestLoadProperty:
     """Loading either succeeds or raises ValidationError, whatever the input,
     and a scenario that loads simulates or raises an ``AdatmError``."""

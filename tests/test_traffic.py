@@ -24,6 +24,8 @@ from adatm import (
     TimeInterval,
     TrajectorySegment,
     Waypoint,
+    load_scenario,
+    simulate,
 )
 from adatm import scenario as scenario_module
 from adatm import traffic
@@ -32,7 +34,13 @@ from adatm.errors import ConflictError, PreconditionError, ValidationError
 from adatm.traffic import DELAY_MENU, MAX_CHANGED_FLIGHTS
 from adatm.trajectory import plan_segments, route_spot_bound, segment_trajectory
 
-from conftest import buckets_over
+from conftest import (
+    buckets_over,
+    congestion_scenario,
+    delayed_negotiation_scenario,
+    storm_reroute_scenario,
+)
+from test_golden import _bench_workloads
 
 
 def plan_of(fid, waypoints, alternates=(), priority=0, delay=0.0):
@@ -172,7 +180,9 @@ class TestWeatherInputs:
         storm = StormCell(id="st", box=PlanarBox(0.0, 0.0, 10.0, 10.0),
                           velocity=(0.0, 0.0), active=TimeInterval(0.0, 3600.0))
         assert two_by_two(closures=closed).capacity((0, 0), 0.0) == 0
-        assert two_by_two(storms=(storm,)).capacity((0, 0), 0.0) == 3
+        state = two_by_two()
+        state.set_storms((storm,))
+        assert state.capacity((0, 0), 0.0) == 3
         state = two_by_two(closures=closed)
         closed[(0, 1)] = (TimeInterval(0.0, 60.0),)
         assert state.capacity((0, 1), 0.0) == 6  # the state took a copy
@@ -627,6 +637,51 @@ def assert_movers_hold_the_picked_accounts(state, applied):
                 option.plan, option.route_index, option.added_delay, version)
 
 
+def _bench_scenario(workload, seed, index):
+    return load_scenario(_bench_workloads().WORKLOADS[workload].generate(seed, index))
+
+
+#: Inputs whose run negotiates, each with the number of ``negotiate`` calls
+#: it makes on insertion and on the weather path.  Chosen before the run,
+#: so that the brute force over all of them stays near two seconds.
+PIPELINE_NEGOTIATIONS = {
+    "contended-seed-3-scenario-0": (lambda: _bench_scenario("contended", 3, 0), 2, 0),
+    "storm-seed-3-scenario-0": (lambda: _bench_scenario("storm", 3, 0), 0, 1),
+    "storm-reroute": (storm_reroute_scenario, 0, 1),
+    "storm-reroute-no-alternates": (
+        lambda: storm_reroute_scenario(with_alternates=False), 0, 1),
+    "delayed-negotiation": (delayed_negotiation_scenario, 6, 1),
+    "saturated-cell": (lambda: congestion_scenario(residents=6), 1, 0),
+}
+
+
+class TestPipelineNegotiationsMatchBruteForce:
+    """Every negotiation a run makes, in the state the run has reached, has
+    the objective ``brute_force_negotiate`` finds for the same state,
+    conflicts and arriving plan (None on the weather path)."""
+
+    @pytest.mark.parametrize("name", sorted(PIPELINE_NEGOTIATIONS))
+    def test_every_negotiation_matches(self, name, monkeypatch):
+        build, insertions, weather = PIPELINE_NEGOTIATIONS[name]
+        scenario = build()
+        checked = []
+        real = AirspaceState.negotiate
+
+        def spy(self, conflicts, arriving):
+            expected = brute_force_negotiate(
+                self, conflicts, None if arriving is None else arriving.plan)
+            resolution = real(self, conflicts, arriving)
+            got = None if resolution is None else resolution.objective
+            checked.append((arriving is None, got, expected))
+            return resolution
+
+        monkeypatch.setattr(AirspaceState, "negotiate", spy)
+        simulate(scenario)
+        assert [got for _, got, _ in checked] == [expected for _, _, expected in checked]
+        on_weather = sum(1 for weather_path, _, _ in checked if weather_path)
+        assert (len(checked) - on_weather, on_weather) == (insertions, weather)
+
+
 class TestOccupancyInvariant:
     @pytest.mark.parametrize("seed", range(12))
     def test_after_negotiated_insert_and_removal(self, seed, monkeypatch):
@@ -724,7 +779,8 @@ class TestInsertionKeepsRoom:
             TimeInterval(storm[2], storm[2] + 1800.0)),)
         state = AirspaceState(GridSpec(0, 0, 3, 2, 10.0), bucket_seconds=300.0,
                               calm_capacity=calm, severe_capacity=severe,
-                              storms=storms, closures=closed)
+                              closures=closed)
+        state.set_storms(storms)
         for i, (cell, t0, length, alternate, priority) in enumerate(flights):
             alternates = [arc_alt(cell, t0, t0 + length)] if alternate else []
             state.try_insert(dwell(f"{i + 1:04d}", cell, t0, t0 + length, alternates,
@@ -1075,6 +1131,28 @@ class TestCapacityTable:
         assert [state.capacity((1, 0), i * 60.0) for i in range(70)] == [6] * 70
         assert calls == []
         assert_fresh()
+
+    def test_a_new_storm_picture_rebuilds_each_cell_record_alike(self):
+        state = two_by_two(severe=1, closures={(1, 1): (TimeInterval(600.0, 900.0),)})
+        before = {cell: state.subsector(*cell) for cell in state.grid.all_cells()}
+        state.set_storms((storm_covering_00(),))
+        assert state._cells == {}
+        for cell, sub in before.items():
+            rebuilt = state.subsector(*cell)
+            # Box, closures and calm/severe capacities: every field.
+            assert rebuilt is not sub and rebuilt == sub
+
+    def test_only_cells_with_a_closure_or_a_storm_keep_spot_entries(self):
+        state = two_by_two(closures={(1, 1): (TimeInterval(600.0, 900.0),)})
+        for i in range(4):
+            state.try_insert(dwell(f"{i + 1:04d}"))
+        for cell in state.grid.all_cells():
+            for i in range(70):
+                state.capacity(cell, i * 60.0)
+        assert {spot[0] for spot in state._caps} == {(1, 1)}
+        state.set_storms((storm_covering_00(),))
+        assert state._capacity_violations()
+        assert {spot[0] for spot in state._caps} == {(0, 0)}
 
 
 class TestPredictCongestion:
