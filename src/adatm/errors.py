@@ -33,12 +33,13 @@ class ValidationError(AdatmError, ValueError):
     """A scenario, query, or field value failed validation.
 
     ``path`` locates the offending field (dotted/indexed, e.g.
-    ``flights[2].waypoints``).
+    ``flights[2].waypoints``); ``message`` is the text without it.
     """
 
     def __init__(self, message: str, path: str = ""):
         super().__init__(f"{path}: {message}" if path else message)
         self.path = path
+        self.message = message
 
 
 class ParseError(ValidationError):

@@ -229,7 +229,9 @@ def noisy_or(a: float, b: float) -> float:
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:
-    return max(lo, min(hi, v))
+    """``max(lo, min(hi, v))``, written out to save the two calls."""
+    v = v if v < hi else hi
+    return v if v > lo else lo
 
 
 def encapsulate(payload: Payload, kind: NotionKind, metadata: Metadata,
@@ -307,7 +309,8 @@ def fuse(datum: ActiveDatum, peers: Iterable[ActiveDatum]
     fusion = _Fusion(datum)
     merges: list[tuple[str, str, float]] = []
     for peer in sorted(peers, key=attrgetter("id")):
-        if fusion.duplicates(peer) and not fusion.linked(peer):
+        if fusion.duplicates(peer) and peer.id not in fusion.complementary and \
+                fusion.winner.id not in peer.hyperdata.complementary:
             absorbed = fusion.absorb(peer)
             merges.append((fusion.winner.id, absorbed, fusion.confidence))
     return (fusion.result() if merges else datum), merges
@@ -357,42 +360,50 @@ class _Fusion:
             and spans_intersect(self.y0, self.y1, space.y0, space.y1)
         )
 
-    def linked(self, peer: ActiveDatum) -> bool:
-        return peer.id in self.complementary or \
-            self.winner.id in peer.hyperdata.complementary
-
     def absorb(self, peer: ActiveDatum) -> str:
         """Merge a duplicate into the running result; returns the id of
         the side absorbed."""
-        ca, cb = self.confidence, peer.confidence
+        hd = peer.hyperdata
+        ca, cb = self.confidence, hd.confidence
         confidence = noisy_or(ca, cb)
         if ca + cb > 0:
-            truth = (ca * self.truth + cb * peer.truth) / (ca + cb)
+            truth = (ca * self.truth + cb * hd.truth) / (ca + cb)
         else:
-            truth = (self.truth + peer.truth) / 2.0
+            truth = (self.truth + hd.truth) / 2.0
+        if peer.id < self.winner.id:
+            # The survivor switches, which a fold does at most at its first
+            # merge: start again from the peer and take in the running
+            # result as the side absorbed.
+            absorbed, loser = self.winner.id, self.result()
+            _Fusion.__init__(self, peer)
+            peer, hd = loser, loser.hyperdata
+        else:
+            absorbed = peer.id
         self.truth = _clamp(truth, -1.0, 1.0)
         self.confidence = _clamp(confidence, 0.0, 1.0)
-        # Winner first, as in a pairwise merge: min and max keep their
-        # first argument on ties, and the winner's links come first.
-        other = _Fusion(peer)
-        w, l = (self, other) if self.winner.id <= peer.id else (other, self)
-        absorbed = l.winner.id
-        self.t0, self.t1 = min(w.t0, l.t0), max(w.t1, l.t1)
-        self.x0, self.y0 = min(w.x0, l.x0), min(w.y0, l.y0)
-        self.x1, self.y1 = max(w.x1, l.x1), max(w.y1, l.y1)
-        self.detail, self.exposure = max(w.detail, l.detail), max(w.exposure, l.exposure)
-        self.created_at = min(w.created_at, l.created_at)
-        self.updated_at = max(w.updated_at, l.updated_at)
-        if w is other:
-            # The survivor switches: take the peer's links, then append ours.
-            self.winner = peer
-            self.complementary, other.complementary = other.complementary, self.complementary
-            self.refuting, other.refuting = other.refuting, self.refuting
-            self.missing, other.missing = other.missing, self.missing
-        self.complementary.update(other.complementary)
+        # The survivor's value first, as in a pairwise merge: ``min(a, b)``
+        # is ``b if b < a else a`` and ``max(a, b)`` is ``b if b > a else a``,
+        # so ties (-0.0 against 0.0) keep the survivor's, and so do links.
+        t0, t1, x0, y0, x1, y1, _ = peer.key._flat
+        self.t0 = t0 if t0 < self.t0 else self.t0
+        self.t1 = t1 if t1 > self.t1 else self.t1
+        self.x0 = x0 if x0 < self.x0 else self.x0
+        self.y0 = y0 if y0 < self.y0 else self.y0
+        self.x1 = x1 if x1 > self.x1 else self.x1
+        self.y1 = y1 if y1 > self.y1 else self.y1
+        self.detail = hd.detail if hd.detail > self.detail else self.detail
+        self.exposure = hd.exposure if hd.exposure > self.exposure else self.exposure
+        self.created_at = hd.created_at if hd.created_at < self.created_at \
+            else self.created_at
+        self.updated_at = hd.updated_at if hd.updated_at > self.updated_at \
+            else self.updated_at
+        if hd.complementary:
+            self.complementary.update(dict.fromkeys(hd.complementary))
         self.complementary[absorbed] = None
-        self.refuting.update(other.refuting)
-        self.missing.update(other.missing)
+        if hd.refuting:
+            self.refuting.update(dict.fromkeys(hd.refuting))
+        if hd.missing:
+            self.missing.update(dict.fromkeys(hd.missing))
         return absorbed
 
     def result(self) -> ActiveDatum:

@@ -225,6 +225,26 @@ def _radius(value, path: str) -> float:
     return _num(value, path)
 
 
+def _within(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a value object's ``ValidationError``, which
+    names only its own field (``min_confidence``), is raised again under
+    ``path``.  A reader's error already names its whole path."""
+    try:
+        return make(*args, **kwargs)
+    except ValidationError as exc:
+        if exc.path.startswith(path):
+            raise
+        raise ValidationError(exc.message, f"{path}.{exc.path}") from None
+
+
+def _kind(value, path: str) -> NotionKind:
+    text = _text(value, path)
+    try:
+        return NotionKind(text)
+    except ValueError:
+        raise ValidationError(f"unknown kind {text!r}", path) from None
+
+
 def _list(value, path: str, shape: str, length: int | None = None) -> list:
     if not isinstance(value, list) or length is not None and len(value) != length:
         raise ValidationError(f"expected {shape}", path)
@@ -270,8 +290,10 @@ def _key_to_dict(key: NearnessKey) -> dict:
 def _query_from_dict(obj: dict, path: str, concepts: dict[str, ConceptPath]) -> QuerySpec:
     mode = _text(_need(obj, "mode", path), f"{path}.mode")
     if mode == "neighborhood":
-        return QuerySpec.neighborhood(
-            center=_key_from_dict(_need(obj, "center", path), f"{path}.center", concepts),
+        return _within(
+            path, QuerySpec.neighborhood,
+            center=_within(f"{path}.center", _key_from_dict, _need(obj, "center", path),
+                           f"{path}.center", concepts),
             time_radius=_radius(_need(obj, "time_radius", path), f"{path}.time_radius"),
             space_radius=_radius(_need(obj, "space_radius", path), f"{path}.space_radius"),
             concept_radius=_radius(_need(obj, "concept_radius", path),
@@ -281,12 +303,18 @@ def _query_from_dict(obj: dict, path: str, concepts: dict[str, ConceptPath]) -> 
         time = obj.get("time")
         box = obj.get("box")
         prefix = obj.get("concept_prefix")
-        return QuerySpec.focused(
-            time_window=None if time is None else _interval(time, f"{path}.time"),
-            box=None if box is None else _box(box, f"{path}.box"),
-            concept_prefix=None if prefix is None else ConceptPath.parse(
-                _text(prefix, f"{path}.concept_prefix")),
-        )
+        if time is not None:
+            time = _within(path, _interval, time, f"{path}.time")
+        if box is not None:
+            box = _within(path, _box, box, f"{path}.box")
+        if prefix is not None:
+            text = _text(prefix, f"{path}.concept_prefix")
+            try:
+                prefix = ConceptPath.parse(text)
+            except ValidationError as exc:
+                raise ValidationError(exc.message, f"{path}.concept_prefix") from None
+        return _within(path, QuerySpec.focused, time_window=time, box=box,
+                       concept_prefix=prefix)
     raise ValidationError(f"unknown query mode {mode!r}", f"{path}.mode")
 
 
@@ -410,19 +438,14 @@ def scenario_from_dict(obj: dict) -> Scenario:
         sid = _text(_need(s, "id", path), f"{path}.id")
         if sid in subscriptions:
             raise ValidationError(f"duplicate subscription id {sid!r}", path)
+        spec = _query_from_dict(_need(s, "query", path), f"{path}.query", concepts)
         kinds = s.get("kinds")
-        try:
-            subscriptions[sid] = Subscription(
-                id=sid,
-                spec=_query_from_dict(_need(s, "query", path), f"{path}.query", concepts),
-                min_confidence=_num(s.get("min_confidence", 0.0),
-                                    f"{path}.min_confidence"),
-                deliver_kinds=frozenset(NotionKind) if kinds is None else frozenset(
-                    NotionKind(str(k))
-                    for k in _list(kinds, f"{path}.kinds", "a list of kinds")),
-            )
-        except ValueError as exc:  # an unknown kind, or a ValidationError
-            raise ValidationError(str(exc), path) from None
+        subscriptions[sid] = _within(
+            path, Subscription, sid, spec,
+            _num(s.get("min_confidence", 0.0), f"{path}.min_confidence"),
+            frozenset(NotionKind) if kinds is None else frozenset(
+                _kind(k, f"{path}.kinds[{j}]") for j, k in
+                enumerate(_list(kinds, f"{path}.kinds", "a list of kinds"))))
     closures: list[tuple[tuple[int, int], TimeInterval]] = []
     for path, c in _objects(obj, "closures"):
         col, row = _cell(_need(c, "cell", path), f"{path}.cell")

@@ -25,8 +25,21 @@ def test_the_working_tree_against_itself():
     assert lines[0] == "outputs agree on 2 contended scenarios (seed 1)"
     assert [line.split(":")[0] for line in lines[1:]] == [
         "parent median round", "change median round",
-        "change/parent ratio, median over rounds", "rounds won by change"]
+        "change/parent ratio, median over rounds",
+        "change/parent ratio, quartiles over rounds", "rounds won by change"]
     assert lines[-1].endswith("/1")
+    # One round: its ratio is the median and both quartiles.
+    median = lines[3].split(": ")[1]
+    assert lines[4].split(": ")[1] == f"{median} to {median}"
+
+
+def test_quartiles_span_the_middle_half_of_the_rounds():
+    done = _ab(ROOT, ROOT, "--rounds", "5")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    median = float(lines[3].split(": ")[1])
+    q1, q3 = (float(q) for q in lines[4].split(": ")[1].split(" to "))
+    assert q1 <= median <= q3
 
 
 def test_differing_outputs_exit_1(tmp_path):

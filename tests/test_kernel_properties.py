@@ -4,6 +4,7 @@ The acceptance suite runs the large randomized sweep; here hypothesis
 hunts for structural counterexamples with small, shrinkable cases.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -254,6 +255,48 @@ def pairwise_fold(datum, peers, merge=reference_resolve):
     return datum, steps
 
 
+def _long_fold_inputs(count=300, seed=23):
+    """Report ``r150`` and its ``count - 1`` peers, storm-like: one text,
+    kind and concept, keys jittered around one box and window.  Some spans
+    are points, and ``r077`` carries links.  Every lower bound, ``created_at``
+    and ``exposure`` may be 0.0 or -0.0: ``r000``, which the survivor
+    switches to, has 0.0 in each and the last report -0.0, so each result
+    shows which side a tie kept."""
+    rng = random.Random(seed)
+    concept = ConceptPath.parse("airspace/weather/storm")
+
+    def zero(i):
+        return 0.0 if i == 0 else -0.0 if i == count - 1 else rng.choice((0.0, -0.0))
+
+    def value(i, lo, hi):
+        return zero(i) if i in (0, count - 1) or rng.random() < 0.5 else rng.uniform(lo, hi)
+
+    def span(i, lo, hi, point):
+        start = value(i, lo, lo + 1.0)
+        return start, start if point else hi + rng.uniform(-0.5, 0.5)
+
+    data = []
+    for i in range(count):
+        t0, t1 = span(i, 0.0, 2400.0, i % 11 == 3)
+        x0, x1 = span(i, 0.0, 40.0, i % 13 == 5)
+        y0, y1 = span(i, 0.0, 20.0, i % 17 == 7)
+        created = value(i, 0.0, 600.0)
+        data.append(ActiveDatum(
+            id=f"r{i:03d}", kind=NotionKind.Event, payload={"storm_id": "st-1"},
+            key=NearnessKey(TimeInterval(t0, t1), PlanarBox(x0, y0, x1, y1), concept),
+            metadata=Metadata(source_id="radar", observed_at=600.0),
+            hyperdata=Hyperdata(
+                truth=rng.uniform(-1.0, 1.0), confidence=value(i, 0.0, 0.05),
+                detail=rng.uniform(0.0, 1.0), exposure=zero(i),
+                complementary=("ext-1",) if i == 77 else (),
+                refuting=("ext-2", "ext-3") if i == 77 else ("ext-1",) if i == 90 else (),
+                missing=("m1",) if i == 77 else (),
+                created_at=created, updated_at=rng.choice((created, created + 60.0)))))
+    datum = data.pop(150)
+    rng.shuffle(data)
+    return datum, data
+
+
 class TestFuse:
     @settings(max_examples=200, deadline=None)
     @given(inputs=fusion_inputs())
@@ -275,6 +318,21 @@ class TestFuse:
         assert merged.hyperdata.complementary == ("d3", "d2")
         assert merged.key.space == PlanarBox(0.0, 0.0, 20.0, 10.0)
         assert repr((merged, merges)) == repr(pairwise_fold(d3, [d1, d2]))
+
+    def test_long_fold_equals_pairwise_left_fold(self):
+        # About as many reports as the storm workload folds, where the
+        # property above draws at most 8 data.
+        datum, peers = _long_fold_inputs()
+        merged, merges = fuse(datum, peers)
+        assert merges[0][:2] == ("r000", "r150")  # the survivor switches first
+        assert merged.id == "r000" and len(merges) > 250
+        assert "ext-1" in merged.hyperdata.complementary
+        hd, flat = merged.hyperdata, merged.key._flat
+        assert repr((flat[0], flat[2], flat[3], hd.created_at, hd.exposure)) == \
+            "(0.0, 0.0, 0.0, 0.0, 0.0)"
+        want = repr(pairwise_fold(datum, peers))
+        assert repr((merged, merges)) == want
+        assert repr(pairwise_fold(datum, peers, merge=resolve)) == want
 
     def test_no_duplicate_returns_the_datum_itself(self):
         d = make_datum("d")

@@ -27,6 +27,7 @@ from adatm import (
     simulate,
 )
 from adatm import kernel
+from adatm.cli import main as cli_main
 from adatm.errors import AdatmError, ParseError, UsageError, ValidationError
 from adatm.nearness import ConceptPath
 from adatm.scenario import (
@@ -49,6 +50,7 @@ from conftest import (
 from test_golden import BENCH_SCENARIOS, DEMO_SCENARIOS, PINS, _bench_workloads
 from test_golden import _outputs as golden_outputs
 from test_golden import _scenario as golden_scenario
+from test_kernel_properties import pairwise_fold
 
 
 def minimal_dict(**overrides):
@@ -255,6 +257,85 @@ class TestStringFields:
             scenario_from_dict(doc)
         assert err.value.path == "flights[1].id"
         assert "duplicate" not in str(err.value)
+
+
+def _subscription_edit(index, *path):
+    """An edit that sets the field at ``path`` of subscription ``index``."""
+    def edit(doc, value):
+        _node_at(doc, ("subscriptions", index) + path[:-1])[path[-1]] = value
+    return edit
+
+
+class TestSubscriptionPaths:
+    """Each error of a subscription names the field at fault, once.  Every
+    error used to be wrapped under the subscription's own path, so a bad
+    ``query.mode`` read ``subscriptions[0]: subscriptions[0].query.mode:
+    ...``, and a kind was read through ``str``, so null was "'None' is not
+    a valid NotionKind"."""
+
+    @pytest.mark.parametrize("edit, value, path, message", [
+        (_subscription_edit(0, "query", "mode"), None,
+         "subscriptions[0].query.mode", "expected a string, got None"),
+        (_subscription_edit(0, "min_confidence"), 2.0,
+         "subscriptions[0].min_confidence", "min_confidence outside [0, 1]"),
+        (_subscription_edit(0, "kinds"), [None],
+         "subscriptions[0].kinds[0]", "expected a string, got None"),
+        (_subscription_edit(0, "kinds"), ["event", "rumour"],
+         "subscriptions[0].kinds[1]", "unknown kind 'rumour'"),
+        (_subscription_edit(0, "query"), {"mode": "focused"},
+         "subscriptions[0].query.constraints",
+         "focused query needs at least one constraint"),
+        (_subscription_edit(0, "query", "concept_prefix"), "a//b",
+         "subscriptions[0].query.concept_prefix", "bad concept label ''"),
+        (_subscription_edit(0, "query", "time"), [5, 1],
+         "subscriptions[0].query.time", "time bounds not ordered: start 5.0, end 1.0"),
+        (_subscription_edit(0, "query", "box"), [5, 0, 1, 1],
+         "subscriptions[0].query.box", "box corners out of order or NaN"),
+        (_subscription_edit(1, "query", "space_radius"), -1,
+         "subscriptions[1].query.space_radius", "radius must be >= 0, got -1.0"),
+        (_subscription_edit(1, "query", "center", "concept"), "a/",
+         "subscriptions[1].query.center.concept", "bad concept label ''"),
+        (_subscription_edit(1, "query", "center", "time"), [5, 1],
+         "subscriptions[1].query.center.time",
+         "time bounds not ordered: start 5.0, end 1.0"),
+    ])
+    def test_error_names_its_own_path(self, edit, value, path, message, tmp_path, capsys):
+        doc = copy.deepcopy(VALID)
+        edit(doc, value)
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(doc)
+        assert (err.value.path, err.value.message) == (path, message)
+        assert str(err.value) == f"{path}: {message}"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli_main(["simulate", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: invalid scenario: {path}: {message}\n"
+
+
+class TestPipelineFolds:
+    """Every fold a run makes equals the naive pairwise fold, compared by
+    ``repr`` so that -0.0 is told from 0.0."""
+
+    @pytest.mark.parametrize("scenario, peers", [
+        (lambda: load_scenario(_bench_workloads().WORKLOADS["storm"].generate(3, 0)),
+         [299, 5]),
+        (lambda: golden_scenario("storm_reroute.json"), [1]),
+    ], ids=["storm-3-0", "storm_reroute"])
+    def test_each_fold_equals_pairwise(self, scenario, peers, monkeypatch):
+        folds = []
+        fuse = kernel.fuse
+
+        def recorded(datum, same_text):
+            same_text = list(same_text)
+            folds.append((datum, same_text, fuse(datum, same_text)))
+            return folds[-1][2]
+
+        monkeypatch.setattr(kernel, "fuse", recorded)
+        simulate(scenario())
+        assert [len(same_text) for _, same_text, _ in folds] == peers
+        for datum, same_text, result in folds:
+            assert len(result[1]) == len(same_text)
+            assert repr(result) == repr(pairwise_fold(datum, same_text))
 
 
 class TestLoadProperty:

@@ -18,8 +18,8 @@ the event log have the same SHA-256 on both, the tool prints the first
 scenario that differs and exits 1.  Then each round times ``simulate``
 plus the JSON render of every scenario on both trees, the tree that goes
 first alternating from one call to the next.  The tool prints each tree's
-median round time, the median over rounds of CHANGE/PARENT round time,
-and the rounds that CHANGE won.
+median round time, the median and the quartiles over rounds of
+CHANGE/PARENT round time, and the rounds that CHANGE won.
 
 Both trees see the same machine at nearly the same moment, so the ratio
 holds up when the machine's speed drifts.  That makes the tool fit for
@@ -215,11 +215,15 @@ def main(argv: list[str]) -> int:
         rounds = _time_rounds(modules, scenarios, args.rounds)
     parent_s = statistics.median(a for a, _ in rounds)
     change_s = statistics.median(b for _, b in rounds)
-    ratio = statistics.median(b / a for a, b in rounds)
+    ratios = [b / a for a, b in rounds]
+    # The inclusive quartiles lie within the ratios; one round is its own.
+    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive") \
+        if len(ratios) > 1 else ratios * 3
     won = sum(1 for a, b in rounds if b < a)
     print(f"parent median round: {parent_s:.6f} s")
     print(f"change median round: {change_s:.6f} s")
-    print(f"change/parent ratio, median over rounds: {ratio:.3f}")
+    print(f"change/parent ratio, median over rounds: {statistics.median(ratios):.3f}")
+    print(f"change/parent ratio, quartiles over rounds: {q1:.3f} to {q3:.3f}")
     print(f"rounds won by change: {won}/{len(rounds)}")
     return 0
 
