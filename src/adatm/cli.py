@@ -74,7 +74,8 @@ def _cmd_simulate(args) -> int:
     run = simulate(scenario, max_steps=args.max_steps, include_empty=args.full)
     _write(render_report(run.report, args.format), args.out)
     if args.log:
-        Path(args.log).write_text(run.event_log + "\n", encoding="utf-8")
+        # One line per event, so a run without events leaves an empty file.
+        Path(args.log).write_text(run.event_log and run.event_log + "\n", encoding="utf-8")
     if not run.report.stats.quiescent:
         print("warning: activation budget exhausted before quiescence; "
               "report is partial", file=sys.stderr)

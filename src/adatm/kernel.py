@@ -64,11 +64,12 @@ def canonical_text(payload: Payload) -> str:
     """Canonical form of a payload: fields sorted by name, ``name=value``
     pairs joined by ``;``.  Used for duplicate detection and reports.
 
-    A value of exact type ``str`` or ``int`` is its own text and is written
-    as it is; any other value goes through :func:`format_scalar`.
+    A value of exact type ``str``, ``int`` or ``float`` is written inline,
+    as :func:`format_scalar` would write it; any other goes through it.
     """
     return ";".join([f"{k}={v}" if type(v) is str or type(v) is int
-                     else f"{k}={format_scalar(v)}"
+                     else (f"{k}={int(v)}" if v.is_integer() else f"{k}={v!r}")
+                     if type(v) is float else f"{k}={format_scalar(v)}"
                      for k, v in sorted(payload.items())])
 
 

@@ -215,15 +215,15 @@ class QuerySpec:
             center = self.center
             if center is None:
                 raise ValidationError("neighborhood query needs a center", "center")
-            for name, radius in (("time_radius", self.time_radius),
-                                 ("space_radius", self.space_radius),
-                                 ("concept_radius", self.concept_radius)):
-                if math.isnan(radius) or radius < 0:
-                    raise ValidationError(f"radius must be >= 0, got {radius}", name)
-            t0, t1, x0, y0, x1, y1, concept = center._flat
-            object.__setattr__(self, "_near", (
-                t0, t1, x0, y0, x1, y1, self.time_radius, self.space_radius,
-                self.concept_radius, concept))
+            # NaN fails the chained test too; the loop only names the field.
+            if not (self.time_radius >= 0 and self.space_radius >= 0
+                    and self.concept_radius >= 0):
+                for name in ("time_radius", "space_radius", "concept_radius"):
+                    radius = getattr(self, name)
+                    if math.isnan(radius) or radius < 0:
+                        raise ValidationError(f"radius must be >= 0, got {radius}", name)
+            object.__setattr__(self, "_near", center._flat[:6] + (
+                self.time_radius, self.space_radius, self.concept_radius, center._flat[6]))
         elif self.mode is QueryMode.Focused:
             if self.time_window is None and self.box is None and self.concept_prefix is None:
                 raise ValidationError("focused query needs at least one constraint",
@@ -234,8 +234,8 @@ class QuerySpec:
     @classmethod
     def neighborhood(cls, center: NearnessKey, time_radius: float,
                      space_radius: float, concept_radius: float) -> "QuerySpec":
-        return cls(QueryMode.Neighborhood, center=center, time_radius=time_radius,
-                   space_radius=space_radius, concept_radius=concept_radius)
+        return cls(QueryMode.Neighborhood, center, time_radius, space_radius,
+                   concept_radius)
 
     @classmethod
     def focused(cls, time_window: TimeInterval | None = None,
@@ -254,28 +254,34 @@ class QuerySpec:
             # first, and the rest is unpacked only for keys that pass it.
             if flat[0] - near[1] > near[6] or near[0] - flat[1] > near[6]:
                 return False
-            _, _, cx0, cy0, cx1, cy1, _, rs, rc, concept = near
-            _, _, kx0, ky0, kx1, ky1, kc = flat
             # The box gap is Euclidean over the axis gaps.  An axis's gap is
             # whichever of its two differences is positive (both boxes have
             # ordered corners, so at most one is), else 0; two zero gaps are
-            # within every radius.
-            dx = kx0 - cx1 if kx0 > cx1 else cx0 - kx1 if cx0 > kx1 else 0.0
-            dy = ky0 - cy1 if ky0 > cy1 else cy0 - ky1 if cy0 > ky1 else 0.0
-            if (dx or dy) and math.hypot(dx, dy) > rs:
+            # within every radius.  Each bound is read where it is compared.
+            dx = flat[2] - near[4] if flat[2] > near[4] else \
+                near[2] - flat[4] if near[2] > flat[4] else 0.0
+            dy = flat[3] - near[5] if flat[3] > near[5] else \
+                near[3] - flat[5] if near[3] > flat[5] else 0.0
+            if (dx or dy) and math.hypot(dx, dy) > near[7]:
                 return False
             # Equal paths are at distance 0, within every valid radius.  The
             # identity test comes first because the dataclass ``__eq__`` is
             # a Python-level call, and keys of one kind share one path
             # object (every trajectory segment holds ``SEGMENT_CONCEPT``).
-            return concept is kc or concept == kc or _distance_or_inf(concept, kc) <= rc
-        if self.time_window is not None and not self.time_window.intersects(key.time):
+            concept, kc = near[9], flat[6]
+            return concept is kc or concept == kc or _distance_or_inf(concept, kc) <= near[8]
+        # ``TimeInterval.intersects``, ``PlanarBox.intersects`` and
+        # ``ConceptPath.is_prefix_of``, on the key's plain values.
+        flat = key._flat
+        w = self.time_window
+        if w is not None and not spans_intersect(w.start, w.end, flat[0], flat[1]):
             return False
-        if self.box is not None and not self.box.intersects(key.space):
+        b = self.box
+        if b is not None and not (spans_intersect(b.x0, b.x1, flat[2], flat[4])
+                                  and spans_intersect(b.y0, b.y1, flat[3], flat[5])):
             return False
-        if self.concept_prefix is not None and not self.concept_prefix.is_prefix_of(key.concept):
-            return False
-        return True
+        p = self.concept_prefix
+        return p is None or flat[6].segments[:len(p.segments)] == p.segments
 
 
 def _reach(spec: QuerySpec) -> tuple | None:

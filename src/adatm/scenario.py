@@ -199,6 +199,20 @@ def _text(value, path: str) -> str:
     return value
 
 
+#: What a flight, storm or subscription id may not hold: the event log's
+#: field separator, the CSV report's column and flight-id separators, and
+#: every line boundary that ``str.splitlines`` splits on.
+_ID_BREAKS = frozenset("|,;\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _id(value, path: str) -> str:
+    text = _text(value, path)
+    for c in text:
+        if c in _ID_BREAKS:
+            raise ValidationError(f"id {text!r} holds {c!r}, a CSV or log separator", path)
+    return text
+
+
 def _ids(value, path: str) -> tuple[str, ...]:
     """A list of flight ids, each a string."""
     ids = tuple(_list(value, path, "a list of flight ids"))
@@ -379,7 +393,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
     capacity = _obj(obj.get("capacity", {}), "capacity")
     flights: dict[str, FlightPlan] = {}
     for path, f in _objects(obj, "flights"):
-        fid = _text(_need(f, "id", path), f"{path}.id")
+        fid = _id(_need(f, "id", path), f"{path}.id")
         if fid in flights:
             raise ValidationError(f"duplicate flight id {fid!r}", path)
         waypoints = _route(_need(f, "waypoints", path), f"{path}.waypoints", grid)
@@ -398,7 +412,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
         reported = _bool(s.get("reported", False), f"{path}.reported")
         storms.append(ScenarioStorm(
             cell=StormCell(
-                id=_text(_need(s, "id", path), f"{path}.id"),
+                id=_id(_need(s, "id", path), f"{path}.id"),
                 box=_box(_need(s, "box", path), f"{path}.box"),
                 velocity=(_num(vx, f"{path}.velocity"), _num(vy, f"{path}.velocity")),
                 active=_interval(_need(s, "active", path), f"{path}.active"),
@@ -435,7 +449,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
         observations.append(Observation(payload, confidence, key, metadata))
     subscriptions: dict[str, Subscription] = {}
     for path, s in _objects(obj, "subscriptions"):
-        sid = _text(_need(s, "id", path), f"{path}.id")
+        sid = _id(_need(s, "id", path), f"{path}.id")
         if sid in subscriptions:
             raise ValidationError(f"duplicate subscription id {sid!r}", path)
         spec = _query_from_dict(_need(s, "query", path), f"{path}.query", concepts)
@@ -589,17 +603,13 @@ def _outcome_from_dict(obj, path: str) -> InsertOutcome:
 
 
 def _report_head_to_dict(r: Report) -> dict:
-    """Everything of the report but its records."""
+    """Everything of the report, with its alerts and records empty."""
     return {
         "seed": r.seed,
         "bucket_seconds": r.bucket_seconds,
         "grid": {"cols": r.grid_cols, "rows": r.grid_rows},
         "outcomes": {fid: _outcome_to_dict(o) for fid, o in r.outcomes},
-        "alerts": [
-            {"subscription": a.subscription_id, "datum": a.datum_id,
-             "emitted_at": a.emitted_at, "payload_text": a.payload_text}
-            for a in r.alerts
-        ],
+        "alerts": [], "records": [],
         "stats": {
             "steps": r.stats.steps, "alerts": r.stats.alerts,
             "merges": r.stats.merges, "deletions": r.stats.deletions,
@@ -610,6 +620,11 @@ def _report_head_to_dict(r: Report) -> dict:
 
 def report_to_dict(r: Report) -> dict:
     out = _report_head_to_dict(r)
+    out["alerts"] = [
+        {"subscription": a.subscription_id, "datum": a.datum_id,
+         "emitted_at": a.emitted_at, "payload_text": a.payload_text}
+        for a in r.alerts
+    ]
     out["records"] = [
         {
             "subsector": [rec.subsector[0], rec.subsector[1]],
@@ -692,6 +707,8 @@ def parse_report(text: str) -> Report:
 
 #: The top-level records key of an indented report whose records are empty.
 _NO_RECORDS = '\n  "records": []'
+#: The start of an indented report whose alerts, its first key, are empty.
+_NO_ALERTS = '{\n  "alerts": []'
 
 
 def _json_float(value: float) -> str:
@@ -710,13 +727,23 @@ def _render_json(r: Report) -> str:
     newline, byte for byte.
 
     ``indent`` keeps ``json`` on its pure-Python encoder, so the records,
-    the bulk of a report, are written from one template instead: strings
-    through the C string encoder, numbers by ``repr``.  The rest is
-    dumped as before with empty records, and the records are spliced in
-    at their sorted key.  Strings are dumped with every newline escaped,
-    so the top-level key is the first match.
+    the bulk of a report, and the alerts are written from one template
+    each instead: strings through the C string encoder, numbers by
+    ``repr``.  The rest is dumped as before with empty records and
+    alerts, and each list is spliced in at its sorted key: the alerts
+    open the report, and strings are dumped with every newline escaped,
+    so the top-level records key is the first match.
     """
-    text = json.dumps(_report_head_to_dict(r) | {"records": []}, indent=2, sort_keys=True)
+    text = json.dumps(_report_head_to_dict(r), indent=2, sort_keys=True)
+    if r.alerts:
+        alerts = ",\n".join(
+            f'    {{\n'
+            f'      "datum": {encode_basestring_ascii(a.datum_id)},\n'
+            f'      "emitted_at": {_json_float(a.emitted_at)},\n'
+            f'      "payload_text": {encode_basestring_ascii(a.payload_text)},\n'
+            f'      "subscription": {encode_basestring_ascii(a.subscription_id)}\n'
+            f'    }}' for a in r.alerts)
+        text = '{\n  "alerts": [\n' + alerts + "\n  ]" + text[len(_NO_ALERTS):]
     if not r.records:
         return text + "\n"
     records = []

@@ -37,6 +37,9 @@ from .kernel import (
 )
 from .nearness import NearnessIndex, QuerySpec
 
+#: Builds a named tuple without the Python-level ``__new__`` it defines.
+_new_tuple = tuple.__new__
+
 
 class LifecycleState(Enum):
     Raw = "raw"
@@ -302,7 +305,7 @@ class Runtime:
 
     def emit(self, event_type: str, datum_id: str, detail: str) -> RuntimeEvent:
         self._event_seq += 1
-        event = RuntimeEvent(self._event_seq, event_type, datum_id, detail)
+        event = _new_tuple(RuntimeEvent, (self._event_seq, event_type, datum_id, detail))
         self.event_log.append(event)
         return event
 
@@ -314,19 +317,22 @@ class Runtime:
     def subscribe(self, sub: Subscription) -> str:
         if sub.id in self._subs:
             raise ConflictError(f"subscription id already present: {sub.id}")
-        self._subs[sub.id] = sub
+        self._subs = dict(sorted({**self._subs, sub.id: sub}.items()))
         return sub.id
 
     # -- queue -----------------------------------------------------------
 
     def enqueue(self, datum_id: str, reason: ActivationReason,
                 priority: int | None = None) -> ActivationTask:
-        if self.lifecycle_of(datum_id) is LifecycleState.Deleted:
+        state = self._life.get(datum_id)
+        if state is None:
+            raise NotFoundError(datum_id)
+        if state is LifecycleState.Deleted:
             raise LifecycleError(f"cannot enqueue deleted datum {datum_id}")
         if priority is None:
             priority = DEFAULT_PRIORITIES[reason]
         self._task_seq += 1
-        task = ActivationTask(datum_id, priority, reason, self._task_seq)
+        task = _new_tuple(ActivationTask, (datum_id, priority, reason, self._task_seq))
         heapq.heappush(self._queue, (task.sort_key(), task))
         self._last_priority[datum_id] = priority
         return task
@@ -424,7 +430,7 @@ class Runtime:
             return []
         events = [self.emit(
             "activated", datum_id,
-            f"reason={task.reason.value} priority={task.priority} seq={task.enqueued_seq}")]
+            f"reason={task.reason._value_} priority={task.priority} seq={task.enqueued_seq}")]
         try:
             events.extend(self._activate(datum_id))
         except Exception as exc:  # activation failures become events, never aborts
@@ -469,45 +475,45 @@ class Runtime:
                 events.append(self.emit("deleted", absorbed, "absorbed by duplicate"))
             self._transition(datum_id, LifecycleState.Active)
 
-        # 3. pending evidence, arrival order
-        pending = self._evidence.pop(datum_id, [])
-        for item in sorted(pending, key=lambda p: p.seq):
-            d = kernel.apply_evidence(d, item.evidence, at=item.at)
-            self._replace_datum(d)
-            events.append(self.emit(
-                "evidence", d.id,
-                f"polarity={item.evidence.polarity.value} strength={item.evidence.strength} "
-                f"truth={d.truth:.6f} confidence={d.confidence:.6f}"))
+        # 3. pending evidence, arrival order; steps 3 and 4 skip when empty
+        if pending := self._evidence.pop(datum_id, None):
+            for item in sorted(pending, key=lambda p: p.seq):
+                d = kernel.apply_evidence(d, item.evidence, at=item.at)
+                self._replace_datum(d)
+                events.append(self.emit(
+                    "evidence", d.id,
+                    f"polarity={item.evidence.polarity.value} "
+                    f"strength={item.evidence.strength} "
+                    f"truth={d.truth:.6f} confidence={d.confidence:.6f}"))
 
         # 4. hypothesis rules over the datum and its surviving peers
-        candidates: list[ActiveDatum] = []
         if self._rules:
             candidates = [d] + [self._store[p] for p in peer_ids
                                 if self._life.get(p) not in (None, LifecycleState.Deleted)]
-        for rule_id in sorted(self._rules):
-            rule = self._rules[rule_id]
-            if self._provenance.get(d.id) == rule_id:
-                continue  # never feed a rule its own conclusions
-            hyp = kernel.infer(rule, candidates)
-            if hyp is not None:
-                if hyp.id in self._store:
-                    continue
-                self.add(hyp)
-                self._provenance[hyp.id] = rule_id
-                self.enqueue(hyp.id, ActivationReason.NewData)
-                events.append(self.emit(
-                    "hypothesis", hyp.id,
-                    f"rule={rule_id} confidence={hyp.confidence:.6f} text={hyp.text}"))
-            else:
-                gaps = kernel.match_gaps(rule, candidates)
-                new_gaps = tuple(g for g in gaps if g not in d.hyperdata.missing)
-                if new_gaps:
-                    d = replace(d, hyperdata=replace(
-                        d.hyperdata,
-                        missing=d.hyperdata.missing + new_gaps))
-                    self._replace_datum(d)
+            for rule_id in sorted(self._rules):
+                rule = self._rules[rule_id]
+                if self._provenance.get(d.id) == rule_id:
+                    continue  # never feed a rule its own conclusions
+                hyp = kernel.infer(rule, candidates)
+                if hyp is not None:
+                    if hyp.id in self._store:
+                        continue
+                    self.add(hyp)
+                    self._provenance[hyp.id] = rule_id
+                    self.enqueue(hyp.id, ActivationReason.NewData)
                     events.append(self.emit(
-                        "gap", d.id, f"rule={rule_id} missing={'|'.join(new_gaps)}"))
+                        "hypothesis", hyp.id,
+                        f"rule={rule_id} confidence={hyp.confidence:.6f} text={hyp.text}"))
+                else:
+                    gaps = kernel.match_gaps(rule, candidates)
+                    new_gaps = tuple(g for g in gaps if g not in d.hyperdata.missing)
+                    if new_gaps:
+                        d = replace(d, hyperdata=replace(
+                            d.hyperdata,
+                            missing=d.hyperdata.missing + new_gaps))
+                        self._replace_datum(d)
+                        events.append(self.emit(
+                            "gap", d.id, f"rule={rule_id} missing={'|'.join(new_gaps)}"))
 
         # 5. storage tier decision
         tier = tier_decision(d, self.now, self.config.tier_policy)
@@ -520,9 +526,8 @@ class Runtime:
                 events.append(self.emit("deleted", d.id, "confidently false"))
                 return events
 
-        # 6. alerts for matching subscriptions
-        for sub_id in sorted(self._subs):
-            sub = self._subs[sub_id]
+        # 6. alerts for matching subscriptions, which ``subscribe`` keeps in id order
+        for sub_id, sub in self._subs.items():
             if (sub_id, d.id) in self._alerted:
                 continue
             if d.kind not in sub.deliver_kinds:

@@ -43,18 +43,22 @@ def test_quartiles_span_the_middle_half_of_the_rounds():
 
 
 def test_differing_outputs_exit_1(tmp_path):
-    # A copy whose event log words a reroute differently.
-    shutil.copytree(ROOT / "src" / "adatm", tmp_path / "src" / "adatm",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    source = tmp_path / "src" / "adatm" / "scenario.py"
-    text = source.read_text(encoding="utf-8")
-    assert text.count('self.rt.emit("rerouted"') == 1
-    source.write_text(text.replace('self.rt.emit("rerouted"', 'self.rt.emit("moved"'),
-                      encoding="utf-8")
-    done = _ab(ROOT, tmp_path)
-    assert done.returncode == 1
-    assert done.stderr == "error: outputs differ, scenario 0: event log differs\n"
-    assert "rounds won" not in done.stdout
+    # One copy whose event log words a reroute differently, and one whose
+    # CSV report, and nothing else, names its flight-id column differently.
+    for name, old, new, part in (
+            ("log", 'self.rt.emit("rerouted"', 'self.rt.emit("moved"', "event log"),
+            ("csv", '"congested,flight_ids"', '"congested,flights"', "CSV report")):
+        tree = tmp_path / name
+        shutil.copytree(ROOT / "src" / "adatm", tree / "src" / "adatm",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        source = tree / "src" / "adatm" / "scenario.py"
+        text = source.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        source.write_text(text.replace(old, new), encoding="utf-8")
+        done = _ab(ROOT, tree)
+        assert done.returncode == 1
+        assert done.stderr == f"error: outputs differ, scenario 0: {part} differs\n"
+        assert "rounds won" not in done.stdout
 
 
 def test_flights_scales_the_headroom_workload():

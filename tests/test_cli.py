@@ -54,9 +54,21 @@ class TestSimulate:
         log = tmp_path / "events.log"
         assert main(["simulate", str(headroom_path), "--log", str(log),
                      "--out", str(tmp_path / "r.csv")]) == 0
-        lines = log.read_text(encoding="utf-8").splitlines()
-        assert lines
-        assert all(line.count("|") >= 3 for line in lines if line)
+        text = log.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        assert lines and text == "\n".join(lines) + "\n"
+        assert all(line.count("|") >= 3 for line in lines)
+
+    def test_event_log_of_a_run_without_events_is_empty(self, tmp_path):
+        # No flights and no observations: no event, so no line, not one
+        # blank line that a line reader counts as an empty event.
+        scenario = tmp_path / "empty.json"
+        scenario.write_text(json.dumps({"grid": {"cols": 2, "rows": 2, "cell": 10.0}}),
+                            encoding="utf-8")
+        log = tmp_path / "events.log"
+        assert main(["simulate", str(scenario), "--log", str(log),
+                     "--out", str(tmp_path / "r.csv")]) == 0
+        assert log.read_bytes() == b""
 
     def test_exhausted_budget_exits_3(self, headroom_path, tmp_path, capsys):
         code = main(["simulate", str(headroom_path), "--max-steps", "1",

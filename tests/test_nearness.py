@@ -396,6 +396,54 @@ class TestNeighborhoodPredicate:
         assert QuerySpec.neighborhood(center, other, *radii[1:]) != spec
 
 
+#: Span ends: signed zeros and quarter steps, so that spans touch, overlap,
+#: and meet at a point, plus any float in range.
+_ENDS = st.sampled_from([0.0, -0.0, 0.25, -0.25, 1.0, 2.0]) | \
+    st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def _focused_spans(draw):
+    """An ordered span, often a point, and with both orders of 0.0 and -0.0."""
+    lo = draw(_ENDS)
+    hi = draw(st.just(lo) | st.just(-lo) | _ENDS)
+    return (lo, hi) if lo <= hi else (hi, lo)
+
+
+@st.composite
+def _focused_cases(draw):
+    """(time window, box, concept prefix, key); each constraint is present
+    or absent, and the prefixes run deeper than the key's concept and
+    under another root."""
+    optional = st.none() | _focused_spans()
+    window = draw(st.none() | _focused_spans().map(lambda t: TimeInterval(*t)))
+    xs, ys = draw(optional), draw(optional)
+    box = None if xs is None or ys is None else PlanarBox(xs[0], ys[0], xs[1], ys[1])
+    prefix = draw(st.none() | st.sampled_from(
+        ["w", "w/a", "w/a/b", "w/a/b/c", "w/b", "v", "v/a"]).map(ConceptPath.parse))
+    (t0, t1), (kx0, kx1), (ky0, ky1) = (draw(_focused_spans()) for _ in range(3))
+    key = make_key(t0=t0, t1=t1, box=(kx0, ky0, kx1, ky1),
+                   concept=draw(st.sampled_from(["w", "w/a", "w/a/b", "v/a"])))
+    return window, box, prefix, key
+
+
+class TestFocusedPredicate:
+    @settings(max_examples=1000)
+    @given(case=_focused_cases())
+    @example(case=(TimeInterval(0.0, -0.0), PlanarBox(-0.0, 0.0, 0.0, 0.0),
+                   ConceptPath.parse("w/a/b/c"),
+                   make_key(t0=-0.0, t1=0.0, box=(0.0, -0.0, 0.0, 0.0), concept="w/a")))
+    def test_matches_the_conjunction_of_the_value_tests(self, case):
+        window, box, prefix, key = case
+        if window is None and box is None and prefix is None:
+            return  # a focused query needs a constraint
+        spec = QuerySpec.focused(time_window=window, box=box, concept_prefix=prefix)
+        expected = (window is None or window.intersects(key.time)) and \
+            (box is None or box.intersects(key.space)) and \
+            (prefix is None or prefix.is_prefix_of(key.concept))
+        assert spec.matches(key) == expected
+
+
 class TestFocusedNeighborhoodConsistency:
     def test_zero_radius_neighborhood_subset_of_key_focused(self):
         rng = random.Random(9)

@@ -312,6 +312,48 @@ class TestSubscriptionPaths:
         assert capsys.readouterr().err == f"error: invalid scenario: {path}: {message}\n"
 
 
+#: What an id may not hold: the event log's field separator, the CSV
+#: report's column and flight-id separators, and every line boundary of
+#: ``str.splitlines``.
+ID_BREAKS = "|,;\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+class TestIdCharacters:
+    """A flight, storm or subscription id is written into CSV rows and
+    event-log lines, so an id holding a separator or a line boundary is
+    refused at its path: flight ``a,b;c`` used to add CSV columns, and
+    storm ``st|1\\n2`` wrote a line that read as a second event."""
+
+    def test_the_breaks_are_the_separators_and_line_boundaries(self):
+        boundaries = {chr(i) for i in range(0x110000)
+                      if len(f"a{chr(i)}b".splitlines()) > 1}
+        assert set(ID_BREAKS) == boundaries | {"|", ",", ";"}
+
+    @pytest.mark.parametrize("field", ["flights", "storms", "subscriptions"])
+    @pytest.mark.parametrize("char", ID_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+    def test_a_break_in_an_id_is_refused(self, field, char, tmp_path, capsys):
+        doc = copy.deepcopy(VALID)
+        doc[field][0]["id"] = bad_id = f"x{char}y"
+        path = f"{field}[0].id"
+        message = f"id {bad_id!r} holds {char!r}, a CSV or log separator"
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(doc)
+        assert (err.value.path, err.value.message) == (path, message)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli_main(["simulate", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: invalid scenario: {path}: {message}\n"
+
+    def test_other_characters_load(self):
+        doc = copy.deepcopy(VALID)
+        for field, new_id in (("flights", "f-1.x_2 (a)/b:c\t\u00e9"), ("storms", "st 1"),
+                              ("subscriptions", "w\u2708")):
+            doc[field][0]["id"] = new_id
+        s = scenario_from_dict(doc)
+        assert (s.flights[0].flight_id, s.storms[0].cell.id, s.subscriptions[0].id) == \
+            ("f-1.x_2 (a)/b:c\t\u00e9", "st 1", "w\u2708")
+
+
 class TestPipelineFolds:
     """Every fold a run makes equals the naive pairwise fold, compared by
     ``repr`` so that -0.0 is told from 0.0."""

@@ -256,13 +256,15 @@ class TestStepActivation:
         assert rt.alerts == []
 
     def test_two_overlapping_subscriptions_two_alerts(self):
-        rt = fresh_runtime()
-        rt.subscribe(everything_subscription("s1"))
-        rt.subscribe(everything_subscription("s2"))
-        rt.add(make_datum("d"))
-        rt.enqueue("d", ActivationReason.NewData)
-        rt.step()
-        assert [a.subscription_id for a in rt.alerts] == ["s1", "s2"]
+        # The alerts follow the subscription ids, whatever the subscribe order.
+        for order in (["s1", "s2"], ["s2", "s1"]):
+            rt = fresh_runtime()
+            for sub_id in order:
+                rt.subscribe(everything_subscription(sub_id))
+            rt.add(make_datum("d"))
+            rt.enqueue("d", ActivationReason.NewData)
+            rt.step()
+            assert [a.subscription_id for a in rt.alerts] == ["s1", "s2"], order
 
     def test_kind_filter(self):
         rt = fresh_runtime()

@@ -13,9 +13,11 @@ gives each headroom scenario N flights instead of the benchmark's 50, to
 show how a change scales; it sets ``HEADROOM_FLIGHTS`` in the tool's own
 copy of ``bench/workloads.py``.
 
-First every scenario is run once on each tree: unless the report JSON and
-the event log have the same SHA-256 on both, the tool prints the first
-scenario that differs and exits 1.  Then each round times ``simulate``
+First every scenario is run once on each tree: unless the report JSON,
+the event log, the CSV report and the ``run_oracle`` JSON have the same
+SHA-256 on both, as ``tools/digests.py`` and ``tests/test_golden.py``
+compare them, the tool prints the first scenario and output that differ
+and exits 1.  Then each round times ``simulate``
 plus the JSON render of every scenario on both trees, the tree that goes
 first alternating from one call to the next.  The tool prints each tree's
 median round time, the median and the quartiles over rounds of
@@ -85,14 +87,24 @@ def _run(scenario_mod, scenario) -> tuple[str, str]:
     return scenario_mod.render_report(run.report, "json"), run.event_log
 
 
+def _outputs(scenario_mod, scenario) -> tuple[str, str, str, str]:
+    """The report JSON, the event log, the CSV report and the
+    ``run_oracle`` JSON of one scenario."""
+    run = scenario_mod.simulate(scenario)
+    render = scenario_mod.render_report
+    return (render(run.report, "json"), run.event_log, render(run.report, "csv"),
+            render(scenario_mod.run_oracle(scenario), "json"))
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _first_difference(modules, scenarios) -> str | None:
     for index, pair in enumerate(zip(*scenarios)):
-        outputs = [_run(mod, scenario) for mod, scenario in zip(modules, pair)]
-        for part, a, b in zip(("report JSON", "event log"), *outputs):
+        outputs = [_outputs(mod, scenario) for mod, scenario in zip(modules, pair)]
+        for part, a, b in zip(("report JSON", "event log", "CSV report", "oracle JSON"),
+                              *outputs):
             if _sha(a) != _sha(b):
                 return f"scenario {index}: {part} differs"
     return None
