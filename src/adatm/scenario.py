@@ -214,12 +214,8 @@ def _id(value, path: str) -> str:
 
 
 def _ids(value, path: str) -> tuple[str, ...]:
-    """A list of flight ids, each a string."""
-    ids = tuple(_list(value, path, "a list of flight ids"))
-    for fid in ids:
-        if type(fid) is not str:
-            raise ValidationError(f"expected a flight id string, got {fid!r}", path)
-    return ids
+    """A list of flight ids, each read by ``_id`` at the list's path."""
+    return tuple(_id(fid, path) for fid in _list(value, path, "a list of flight ids"))
 
 
 def _bool(value, path: str) -> bool:
@@ -230,7 +226,7 @@ def _bool(value, path: str) -> bool:
 
 def _cell(value, path: str) -> tuple[int, int]:
     col, row = _list(value, path, "[col, row]", 2)
-    return _count(col, path), _count(row, path)
+    return _count(col, path, least=0), _count(row, path, least=0)
 
 
 def _radius(value, path: str) -> float:
@@ -239,16 +235,21 @@ def _radius(value, path: str) -> float:
     return _num(value, path)
 
 
+#: A value object's field name -> its JSON name under the reader's path,
+#: where the two differ; "" where the error names the value itself.
+_JSON_NAMES = {"time": "", "box": "", "concept": "", "flight_id": "id",
+               "source_id": "source"}
+
+
 def _within(path: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``; a value object's ``ValidationError``, which
-    names only its own field (``min_confidence``), is raised again under
-    ``path``.  A reader's error already names its whole path."""
+    """``make(*args, **kwargs)``, the value object read at ``path``.  Its
+    ``ValidationError``, which names only its own field (``min_confidence``),
+    is raised again at that field's JSON path under ``path``."""
     try:
         return make(*args, **kwargs)
     except ValidationError as exc:
-        if exc.path.startswith(path):
-            raise
-        raise ValidationError(exc.message, f"{path}.{exc.path}") from None
+        name = _JSON_NAMES.get(exc.path, exc.path)
+        raise ValidationError(exc.message, f"{path}.{name}" if name else path) from None
 
 
 def _kind(value, path: str) -> NotionKind:
@@ -273,12 +274,13 @@ def _objects(obj: dict, name: str) -> list[tuple[str, dict]]:
 
 def _box(value, path: str) -> PlanarBox:
     x0, y0, x1, y1 = _list(value, path, "[x0, y0, x1, y1]", 4)
-    return PlanarBox(_num(x0, path), _num(y0, path), _num(x1, path), _num(y1, path))
+    return _within(path, PlanarBox, _num(x0, path), _num(y0, path), _num(x1, path),
+                   _num(y1, path))
 
 
 def _interval(value, path: str) -> TimeInterval:
     start, end = _list(value, path, "[start, end]", 2)
-    return TimeInterval(_num(start, path), _num(end, path))
+    return _within(path, TimeInterval, _num(start, path), _num(end, path))
 
 
 def _key_from_dict(obj: dict, path: str, concepts: dict[str, ConceptPath]) -> NearnessKey:
@@ -289,7 +291,7 @@ def _key_from_dict(obj: dict, path: str, concepts: dict[str, ConceptPath]) -> Ne
     text = _text(_need(obj, "concept", path), f"{path}.concept")
     concept = concepts.get(text)
     if concept is None:
-        concept = concepts[text] = ConceptPath.parse(text)
+        concept = concepts[text] = _within(f"{path}.concept", ConceptPath.parse, text)
     return NearnessKey(time, space, concept)
 
 
@@ -306,8 +308,7 @@ def _query_from_dict(obj: dict, path: str, concepts: dict[str, ConceptPath]) -> 
     if mode == "neighborhood":
         return _within(
             path, QuerySpec.neighborhood,
-            center=_within(f"{path}.center", _key_from_dict, _need(obj, "center", path),
-                           f"{path}.center", concepts),
+            center=_key_from_dict(_need(obj, "center", path), f"{path}.center", concepts),
             time_radius=_radius(_need(obj, "time_radius", path), f"{path}.time_radius"),
             space_radius=_radius(_need(obj, "space_radius", path), f"{path}.space_radius"),
             concept_radius=_radius(_need(obj, "concept_radius", path),
@@ -318,15 +319,12 @@ def _query_from_dict(obj: dict, path: str, concepts: dict[str, ConceptPath]) -> 
         box = obj.get("box")
         prefix = obj.get("concept_prefix")
         if time is not None:
-            time = _within(path, _interval, time, f"{path}.time")
+            time = _interval(time, f"{path}.time")
         if box is not None:
-            box = _within(path, _box, box, f"{path}.box")
+            box = _box(box, f"{path}.box")
         if prefix is not None:
-            text = _text(prefix, f"{path}.concept_prefix")
-            try:
-                prefix = ConceptPath.parse(text)
-            except ValidationError as exc:
-                raise ValidationError(exc.message, f"{path}.concept_prefix") from None
+            prefix = _within(f"{path}.concept_prefix", ConceptPath.parse,
+                             _text(prefix, f"{path}.concept_prefix"))
         return _within(path, QuerySpec.focused, time_window=time, box=box,
                        concept_prefix=prefix)
     raise ValidationError(f"unknown query mode {mode!r}", f"{path}.mode")
@@ -386,8 +384,8 @@ def scenario_from_dict(obj: dict) -> Scenario:
     g = _obj(_need(obj, "grid", "$"), "grid")
     grid = GridSpec(
         x0=_num(g.get("x0", 0.0), "grid.x0"), y0=_num(g.get("y0", 0.0), "grid.y0"),
-        cols=_count(_need(g, "cols", "grid"), "grid.cols"),
-        rows=_count(_need(g, "rows", "grid"), "grid.rows"),
+        cols=_count(_need(g, "cols", "grid"), "grid.cols", least=1),
+        rows=_count(_need(g, "rows", "grid"), "grid.rows", least=1),
         cell=_num(_need(g, "cell", "grid"), "grid.cell"),
     )
     capacity = _obj(obj.get("capacity", {}), "capacity")
@@ -402,10 +400,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
             enumerate(_list(f.get("alternates", []), f"{path}.alternates", "a list of routes")))
         delay = _num(f.get("departure_delay", 0.0), f"{path}.departure_delay")
         priority = _count(f.get("priority", 0), f"{path}.priority")
-        try:
-            flights[fid] = FlightPlan(fid, waypoints, alternates, delay, priority)
-        except ValidationError as exc:
-            raise ValidationError(str(exc), path) from None
+        flights[fid] = _within(path, FlightPlan, fid, waypoints, alternates, delay, priority)
     storms: list[ScenarioStorm] = []
     for path, s in _objects(obj, "storms"):
         vx, vy = _list(s.get("velocity", [0.0, 0.0]), f"{path}.velocity", "[vx, vy]", 2)
@@ -438,14 +433,10 @@ def scenario_from_dict(obj: dict) -> Scenario:
         if not 0.0 <= confidence <= 1.0:
             raise ValidationError("confidence outside [0, 1]", f"{path}.confidence")
         source = _text(_need(o, "source", path), f"{path}.source")
-        try:
-            metadata = Metadata(
-                source_id=strings.setdefault(source, source),
-                observed_at=_num(o.get("observed_at", key.time.start),
-                                 f"{path}.observed_at"),
-                size_hint=len(payload), schema_tag="weather-report")
-        except ValidationError as exc:
-            raise ValidationError(str(exc), path) from None
+        metadata = _within(
+            path, Metadata, source_id=strings.setdefault(source, source),
+            observed_at=_num(o.get("observed_at", key.time.start), f"{path}.observed_at"),
+            size_hint=len(payload), schema_tag="weather-report")
         observations.append(Observation(payload, confidence, key, metadata))
     subscriptions: dict[str, Subscription] = {}
     for path, s in _objects(obj, "subscriptions"):
@@ -585,7 +576,7 @@ def _outcome_from_dict(obj, path: str) -> InsertOutcome:
                                 "a list of objects")):
         where = f"{path}.new_plans[{i}]"
         new_plans.append(RouteChoice(
-            _text(_need(p, "flight", where), f"{where}.flight"),
+            _id(_need(p, "flight", where), f"{where}.flight"),
             _count(_need(p, "route", where), f"{where}.route"),
             _num(_need(p, "added_delay", where), f"{where}.added_delay")))
     violated = obj.get("violated")
@@ -660,8 +651,9 @@ def parse_report(text: str) -> Report:
     """Read a JSON report through the scenario readers: anything but a
     report document, or a report holding a value that no run writes,
     raises ``ValidationError`` naming the field's path.  No run writes two
-    records for one spot, a grid size below 1, or an id or text that is
-    not a string."""
+    records for one spot, a grid size below 1, a negative cell or count, a
+    bucket of 0 seconds or less, a text that is not a string, or a flight
+    id that ``_id`` refuses."""
     obj = _obj(_parse_json(text), "$")
     records = []
     spots = set()
@@ -687,20 +679,23 @@ def parse_report(text: str) -> Report:
     outcomes = _obj(_need(obj, "outcomes", "$"), "outcomes")
     grid = _need(obj, "grid", "$")
     stats = _need(obj, "stats", "$")
+    bucket_seconds = _num(_need(obj, "bucket_seconds", "$"), "bucket_seconds")
+    if bucket_seconds <= 0:
+        raise ValidationError(f"expected a number > 0, got {bucket_seconds!r}",
+                              "bucket_seconds")
     return Report(
         seed=_count(_need(obj, "seed", "$"), "seed"),
-        bucket_seconds=_num(_need(obj, "bucket_seconds", "$"), "bucket_seconds"),
+        bucket_seconds=bucket_seconds,
         grid_cols=_count(_need(grid, "cols", "grid"), "grid.cols", least=1),
         grid_rows=_count(_need(grid, "rows", "grid"), "grid.rows", least=1),
         records=tuple(records),
-        outcomes=tuple(sorted((fid, _outcome_from_dict(o, f"outcomes.{fid}"))
+        outcomes=tuple(sorted((_id(fid, f"outcomes.{fid}"),
+                               _outcome_from_dict(o, f"outcomes.{fid}"))
                               for fid, o in outcomes.items())),
         alerts=tuple(alerts),
         stats=RunStats(
-            steps=_count(_need(stats, "steps", "stats"), "stats.steps"),
-            alerts=_count(_need(stats, "alerts", "stats"), "stats.alerts"),
-            merges=_count(_need(stats, "merges", "stats"), "stats.merges"),
-            deletions=_count(_need(stats, "deletions", "stats"), "stats.deletions"),
+            *(_count(_need(stats, name, "stats"), f"stats.{name}", least=0)
+              for name in ("steps", "alerts", "merges", "deletions")),
             quiescent=_bool(_need(stats, "quiescent", "stats"), "stats.quiescent")),
     )
 
@@ -1072,6 +1067,8 @@ def _check_full_report(scenario: Scenario, include_empty: bool) -> None:
 def simulate(scenario: Scenario, max_steps: int | None = None,
              include_empty: bool = False) -> SimulationRun:
     """Run the full decentralized pipeline, returning report plus artifacts."""
+    if max_steps is not None and max_steps < 1:
+        raise ValidationError(f"max_steps must be >= 1, got {max_steps}", "max_steps")
     _check_full_report(scenario, include_empty)
     return _Driver(scenario, max_steps, include_empty).run()
 

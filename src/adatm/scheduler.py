@@ -9,6 +9,11 @@ it is live: a task queued for a datum deleted since is dropped when it
 is popped, without a log line, and still counts as a step.  Given the
 same initial state and task sequence, the emitted event log is
 byte-for-byte identical across runs.
+
+The event log is the only record of what a step did: :meth:`Runtime.step`
+returns the lines it appended, and :meth:`Runtime.run_until_quiescent`
+counts alerts, merges and deletions over the lines its drain appended,
+so both agree with the log even when an activation fails part-way.
 """
 
 from __future__ import annotations
@@ -119,10 +124,6 @@ class ActivationTask(NamedTuple):
     reason: ActivationReason
     enqueued_seq: int
 
-    def sort_key(self) -> tuple[int, int]:
-        # Highest priority first, ties broken by arrival order.
-        return (-self.priority, self.enqueued_seq)
-
 
 @dataclass(frozen=True, slots=True)
 class Alert:
@@ -189,15 +190,6 @@ class SchedulerConfig:
                 raise ValidationError(f"radius must be >= 0, got {radius}", name)
 
 
-@dataclass(slots=True)
-class _PendingEvidence:
-    """Evidence posted to a datum, applied at its next activation."""
-
-    seq: int
-    evidence: Evidence
-    at: float
-
-
 class Runtime:
     """Single-threaded owner of the datum store and nearness index."""
 
@@ -210,14 +202,18 @@ class Runtime:
         self._life: dict[str, LifecycleState] = {}
         # Payload text -> ids of the live data that carry it.
         self._by_text: dict[str, set[str]] = {}
-        self._queue: list[tuple[tuple[int, int], ActivationTask]] = []
+        # Heap of (-priority, seq, task): highest priority first, ties
+        # broken by arrival order.
+        self._queue: list[tuple[int, int, ActivationTask]] = []
         self._task_seq = 0
         self._event_seq = 0
         self._subs: dict[str, Subscription] = {}
         self._alerted: set[tuple[str, str]] = set()
         self.alerts: list[Alert] = []
         self._mailboxes: dict[str, list[Message]] = {}
-        self._evidence: dict[str, list[_PendingEvidence]] = {}
+        # Datum id -> its pending (seq, evidence, at), applied at its next
+        # activation.
+        self._evidence: dict[str, list[tuple[int, Evidence, float]]] = {}
         self._evidence_seq = 0
         self._rules: dict[str, HypothesisRule] = {}
         self._provenance: dict[str, str] = {}
@@ -303,11 +299,10 @@ class Runtime:
 
     # -- events ----------------------------------------------------------
 
-    def emit(self, event_type: str, datum_id: str, detail: str) -> RuntimeEvent:
+    def emit(self, event_type: str, datum_id: str, detail: str) -> None:
         self._event_seq += 1
-        event = _new_tuple(RuntimeEvent, (self._event_seq, event_type, datum_id, detail))
-        self.event_log.append(event)
-        return event
+        self.event_log.append(
+            _new_tuple(RuntimeEvent, (self._event_seq, event_type, datum_id, detail)))
 
     def render_event_log(self) -> str:
         return "\n".join(e.render() for e in self.event_log)
@@ -333,7 +328,7 @@ class Runtime:
             priority = DEFAULT_PRIORITIES[reason]
         self._task_seq += 1
         task = _new_tuple(ActivationTask, (datum_id, priority, reason, self._task_seq))
-        heapq.heappush(self._queue, (task.sort_key(), task))
+        heapq.heappush(self._queue, (-priority, self._task_seq, task))
         self._last_priority[datum_id] = priority
         return task
 
@@ -362,8 +357,7 @@ class Runtime:
         if self.lifecycle_of(datum_id) is LifecycleState.Deleted:
             raise LifecycleError(f"cannot post evidence to deleted datum {datum_id}")
         self._evidence_seq += 1
-        self._evidence.setdefault(datum_id, []).append(
-            _PendingEvidence(self._evidence_seq, evidence, at))
+        self._evidence.setdefault(datum_id, []).append((self._evidence_seq, evidence, at))
         self.enqueue(datum_id, ActivationReason.PeerArrived)
 
     def register_rule(self, rule: HypothesisRule) -> None:
@@ -415,7 +409,9 @@ class Runtime:
             self.index.insert(datum.id, datum.key)
 
     def step(self) -> list[RuntimeEvent]:
-        """Pop one task and run its activation; returns the events logged.
+        """Pop one task and run its activation; returns the lines it
+        appended to the event log, all of them, also when the activation
+        fails part-way.
 
         An empty queue is a no-op returning [].  A task whose datum was
         deleted after it was queued (absorbed by a duplicate, forced out
@@ -424,21 +420,20 @@ class Runtime:
         """
         if not self._queue:
             return []
-        _, task = heapq.heappop(self._queue)
+        task = heapq.heappop(self._queue)[2]
         datum_id = task.datum_id
         if self._life[datum_id] is LifecycleState.Deleted:
             return []
-        events = [self.emit(
-            "activated", datum_id,
-            f"reason={task.reason._value_} priority={task.priority} seq={task.enqueued_seq}")]
+        start = len(self.event_log)
+        self.emit("activated", datum_id, f"reason={task.reason._value_} "
+                  f"priority={task.priority} seq={task.enqueued_seq}")
         try:
-            events.extend(self._activate(datum_id))
+            self._activate(datum_id)
         except Exception as exc:  # activation failures become events, never aborts
-            events.append(self.emit("error", datum_id, f"{type(exc).__name__}: {exc}"))
-        return events
+            self.emit("error", datum_id, f"{type(exc).__name__}: {exc}")
+        return self.event_log[start:]
 
-    def _activate(self, datum_id: str) -> list[RuntimeEvent]:
-        events: list[RuntimeEvent] = []
+    def _activate(self, datum_id: str) -> None:
         self._transition(datum_id, LifecycleState.Active)
         d = self._store[datum_id]
 
@@ -447,7 +442,7 @@ class Runtime:
         i = bisect_left(peer_ids, d.id)
         if i < len(peer_ids) and peer_ids[i] == d.id:
             del peer_ids[i]
-        events.append(self.emit("peers", d.id, f"count={len(peer_ids)}"))
+        self.emit("peers", d.id, f"count={len(peer_ids)}")
 
         # 2. duplicate fusion, one pass in ascending peer id.  A duplicate
         # has the same payload text, and a merge keeps the winner's payload,
@@ -470,21 +465,20 @@ class Runtime:
                 leftover = self._evidence.pop(absorbed, [])
                 if leftover:
                     self._evidence.setdefault(survivor, []).extend(leftover)
-                events.append(self.emit(
-                    "merged", survivor, f"absorbed={absorbed} confidence={confidence:.6f}"))
-                events.append(self.emit("deleted", absorbed, "absorbed by duplicate"))
+                self.emit("merged", survivor,
+                          f"absorbed={absorbed} confidence={confidence:.6f}")
+                self.emit("deleted", absorbed, "absorbed by duplicate")
             self._transition(datum_id, LifecycleState.Active)
 
         # 3. pending evidence, arrival order; steps 3 and 4 skip when empty
         if pending := self._evidence.pop(datum_id, None):
-            for item in sorted(pending, key=lambda p: p.seq):
-                d = kernel.apply_evidence(d, item.evidence, at=item.at)
+            # Seqs are distinct, so the tuples sort by seq alone.
+            for _, evidence, at in sorted(pending):
+                d = kernel.apply_evidence(d, evidence, at=at)
                 self._replace_datum(d)
-                events.append(self.emit(
-                    "evidence", d.id,
-                    f"polarity={item.evidence.polarity.value} "
-                    f"strength={item.evidence.strength} "
-                    f"truth={d.truth:.6f} confidence={d.confidence:.6f}"))
+                self.emit("evidence", d.id,
+                          f"polarity={evidence.polarity.value} strength={evidence.strength} "
+                          f"truth={d.truth:.6f} confidence={d.confidence:.6f}")
 
         # 4. hypothesis rules over the datum and its surviving peers
         if self._rules:
@@ -501,9 +495,8 @@ class Runtime:
                     self.add(hyp)
                     self._provenance[hyp.id] = rule_id
                     self.enqueue(hyp.id, ActivationReason.NewData)
-                    events.append(self.emit(
-                        "hypothesis", hyp.id,
-                        f"rule={rule_id} confidence={hyp.confidence:.6f} text={hyp.text}"))
+                    self.emit("hypothesis", hyp.id, f"rule={rule_id} "
+                              f"confidence={hyp.confidence:.6f} text={hyp.text}")
                 else:
                     gaps = kernel.match_gaps(rule, candidates)
                     new_gaps = tuple(g for g in gaps if g not in d.hyperdata.missing)
@@ -512,8 +505,7 @@ class Runtime:
                             d.hyperdata,
                             missing=d.hyperdata.missing + new_gaps))
                         self._replace_datum(d)
-                        events.append(self.emit(
-                            "gap", d.id, f"rule={rule_id} missing={'|'.join(new_gaps)}"))
+                        self.emit("gap", d.id, f"rule={rule_id} missing={'|'.join(new_gaps)}")
 
         # 5. storage tier decision
         tier = tier_decision(d, self.now, self.config.tier_policy)
@@ -521,10 +513,10 @@ class Runtime:
             d = replace(d, hyperdata=replace(d.hyperdata, tier=tier))
             self._replace_datum(d)
             self._transition(datum_id, _TIER_TO_LIFECYCLE[tier])
-            events.append(self.emit("tier", d.id, f"tier={tier.value}"))
+            self.emit("tier", d.id, f"tier={tier.value}")
             if tier is StorageTier.Deleted:
-                events.append(self.emit("deleted", d.id, "confidently false"))
-                return events
+                self.emit("deleted", d.id, "confidently false")
+                return
 
         # 6. alerts for matching subscriptions, which ``subscribe`` keeps in id order
         for sub_id, sub in self._subs.items():
@@ -539,25 +531,24 @@ class Runtime:
             alert = Alert(sub_id, d.id, self.now, d.text)
             self.alerts.append(alert)
             self._alerted.add((sub_id, d.id))
-            events.append(self.emit(
-                "alert", d.id,
-                f"subscription={sub_id} confidence={d.confidence:.6f}"))
-        return events
+            self.emit("alert", d.id, f"subscription={sub_id} confidence={d.confidence:.6f}")
 
     def run_until_quiescent(self, max_steps: int) -> RunStats:
-        """Step until the queue drains or the budget is spent."""
+        """Step until the queue drains or the budget is spent; the counts are
+        read from the lines this drain appended to the event log."""
         if max_steps < 1:
             raise ValidationError("max_steps must be >= 1", "max_steps")
+        start = len(self.event_log)
         stats = RunStats()
         while self._queue and stats.steps < max_steps:
-            events = self.step()
+            self.step()
             stats.steps += 1
-            for e in events:
-                if e.event_type == "alert":
-                    stats.alerts += 1
-                elif e.event_type == "merged":
-                    stats.merges += 1
-                elif e.event_type == "deleted":
-                    stats.deletions += 1
+        for e in self.event_log[start:]:
+            if e.event_type == "alert":
+                stats.alerts += 1
+            elif e.event_type == "merged":
+                stats.merges += 1
+            elif e.event_type == "deleted":
+                stats.deletions += 1
         stats.quiescent = not self._queue
         return stats

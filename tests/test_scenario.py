@@ -312,6 +312,64 @@ class TestSubscriptionPaths:
         assert capsys.readouterr().err == f"error: invalid scenario: {path}: {message}\n"
 
 
+def _edit_at(*path):
+    """An edit that sets the field of a document at ``path``."""
+    def edit(doc, value):
+        _node_at(doc, path[:-1])[path[-1]] = value
+    return edit
+
+
+class TestLoadErrorPaths:
+    """A value object's error is raised again at the JSON path of the field
+    it was read from, by one rule (``_within``).  An unordered key time or
+    box used to fail at ``time`` or ``box``, with no location in the file,
+    and so did a bad key concept, a storm's ``active`` or ``box`` and a
+    closure's ``interval``; a flight's error read ``flights[0]: waypoints:
+    ...`` and an observation's ``observations[0]: observed_at: ...``."""
+
+    @pytest.mark.parametrize("edit, value, path, message", [
+        (_edit_at("observations", 0, "key", "time"), [5, 1],
+         "observations[0].key.time", "time bounds not ordered: start 5.0, end 1.0"),
+        (_edit_at("observations", 0, "key", "box"), [5, 0, 1, 1],
+         "observations[0].key.box", "box corners out of order or NaN"),
+        (_edit_at("observations", 0, "key", "concept"), "a//b",
+         "observations[0].key.concept", "bad concept label ''"),
+        (_edit_at("storms", 0, "active"), [5, 1],
+         "storms[0].active", "time bounds not ordered: start 5.0, end 1.0"),
+        (_edit_at("storms", 0, "box"), [5, 0, 1, 1],
+         "storms[0].box", "box corners out of order or NaN"),
+        (_edit_at("closures", 0, "interval"), [5, 1],
+         "closures[0].interval", "time bounds not ordered: start 5.0, end 1.0"),
+        (_edit_at("flights", 0, "waypoints"), [[1, 5, 0]],
+         "flights[0].waypoints", "route needs at least two waypoints"),
+        (_edit_at("flights", 0, "departure_delay"), -1,
+         "flights[0].departure_delay", "departure_delay must be >= 0"),
+        (_edit_at("flights", 0, "alternates"), [[[1, 5, 0]]],
+         "flights[0].alternates[0]", "route needs at least two waypoints"),
+        (_edit_at("flights", 0, "alternates"), [[[1, 5, 0], [5, 5, 600]]],
+         "flights[0].alternates[0]", "alternate endpoints differ from primary route"),
+        (_edit_at("observations", 0, "observed_at"), -1,
+         "observations[0].observed_at", "observed_at must be >= 0"),
+        (_edit_at("flights", 0, "id"), "",
+         "flights[0].id", "flight_id must be non-empty"),
+        (_edit_at("observations", 0, "source"), "",
+         "observations[0].source", "source_id must be non-empty"),
+        (_edit_at("grid", "cols"), 0, "grid.cols", "expected an integer >= 1, got 0"),
+        (_edit_at("grid", "rows"), -2, "grid.rows", "expected an integer >= 1, got -2"),
+    ])
+    def test_error_names_the_json_field(self, edit, value, path, message, tmp_path, capsys):
+        doc = copy.deepcopy(VALID)
+        edit(doc, value)
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(doc)
+        assert (err.value.path, err.value.message) == (path, message)
+        assert str(err.value) == f"{path}: {message}"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli_main(["simulate", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: invalid scenario: {path}: {message}\n"
+
+
 #: What an id may not hold: the event log's field separator, the CSV
 #: report's column and flight-id separators, and every line boundary of
 #: ``str.splitlines``.
@@ -477,30 +535,37 @@ REPORT_TEXT = st.text(max_size=8) | st.sampled_from(
 REPORT_FLOATS = st.floats() | st.sampled_from(
     [0.0, -0.0, 0.1, 2.5, 1e300, -1e-300, math.inf, -math.inf, math.nan])
 REPORT_INTS = st.integers(-10**20, 10**20)
-REPORT_IDS = st.lists(REPORT_TEXT, max_size=3).map(tuple)
-SPOTS = st.tuples(st.tuples(REPORT_INTS, REPORT_INTS), REPORT_FLOATS)
+#: Cell coordinates and counts, which ``parse_report`` reads only when not
+#: negative.
+REPORT_COUNTS = st.integers(0, 10**20)
+#: Flight ids, which ``parse_report`` reads only without a separator or
+#: a line boundary.
+FLIGHT_IDS = REPORT_TEXT.filter(lambda text: not set(text) & set(ID_BREAKS))
+REPORT_IDS = st.lists(FLIGHT_IDS, max_size=3).map(tuple)
+SPOTS = st.tuples(st.tuples(REPORT_COUNTS, REPORT_COUNTS), REPORT_FLOATS)
 #: Records as ``parse_report`` reads them: no count is negative, the flight
 #: ids are distinct and the occupancy is their number.  A report holds one
 #: record per spot (0.0 and -0.0 are one spot).
 RECORDS = st.lists(
     st.builds(lambda spot, capacity, ids: CongestionRecord(*spot, len(ids), capacity, ids),
-              SPOTS, st.integers(0, 10**20),
-              st.lists(REPORT_TEXT, max_size=3, unique=True).map(tuple)),
+              SPOTS, REPORT_COUNTS, st.lists(FLIGHT_IDS, max_size=3, unique=True).map(tuple)),
     max_size=4, unique_by=lambda rec: (rec.subsector, rec.bucket_start)).map(tuple)
 OUTCOMES = st.builds(
     InsertOutcome, st.sampled_from(list(InsertStatus)), REPORT_IDS,
-    st.lists(st.builds(RouteChoice, REPORT_TEXT, REPORT_INTS, REPORT_FLOATS),
+    st.lists(st.builds(RouteChoice, FLIGHT_IDS, REPORT_INTS, REPORT_FLOATS),
              max_size=2).map(tuple),
     REPORT_TEXT, st.none() | SPOTS)
-#: Reports as ``parse_report`` reads them: the grid is at least 1 x 1.
+#: Reports as ``parse_report`` reads them: the grid is at least 1 x 1 and
+#: a bucket longer than 0 seconds.
 REPORTS = st.builds(
-    Report, REPORT_INTS, REPORT_FLOATS, st.integers(1, 10**20), st.integers(1, 10**20),
+    Report, REPORT_INTS, REPORT_FLOATS.filter(lambda seconds: not seconds <= 0),
+    st.integers(1, 10**20), st.integers(1, 10**20),
     RECORDS,
-    st.dictionaries(REPORT_TEXT, OUTCOMES, max_size=3).map(
+    st.dictionaries(FLIGHT_IDS, OUTCOMES, max_size=3).map(
         lambda d: tuple(sorted(d.items()))),
     st.lists(st.builds(Alert, REPORT_TEXT, REPORT_TEXT, REPORT_FLOATS, REPORT_TEXT),
              max_size=3).map(tuple),
-    st.builds(RunStats, REPORT_INTS, REPORT_INTS, REPORT_INTS, REPORT_INTS,
+    st.builds(RunStats, REPORT_COUNTS, REPORT_COUNTS, REPORT_COUNTS, REPORT_COUNTS,
               st.booleans()))
 
 
@@ -572,6 +637,63 @@ class TestParseReportProperty:
             parse_report(json.dumps(doc))
         except ValidationError:
             pass
+
+
+def _rename_outcome(doc, new_id):
+    doc["outcomes"][new_id] = doc["outcomes"].pop("a")
+
+
+class TestParseReportRefuses:
+    """``parse_report`` refuses values that no run writes, at their path;
+    a negative cell or count, a bucket of 0 seconds or less and a flight id
+    holding a separator or a line boundary used to read back."""
+
+    @pytest.mark.parametrize("edit, value, path, message", [
+        (_edit_at("records", 0, "subsector"), [-1, 0],
+         "records[0].subsector", "expected an integer >= 0, got -1"),
+        (_edit_at("outcomes", "b", "violated"), [[0, -2], 60.0],
+         "outcomes.b.violated", "expected an integer >= 0, got -2"),
+        (_edit_at("stats", "steps"), -1, "stats.steps", "expected an integer >= 0, got -1"),
+        (_edit_at("stats", "alerts"), -1, "stats.alerts",
+         "expected an integer >= 0, got -1"),
+        (_edit_at("stats", "merges"), -1, "stats.merges",
+         "expected an integer >= 0, got -1"),
+        (_edit_at("stats", "deletions"), -1, "stats.deletions",
+         "expected an integer >= 0, got -1"),
+        (_edit_at("bucket_seconds"), 0, "bucket_seconds", "expected a number > 0, got 0.0"),
+        (_edit_at("bucket_seconds"), -60.0, "bucket_seconds",
+         "expected a number > 0, got -60.0"),
+    ] + [case for char in "|,;\n" for case in [
+        (_edit_at("records", 0, "flight_ids"), ["a", f"b{char}"],
+         "records[0].flight_ids", f"id {'b' + char!r} holds {char!r}, a CSV or log separator"),
+        (_rename_outcome, f"a{char}", f"outcomes.a{char}",
+         f"id {'a' + char!r} holds {char!r}, a CSV or log separator"),
+        (_edit_at("outcomes", "a", "changed_flights"), [f"a{char}"],
+         "outcomes.a.changed_flights",
+         f"id {'a' + char!r} holds {char!r}, a CSV or log separator"),
+        (_edit_at("outcomes", "a", "new_plans", 0, "flight"), f"a{char}",
+         "outcomes.a.new_plans[0].flight",
+         f"id {'a' + char!r} holds {char!r}, a CSV or log separator"),
+    ]])
+    def test_refused_at_its_path(self, edit, value, path, message):
+        doc = copy.deepcopy(REPORT_DOC)
+        edit(doc, value)
+        with pytest.raises(ValidationError) as err:
+            parse_report(json.dumps(doc))
+        assert (err.value.path, err.value.message) == (path, message)
+
+
+class TestSimulateStepBudget:
+    """``simulate`` refuses a step budget below 1, as
+    ``Runtime.run_until_quiescent`` does; it used to return a report of 0
+    steps, not quiescent, and no error."""
+
+    @pytest.mark.parametrize("max_steps", [0, -5])
+    def test_below_1_is_refused(self, max_steps):
+        with pytest.raises(ValidationError) as err:
+            simulate(congestion_scenario(residents=2), max_steps=max_steps)
+        assert (err.value.path, err.value.message) == (
+            "max_steps", f"max_steps must be >= 1, got {max_steps}")
 
 
 class TestDiffReports:

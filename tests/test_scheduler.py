@@ -738,6 +738,92 @@ class TestRunUntilQuiescent:
         assert len(activated) == 20
 
 
+def _three_twins_one_raw():
+    """Three data of one text with ``c`` forced to Raw, and ``a`` queued:
+    its fold absorbs ``b``, then fails to retire ``c``."""
+    rt = fresh_runtime()
+    for datum_id in ("a", "b", "c"):
+        rt.add(make_datum(datum_id))
+    rt._life["c"] = LifecycleState.Raw
+    rt.enqueue("a", ActivationReason.NewData)
+    return rt
+
+
+#: The lines of ``_three_twins_one_raw``'s one step.
+FAILED_STEP = [("activated", "a"), ("peers", "a"), ("merged", "a"), ("deleted", "b"),
+               ("error", "a")]
+
+
+def _log_counts(events) -> tuple[int, int, int]:
+    types = [e.event_type for e in events]
+    return types.count("alert"), types.count("merged"), types.count("deleted")
+
+
+class TestTheLogIsTheRecord:
+    """A step returns, and a drain counts, the lines it appended to the
+    event log.  Each used to keep a list of its own, which lost the lines
+    an activation logged before it failed: the drain below reported no
+    merge and no deletion, and ``step`` returned only the activated and
+    error lines."""
+
+    def test_a_failed_step_returns_every_line_it_logged(self):
+        rt = _three_twins_one_raw()
+        events = rt.step()
+        assert events == rt.event_log
+        assert [(e.event_type, e.datum_id) for e in events] == FAILED_STEP
+        assert events[-1].detail == "LifecycleError: c: illegal transition raw -> active"
+
+    def test_a_failed_drain_counts_every_line_it_logged(self):
+        rt = _three_twins_one_raw()
+        stats = rt.run_until_quiescent(10)
+        assert [(e.event_type, e.datum_id) for e in rt.event_log] == FAILED_STEP
+        assert (stats.steps, stats.merges, stats.deletions, stats.alerts) == (1, 1, 1, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_steps_and_drains_read_their_own_lines(self, seed):
+        """Random short runs of every runtime operation, a datum forced to
+        Raw among them, so that some activations fail part-way."""
+        rng = random.Random(seed)
+        rt = fresh_runtime(concept_radius=2.0)
+        templates = list(af1_candidates()) + [
+            make_datum("t", payload={"x": 1}), make_datum("t", payload={"x": 2})]
+        for n in range(rng.randrange(8, 25)):
+            live = rt.live_ids()
+            op = rng.randrange(9) if live else 0
+            if op == 0:
+                template = rng.choice(templates)
+                rt.add(replace(template, id=f"d{n}", hyperdata=replace(
+                    template.hyperdata, confidence=rng.choice([0.05, 0.5, 0.9]))))
+            elif op == 1:
+                rt.enqueue(rng.choice(live), rng.choice(list(ActivationReason)))
+            elif op == 2:
+                rt.post_evidence(rng.choice(live), Evidence(
+                    rng.choice(list(EvidencePolarity)), rng.choice([0.3, 1.0]), "src"),
+                    at=rng.uniform(0.0, 500.0))
+            elif op == 3 and "colocate" not in rt._rules:
+                rt.register_rule(AF1_RULE)
+            elif op == 4:
+                try:
+                    rt.mark_deleted(rng.choice(live))
+                except LifecycleError:
+                    pass  # a Raw datum may not be deleted
+            elif op == 5:
+                rt.subscribe(everything_subscription(f"w{n}", rng.choice([0.0, 0.6])))
+            elif op == 6:
+                rt._life[rng.choice(live)] = LifecycleState.Raw
+            elif op == 7:
+                start = len(rt.event_log)
+                assert rt.step() == rt.event_log[start:]
+            else:
+                start = len(rt.event_log)
+                budget = rng.randrange(1, 6)
+                stats = rt.run_until_quiescent(budget)
+                assert stats.steps <= budget
+                assert (stats.alerts, stats.merges, stats.deletions) == \
+                    _log_counts(rt.event_log[start:])
+
+
 class TestFork:
     def test_clone_matches_original(self):
         rt = fresh_runtime()
@@ -891,7 +977,6 @@ class TestDeterminism:
             with pytest.raises(AttributeError):
                 setattr(record, name, 0)
         assert task == ActivationTask("d", 10, ActivationReason.NewData, 1)
-        assert task.sort_key() == (-10, 1)
         assert event.render() == "1|activated|d|reason=new-data priority=10 seq=1"
         same = RuntimeEvent(1, "activated", "d", "reason=new-data priority=10 seq=1")
         assert {task: 1, event: 2}[same] == 2
