@@ -65,7 +65,6 @@ from .scenario import (
     load_scenario,
     parse_report,
     render_report,
-    render_scenario,
     run_oracle,
     run_simulation,
     simulate,

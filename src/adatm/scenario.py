@@ -33,7 +33,6 @@ from .nearness import (
     ConceptPath,
     NearnessKey,
     PlanarBox,
-    QueryMode,
     QuerySpec,
     TimeInterval,
 )
@@ -83,19 +82,20 @@ class Observation:
 @dataclass(frozen=True, slots=True)
 class Scenario:
     """A checked scenario: the grid and its bucketing, the capacities, and
-    the flights, storms, observations, subscriptions and closures to run."""
+    the flights, storms, observations, subscriptions and closures to run.
+    Built by :func:`scenario_from_dict`, which holds the document's defaults."""
 
     grid: GridSpec
-    bucket_seconds: float = 60.0
-    horizon_seconds: float = 14400.0
-    calm_capacity: int = 6
-    severe_capacity: int = 3
-    flights: tuple[FlightPlan, ...] = ()
-    storms: tuple[ScenarioStorm, ...] = ()
-    observations: tuple[Observation, ...] = ()
-    subscriptions: tuple[Subscription, ...] = ()
-    closures: tuple[tuple[tuple[int, int], TimeInterval], ...] = ()
-    seed: int = 0
+    bucket_seconds: float
+    horizon_seconds: float
+    calm_capacity: int
+    severe_capacity: int
+    flights: tuple[FlightPlan, ...]
+    storms: tuple[ScenarioStorm, ...]
+    observations: tuple[Observation, ...]
+    subscriptions: tuple[Subscription, ...]
+    closures: tuple[tuple[tuple[int, int], TimeInterval], ...]
+    seed: int
 
     def __post_init__(self):
         # Written so that NaN fails the tests too.
@@ -160,7 +160,7 @@ class SimulationRun:
 
 
 # ---------------------------------------------------------------------------
-# scenario JSON codec
+# scenario JSON reader
 # ---------------------------------------------------------------------------
 
 def _need(obj, name: str, path: str):
@@ -207,9 +207,22 @@ _ID_BREAKS = frozenset("|,;\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 def _id(value, path: str) -> str:
     text = _text(value, path)
+    if not text:
+        raise ValidationError("id must be non-empty", path)
     for c in text:
         if c in _ID_BREAKS:
             raise ValidationError(f"id {text!r} holds {c!r}, a CSV or log separator", path)
+    return text
+
+
+def _payload_string(text, strings: dict[str, str], path: str) -> str:
+    """``text`` recorded as its first copy in ``strings``, once it is known
+    to hold no ``;`` or ``=``, so that a payload text splits one way."""
+    for c in ";=":
+        if c in _text(text, path):
+            raise ValidationError(
+                f"payload text {text!r} holds {c!r}, a payload text separator", path)
+    strings[text] = text
     return text
 
 
@@ -295,14 +308,6 @@ def _key_from_dict(obj: dict, path: str, concepts: dict[str, ConceptPath]) -> Ne
     return NearnessKey(time, space, concept)
 
 
-def _key_to_dict(key: NearnessKey) -> dict:
-    return {
-        "time": [key.time.start, key.time.end],
-        "box": [key.space.x0, key.space.y0, key.space.x1, key.space.y1],
-        "concept": str(key.concept),
-    }
-
-
 def _query_from_dict(obj: dict, path: str, concepts: dict[str, ConceptPath]) -> QuerySpec:
     mode = _text(_need(obj, "mode", path), f"{path}.mode")
     if mode == "neighborhood":
@@ -328,27 +333,6 @@ def _query_from_dict(obj: dict, path: str, concepts: dict[str, ConceptPath]) -> 
         return _within(path, QuerySpec.focused, time_window=time, box=box,
                        concept_prefix=prefix)
     raise ValidationError(f"unknown query mode {mode!r}", f"{path}.mode")
-
-
-def _query_to_dict(spec: QuerySpec) -> dict:
-    if spec.mode is QueryMode.Neighborhood:
-        def radius(value: float):
-            return "inf" if math.isinf(value) else value
-        return {
-            "mode": "neighborhood",
-            "center": _key_to_dict(spec.center),
-            "time_radius": radius(spec.time_radius),
-            "space_radius": radius(spec.space_radius),
-            "concept_radius": radius(spec.concept_radius),
-        }
-    out: dict = {"mode": "focused"}
-    if spec.time_window is not None:
-        out["time"] = [spec.time_window.start, spec.time_window.end]
-    if spec.box is not None:
-        out["box"] = [spec.box.x0, spec.box.y0, spec.box.x1, spec.box.y1]
-    if spec.concept_prefix is not None:
-        out["concept_prefix"] = str(spec.concept_prefix)
-    return out
 
 
 def _route(raw, path: str, grid: GridSpec) -> tuple[Waypoint, ...]:
@@ -414,27 +398,34 @@ def scenario_from_dict(obj: dict) -> Scenario:
             ),
             reported=reported,
         ))
-    # Concept text -> its path; a string -> its first copy.  Two maps, so
-    # that a payload value equal to a concept text stays a string.
+    # One map each, to a value's first copy: concept text -> its path, payload
+    # strings (checked when first recorded) and sources (not checked).
     concepts: dict[str, ConceptPath] = {}
     strings: dict[str, str] = {}
+    sources: dict[str, str] = {}
     observations: list[Observation] = []
     for path, o in _objects(obj, "observations"):
+        where = f"{path}.payload"
         payload = {}
-        for name, value in _obj(_need(o, "payload", path), f"{path}.payload").items():
+        for name, value in _obj(_need(o, "payload", path), where).items():
+            name = strings.get(name) or _payload_string(name, strings, where)
             if type(value) is str:
-                value = strings.setdefault(value, value)
-            elif not isinstance(value, (str, int, float, bool)):
-                raise ValidationError(f"payload field {name!r} must be scalar",
-                                      f"{path}.payload")
+                value = strings.get(value) or _payload_string(value, strings, where)
+            elif not isinstance(value, (int, float, bool)):
+                raise ValidationError(f"payload field {name!r} must be scalar", where)
             payload[name] = value
+        if type(storm := payload.get("storm_id", "")) is not str:  # matched to a storm id
+            raise ValidationError(f"storm_id must be a string, got {storm!r}", where)
         key = _key_from_dict(_need(o, "key", path), f"{path}.key", concepts)
         confidence = _num(_need(o, "confidence", path), f"{path}.confidence")
         if not 0.0 <= confidence <= 1.0:
             raise ValidationError("confidence outside [0, 1]", f"{path}.confidence")
         source = _text(_need(o, "source", path), f"{path}.source")
+        if "observed_at" not in o and key.time.start < 0:  # the default is at fault
+            raise ValidationError("time start must be >= 0 when observed_at is absent",
+                                  f"{path}.key.time")
         metadata = _within(
-            path, Metadata, source_id=strings.setdefault(source, source),
+            path, Metadata, source_id=sources.setdefault(source, source),
             observed_at=_num(o.get("observed_at", key.time.start), f"{path}.observed_at"),
             size_hint=len(payload), schema_tag="weather-report")
         observations.append(Observation(payload, confidence, key, metadata))
@@ -473,63 +464,6 @@ def scenario_from_dict(obj: dict) -> Scenario:
     )
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    out: dict = {
-        "grid": {
-            "x0": s.grid.x0, "y0": s.grid.y0, "cols": s.grid.cols,
-            "rows": s.grid.rows, "cell": s.grid.cell,
-        },
-        "bucket_seconds": s.bucket_seconds,
-        "horizon_seconds": s.horizon_seconds,
-        "capacity": {"calm": s.calm_capacity, "severe": s.severe_capacity},
-        "flights": [
-            {
-                "id": p.flight_id,
-                "priority": p.priority_rank,
-                "waypoints": [[w.x, w.y, w.t] for w in p.waypoints],
-                "alternates": [[[w.x, w.y, w.t] for w in alt] for alt in p.alternates],
-                "departure_delay": p.departure_delay,
-            }
-            for p in s.flights
-        ],
-        "storms": [
-            {
-                "id": st.cell.id,
-                "box": [st.cell.box.x0, st.cell.box.y0, st.cell.box.x1, st.cell.box.y1],
-                "velocity": [st.cell.velocity[0], st.cell.velocity[1]],
-                "active": [st.cell.active.start, st.cell.active.end],
-                "reported": st.reported,
-            }
-            for st in s.storms
-        ],
-        "observations": [
-            {
-                "payload": dict(o.payload),
-                "source": o.metadata.source_id,
-                "confidence": o.confidence,
-                "key": _key_to_dict(o.key),
-                "observed_at": o.metadata.observed_at,
-            }
-            for o in s.observations
-        ],
-        "subscriptions": [
-            {
-                "id": sub.id,
-                "query": _query_to_dict(sub.spec),
-                "min_confidence": sub.min_confidence,
-                "kinds": sorted(k.value for k in sub.deliver_kinds),
-            }
-            for sub in s.subscriptions
-        ],
-        "closures": [
-            {"cell": [cell[0], cell[1]], "interval": [iv.start, iv.end]}
-            for cell, iv in s.closures
-        ],
-        "seed": s.seed,
-    }
-    return out
-
-
 def _parse_json(text: str):
     try:
         return json.loads(text)
@@ -543,10 +477,6 @@ def _parse_json(text: str):
 def load_scenario(text: str) -> Scenario:
     """Parse and validate a scenario from JSON text."""
     return scenario_from_dict(_parse_json(text))
-
-
-def render_scenario(s: Scenario) -> str:
-    return json.dumps(scenario_to_dict(s), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +755,7 @@ def diff_reports(a: Report, b: Report) -> DiffResult:
 def _fused_storm_confidence(observations, storm_id: str) -> float:
     combined = 0.0
     for obs in observations:
-        if str(obs.payload.get("storm_id", "")) == storm_id:
+        if obs.payload.get("storm_id") == storm_id:
             combined = noisy_or(combined, obs.confidence)
     return combined
 
@@ -834,7 +764,7 @@ def _fused_storm_confidence_from_runtime(rt: Runtime, storm_id: str) -> float:
     combined = 0.0
     for datum_id in rt.live_ids():
         d = rt.datum(datum_id)
-        if str(d.payload.get("storm_id", "")) == storm_id:
+        if d.payload.get("storm_id") == storm_id:
             combined = noisy_or(combined, d.confidence)
     return combined
 

@@ -54,9 +54,9 @@ def dwell_route(cell=(0, 0), t0=0.0, t1=3600.0, cell_size=10.0, y=5.0):
     return [[x0 + 1.0, y0 + y, t0], [x0 + cell_size - 1.0, y0 + y, t1]]
 
 
-def congestion_scenario(residents, arriving=True, arriving_alternates=(),
-                        calm=6, severe=3, storms=(), observations=()):
-    """Grid 2x2 fixture: ``residents`` flights dwell in cell (0, 0) for an
+def congestion_doc(residents, arriving=True, arriving_alternates=(),
+                   calm=6, severe=3, storms=(), observations=()):
+    """Grid 2x2 document: ``residents`` flights dwell in cell (0, 0) for an
     hour; flight 3412 then tries to add itself on the same path."""
     flights = []
     for i in range(residents):
@@ -64,7 +64,7 @@ def congestion_scenario(residents, arriving=True, arriving_alternates=(),
     if arriving:
         flights.append({"id": "3412", "waypoints": dwell_route(),
                         "alternates": list(arriving_alternates)})
-    return scenario_from_dict({
+    return {
         "grid": {"cols": 2, "rows": 2, "cell": 10.0},
         "bucket_seconds": 60,
         "horizon_seconds": 14400,
@@ -73,7 +73,12 @@ def congestion_scenario(residents, arriving=True, arriving_alternates=(),
         "storms": list(storms),
         "observations": list(observations),
         "seed": 7,
-    })
+    }
+
+
+def congestion_scenario(*args, **kwargs) -> Scenario:
+    """:func:`congestion_doc`, loaded."""
+    return scenario_from_dict(congestion_doc(*args, **kwargs))
 
 
 @pytest.fixture
@@ -92,8 +97,8 @@ def arc_alternate(t0=0.0, t1=3600.0):
     return [[1.0, 5.0, t0], [5.0, 15.0, mid], [9.0, 5.0, t1]]
 
 
-def storm_reroute_scenario(with_alternates=True, reported=True,
-                           observations_conf=(0.6, 0.5)):
+def storm_reroute_doc(with_alternates=True, reported=True,
+                      observations_conf=(0.6, 0.5)):
     """Four residents in cell (0, 0); a west-to-east storm covers the cell
     during roughly [1200, 1600) and drops capacity from 6 to 3."""
     flights = []
@@ -112,7 +117,7 @@ def storm_reroute_scenario(with_alternates=True, reported=True,
         }
         for i, conf in enumerate(observations_conf)
     ]
-    return scenario_from_dict({
+    return {
         "grid": {"cols": 2, "rows": 2, "cell": 10.0},
         "bucket_seconds": 60,
         "horizon_seconds": 14400,
@@ -127,10 +132,15 @@ def storm_reroute_scenario(with_alternates=True, reported=True,
         }],
         "observations": observations if reported else [],
         "seed": 3,
-    })
+    }
 
 
-def delayed_negotiation_scenario() -> Scenario:
+def storm_reroute_scenario(*args, **kwargs) -> Scenario:
+    """:func:`storm_reroute_doc`, loaded."""
+    return scenario_from_dict(storm_reroute_doc(*args, **kwargs))
+
+
+def delayed_negotiation_doc() -> dict:
     """Six flights on one zigzag route through a 3x2 grid, each filed with
     a 32.6 s departure delay; two may fly the straight alternate.  Cell
     (1, 1) is closed while they would cross it, so each insert
@@ -162,7 +172,7 @@ def delayed_negotiation_scenario() -> Scenario:
                  "concept": "airspace/weather/storm"}}
         for i, conf in enumerate((0.6, 0.5))
     ]
-    return scenario_from_dict({
+    return {
         "grid": {"cols": 3, "rows": 2, "cell": 10.0},
         "bucket_seconds": 60,
         "horizon_seconds": 14400,
@@ -173,10 +183,15 @@ def delayed_negotiation_scenario() -> Scenario:
                     "active": [2200.0, 2500.0], "reported": True}],
         "observations": observations,
         "seed": 11,
-    })
+    }
 
 
-def random_case1_scenario(rng: random.Random, max_flights=50) -> Scenario:
+def delayed_negotiation_scenario() -> Scenario:
+    """:func:`delayed_negotiation_doc`, loaded."""
+    return scenario_from_dict(delayed_negotiation_doc())
+
+
+def random_case1_doc(rng: random.Random, max_flights=50) -> dict:
     """Random scenario guaranteed Case-1-only: capacity exceeds flight count."""
     n_flights = rng.randint(1, max_flights)
     flights = []
@@ -188,14 +203,19 @@ def random_case1_scenario(rng: random.Random, max_flights=50) -> Scenario:
             waypoints.append([rng.uniform(0.5, 79.5), rng.uniform(0.5, 79.5), t])
             t += rng.uniform(120.0, 900.0)
         flights.append({"id": f"f{i:03d}", "waypoints": waypoints})
-    return scenario_from_dict({
+    return {
         "grid": {"cols": 8, "rows": 8, "cell": 10.0},
         "bucket_seconds": 60,
         "horizon_seconds": 14400,
         "capacity": {"calm": max_flights + 10, "severe": max_flights + 10},
         "flights": flights,
         "seed": rng.randint(0, 10_000),
-    })
+    }
+
+
+def random_case1_scenario(rng: random.Random, max_flights=50) -> Scenario:
+    """:func:`random_case1_doc`, loaded."""
+    return scenario_from_dict(random_case1_doc(rng, max_flights))
 
 
 def random_plan_dict(rng: random.Random, grid_extent=80.0, max_legs=4):
@@ -260,7 +280,7 @@ def _fusion_reports(storm_id, base_box, rng, low, high, zeros=()):
     return reports
 
 
-def fusion_scenario() -> Scenario:
+def fusion_doc() -> dict:
     """Sixty weather reports over two storms, interleaved, fused on
     activation.  Storm st-1 drifts across cell (0, 0), where four residents
     dwell, and is confirmed by its fused reports; st-2 stays off the grid
@@ -273,7 +293,7 @@ def fusion_scenario() -> Scenario:
     observations = [report for pair in zip(st1, st2) for report in pair]
     flights = [{"id": f"{i + 1:04d}", "waypoints": dwell_route(),
                 "alternates": [arc_alternate()]} for i in range(4)]
-    return scenario_from_dict({
+    return {
         "grid": {"cols": 2, "rows": 2, "cell": 10.0},
         "bucket_seconds": 60,
         "horizon_seconds": 14400,
@@ -287,10 +307,15 @@ def fusion_scenario() -> Scenario:
         ],
         "observations": observations,
         "seed": 11,
-    })
+    }
 
 
-def contended_stress_scenario(n_flights=100, seed=2) -> Scenario:
+def fusion_scenario() -> Scenario:
+    """:func:`fusion_doc`, loaded."""
+    return scenario_from_dict(fusion_doc())
+
+
+def contended_stress_doc(n_flights=100, seed=2) -> dict:
     """Many flights over a small, tight grid: 4x4 cells, calm capacity 4.
 
     Each flight flies from A to B, both uniform over the grid, departing
@@ -309,17 +334,22 @@ def contended_stress_scenario(n_flights=100, seed=2) -> Scenario:
         mid = [rng.uniform(0.5, 39.5), rng.uniform(0.5, 39.5), (t0 + t1) / 2]
         flights.append({"id": f"f{i:03d}", "waypoints": [a + [t0], b + [t1]],
                         "alternates": [[a + [t0], mid, b + [t1]]]})
-    return scenario_from_dict({
+    return {
         "grid": {"cols": 4, "rows": 4, "cell": 10.0},
         "bucket_seconds": 60,
         "horizon_seconds": 14400,
         "capacity": {"calm": 4, "severe": 2},
         "flights": flights,
         "seed": seed,
-    })
+    }
 
 
-def wide_storm_scenario(n_flights=80, seed=2) -> Scenario:
+def contended_stress_scenario(n_flights=100, seed=2) -> Scenario:
+    """:func:`contended_stress_doc`, loaded."""
+    return scenario_from_dict(contended_stress_doc(n_flights, seed))
+
+
+def wide_storm_doc(n_flights=80, seed=2) -> dict:
     """Dwell flights under one wide storm, resolved by one global weather
     negotiation.
 
@@ -341,7 +371,7 @@ def wide_storm_scenario(n_flights=80, seed=2) -> Scenario:
         flights.append({"id": f"w{i:03d}", "waypoints": [start, end],
                         "alternates": [[start, detour, end]]})
     box = [0.0, 0.0, 40.0, 20.0]
-    return scenario_from_dict({
+    return {
         "grid": {"cols": 4, "rows": 4, "cell": 10.0},
         "bucket_seconds": 60,
         "horizon_seconds": 14400,
@@ -355,4 +385,9 @@ def wide_storm_scenario(n_flights=80, seed=2) -> Scenario:
             "key": {"time": [600.0, 4200.0], "box": box,
                     "concept": "airspace/weather/storm"}}],
         "seed": seed,
-    })
+    }
+
+
+def wide_storm_scenario(n_flights=80, seed=2) -> Scenario:
+    """:func:`wide_storm_doc`, loaded."""
+    return scenario_from_dict(wide_storm_doc(n_flights, seed))

@@ -9,26 +9,24 @@ import pytest
 
 from adatm.cli import EXIT_RUN_FAILED, main
 from adatm.errors import PreconditionError
-from adatm.scenario import Report, render_report, render_scenario
+from adatm.scenario import Report, render_report
 from adatm.scheduler import RunStats
 from adatm.traffic import CongestionRecord
 
-from conftest import congestion_scenario, dwell_route, storm_reroute_scenario
+from conftest import congestion_doc, dwell_route, storm_reroute_doc
 
 
 @pytest.fixture
 def headroom_path(tmp_path):
     path = tmp_path / "headroom.json"
-    path.write_text(render_scenario(congestion_scenario(residents=4)),
-                    encoding="utf-8")
+    path.write_text(json.dumps(congestion_doc(residents=4)), encoding="utf-8")
     return path
 
 
 @pytest.fixture
 def saturated_path(tmp_path):
     path = tmp_path / "saturated.json"
-    path.write_text(render_scenario(congestion_scenario(residents=6)),
-                    encoding="utf-8")
+    path.write_text(json.dumps(congestion_doc(residents=6)), encoding="utf-8")
     return path
 
 
@@ -96,7 +94,7 @@ class TestSimulate:
         ("bucket_seconds", "nan"), ("bucket_seconds", "inf"),
         ("waypoint_time", "nan"), ("waypoint_time", "-inf")])
     def test_non_finite_number_exits_2(self, field, value, tmp_path, capsys):
-        doc = json.loads(render_scenario(congestion_scenario(residents=1)))
+        doc = congestion_doc(residents=1)
         if field == "bucket_seconds":
             doc["bucket_seconds"] = float(value)
         else:
@@ -164,7 +162,7 @@ class TestOracle:
         ("bucket_seconds", 0), ("bucket_seconds", -60),
         ("horizon_seconds", 0), ("horizon_seconds", -60)])
     def test_non_positive_window_exits_2(self, field, value, tmp_path, capsys):
-        doc = json.loads(render_scenario(congestion_scenario(residents=1)))
+        doc = congestion_doc(residents=1)
         doc[field] = value
         bad = tmp_path / "window.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
@@ -198,6 +196,13 @@ MALFORMED = {
     "overlong-integer": lambda doc: doc.update(bucket_seconds=10 ** 400),
     "reported-not-a-flag": lambda doc: doc["storms"][0].update(reported="no"),
     "flight-id-null": lambda doc: doc["flights"][0].update(id=None),
+    "storm-id-empty": lambda doc: doc["storms"][0].update(id=""),
+    "payload-string-holds-separator": lambda doc: doc["observations"][0]["payload"]
+    .update(storm_id="st-1;kind=radar-echo"),
+    "payload-storm-id-a-flag": lambda doc: doc["observations"][0]["payload"]
+    .update(storm_id=True),
+    "key-time-before-0-without-observed-at": lambda doc: doc["observations"][0]["key"]
+    .update(time=[-10, 3000]),
     # Scenarios that load on their own terms but ask for unbounded work.
     "flight-spanning-1e7-s": lambda doc: doc["flights"][0].update(
         waypoints=[[1, 5, 0], [9, 5, 1e7]], alternates=[]),
@@ -225,7 +230,7 @@ class TestMalformedScenario:
     @pytest.mark.parametrize("command", ["simulate", "oracle"])
     @pytest.mark.parametrize("edit", sorted(MALFORMED))
     def test_exits_2(self, edit, command, tmp_path, capsys):
-        doc = json.loads(render_scenario(storm_reroute_scenario()))
+        doc = storm_reroute_doc()
         doc["subscriptions"] = [{"id": "watch", "kinds": ["event"],
                                  "query": {"mode": "focused", "time": [0, 9000]}}]
         path = tmp_path / "scenario.json"
@@ -269,7 +274,7 @@ def _alert(**fields):
 
 #: Malformed reports, each with the path its error names: the first four
 #: used to end in a traceback from ``diff``, the next three were misread
-#: without an error, the next six hold records that no run writes but that
+#: without an error, the next seven hold records that no run writes but that
 #: used to read back (the first of them, a contradicting record before the
 #: true one, diffed as identical), and the last eight hold an outcome, a
 #: grid size or an alert that no run writes but that used to read back.
@@ -294,6 +299,8 @@ MALFORMED_REPORTS = {
                                "records[0].flight_ids"),
     "flight-id-repeats": (_first_record(occupancy=2, flight_ids=["0001", "0001"]),
                           "records[0].flight_ids"),
+    "flight-id-empty": (_first_record(occupancy=1, flight_ids=[""]),
+                        "records[0].flight_ids"),
     "occupancy-not-the-ids": (_first_record(occupancy=5), "records[0].occupancy"),
     "reason-a-number": (_edited(lambda doc: doc["outcomes"]["0001"].update(reason=5)),
                         "outcomes.0001.reason"),
@@ -356,7 +363,7 @@ class TestDiff:
     @pytest.mark.parametrize("edit", sorted(MALFORMED_REPORTS))
     def test_malformed_report_is_one_error_line(self, edit, tmp_path, capsys):
         scenario = tmp_path / "storm.json"
-        scenario.write_text(render_scenario(storm_reroute_scenario()), encoding="utf-8")
+        scenario.write_text(json.dumps(storm_reroute_doc()), encoding="utf-8")
         good = self._json_report(scenario, tmp_path, "good.json", "simulate")
         text = good.read_text(encoding="utf-8")
         bad = tmp_path / "bad.json"
