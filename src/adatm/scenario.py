@@ -205,10 +205,12 @@ def _text(value, path: str) -> str:
 _ID_BREAKS = frozenset("|,;\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
-def _id(value, path: str) -> str:
+def _id(value, path: str, name: str = "id") -> str:
+    """An id that is non-empty and holds no ``_ID_BREAKS``; ``name`` is what
+    the empty-id error calls it."""
     text = _text(value, path)
     if not text:
-        raise ValidationError("id must be non-empty", path)
+        raise ValidationError(f"{name} must be non-empty", path)
     for c in text:
         if c in _ID_BREAKS:
             raise ValidationError(f"id {text!r} holds {c!r}, a CSV or log separator", path)
@@ -375,7 +377,7 @@ def scenario_from_dict(obj: dict) -> Scenario:
     capacity = _obj(obj.get("capacity", {}), "capacity")
     flights: dict[str, FlightPlan] = {}
     for path, f in _objects(obj, "flights"):
-        fid = _id(_need(f, "id", path), f"{path}.id")
+        fid = _id(_need(f, "id", path), f"{path}.id", "flight_id")
         if fid in flights:
             raise ValidationError(f"duplicate flight id {fid!r}", path)
         waypoints = _route(_need(f, "waypoints", path), f"{path}.waypoints", grid)

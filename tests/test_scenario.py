@@ -447,7 +447,8 @@ class TestLoadErrorPaths:
          "flights[0].alternates[0]", "alternate endpoints differ from primary route"),
         (_edit_at("observations", 0, "observed_at"), -1,
          "observations[0].observed_at", "observed_at must be >= 0"),
-        (_edit_at("flights", 0, "id"), "", "flights[0].id", "id must be non-empty"),
+        (_edit_at("flights", 0, "id"), "",
+         "flights[0].id", "flight_id must be non-empty"),
         (_edit_at("observations", 0, "source"), "",
          "observations[0].source", "source_id must be non-empty"),
         (_edit_at("grid", "cols"), 0, "grid.cols", "expected an integer >= 1, got 0"),
@@ -510,8 +511,9 @@ class TestIdCharacters:
         assert cli_main(["simulate", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: invalid scenario: {path}: {message}\n"
 
-    @pytest.mark.parametrize("field", ["flights", "storms", "subscriptions"])
-    def test_an_empty_id_is_refused(self, field, tmp_path, capsys):
+    @pytest.mark.parametrize("field,name", [("flights", "flight_id"), ("storms", "id"),
+                                            ("subscriptions", "id")])
+    def test_an_empty_id_is_refused(self, field, name, tmp_path, capsys):
         # An empty storm or subscription id used to load: the log read
         # ``storm||...`` and an alert ``subscription_id=''``.
         doc = copy.deepcopy(VALID)
@@ -519,12 +521,12 @@ class TestIdCharacters:
         path = f"{field}[0].id"
         with pytest.raises(ValidationError) as err:
             scenario_from_dict(doc)
-        assert (err.value.path, err.value.message) == (path, "id must be non-empty")
+        assert (err.value.path, err.value.message) == (path, f"{name} must be non-empty")
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert cli_main(["simulate", str(bad)]) == 2
         assert capsys.readouterr().err == \
-            f"error: invalid scenario: {path}: id must be non-empty\n"
+            f"error: invalid scenario: {path}: {name} must be non-empty\n"
 
     def test_other_characters_load(self):
         doc = copy.deepcopy(VALID)
