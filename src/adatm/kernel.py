@@ -112,10 +112,13 @@ class Hyperdata:
     def __post_init__(self):
         if not -1.0 <= self.truth <= 1.0:
             raise RangeError(f"truth {self.truth} outside [-1, 1]")
-        for name, v in (("confidence", self.confidence), ("detail", self.detail),
-                        ("exposure", self.exposure)):
-            if not 0.0 <= v <= 1.0:
-                raise RangeError(f"{name} {v} outside [0, 1]")
+        # NaN fails the chained test too; the loop only names the field.
+        if not (0.0 <= self.confidence <= 1.0 and 0.0 <= self.detail <= 1.0
+                and 0.0 <= self.exposure <= 1.0):
+            for name in ("confidence", "detail", "exposure"):
+                v = getattr(self, name)
+                if not 0.0 <= v <= 1.0:
+                    raise RangeError(f"{name} {v} outside [0, 1]")
         if self.updated_at < self.created_at:
             raise ValidationError("updated_at < created_at", "updated_at")
         if self.complementary and self.refuting and \
@@ -249,22 +252,11 @@ def encapsulate(payload: Payload, kind: NotionKind, metadata: Metadata,
         stamp = _short_hash(metadata.source_id, format_scalar(metadata.observed_at),
                             canonical_text(payload))
         datum_id = f"{metadata.source_id}-{stamp}"
-    return ActiveDatum(
-        id=datum_id,
-        kind=kind,
-        payload=dict(payload),
-        key=key,
-        metadata=metadata,
-        hyperdata=Hyperdata(
-            truth=1.0,
-            confidence=source_confidence,
-            detail=0.5,
-            exposure=0.0,
-            tier=StorageTier.Hot,
-            created_at=metadata.observed_at,
-            updated_at=metadata.observed_at,
-        ),
-    )
+    at = metadata.observed_at
+    # Positional arguments: keywords slow each frozen ``__init__``, and a
+    # run wraps one datum per observation.
+    return ActiveDatum(datum_id, kind, dict(payload), key, metadata, Hyperdata(
+        1.0, source_confidence, 0.5, 0.0, StorageTier.Hot, (), (), (), at, at))
 
 
 def is_duplicate(a: ActiveDatum, b: ActiveDatum) -> bool:

@@ -621,9 +621,10 @@ def parse_report(text: str) -> Report:
         grid_cols=_count(_need(grid, "cols", "grid"), "grid.cols", least=1),
         grid_rows=_count(_need(grid, "rows", "grid"), "grid.rows", least=1),
         records=tuple(records),
-        outcomes=tuple(sorted((_id(fid, f"outcomes.{fid}"),
-                               _outcome_from_dict(o, f"outcomes.{fid}"))
-                              for fid, o in outcomes.items())),
+        # Each entry's path quotes its id, so that "" or "a.b" names one entry.
+        outcomes=tuple(sorted(
+            (_id(fid, path), _outcome_from_dict(o, path)) for fid, o in outcomes.items()
+            for path in [f"outcomes[{json.dumps(fid)}]"])),
         alerts=tuple(alerts),
         stats=RunStats(
             *(_count(_need(stats, name, "stats"), f"stats.{name}", least=0)
@@ -854,13 +855,13 @@ class _Driver:
         self.total.quiescent = self.total.quiescent and stats.quiescent
 
     def _ingest_observations(self) -> None:
-        for i, obs in enumerate(self.scenario.observations):
-            datum = kernel.encapsulate(
-                obs.payload, NotionKind.Event, obs.metadata,
-                source_confidence=obs.confidence, key=obs.key,
-                datum_id=f"obs-{i + 1:03d}")
-            self.rt.add(datum)
-            self.rt.enqueue(datum.id, ActivationReason.NewData)
+        encapsulate, add, enqueue = kernel.encapsulate, self.rt.add, self.rt.enqueue
+        event, new_data = NotionKind.Event, ActivationReason.NewData
+        for i, obs in enumerate(self.scenario.observations, 1):
+            datum = encapsulate(obs.payload, event, obs.metadata, obs.confidence,
+                                obs.key, f"obs-{i:03d}")
+            add(datum)
+            enqueue(datum.id, new_data)
         self._drain()
 
     def _confirm_storms(self) -> tuple[list[StormCell], list[StormCell]]:

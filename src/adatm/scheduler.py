@@ -260,27 +260,34 @@ class Runtime:
         return sorted(i for i, s in self._life.items() if s is not LifecycleState.Deleted)
 
     def _transition(self, datum_id: str, dst: LifecycleState) -> None:
-        """Move a datum to ``dst`` with one lifecycle write.
-
-        A deletion is legal from every state that may become Active, since
-        its legal path runs through Active, and it also takes the datum out
-        of the index and the text map.
-        """
+        """Move a datum to ``dst`` with one lifecycle write; a deletion
+        follows :meth:`_delete`."""
         src = self._life[datum_id]
         if src is dst:
             return
-        step = LifecycleState.Active if dst is LifecycleState.Deleted else dst
-        if not legal_transition(src, step):
-            raise LifecycleError(f"{datum_id}: illegal transition {src.value} -> {step.value}")
-        self._life[datum_id] = dst
         if dst is LifecycleState.Deleted:
-            if datum_id in self.index:
-                self.index.remove(datum_id)
-            text = self._store[datum_id].text
-            ids = self._by_text[text]
-            ids.discard(datum_id)
-            if not ids:
-                del self._by_text[text]
+            self._delete(datum_id)
+            return
+        if not legal_transition(src, dst):
+            raise LifecycleError(f"{datum_id}: illegal transition {src.value} -> {dst.value}")
+        self._life[datum_id] = dst
+
+    def _delete(self, datum_id: str) -> None:
+        """The deletion rule, for a datum not yet Deleted: legal from every
+        state that may become Active, since its legal path runs through
+        Active; one lifecycle write, and the datum leaves the index and the
+        text map."""
+        src = self._life[datum_id]
+        if not legal_transition(src, LifecycleState.Active):
+            raise LifecycleError(f"{datum_id}: illegal transition {src.value} -> active")
+        self._life[datum_id] = LifecycleState.Deleted
+        if datum_id in self.index:
+            self.index.remove(datum_id)
+        text = self._store[datum_id].text
+        ids = self._by_text[text]
+        ids.discard(datum_id)
+        if not ids:
+            del self._by_text[text]
 
     def suspend(self, datum_id: str) -> None:
         self.lifecycle_of(datum_id)
@@ -459,15 +466,14 @@ class Runtime:
             if merges:
                 datum_id = d.id
                 self._replace_datum(d)
-            for survivor, absorbed, confidence in merges:
-                self._transition(absorbed, LifecycleState.Deleted)
-                # Evidence queued against the absorbed id follows the survivor.
-                leftover = self._evidence.pop(absorbed, [])
-                if leftover:
-                    self._evidence.setdefault(survivor, []).extend(leftover)
-                self.emit("merged", survivor,
-                          f"absorbed={absorbed} confidence={confidence:.6f}")
-                self.emit("deleted", absorbed, "absorbed by duplicate")
+                for survivor, absorbed, confidence in merges:
+                    self._delete(absorbed)
+                    # Evidence queued against the absorbed id follows the survivor.
+                    if leftover := self._evidence.pop(absorbed, None):
+                        self._evidence.setdefault(survivor, []).extend(leftover)
+                    self.emit("merged", survivor,
+                              f"absorbed={absorbed} confidence={confidence:.6f}")
+                    self.emit("deleted", absorbed, "absorbed by duplicate")
             self._transition(datum_id, LifecycleState.Active)
 
         # 3. pending evidence, arrival order; steps 3 and 4 skip when empty

@@ -88,6 +88,31 @@ def test_memory_reports_held_and_peak_bytes():
         assert ratio == pytest.approx(1.0, abs=0.02)
 
 
+def test_all_runs_each_workload_in_turn():
+    done = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--workload", "all",
+         "--seed", "1", "--rounds", "1", "--scenarios", "1"],
+        capture_output=True, text=True, timeout=240)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    # One summary of six lines per workload, in the benchmark's order.
+    assert len(lines) == 18
+    assert [lines[i] for i in (0, 6, 12)] == [
+        f"outputs agree on 1 {name} scenarios (seed 1)"
+        for name in ("headroom", "contended", "storm")]
+    assert all(line.startswith("rounds won by change: ") for line in lines[5::6])
+
+
+def test_flights_is_refused_for_all_workloads():
+    done = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--workload", "all",
+         "--seed", "1", "--flights", "8"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "--flights applies to the headroom workload only" in done.stderr
+    assert done.stdout == ""
+
+
 def test_flights_is_refused_for_another_workload():
     done = _ab(ROOT, ROOT, "--flights", "8")
     assert done.returncode == 2

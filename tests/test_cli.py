@@ -281,7 +281,7 @@ def _alert(**fields):
 MALFORMED_REPORTS = {
     "outcomes-a-list": (_edited(lambda doc: doc.update(outcomes=[])), "outcomes"),
     "outcome-not-an-object": (
-        _edited(lambda doc: doc["outcomes"].update({"0001": 7})), "outcomes.0001"),
+        _edited(lambda doc: doc["outcomes"].update({"0001": 7})), 'outcomes["0001"]'),
     "subsector-of-one": (_edited(lambda doc: doc["records"][0].update(subsector=[1])),
                          "records[0].subsector"),
     "seed-1e400": (lambda text: re.sub(r'"seed": \d+', '"seed": 1e400', text), "seed"),
@@ -303,13 +303,13 @@ MALFORMED_REPORTS = {
                         "records[0].flight_ids"),
     "occupancy-not-the-ids": (_first_record(occupancy=5), "records[0].occupancy"),
     "reason-a-number": (_edited(lambda doc: doc["outcomes"]["0001"].update(reason=5)),
-                        "outcomes.0001.reason"),
+                        'outcomes["0001"].reason'),
     "changed-flights-not-strings": (
         _edited(lambda doc: doc["outcomes"]["0001"].update(changed_flights=[None, 3])),
-        "outcomes.0001.changed_flights"),
+        'outcomes["0001"].changed_flights'),
     "new-plan-flight-a-number": (
         _edited(lambda doc: doc["outcomes"]["0001"]["new_plans"][0].update(flight=7)),
-        "outcomes.0001.new_plans[0].flight"),
+        'outcomes["0001"].new_plans[0].flight'),
     "grid-cols-negative": (_edited(lambda doc: doc["grid"].update(cols=-4)), "grid.cols"),
     "grid-rows-zero": (_edited(lambda doc: doc["grid"].update(rows=0)), "grid.rows"),
     "alert-subscription-a-number": (_alert(subscription=1), "alerts[0].subscription"),

@@ -1,6 +1,7 @@
 """Unit tests for the data-element activity functions."""
 
 import gc
+import math
 from dataclasses import fields, replace
 
 import pytest
@@ -40,6 +41,33 @@ class TestHyperdataLinks:
         hd = Hyperdata(truth=1.0, confidence=0.5, complementary=complementary,
                        refuting=refuting)
         assert (hd.complementary, hd.refuting) == (complementary, refuting)
+
+
+class TestHyperdataRanges:
+    """Each value outside its range, NaN included, raises ``RangeError``
+    naming its field, whichever of the four it is."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("truth", -1.1), ("truth", 1.1), ("truth", math.nan),
+    ] + [(name, value) for name in ("confidence", "detail", "exposure")
+         for value in (-0.1, 1.1, math.nan)])
+    def test_out_of_range_names_the_field(self, name, value):
+        with pytest.raises(RangeError) as err:
+            Hyperdata(**{"truth": 1.0, "confidence": 0.5, name: value})
+        assert str(err.value).startswith(f"{name} {value} outside ")
+
+    @pytest.mark.parametrize("name, value", [
+        ("truth", -1.0), ("truth", 1.0), ("confidence", 0.0), ("confidence", 1.0),
+        ("detail", 0.0), ("detail", 1.0), ("exposure", 0.0), ("exposure", 1.0)])
+    def test_range_ends_accepted(self, name, value):
+        hd = Hyperdata(**{"truth": 1.0, "confidence": 0.5, name: value})
+        assert getattr(hd, name) == value
+
+    def test_updated_before_created_is_a_validation_error(self):
+        with pytest.raises(ValidationError) as err:
+            Hyperdata(truth=1.0, confidence=0.5, created_at=10.0, updated_at=5.0)
+        assert err.value.path == "updated_at"
+        assert not isinstance(err.value, RangeError)
 
 
 class TestCanonicalText:

@@ -755,7 +755,7 @@ class TestParseReportRefuses:
         (_edit_at("records", 0, "subsector"), [-1, 0],
          "records[0].subsector", "expected an integer >= 0, got -1"),
         (_edit_at("outcomes", "b", "violated"), [[0, -2], 60.0],
-         "outcomes.b.violated", "expected an integer >= 0, got -2"),
+         'outcomes["b"].violated', "expected an integer >= 0, got -2"),
         (_edit_at("stats", "steps"), -1, "stats.steps", "expected an integer >= 0, got -1"),
         (_edit_at("stats", "alerts"), -1, "stats.alerts",
          "expected an integer >= 0, got -1"),
@@ -769,18 +769,36 @@ class TestParseReportRefuses:
     ] + [case for char in "|,;\n" for case in [
         (_edit_at("records", 0, "flight_ids"), ["a", f"b{char}"],
          "records[0].flight_ids", f"id {'b' + char!r} holds {char!r}, a CSV or log separator"),
-        (_rename_outcome, f"a{char}", f"outcomes.a{char}",
+        (_rename_outcome, f"a{char}", f'outcomes["a{char}"]'.replace("\n", "\\n"),
          f"id {'a' + char!r} holds {char!r}, a CSV or log separator"),
         (_edit_at("outcomes", "a", "changed_flights"), [f"a{char}"],
-         "outcomes.a.changed_flights",
+         'outcomes["a"].changed_flights',
          f"id {'a' + char!r} holds {char!r}, a CSV or log separator"),
         (_edit_at("outcomes", "a", "new_plans", 0, "flight"), f"a{char}",
-         "outcomes.a.new_plans[0].flight",
+         'outcomes["a"].new_plans[0].flight',
          f"id {'a' + char!r} holds {char!r}, a CSV or log separator"),
     ]])
     def test_refused_at_its_path(self, edit, value, path, message):
         doc = copy.deepcopy(REPORT_DOC)
         edit(doc, value)
+        with pytest.raises(ValidationError) as err:
+            parse_report(json.dumps(doc))
+        assert (err.value.path, err.value.message) == (path, message)
+
+    @pytest.mark.parametrize("fid, field, value, path, message", [
+        ("", None, None, 'outcomes[""]', "id must be non-empty"),
+        ("a.b", "changed_flights", [7], 'outcomes["a.b"].changed_flights',
+         "expected a string, got 7"),
+        ("a.b", "new_plans", 7, 'outcomes["a.b"].new_plans', "expected a list of objects"),
+    ])
+    def test_an_outcome_is_named_by_its_quoted_id(self, fid, field, value, path, message):
+        """Each outcome's path quotes its flight id as JSON: an empty id
+        used to fail at ``outcomes.``, and an id holding ``.`` read as a
+        nested field."""
+        doc = copy.deepcopy(REPORT_DOC)
+        _rename_outcome(doc, fid)
+        if field is not None:
+            doc["outcomes"][fid][field] = value
         with pytest.raises(ValidationError) as err:
             parse_report(json.dumps(doc))
         assert (err.value.path, err.value.message) == (path, message)

@@ -824,6 +824,96 @@ class TestTheLogIsTheRecord:
                     _log_counts(rt.event_log[start:])
 
 
+def _drain_and_step(drained, stepped, budget):
+    """Drain one twin with ``budget`` and step the other as many times as
+    it has tasks, up to ``budget``; both must end alike."""
+    stats = drained.run_until_quiescent(budget)
+    steps = 0
+    while steps < budget and stepped.pending_tasks():
+        stepped.step()
+        steps += 1
+    assert stats.steps == steps
+    assert drained.event_log == stepped.event_log
+    assert [e.seq for e in drained.event_log] == list(range(1, len(drained.event_log) + 1))
+    assert drained.pending_tasks() == stepped.pending_tasks()
+    assert drained._life == stepped._life
+    assert stats.quiescent == (stepped.pending_tasks() == 0)
+
+
+class TestTheDrainIsItsSteps:
+    """``run_until_quiescent(b)`` leaves a runtime as ``b`` calls of
+    ``step`` leave its twin.  The task of a deleted datum counts as a
+    step, also when the budget ends among such tasks."""
+
+    def test_a_budget_can_end_among_dropped_tasks(self):
+        twins = fresh_runtime(), fresh_runtime()
+        for rt in twins:
+            for datum_id in ("a", "b", "c", "d"):
+                rt.add(make_datum(datum_id))
+                rt.enqueue(datum_id, ActivationReason.NewData)
+        # ``a`` absorbs the other three; two of their tasks are dropped.
+        _drain_and_step(*twins, 3)
+        assert twins[0].pending_tasks() == 1
+        assert [e.event_type for e in twins[0].event_log].count("merged") == 3
+        _drain_and_step(*twins, 5)
+        assert twins[0].pending_tasks() == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_a_drain_matches_as_many_steps(self, seed):
+        """Random short runs of the operations of
+        ``TestTheLogIsTheRecord``, applied to two twins, with bursts of
+        queued duplicates that a fold absorbs and data forced out with
+        their tasks still queued."""
+        rng = random.Random(seed)
+        twins = fresh_runtime(concept_radius=2.0), fresh_runtime(concept_radius=2.0)
+        templates = list(af1_candidates()) + [
+            make_datum("t", payload={"x": 1}), make_datum("t", payload={"x": 2})]
+        for n in range(rng.randrange(8, 25)):
+            live = twins[0].live_ids()
+            op = rng.randrange(8) if live else 0
+            if op == 0:
+                template = rng.choice(templates)
+                confidences = [rng.choice([0.05, 0.5, 0.9])
+                               for _ in range(rng.randrange(1, 6))]
+                for rt in twins:
+                    for k, confidence in enumerate(confidences):
+                        rt.add(replace(template, id=f"d{n}-{k}", hyperdata=replace(
+                            template.hyperdata, confidence=confidence)))
+                        rt.enqueue(f"d{n}-{k}", ActivationReason.NewData)
+            elif op == 1:
+                datum_id, reason = rng.choice(live), rng.choice(list(ActivationReason))
+                for rt in twins:
+                    rt.enqueue(datum_id, reason)
+            elif op == 2:
+                datum_id, at = rng.choice(live), rng.uniform(0.0, 500.0)
+                evidence = Evidence(rng.choice(list(EvidencePolarity)),
+                                    rng.choice([0.3, 1.0]), "src")
+                for rt in twins:
+                    rt.post_evidence(datum_id, evidence, at=at)
+            elif op == 3 and "colocate" not in twins[0]._rules:
+                for rt in twins:
+                    rt.register_rule(AF1_RULE)
+            elif op == 4:
+                datum_id = rng.choice(live)
+                for rt in twins:
+                    try:
+                        rt.mark_deleted(datum_id)
+                    except LifecycleError:
+                        pass  # a Raw datum may not be deleted
+            elif op == 5:
+                sub_id, least = f"w{n}", rng.choice([0.0, 0.6])
+                for rt in twins:
+                    rt.subscribe(everything_subscription(sub_id, least))
+            elif op == 6:
+                datum_id = rng.choice(live)
+                for rt in twins:
+                    rt._life[datum_id] = LifecycleState.Raw
+            else:
+                _drain_and_step(*twins, rng.randrange(1, 7))
+        _drain_and_step(*twins, rng.randrange(1, 7))
+
+
 class TestFork:
     def test_clone_matches_original(self):
         rt = fresh_runtime()

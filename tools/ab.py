@@ -3,15 +3,21 @@
 Usage::
 
     python tools/ab.py PARENT_TREE CHANGE_TREE --workload contended --seed 7 --rounds 20
+    python tools/ab.py PARENT_TREE CHANGE_TREE --workload all --seed 7 --rounds 8
 
 Each tree's ``src/adatm`` is copied into a temporary directory under its
 own package name (``adatm_a`` for PARENT_TREE, ``adatm_b`` for
 CHANGE_TREE), so both load side by side.  The scenarios are those of one
 benchmark workload at one seed (``bench/workloads.py`` of this
-repository; ``--scenarios`` takes only the first few).  ``--flights N``
-gives each headroom scenario N flights instead of the benchmark's 50, to
-show how a change scales; it sets ``HEADROOM_FLIGHTS`` in the tool's own
-copy of ``bench/workloads.py``.
+repository; ``--scenarios`` takes only the first few).  ``--workload
+all`` takes the three workloads one after another in the benchmark's
+order (headroom, contended, storm) and prints, for each, the lines that a
+run of that workload alone prints, so that one command shows whether any
+workload got slower.  ``--flights N`` gives each headroom scenario N
+flights instead of the benchmark's 50, to show how a change scales; it
+sets ``HEADROOM_FLIGHTS`` in the tool's own copy of
+``bench/workloads.py``, and it is refused unless the workload is
+headroom alone.
 
 First every scenario is run once on each tree: unless the report JSON,
 the event log, the CSV report and the ``run_oracle`` JSON have the same
@@ -171,60 +177,26 @@ def _print_memory(rounds: list[tuple[int, int, int, int]]) -> None:
         print(f"change/parent {label}: {change / parent:.3f}")
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="tools/ab.py", description=__doc__.split("\n", 1)[0])
-    parser.add_argument("parent", type=Path, help="tree timed as PARENT")
-    parser.add_argument("change", type=Path, help="tree timed as CHANGE")
-    parser.add_argument("--workload", required=True, help="benchmark workload name")
-    parser.add_argument("--seed", type=int, required=True, help="workload seed")
-    parser.add_argument("--rounds", type=int, default=20, help="timed rounds")
-    parser.add_argument("--scenarios", type=int, default=None,
-                        help="use only the first N scenarios of the workload")
-    parser.add_argument("--flights", type=int, default=None,
-                        help="flights per headroom scenario")
-    parser.add_argument("--memory", action="store_true",
-                        help="measure traced memory instead of time")
-    args = parser.parse_args(argv)
-    sys.dont_write_bytecode = True  # leave both trees and bench/ as they were
-    module = _workloads_module()
-    workloads = module.WORKLOADS
-    if args.workload not in workloads:
-        parser.error(f"unknown workload {args.workload!r}; "
-                     f"one of {', '.join(sorted(workloads))}")
-    if args.rounds < 1 or args.scenarios is not None and args.scenarios < 1:
-        parser.error("--rounds and --scenarios must be at least 1")
-    if args.flights is not None:
-        if args.workload != "headroom":
-            parser.error("--flights applies to the headroom workload only")
-        if args.flights < 1:
-            parser.error("--flights must be at least 1")
-        module.HEADROOM_FLIGHTS = args.flights
-    trees = [args.parent.resolve(), args.change.resolve()]
-    for tree in trees:
-        if not (tree / "src" / "adatm").is_dir():
-            parser.error(f"{tree} has no src/adatm")
-    spec = workloads[args.workload]
+def _compare(modules, spec, args) -> int:
+    """Check and then time (or measure) one workload on both trees; prints
+    its summary and returns the exit status."""
     count = spec.scenarios if args.scenarios is None else min(args.scenarios,
                                                               spec.scenarios)
     texts = [spec.generate(args.seed, index) for index in range(count)]
-
-    with tempfile.TemporaryDirectory(prefix="adatm-ab-") as tmp:
-        modules = _load_trees(trees, Path(tmp))
-        scenarios = [[mod.load_scenario(text) for text in texts] for mod in modules]
-        difference = _first_difference(modules, scenarios)
-        if difference is not None:
-            print(f"error: outputs differ, {difference}", file=sys.stderr)
-            return 1
-        # Read from the scenarios, so that the line shows the flights run.
-        flights = "" if args.flights is None else \
-            f", {len(scenarios[0][0].flights)} flights each"
-        print(f"outputs agree on {count} {args.workload} scenarios "
-              f"(seed {args.seed}{flights})")
-        if args.memory:
-            _print_memory(_memory_rounds(modules, texts, args.rounds))
-            return 0
-        rounds = _time_rounds(modules, scenarios, args.rounds)
+    scenarios = [[mod.load_scenario(text) for text in texts] for mod in modules]
+    difference = _first_difference(modules, scenarios)
+    if difference is not None:
+        print(f"error: outputs differ, {difference}", file=sys.stderr)
+        return 1
+    # Read from the scenarios, so that the line shows the flights run.
+    flights = "" if args.flights is None else \
+        f", {len(scenarios[0][0].flights)} flights each"
+    print(f"outputs agree on {count} {spec.name} scenarios "
+          f"(seed {args.seed}{flights})")
+    if args.memory:
+        _print_memory(_memory_rounds(modules, texts, args.rounds))
+        return 0
+    rounds = _time_rounds(modules, scenarios, args.rounds)
     parent_s = statistics.median(a for a, _ in rounds)
     change_s = statistics.median(b for _, b in rounds)
     ratios = [b / a for a, b in rounds]
@@ -237,6 +209,49 @@ def main(argv: list[str]) -> int:
     print(f"change/parent ratio, median over rounds: {statistics.median(ratios):.3f}")
     print(f"change/parent ratio, quartiles over rounds: {q1:.3f} to {q3:.3f}")
     print(f"rounds won by change: {won}/{len(rounds)}")
+    return 0
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(
+        prog="tools/ab.py", description=__doc__.split("\n", 1)[0])
+    parser.add_argument("parent", type=Path, help="tree timed as PARENT")
+    parser.add_argument("change", type=Path, help="tree timed as CHANGE")
+    parser.add_argument("--workload", required=True,
+                        help="benchmark workload name, or all")
+    parser.add_argument("--seed", type=int, required=True, help="workload seed")
+    parser.add_argument("--rounds", type=int, default=20, help="timed rounds")
+    parser.add_argument("--scenarios", type=int, default=None,
+                        help="use only the first N scenarios of the workload")
+    parser.add_argument("--flights", type=int, default=None,
+                        help="flights per headroom scenario")
+    parser.add_argument("--memory", action="store_true",
+                        help="measure traced memory instead of time")
+    args = parser.parse_args(argv)
+    sys.dont_write_bytecode = True  # leave both trees and bench/ as they were
+    module = _workloads_module()
+    workloads = module.WORKLOADS
+    if args.workload != "all" and args.workload not in workloads:
+        parser.error(f"unknown workload {args.workload!r}; "
+                     f"one of {', '.join(sorted(workloads))} or all")
+    if args.rounds < 1 or args.scenarios is not None and args.scenarios < 1:
+        parser.error("--rounds and --scenarios must be at least 1")
+    if args.flights is not None:
+        if args.workload != "headroom":
+            parser.error("--flights applies to the headroom workload only")
+        if args.flights < 1:
+            parser.error("--flights must be at least 1")
+        module.HEADROOM_FLIGHTS = args.flights
+    trees = [args.parent.resolve(), args.change.resolve()]
+    for tree in trees:
+        if not (tree / "src" / "adatm").is_dir():
+            parser.error(f"{tree} has no src/adatm")
+    names = list(workloads) if args.workload == "all" else [args.workload]
+    with tempfile.TemporaryDirectory(prefix="adatm-ab-") as tmp:
+        modules = _load_trees(trees, Path(tmp))
+        for name in names:
+            if _compare(modules, workloads[name], args) != 0:
+                return 1
     return 0
 
 
