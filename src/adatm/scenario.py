@@ -111,13 +111,11 @@ class Scenario:
             raise ValidationError(f"horizon spans more than {MAX_SPOTS} buckets",
                                   "horizon_seconds")
         for i, plan in enumerate(self.flights):
-            routes = [("waypoints", plan.waypoints)] + [
-                (f"alternates[{j}]", alt) for j, alt in enumerate(plan.alternates)]
-            for name, route in routes:
+            for j, route in enumerate((plan.waypoints, *plan.alternates), -1):
                 if route_spot_bound(route, self.grid, self.bucket_seconds) > MAX_SPOTS:
                     raise ValidationError(
                         f"route may hold more than {MAX_SPOTS} (cell, bucket) spots",
-                        f"flights[{i}].{name}")
+                        f"flights[{i}]." + (f"alternates[{j}]" if j >= 0 else "waypoints"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,40 +160,64 @@ class SimulationRun:
 # ---------------------------------------------------------------------------
 # scenario JSON reader
 # ---------------------------------------------------------------------------
+# A reader raises at the path relative to the value it was handed ("" for
+# the value itself), and each caller adds its own part as the error passes
+# out: ``at`` (or an entry's ``field``) names the part being read, as in
+# ``o[at := "key"]``, so that a path is joined only when a read fails.
 
-def _need(obj, name: str, path: str):
-    if not isinstance(obj, dict):
-        raise ValidationError("expected an object", path)
-    if name not in obj:
-        raise ValidationError(f"missing required field {name!r}", path)
-    return obj[name]
+#: A value object's field name -> its JSON name, where the two differ; ""
+#: where the error names the value itself.
+_JSON_NAMES = {"time": "", "box": "", "concept": "", "flight_id": "id",
+               "source_id": "source"}
 
 
-def _obj(value, path: str) -> dict:
+class _Placed(ValidationError):
+    """An error at a JSON path, relative to the value a reader was handed."""
+
+
+def _at(part: str, exc: KeyError | ValidationError) -> _Placed:
+    """``exc`` raised again under ``part`` (``observations``, ``[3]``, "" for
+    the value itself).  A ``KeyError`` is a required field missing from the
+    value; a value object's error, not yet placed, names its own field."""
+    if isinstance(exc, KeyError):
+        return _Placed(f"missing required field {exc.args[0]!r}")
+    path = exc.path if isinstance(exc, _Placed) else _JSON_NAMES.get(exc.path, exc.path)
+    dot = "." if part and path[:1] not in ("", "[") else ""
+    return _Placed(exc.message, part + dot + path)
+
+
+def _obj(value) -> dict:
     if not isinstance(value, dict):
-        raise ValidationError("expected an object", path)
+        raise ValidationError("expected an object")
     return value
 
 
-def _num(value, path: str) -> float:
+_FLOAT_MAX = sys.float_info.max  # an integer above it converts to no float
+
+
+def _num(value) -> float:
+    if type(value) is float and -_FLOAT_MAX <= value <= _FLOAT_MAX:  # the usual case
+        return value
     if type(value) not in (int, float):  # JSON true and false are not numbers
-        raise ValidationError(f"expected a number, got {value!r}", path)
-    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past any float
-        raise ValidationError(f"expected a finite number, got {value!r}", path)
+        raise ValidationError(f"expected a number, got {value!r}")
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # NaN, infinities, ints past any float
+        raise ValidationError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
-def _count(value, path: str, least: int | None = None) -> int:
+def _count(value, least: int | None = None, most: float = math.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"expected an integer, got {value!r}", path)
+        raise ValidationError(f"expected an integer, got {value!r}")
     if least is not None and value < least:
-        raise ValidationError(f"expected an integer >= {least}, got {value}", path)
+        raise ValidationError(f"expected an integer >= {least}, got {value}")
+    if value > most:
+        raise ValidationError(f"expected an integer <= {most!r}")
     return value
 
 
-def _text(value, path: str) -> str:
+def _text(value) -> str:
     if type(value) is not str:
-        raise ValidationError(f"expected a string, got {value!r}", path)
+        raise ValidationError(f"expected a string, got {value!r}")
     return value
 
 
@@ -205,154 +227,154 @@ def _text(value, path: str) -> str:
 _ID_BREAKS = frozenset("|,;\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
-def _id(value, path: str, name: str = "id") -> str:
+def _id(value, name: str = "id") -> str:
     """An id that is non-empty and holds no ``_ID_BREAKS``; ``name`` is what
     the empty-id error calls it."""
-    text = _text(value, path)
+    text = _text(value)
     if not text:
-        raise ValidationError(f"{name} must be non-empty", path)
+        raise ValidationError(f"{name} must be non-empty")
     for c in text:
         if c in _ID_BREAKS:
-            raise ValidationError(f"id {text!r} holds {c!r}, a CSV or log separator", path)
+            raise ValidationError(f"id {text!r} holds {c!r}, a CSV or log separator")
     return text
 
 
-def _payload_string(text, strings: dict[str, str], path: str) -> str:
+def _payload_string(text, strings: dict[str, str]) -> str:
     """``text`` recorded as its first copy in ``strings``, once it is known
     to hold no ``;`` or ``=``, so that a payload text splits one way."""
     for c in ";=":
-        if c in _text(text, path):
+        if c in _text(text):
             raise ValidationError(
-                f"payload text {text!r} holds {c!r}, a payload text separator", path)
+                f"payload text {text!r} holds {c!r}, a payload text separator")
     strings[text] = text
     return text
 
 
-def _ids(value, path: str) -> tuple[str, ...]:
-    """A list of flight ids, each read by ``_id`` at the list's path."""
-    return tuple(_id(fid, path) for fid in _list(value, path, "a list of flight ids"))
+def _ids(value) -> tuple[str, ...]:
+    return tuple(_id(fid) for fid in _list(value, "a list of flight ids"))
 
 
-def _bool(value, path: str) -> bool:
+def _bool(value) -> bool:
     if not isinstance(value, bool):
-        raise ValidationError(f"expected true or false, got {value!r}", path)
+        raise ValidationError(f"expected true or false, got {value!r}")
     return value
 
 
-def _cell(value, path: str) -> tuple[int, int]:
-    col, row = _list(value, path, "[col, row]", 2)
-    return _count(col, path, least=0), _count(row, path, least=0)
+def _cell(value, grid: GridSpec | None = None) -> tuple[int, int]:
+    col, row = _list(value, "[col, row]", 2)
+    cell = _count(col, least=0), _count(row, least=0)
+    if grid is not None and not (col < grid.cols and row < grid.rows):
+        raise ValidationError(f"cell ({col}, {row}) outside grid")
+    return cell
 
 
-def _radius(value, path: str) -> float:
-    if value == "inf":
-        return math.inf
-    return _num(value, path)
+def _nums(values: list) -> tuple[float, ...]:
+    return tuple(map(_num, values))
 
 
-#: A value object's field name -> its JSON name under the reader's path,
-#: where the two differ; "" where the error names the value itself.
-_JSON_NAMES = {"time": "", "box": "", "concept": "", "flight_id": "id",
-               "source_id": "source"}
-
-
-def _within(path: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, the value object read at ``path``.  Its
-    ``ValidationError``, which names only its own field (``min_confidence``),
-    is raised again at that field's JSON path under ``path``."""
-    try:
-        return make(*args, **kwargs)
-    except ValidationError as exc:
-        name = _JSON_NAMES.get(exc.path, exc.path)
-        raise ValidationError(exc.message, f"{path}.{name}" if name else path) from None
-
-
-def _kind(value, path: str) -> NotionKind:
-    text = _text(value, path)
+def _kind(value) -> NotionKind:
+    text = _text(value)
     try:
         return NotionKind(text)
     except ValueError:
-        raise ValidationError(f"unknown kind {text!r}", path) from None
+        raise ValidationError(f"unknown kind {text!r}") from None
 
 
-def _list(value, path: str, shape: str, length: int | None = None) -> list:
+def _list(value, shape: str, length: int | None = None) -> list:
     if not isinstance(value, list) or length is not None and len(value) != length:
-        raise ValidationError(f"expected {shape}", path)
+        raise ValidationError(f"expected {shape}")
     return value
 
 
-def _objects(obj: dict, name: str) -> list[tuple[str, dict]]:
-    """The entries of an optional list-of-objects field, each with its path."""
-    items = _list(obj.get(name, []), name, "a list of objects")
-    return [(f"{name}[{i}]", _obj(item, f"{name}[{i}]")) for i, item in enumerate(items)]
+def _objects(value) -> list[dict]:
+    """A list of objects, each checked before any is read."""
+    return _each(_list(value, "a list of objects"), _obj)
 
 
-def _box(value, path: str) -> PlanarBox:
-    x0, y0, x1, y1 = _list(value, path, "[x0, y0, x1, y1]", 4)
-    return _within(path, PlanarBox, _num(x0, path), _num(y0, path), _num(x1, path),
-                   _num(y1, path))
+def _each(values: list, read, *args, **kwargs) -> list:
+    """``read(value, *args, **kwargs)`` of each of ``values``, raising at its index."""
+    out = []
+    for i, value in enumerate(values):
+        try:
+            out.append(read(value, *args, **kwargs))
+        except ValidationError as exc:
+            raise _at(f"[{i}]", exc) from None
+    return out
 
 
-def _interval(value, path: str) -> TimeInterval:
-    start, end = _list(value, path, "[start, end]", 2)
-    return _within(path, TimeInterval, _num(start, path), _num(end, path))
+def _fields(obj: dict, *fields, **defaults) -> list:
+    """Each ``read(obj[name], *args)`` in turn; a name not in ``defaults`` is required."""
+    obj = {**defaults, **obj} if defaults else obj
+    try:
+        return [read(obj[at := name], *args) for name, read, *args in fields]
+    except (KeyError, ValidationError) as exc:
+        raise _at(at, exc) from None
 
 
-def _key_from_dict(obj: dict, path: str, concepts: dict[str, ConceptPath]) -> NearnessKey:
-    """A key; ``concepts`` maps each concept text read so far in this load
-    to its one path, so that keys with equal concepts share it."""
-    time = _interval(_need(obj, "time", path), f"{path}.time")
-    space = _box(_need(obj, "box", path), f"{path}.box")
-    text = _text(_need(obj, "concept", path), f"{path}.concept")
-    concept = concepts.get(text)
-    if concept is None:
-        concept = concepts[text] = _within(f"{path}.concept", ConceptPath.parse, text)
-    return NearnessKey(time, space, concept)
+def _box(value) -> PlanarBox:
+    return PlanarBox(*map(_num, _list(value, "[x0, y0, x1, y1]", 4)))
 
 
-def _query_from_dict(obj: dict, path: str, concepts: dict[str, ConceptPath]) -> QuerySpec:
-    mode = _text(_need(obj, "mode", path), f"{path}.mode")
-    if mode == "neighborhood":
-        return _within(
-            path, QuerySpec.neighborhood,
-            center=_key_from_dict(_need(obj, "center", path), f"{path}.center", concepts),
-            time_radius=_radius(_need(obj, "time_radius", path), f"{path}.time_radius"),
-            space_radius=_radius(_need(obj, "space_radius", path), f"{path}.space_radius"),
-            concept_radius=_radius(_need(obj, "concept_radius", path),
-                                   f"{path}.concept_radius"),
-        )
-    if mode == "focused":
-        time = obj.get("time")
-        box = obj.get("box")
-        prefix = obj.get("concept_prefix")
-        if time is not None:
-            time = _interval(time, f"{path}.time")
-        if box is not None:
-            box = _box(box, f"{path}.box")
-        if prefix is not None:
-            prefix = _within(f"{path}.concept_prefix", ConceptPath.parse,
-                             _text(prefix, f"{path}.concept_prefix"))
-        return _within(path, QuerySpec.focused, time_window=time, box=box,
-                       concept_prefix=prefix)
-    raise ValidationError(f"unknown query mode {mode!r}", f"{path}.mode")
+def _interval(value) -> TimeInterval:
+    return TimeInterval(*map(_num, _list(value, "[start, end]", 2)))
 
 
-def _route(raw, path: str, grid: GridSpec) -> tuple[Waypoint, ...]:
-    """Read one route; every waypoint must lie inside the grid at t >= 0."""
-    waypoints = []
-    for i, item in enumerate(_list(raw, path, "a list of [x, y, t] waypoints")):
-        where = f"{path}[{i}]"
-        if not isinstance(item, list) or len(item) not in (3, 4):
-            raise ValidationError("waypoint must be [x, y, t] (an altitude, if "
-                                  "present, is accepted and ignored)", where)
-        # A 4-element waypoint carries altitude in slot 2; the plane is flat here.
-        w = Waypoint(_num(item[0], where), _num(item[1], where), _num(item[-1], where))
-        if not grid.contains(w.x, w.y):
-            raise ValidationError(f"waypoint ({w.x:g}, {w.y:g}) outside grid", where)
-        if w.t < 0:
-            raise ValidationError("waypoint time must be >= 0", where)
-        waypoints.append(w)
-    return tuple(waypoints)
+def _concept(value, concepts: dict[str, ConceptPath]) -> ConceptPath:
+    """``concepts`` maps each concept text read in this load to its one path."""
+    text = _text(value)
+    if (concept := concepts.get(text)) is None:
+        concept = concepts[text] = ConceptPath.parse(text)
+    return concept
+
+
+def _key(value, concepts: dict[str, ConceptPath]) -> NearnessKey:
+    obj = _obj(value)
+    try:
+        return NearnessKey(_interval(obj[at := "time"]), _box(obj[at := "box"]),
+                           _concept(obj[at := "concept"], concepts))
+    except (KeyError, ValidationError) as exc:
+        raise _at(at, exc) from None
+
+
+def _query(value, concepts: dict[str, ConceptPath]) -> QuerySpec:
+    obj = _obj(value)
+    try:
+        mode = _text(obj[at := "mode"])
+        if mode == "neighborhood":
+            center = _key(obj[at := "center"], concepts)
+            radii = [math.inf if (radius := obj[at := name]) == "inf" else _num(radius)
+                     for name in ("time_radius", "space_radius", "concept_radius")]
+            at = ""
+            return QuerySpec.neighborhood(center, *radii)
+        if mode == "focused":  # each constraint may be absent or null
+            parts = [None if obj.get(at := name) is None else read(obj[name], *args)
+                     for name, read, *args in (("time", _interval), ("box", _box),
+                                               ("concept_prefix", _concept, concepts))]
+            at = ""
+            return QuerySpec.focused(*parts)
+        raise ValidationError(f"unknown query mode {mode!r}")
+    except (KeyError, ValidationError) as exc:
+        raise _at(at, exc) from None
+
+
+def _route(value, grid: GridSpec) -> tuple[Waypoint, ...]:
+    """A route, whose waypoints lie inside the grid at t >= 0."""
+    route = []
+    for i, item in enumerate(_list(value, "a list of [x, y, t] waypoints")):
+        try:
+            if not isinstance(item, list) or len(item) not in (3, 4):
+                raise ValidationError("waypoint must be [x, y, t] (an altitude, if "
+                                      "present, is accepted and ignored)")
+            # A 4-element waypoint carries altitude in slot 2; the plane is flat here.
+            w = Waypoint(_num(item[0]), _num(item[1]), _num(item[-1]))
+            if not grid.contains(w.x, w.y):
+                raise ValidationError(f"waypoint ({w.x:g}, {w.y:g}) outside grid")
+            if w.t < 0:
+                raise ValidationError("waypoint time must be >= 0")
+        except ValidationError as exc:
+            raise _at(f"[{i}]", exc) from None
+        route.append(w)
+    return tuple(route)
 
 
 def scenario_from_dict(obj: dict) -> Scenario:
@@ -367,103 +389,97 @@ def scenario_from_dict(obj: dict) -> Scenario:
     """
     if not isinstance(obj, dict):
         raise ValidationError("scenario root must be an object", "$")
-    g = _obj(_need(obj, "grid", "$"), "grid")
-    grid = GridSpec(
-        x0=_num(g.get("x0", 0.0), "grid.x0"), y0=_num(g.get("y0", 0.0), "grid.y0"),
-        cols=_count(_need(g, "cols", "grid"), "grid.cols", least=1),
-        rows=_count(_need(g, "rows", "grid"), "grid.rows", least=1),
-        cell=_num(_need(g, "cell", "grid"), "grid.cell"),
-    )
-    capacity = _obj(obj.get("capacity", {}), "capacity")
-    flights: dict[str, FlightPlan] = {}
-    for path, f in _objects(obj, "flights"):
-        fid = _id(_need(f, "id", path), f"{path}.id", "flight_id")
-        if fid in flights:
-            raise ValidationError(f"duplicate flight id {fid!r}", path)
-        waypoints = _route(_need(f, "waypoints", path), f"{path}.waypoints", grid)
-        alternates = tuple(
-            _route(alt, f"{path}.alternates[{j}]", grid) for j, alt in
-            enumerate(_list(f.get("alternates", []), f"{path}.alternates", "a list of routes")))
-        delay = _num(f.get("departure_delay", 0.0), f"{path}.departure_delay")
-        priority = _count(f.get("priority", 0), f"{path}.priority")
-        flights[fid] = _within(path, FlightPlan, fid, waypoints, alternates, delay, priority)
-    storms: list[ScenarioStorm] = []
-    for path, s in _objects(obj, "storms"):
-        vx, vy = _list(s.get("velocity", [0.0, 0.0]), f"{path}.velocity", "[vx, vy]", 2)
-        reported = _bool(s.get("reported", False), f"{path}.reported")
-        storms.append(ScenarioStorm(
-            cell=StormCell(
-                id=_id(_need(s, "id", path), f"{path}.id"),
-                box=_box(_need(s, "box", path), f"{path}.box"),
-                velocity=(_num(vx, f"{path}.velocity"), _num(vy, f"{path}.velocity")),
-                active=_interval(_need(s, "active", path), f"{path}.active"),
-            ),
-            reported=reported,
-        ))
     # One map each, to a value's first copy: concept text -> its path, payload
     # strings (checked when first recorded) and sources (not checked).
     concepts: dict[str, ConceptPath] = {}
     strings: dict[str, str] = {}
     sources: dict[str, str] = {}
-    observations: list[Observation] = []
-    for path, o in _objects(obj, "observations"):
-        where = f"{path}.payload"
-        payload = {}
-        for name, value in _obj(_need(o, "payload", path), where).items():
-            name = strings.get(name) or _payload_string(name, strings, where)
-            if type(value) is str:
-                value = strings.get(value) or _payload_string(value, strings, where)
-            elif not isinstance(value, (int, float, bool)):
-                raise ValidationError(f"payload field {name!r} must be scalar", where)
-            payload[name] = value
-        if type(storm := payload.get("storm_id", "")) is not str:  # matched to a storm id
-            raise ValidationError(f"storm_id must be a string, got {storm!r}", where)
-        key = _key_from_dict(_need(o, "key", path), f"{path}.key", concepts)
-        confidence = _num(_need(o, "confidence", path), f"{path}.confidence")
-        if not 0.0 <= confidence <= 1.0:
-            raise ValidationError("confidence outside [0, 1]", f"{path}.confidence")
-        source = _text(_need(o, "source", path), f"{path}.source")
-        if "observed_at" not in o and key.time.start < 0:  # the default is at fault
-            raise ValidationError("time start must be >= 0 when observed_at is absent",
-                                  f"{path}.key.time")
-        metadata = _within(
-            path, Metadata, source_id=sources.setdefault(source, source),
-            observed_at=_num(o.get("observed_at", key.time.start), f"{path}.observed_at"),
-            size_hint=len(payload), schema_tag="weather-report")
-        observations.append(Observation(payload, confidence, key, metadata))
-    subscriptions: dict[str, Subscription] = {}
-    for path, s in _objects(obj, "subscriptions"):
-        sid = _id(_need(s, "id", path), f"{path}.id")
-        if sid in subscriptions:
-            raise ValidationError(f"duplicate subscription id {sid!r}", path)
-        spec = _query_from_dict(_need(s, "query", path), f"{path}.query", concepts)
-        kinds = s.get("kinds")
-        subscriptions[sid] = _within(
-            path, Subscription, sid, spec,
-            _num(s.get("min_confidence", 0.0), f"{path}.min_confidence"),
-            frozenset(NotionKind) if kinds is None else frozenset(
-                _kind(k, f"{path}.kinds[{j}]") for j, k in
-                enumerate(_list(kinds, f"{path}.kinds", "a list of kinds"))))
-    closures: list[tuple[tuple[int, int], TimeInterval]] = []
-    for path, c in _objects(obj, "closures"):
-        col, row = _cell(_need(c, "cell", path), f"{path}.cell")
-        if not (0 <= col < grid.cols and 0 <= row < grid.rows):
-            raise ValidationError(f"cell ({col}, {row}) outside grid", f"{path}.cell")
-        closures.append(((col, row), _interval(_need(c, "interval", path),
-                                               f"{path}.interval")))
-    return Scenario(
-        grid=grid,
-        bucket_seconds=_num(obj.get("bucket_seconds", 60.0), "bucket_seconds"),
-        horizon_seconds=_num(obj.get("horizon_seconds", 14400.0), "horizon_seconds"),
-        calm_capacity=_count(capacity.get("calm", 6), "capacity.calm"),
-        severe_capacity=_count(capacity.get("severe", 3), "capacity.severe"),
-        flights=tuple(flights.values()),
-        storms=tuple(storms),
-        observations=tuple(observations),
-        subscriptions=tuple(subscriptions.values()),
-        closures=tuple(closures),
-        seed=_count(obj.get("seed", 0), "seed"),
-    )
+    try:
+        parts = _fields(_obj(obj[at := "grid"]), ("x0", _num), ("y0", _num),
+                        ("cols", _count, 1, _FLOAT_MAX), ("rows", _count, 1, _FLOAT_MAX),
+                        ("cell", _num), x0=0.0, y0=0.0)
+        at = ""  # a grid's error names its JSON path
+        grid = GridSpec(*parts)
+        capacity = _obj(obj.get(at := "capacity", {}))
+        flights: dict[str, FlightPlan] = {}
+        for i, f in enumerate(_objects(obj.get(at := "flights", []))):
+            try:
+                fid = _id(f[field := "id"], "flight_id")
+                if fid in flights:
+                    field = ""
+                    raise ValidationError(f"duplicate flight id {fid!r}")
+                waypoints = _route(f[field := "waypoints"], grid)
+                alternates = tuple(_each(_list(f.get(field := "alternates", []),
+                                               "a list of routes"), _route, grid))
+                delay = _num(f.get(field := "departure_delay", 0.0))
+                priority = _count(f.get(field := "priority", 0))
+                field = ""
+                flights[fid] = FlightPlan(fid, waypoints, alternates, delay, priority)
+            except (KeyError, ValidationError) as exc:
+                raise _at(f"[{i}]", _at(field, exc)) from None
+        at = "storms"  # a velocity is read as a pair first, as numbers after the box
+        storms = [ScenarioStorm(StormCell(sid, box, velocity, active), reported)
+                  for _, reported, sid, box, velocity, active in _each(
+                      _objects(obj.get(at, [])), _fields, ("velocity", _list, "[vx, vy]", 2),
+                      ("reported", _bool), ("id", _id), ("box", _box), ("velocity", _nums),
+                      ("active", _interval), velocity=[0.0, 0.0], reported=False)]
+        observations: list[Observation] = []
+        for i, o in enumerate(_objects(obj.get(at := "observations", []))):
+            try:
+                payload = {}
+                for name, value in _obj(o[field := "payload"]).items():
+                    name = strings.get(name) or _payload_string(name, strings)
+                    if type(value) is str:
+                        value = strings.get(value) or _payload_string(value, strings)
+                    elif not isinstance(value, (int, float, bool)):
+                        raise ValidationError(f"payload field {name!r} must be scalar")
+                    payload[name] = value
+                if type(storm := payload.get("storm_id", "")) is not str:  # a storm's id
+                    raise ValidationError(f"storm_id must be a string, got {storm!r}")
+                key = _key(o[field := "key"], concepts)
+                if not 0.0 <= (confidence := _num(o[field := "confidence"])) <= 1.0:
+                    raise ValidationError("confidence outside [0, 1]")
+                source = _text(o[field := "source"])
+                if "observed_at" not in o and key.time.start < 0:  # the default is at fault
+                    field = "key.time"
+                    raise ValidationError("time start must be >= 0 when observed_at is absent")
+                observed_at = _num(o.get(field := "observed_at", key.time.start))
+                field = ""
+                observations.append(Observation(payload, confidence, key, Metadata(
+                    sources.setdefault(source, source), observed_at, len(payload),
+                    "weather-report")))
+            except (KeyError, ValidationError) as exc:
+                raise _at(f"[{i}]", _at(field, exc)) from None
+        subscriptions: dict[str, Subscription] = {}
+        for i, s in enumerate(_objects(obj.get(at := "subscriptions", []))):
+            try:
+                sid = _id(s[field := "id"])
+                if sid in subscriptions:
+                    field = ""
+                    raise ValidationError(f"duplicate subscription id {sid!r}")
+                spec = _query(s[field := "query"], concepts)
+                min_confidence = _num(s.get(field := "min_confidence", 0.0))
+                kinds = s.get(field := "kinds")
+                kinds = frozenset(NotionKind) if kinds is None else frozenset(
+                    _each(_list(kinds, "a list of kinds"), _kind))
+                field = ""
+                subscriptions[sid] = Subscription(sid, spec, min_confidence, kinds)
+            except (KeyError, ValidationError) as exc:
+                raise _at(f"[{i}]", _at(field, exc)) from None
+        at = "closures"
+        closures = [tuple(c) for c in _each(_objects(obj.get(at, [])), _fields,
+                                             ("cell", _cell, grid), ("interval", _interval))]
+        bucket_seconds = _num(obj.get(at := "bucket_seconds", 60.0))
+        horizon_seconds = _num(obj.get(at := "horizon_seconds", 14400.0))
+        at = "capacity"
+        calm, severe = _fields(capacity, ("calm", _count), ("severe", _count), calm=6, severe=3)
+        seed = _count(obj.get(at := "seed", 0))
+    except (KeyError, ValidationError) as exc:
+        exc = _at(at, exc)
+        raise ValidationError(exc.message, exc.path or "$") from None
+    return Scenario(grid, bucket_seconds, horizon_seconds, calm, severe,
+                    tuple(flights.values()), tuple(storms), tuple(observations),
+                    tuple(subscriptions.values()), tuple(closures), seed)
 
 
 def _parse_json(text: str):
@@ -499,30 +515,27 @@ def _outcome_to_dict(outcome: InsertOutcome) -> dict:
     }
 
 
-def _outcome_from_dict(obj, path: str) -> InsertOutcome:
-    status = _need(obj, "status", path)
-    if status not in [s.value for s in InsertStatus]:
-        raise ValidationError(f"unknown status {status!r}", f"{path}.status")
-    new_plans = []
-    for i, p in enumerate(_list(obj.get("new_plans", []), f"{path}.new_plans",
-                                "a list of objects")):
-        where = f"{path}.new_plans[{i}]"
-        new_plans.append(RouteChoice(
-            _id(_need(p, "flight", where), f"{where}.flight"),
-            _count(_need(p, "route", where), f"{where}.route"),
-            _num(_need(p, "added_delay", where), f"{where}.added_delay")))
-    violated = obj.get("violated")
-    if violated is not None:
-        where = f"{path}.violated"
-        cell, bucket = _list(violated, where, "[[col, row], bucket]", 2)
-        violated = (_cell(cell, where), _num(bucket, where))
-    return InsertOutcome(
-        status=InsertStatus(status),
-        changed_flights=_ids(obj.get("changed_flights", []), f"{path}.changed_flights"),
-        new_plans=tuple(new_plans),
-        reason=_text(obj.get("reason", ""), f"{path}.reason"),
-        violated=violated,
-    )
+def _row(value, make, *fields):
+    """``make`` of the required ``fields`` of an object."""
+    return make(*_fields(_obj(value), *fields))
+
+
+def _outcome(value) -> InsertOutcome:
+    obj = _obj(value)
+    try:
+        if (status := obj[at := "status"]) not in [s.value for s in InsertStatus]:
+            raise ValidationError(f"unknown status {status!r}")
+        new_plans = _each(_list(obj.get(at := "new_plans", []), "a list of objects"), _row,
+                          RouteChoice, ("flight", _id), ("route", _count),
+                          ("added_delay", _num))
+        if (violated := obj.get(at := "violated")) is not None:
+            cell, bucket = _list(violated, "[[col, row], bucket]", 2)
+            violated = (_cell(cell), _num(bucket))
+        changed = _ids(obj.get(at := "changed_flights", []))
+        return InsertOutcome(InsertStatus(status), changed, tuple(new_plans),
+                             _text(obj.get(at := "reason", "")), violated)
+    except (KeyError, ValidationError) as exc:
+        raise _at(at, exc) from None
 
 
 def _report_head_to_dict(r: Report) -> dict:
@@ -562,20 +575,20 @@ def report_to_dict(r: Report) -> dict:
     return out
 
 
-def _record_from_dict(obj, path: str) -> CongestionRecord:
-    """One congestion record: counts are not negative, and the occupancy is
-    the number of its distinct flight ids, which are strings."""
-    subsector = _cell(_need(obj, "subsector", path), f"{path}.subsector")
-    bucket_start = _num(_need(obj, "bucket_start", path), f"{path}.bucket_start")
-    occupancy = _count(_need(obj, "occupancy", path), f"{path}.occupancy", least=0)
-    capacity = _count(_need(obj, "capacity", path), f"{path}.capacity", least=0)
-    where = f"{path}.flight_ids"
-    ids = _ids(_need(obj, "flight_ids", path), where)
+def _record(value, spots: set) -> CongestionRecord:
+    """A record of counts >= 0, of as many distinct flight ids as its
+    occupancy, and of a spot that ``spots``, those read before, lacks."""
+    subsector, bucket_start, occupancy, capacity, ids = _fields(
+        _obj(value), ("subsector", _cell), ("bucket_start", _num), ("occupancy", _count, 0),
+        ("capacity", _count, 0), ("flight_ids", _ids))
     if len(set(ids)) != len(ids):
-        raise ValidationError("a flight id repeats", where)
+        raise ValidationError("a flight id repeats", "flight_ids")
     if occupancy != len(ids):
-        raise ValidationError(f"occupancy {occupancy} but {len(ids)} flight ids",
-                              f"{path}.occupancy")
+        raise ValidationError(f"occupancy {occupancy} but {len(ids)} flight ids", "occupancy")
+    if (subsector, bucket_start) in spots:
+        raise ValidationError(f"a second record for subsector={subsector} "
+                              f"bucket={kernel.format_scalar(bucket_start)}")
+    spots.add((subsector, bucket_start))
     return CongestionRecord(subsector, bucket_start, occupancy, capacity, ids)
 
 
@@ -586,51 +599,38 @@ def parse_report(text: str) -> Report:
     records for one spot, a grid size below 1, a negative cell or count, a
     bucket of 0 seconds or less, a text that is not a string, or a flight
     id that ``_id`` refuses."""
-    obj = _obj(_parse_json(text), "$")
-    records = []
-    spots = set()
-    for i, rec in enumerate(_list(_need(obj, "records", "$"), "records",
-                                  "a list of objects")):
-        path = f"records[{i}]"
-        record = _record_from_dict(rec, path)
-        spot = (record.subsector, record.bucket_start)
-        if spot in spots:
-            raise ValidationError(
-                f"a second record for subsector={record.subsector} "
-                f"bucket={kernel.format_scalar(record.bucket_start)}", path)
-        spots.add(spot)
-        records.append(record)
-    alerts = []
-    for i, a in enumerate(_list(_need(obj, "alerts", "$"), "alerts", "a list of objects")):
-        path = f"alerts[{i}]"
-        alerts.append(Alert(
-            _text(_need(a, "subscription", path), f"{path}.subscription"),
-            _text(_need(a, "datum", path), f"{path}.datum"),
-            _num(_need(a, "emitted_at", path), f"{path}.emitted_at"),
-            _text(_need(a, "payload_text", path), f"{path}.payload_text")))
-    outcomes = _obj(_need(obj, "outcomes", "$"), "outcomes")
-    grid = _need(obj, "grid", "$")
-    stats = _need(obj, "stats", "$")
-    bucket_seconds = _num(_need(obj, "bucket_seconds", "$"), "bucket_seconds")
-    if bucket_seconds <= 0:
-        raise ValidationError(f"expected a number > 0, got {bucket_seconds!r}",
-                              "bucket_seconds")
-    return Report(
-        seed=_count(_need(obj, "seed", "$"), "seed"),
-        bucket_seconds=bucket_seconds,
-        grid_cols=_count(_need(grid, "cols", "grid"), "grid.cols", least=1),
-        grid_rows=_count(_need(grid, "rows", "grid"), "grid.rows", least=1),
-        records=tuple(records),
-        # Each entry's path quotes its id, so that "" or "a.b" names one entry.
-        outcomes=tuple(sorted(
-            (_id(fid, path), _outcome_from_dict(o, path)) for fid, o in outcomes.items()
-            for path in [f"outcomes[{json.dumps(fid)}]"])),
-        alerts=tuple(alerts),
-        stats=RunStats(
-            *(_count(_need(stats, name, "stats"), f"stats.{name}", least=0)
-              for name in ("steps", "alerts", "merges", "deletions")),
-            quiescent=_bool(_need(stats, "quiescent", "stats"), "stats.quiescent")),
-    )
+    obj = _parse_json(text)
+    at = ""
+    try:
+        records = _each(_list(_obj(obj)[at := "records"], "a list of objects"), _record,
+                        set())
+        alerts = _each(_list(obj[at := "alerts"], "a list of objects"), _row, Alert,
+                       ("subscription", _text), ("datum", _text), ("emitted_at", _num),
+                       ("payload_text", _text))
+        outcomes = _obj(obj[at := "outcomes"])
+        grid, stats = obj["grid"], obj["stats"]
+        if (bucket_seconds := _num(obj[at := "bucket_seconds"])) <= 0:
+            raise ValidationError(f"expected a number > 0, got {bucket_seconds!r}")
+        seed = _count(obj[at := "seed"])
+        at = "grid"
+        cols, rows = _fields(_obj(grid), ("cols", _count, 1), ("rows", _count, 1))
+        at = "outcomes"
+        entries = []
+        for fid, o in outcomes.items():
+            try:
+                entries.append((_id(fid), _outcome(o)))
+            except ValidationError as exc:
+                # The entry's path quotes its id, so that "" or "a.b" names one entry.
+                raise _at(f"[{json.dumps(fid)}]", exc) from None
+        at = "stats"
+        quiescent, *counts = _fields(_obj(stats), ("quiescent", _bool), ("steps", _count, 0),
+                                     ("alerts", _count, 0), ("merges", _count, 0),
+                                     ("deletions", _count, 0))
+    except (KeyError, ValidationError) as exc:
+        exc = _at(at, exc)
+        raise ValidationError(exc.message, exc.path or "$") from None
+    return Report(seed, bucket_seconds, cols, rows, tuple(records), tuple(sorted(entries)),
+                  tuple(alerts), RunStats(*counts, quiescent))
 
 
 #: The top-level records key of an indented report whose records are empty.

@@ -88,6 +88,44 @@ def test_memory_reports_held_and_peak_bytes():
         assert ratio == pytest.approx(1.0, abs=0.02)
 
 
+def test_load_times_the_loader():
+    done = _ab(ROOT, ROOT, "--load", "--rounds", "3")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "outputs agree on 2 contended scenarios (seed 1)"
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "parent median round", "change median round",
+        "change/parent ratio, median over rounds",
+        "change/parent ratio, quartiles over rounds", "rounds won by change"]
+    assert lines[-1].endswith("/3")
+    # Each round loads both scenario texts on each tree, parent first in
+    # the first call, change first in the next.
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import ab
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    calls = []
+
+    class Tree:
+        def __init__(self, side):
+            self.side = side
+
+        def load_scenario(self, text):
+            calls.append((self.side, text))
+
+    rounds = ab._time_rounds([Tree("a"), Tree("b")], [["x", "y"], ["x", "y"]], 2, ab._load)
+    assert len(rounds) == 2
+    assert calls == [("a", "x"), ("b", "x"), ("b", "y"), ("a", "y")] * 2
+
+
+def test_load_and_memory_are_refused_together():
+    done = _ab(ROOT, ROOT, "--load", "--memory")
+    assert done.returncode == 2
+    assert "--load and --memory are two measures; give one" in done.stderr
+    assert done.stdout == ""
+
+
 def test_all_runs_each_workload_in_turn():
     done = subprocess.run(
         [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--workload", "all",

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -224,17 +225,18 @@ def _node_at(doc, path):
 
 
 #: Paths of the numbers in ``VALID``, and numbers to put there: nearby
-#: values, signed zeros, extremes.
+#: values, signed zeros, extremes, and integers no float holds.
 NUMBER_PATHS = [path for path in _node_paths(VALID)
                 if isinstance(_node_at(VALID, path), (int, float))
                 and not isinstance(_node_at(VALID, path), bool)]
 NUMBERS = st.integers(-3, 20) | st.floats(-1e4, 1e4) | st.sampled_from(
-    [0.0, -0.0, 1e-9, -1e-9, 0.5, 1e9, -1e9, 1e300, 5e-324])
+    [0.0, -0.0, 1e-9, -1e-9, 0.5, 1e9, -1e9, 1e300, 5e-324, 10**400, -10**400])
 
 
 def _loads_or_rejects(doc) -> None:
     """Load ``doc``; a scenario that loads must also simulate, under a step
-    budget, raising nothing but an ``AdatmError``."""
+    budget, raising nothing but an ``AdatmError``, and run under
+    ``run_oracle``, raising nothing."""
     try:
         scenario = scenario_from_dict(doc)
     except ValidationError:
@@ -243,6 +245,7 @@ def _loads_or_rejects(doc) -> None:
         simulate(scenario, max_steps=SIMULATE_STEPS)
     except AdatmError:
         pass
+    run_oracle(scenario)
 
 
 class TestNonFiniteWindow:
@@ -418,11 +421,12 @@ def _edit_at(*path):
 
 class TestLoadErrorPaths:
     """A value object's error is raised again at the JSON path of the field
-    it was read from, by one rule (``_within``).  An unordered key time or
-    box used to fail at ``time`` or ``box``, with no location in the file,
-    and so did a bad key concept, a storm's ``active`` or ``box`` and a
-    closure's ``interval``; a flight's error read ``flights[0]: waypoints:
-    ...`` and an observation's ``observations[0]: observed_at: ...``."""
+    it was read from, by the one rule of every reader (``_at``).  An
+    unordered key time or box used to fail at ``time`` or ``box``, with no
+    location in the file, and so did a bad key concept, a storm's
+    ``active`` or ``box`` and a closure's ``interval``; a flight's error
+    read ``flights[0]: waypoints: ...`` and an observation's
+    ``observations[0]: observed_at: ...``."""
 
     @pytest.mark.parametrize("edit, value, path, message", [
         (_edit_at("observations", 0, "key", "time"), [5, 1],
@@ -453,6 +457,12 @@ class TestLoadErrorPaths:
          "observations[0].source", "source_id must be non-empty"),
         (_edit_at("grid", "cols"), 0, "grid.cols", "expected an integer >= 1, got 0"),
         (_edit_at("grid", "rows"), -2, "grid.rows", "expected an integer >= 1, got -2"),
+    ] + [
+        # A size no float holds used to load, and the first flight's route
+        # check raised OverflowError from ``GridSpec.x1``.
+        pytest.param(_edit_at("grid", name), 10**400, f"grid.{name}",
+                     "expected an integer <= 1.7976931348623157e+308",
+                     id=f"{name}-past-any-float") for name in ("cols", "rows")
     ])
     def test_error_names_the_json_field(self, edit, value, path, message, tmp_path, capsys):
         doc = copy.deepcopy(VALID)
@@ -802,6 +812,61 @@ class TestParseReportRefuses:
         with pytest.raises(ValidationError) as err:
             parse_report(json.dumps(doc))
         assert (err.value.path, err.value.message) == (path, message)
+
+
+#: The values that the error-text pin puts at each node of a document.
+PIN_VALUES = [None, True, 0, -1, 0.5, 1e300, 10**400, "", "x", [], [0, 0], {},
+              math.nan, math.inf]
+
+
+def _one_node_edits(doc):
+    """Each document that differs from ``doc`` at one node, named: the node
+    replaced by each of ``PIN_VALUES``, or, in an object, deleted."""
+    for path in _node_paths(doc):
+        name = _field_path(path) or "$"
+        for value in PIN_VALUES:
+            edited = copy.deepcopy(doc)
+            if path:
+                _node_at(edited, path[:-1])[path[-1]] = value
+            else:
+                edited = value
+            yield f"{name} = {value!r}", edited
+        if path and isinstance(_node_at(doc, path[:-1]), dict):
+            edited = copy.deepcopy(doc)
+            del _node_at(edited, path[:-1])[path[-1]]
+            yield f"{name} deleted", edited
+
+
+def _outcome(read, doc) -> str:
+    try:
+        read(doc)
+    except ValidationError as exc:
+        return str(exc)
+    return "loads"
+
+
+def error_pin_lines() -> list[str]:
+    """One sorted line per one-node edit of ``VALID`` and of ``REPORT_DOC``:
+    the edit, and the loader's error text or ``loads``."""
+    return sorted(
+        [f"scenario {name}: {_outcome(scenario_from_dict, doc)}"
+         for name, doc in _one_node_edits(VALID)]
+        + [f"report {name}: {_outcome(lambda d: parse_report(json.dumps(d)), doc)}"
+           for name, doc in _one_node_edits(REPORT_DOC)])
+
+
+class TestErrorTextPin:
+    """Every one-node edit of ``VALID`` and ``REPORT_DOC`` loads or raises
+    ``ValidationError`` with the same text as when the pin was taken, so
+    that a rewrite of the readers keeps each message and each path.  On a
+    mismatch, ``python tests/test_scenario.py`` (with ``src`` on
+    ``PYTHONPATH``) prints the lines, to diff against another tree's."""
+
+    def test_the_error_texts_are_pinned(self):
+        lines = error_pin_lines()
+        assert len(lines) == 1865 + 767
+        assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == \
+            "b61dbe7686720c4d400f2e3c4bf63f9e8e0bb1dcd7c32d35a7d32b397d28c496"
 
 
 class TestSimulateStepBudget:
@@ -1196,3 +1261,7 @@ class TestNoWeatherRecheckWithoutAConfirmedStorm:
                 run = simulate(scenario)
                 if not _confirms_a_storm(run):
                     assert run.state.advance_weather(0.0) == []
+
+
+if __name__ == "__main__":
+    print(*error_pin_lines(), sep="\n")

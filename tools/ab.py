@@ -4,6 +4,7 @@ Usage::
 
     python tools/ab.py PARENT_TREE CHANGE_TREE --workload contended --seed 7 --rounds 20
     python tools/ab.py PARENT_TREE CHANGE_TREE --workload all --seed 7 --rounds 8
+    python tools/ab.py PARENT_TREE CHANGE_TREE --workload storm --seed 7 --load
 
 Each tree's ``src/adatm`` is copied into a temporary directory under its
 own package name (``adatm_a`` for PARENT_TREE, ``adatm_b`` for
@@ -34,6 +35,13 @@ holds up when the machine's speed drifts.  That makes the tool fit for
 attributing a change to its parts (each part left out in turn); a speed
 claim still comes from ``bench/run.py``.  Nothing is written inside
 either tree.
+
+``--load`` times ``load_scenario`` of the workload's scenario texts
+instead: each round loads every text on both trees, the tree that goes
+first alternating from one call to the next as in the time rounds, and
+the tool prints the same median, quartile and rounds-won lines.  The
+JSON decode is part of each load, as it is of the benchmark's
+``setup_s``; the import is not.
 
 ``--memory`` measures memory instead of time, under ``tracemalloc``.  In
 each round each tree, the first alternating as above, loads the
@@ -116,19 +124,24 @@ def _first_difference(modules, scenarios) -> str | None:
     return None
 
 
-def _time_rounds(modules, scenarios, rounds: int) -> list[tuple[float, float]]:
-    """Per round, each tree's summed ``simulate`` plus render time."""
+def _load(scenario_mod, text: str) -> None:
+    scenario_mod.load_scenario(text)
+
+
+def _time_rounds(modules, inputs, rounds: int, run=_run) -> list[tuple[float, float]]:
+    """Per round, each tree's summed time of ``run(module, input)`` over
+    its inputs: by default ``simulate`` plus render of each scenario."""
     out = []
     calls = 0
     for _ in range(rounds):
         totals = [0.0, 0.0]
-        for pair in zip(*scenarios):
+        for pair in zip(*inputs):
             order = (0, 1) if calls % 2 == 0 else (1, 0)
             calls += 1
             for side in order:
                 gc.collect()
                 start = time.perf_counter()
-                _run(modules[side], pair[side])
+                run(modules[side], pair[side])
                 totals[side] += time.perf_counter() - start
         out.append((totals[0], totals[1]))
     return out
@@ -196,7 +209,8 @@ def _compare(modules, spec, args) -> int:
     if args.memory:
         _print_memory(_memory_rounds(modules, texts, args.rounds))
         return 0
-    rounds = _time_rounds(modules, scenarios, args.rounds)
+    rounds = _time_rounds(modules, [texts, texts], args.rounds, _load) if args.load else \
+        _time_rounds(modules, scenarios, args.rounds)
     parent_s = statistics.median(a for a, _ in rounds)
     change_s = statistics.median(b for _, b in rounds)
     ratios = [b / a for a, b in rounds]
@@ -227,6 +241,8 @@ def main(argv: list[str]) -> int:
                         help="flights per headroom scenario")
     parser.add_argument("--memory", action="store_true",
                         help="measure traced memory instead of time")
+    parser.add_argument("--load", action="store_true",
+                        help="time load_scenario instead of simulate")
     args = parser.parse_args(argv)
     sys.dont_write_bytecode = True  # leave both trees and bench/ as they were
     module = _workloads_module()
@@ -236,6 +252,8 @@ def main(argv: list[str]) -> int:
                      f"one of {', '.join(sorted(workloads))} or all")
     if args.rounds < 1 or args.scenarios is not None and args.scenarios < 1:
         parser.error("--rounds and --scenarios must be at least 1")
+    if args.load and args.memory:
+        parser.error("--load and --memory are two measures; give one")
     if args.flights is not None:
         if args.workload != "headroom":
             parser.error("--flights applies to the headroom workload only")
