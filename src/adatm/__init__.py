@@ -33,7 +33,6 @@ from .kernel import (
     Metadata,
     NotionKind,
     StorageTier,
-    TierPolicy,
     aggregate,
     apply_evidence,
     canonical_text,

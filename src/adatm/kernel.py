@@ -171,19 +171,15 @@ class Evidence:
             raise RangeError(f"strength {self.strength} outside [0, 1]")
 
 
-@dataclass(frozen=True, slots=True)
-class TierPolicy:
-    """Thresholds for the storage-tier decision."""
-
-    min_confidence: float = 0.25
-    hot_age: float = 3600.0
-    warm_age: float = 14400.0
-    cold_age: float = 86400.0
-    false_truth: float = -0.9
-    false_confidence: float = 0.9
-
-
-DEFAULT_TIER_POLICY = TierPolicy()
+#: The storage-tier thresholds (:func:`tier_decision`): a datum at most
+#: ``FALSE_TRUTH`` true with at least ``FALSE_CONFIDENCE`` deletes itself; a
+#: hot one needs ``HOT_CONFIDENCE``; the ages bound the hot, warm and cold tiers.
+FALSE_TRUTH = -0.9
+FALSE_CONFIDENCE = 0.9
+HOT_CONFIDENCE = 0.25
+HOT_AGE = 3600.0
+WARM_AGE = 14400.0
+COLD_AGE = 86400.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -473,31 +469,31 @@ def aggregate(data: list[ActiveDatum] | set[ActiveDatum] | tuple[ActiveDatum, ..
         if group_key not in d.payload:
             raise PreconditionError(f"datum {d.id} lacks field {group_key!r}")
         counts.setdefault(format_scalar(d.payload[group_key]), set()).add(d.id)
-    key = items[0].key
-    for d in items[1:]:
-        key = key.cover(d.key)
-    observed = max(d.metadata.observed_at for d in items)
-    updated = max(d.hyperdata.updated_at for d in items)
     payload: dict[str, Scalar] = {value: len(ids) for value, ids in counts.items()}
     if datum_id is None:
         datum_id = f"agg-{_short_hash(group_key, *(d.id for d in items))}"
-    return ActiveDatum(
-        id=datum_id,
-        kind=NotionKind.Aggregate,
-        payload=payload,
-        key=key,
-        metadata=Metadata(source_id="aggregate", observed_at=observed,
-                          size_hint=len(payload), schema_tag=f"count:{group_key}"),
-        hyperdata=Hyperdata(
-            truth=min(d.truth for d in items),
-            confidence=min(d.confidence for d in items),
-            detail=max(d.hyperdata.detail for d in items),
-            exposure=max(d.hyperdata.exposure for d in items),
-            complementary=tuple(d.id for d in items),
-            created_at=updated,
-            updated_at=updated,
-        ),
-    )
+    return _derived(datum_id, NotionKind.Aggregate, payload, items, "aggregate",
+                    f"count:{group_key}", min(d.confidence for d in items),
+                    max(d.hyperdata.detail for d in items),
+                    max(d.hyperdata.exposure for d in items))
+
+
+def _derived(datum_id: str, kind: NotionKind, payload: dict[str, Scalar],
+             sources: list[ActiveDatum] | tuple[ActiveDatum, ...], source_id: str,
+             schema_tag: str, confidence: float, detail: float,
+             exposure: float) -> ActiveDatum:
+    """A datum concluded from ``sources``, the rule :func:`aggregate` and
+    :func:`infer` share: its key covers the sources' keys, it is observed
+    and updated when the latest source was, it is as true as the least true
+    source, and it links to each source, in order."""
+    key = sources[0].key
+    for d in sources[1:]:
+        key = key.cover(d.key)
+    updated = max(d.hyperdata.updated_at for d in sources)
+    return ActiveDatum(datum_id, kind, payload, key, Metadata(
+        source_id, max(d.metadata.observed_at for d in sources), len(payload), schema_tag),
+        Hyperdata(min(d.truth for d in sources), confidence, detail, exposure,
+                  StorageTier.Hot, tuple(d.id for d in sources), (), (), updated, updated))
 
 
 def _pattern_matches(pattern: Payload, datum: ActiveDatum) -> bool:
@@ -553,30 +549,11 @@ def infer(rule: HypothesisRule, candidates: list[ActiveDatum] | set[ActiveDatum]
     confidence = 1.0
     for p in premises:
         confidence *= p.confidence
-    key = premises[0].key
-    for p in premises[1:]:
-        key = key.cover(p.key)
-    updated = max(p.hyperdata.updated_at for p in premises)
     if datum_id is None:
         datum_id = f"hyp-{rule.id}-{_short_hash(rule.id, *(p.id for p in premises))}"
-    return ActiveDatum(
-        id=datum_id,
-        kind=rule.conclusion_kind,
-        payload=payload,
-        key=key,
-        metadata=Metadata(source_id=rule.id,
-                          observed_at=max(p.metadata.observed_at for p in premises),
-                          size_hint=len(payload), schema_tag="inferred"),
-        hyperdata=Hyperdata(
-            truth=min(p.truth for p in premises),
-            confidence=_clamp(confidence, 0.0, 1.0),
-            detail=min(p.hyperdata.detail for p in premises),
-            exposure=0.0,
-            complementary=tuple(p.id for p in premises),
-            created_at=updated,
-            updated_at=updated,
-        ),
-    )
+    return _derived(datum_id, rule.conclusion_kind, payload, premises, rule.id, "inferred",
+                    _clamp(confidence, 0.0, 1.0),
+                    min(p.hyperdata.detail for p in premises), 0.0)
 
 
 def match_gaps(rule: HypothesisRule,
@@ -595,8 +572,7 @@ def match_gaps(rule: HypothesisRule,
                  for pat, hit in zip(rule.premise_patterns, matched) if not hit)
 
 
-def tier_decision(d: ActiveDatum, now: float,
-                  policy: TierPolicy = DEFAULT_TIER_POLICY) -> StorageTier:
+def tier_decision(d: ActiveDatum, now: float) -> StorageTier:
     """Pick the storage tier a datum should occupy at time ``now``.
 
     Confidently-false data delete themselves; otherwise placement follows
@@ -606,13 +582,13 @@ def tier_decision(d: ActiveDatum, now: float,
     if d.tier is StorageTier.Deleted:
         raise LifecycleError(f"datum {d.id} is deleted")
     hd = d.hyperdata
-    if hd.truth <= policy.false_truth and hd.confidence >= policy.false_confidence:
+    if hd.truth <= FALSE_TRUTH and hd.confidence >= FALSE_CONFIDENCE:
         return StorageTier.Deleted
     age = now - hd.updated_at
-    if hd.confidence >= policy.min_confidence and age < policy.hot_age:
+    if hd.confidence >= HOT_CONFIDENCE and age < HOT_AGE:
         return StorageTier.Hot
-    if age < policy.warm_age:
+    if age < WARM_AGE:
         return StorageTier.Warm
-    if age < policy.cold_age:
+    if age < COLD_AGE:
         return StorageTier.Cold
     return StorageTier.Archived

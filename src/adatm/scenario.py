@@ -195,19 +195,33 @@ def _obj(value) -> dict:
 _FLOAT_MAX = sys.float_info.max  # an integer above it converts to no float
 
 
+def _shown(value):
+    """``value``, once it is known to have a text.  An integer of more digits
+    than the interpreter writes out (``sys.get_int_max_str_digits``), or a
+    value holding one, has none: no error, report or log could show it."""
+    try:
+        repr(value)
+    except ValueError:
+        raise ValidationError(f"an integer of more than {sys.get_int_max_str_digits()} "
+                              "digits") from None
+    return value
+
+
 def _num(value) -> float:
     if type(value) is float and -_FLOAT_MAX <= value <= _FLOAT_MAX:  # the usual case
         return value
     if type(value) not in (int, float):  # JSON true and false are not numbers
-        raise ValidationError(f"expected a number, got {value!r}")
+        raise ValidationError(f"expected a number, got {_shown(value)!r}")
     if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # NaN, infinities, ints past any float
-        raise ValidationError(f"expected a finite number, got {value!r}")
+        raise ValidationError(f"expected a finite number, got {_shown(value)!r}")
     return float(value)
 
 
 def _count(value, least: int | None = None, most: float = math.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"expected an integer, got {value!r}")
+        raise ValidationError(f"expected an integer, got {_shown(value)!r}")
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # error texts and reports write it out
+        _shown(value)
     if least is not None and value < least:
         raise ValidationError(f"expected an integer >= {least}, got {value}")
     if value > most:
@@ -217,7 +231,7 @@ def _count(value, least: int | None = None, most: float = math.inf) -> int:
 
 def _text(value) -> str:
     if type(value) is not str:
-        raise ValidationError(f"expected a string, got {value!r}")
+        raise ValidationError(f"expected a string, got {_shown(value)!r}")
     return value
 
 
@@ -256,7 +270,7 @@ def _ids(value) -> tuple[str, ...]:
 
 def _bool(value) -> bool:
     if not isinstance(value, bool):
-        raise ValidationError(f"expected true or false, got {value!r}")
+        raise ValidationError(f"expected true or false, got {_shown(value)!r}")
     return value
 
 
@@ -433,6 +447,8 @@ def scenario_from_dict(obj: dict) -> Scenario:
                         value = strings.get(value) or _payload_string(value, strings)
                     elif not isinstance(value, (int, float, bool)):
                         raise ValidationError(f"payload field {name!r} must be scalar")
+                    elif not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # written in payload text
+                        _shown(value)
                     payload[name] = value
                 if type(storm := payload.get("storm_id", "")) is not str:  # a storm's id
                     raise ValidationError(f"storm_id must be a string, got {storm!r}")

@@ -37,7 +37,6 @@ from .kernel import (
     HypothesisRule,
     NotionKind,
     StorageTier,
-    TierPolicy,
     tier_decision,
 )
 from .nearness import NearnessIndex, QuerySpec
@@ -169,7 +168,7 @@ class RunStats:
 
 @dataclass(frozen=True, slots=True)
 class SchedulerConfig:
-    """Knobs for peer discovery and storage policy.
+    """Knobs for peer discovery.
 
     The three radii bound each activation's peer query
     (:meth:`QuerySpec.neighborhood`), and each must be >= 0.  They do not
@@ -180,7 +179,6 @@ class SchedulerConfig:
     time_radius: float = 900.0
     space_radius: float = 1.0
     concept_radius: float = 0.0
-    tier_policy: TierPolicy = TierPolicy()
 
     def __post_init__(self):
         for name in ("time_radius", "space_radius", "concept_radius"):
@@ -206,7 +204,6 @@ class Runtime:
         # broken by arrival order.
         self._queue: list[tuple[int, int, ActivationTask]] = []
         self._task_seq = 0
-        self._event_seq = 0
         self._subs: dict[str, Subscription] = {}
         self._alerted: set[tuple[str, str]] = set()
         self.alerts: list[Alert] = []
@@ -307,9 +304,9 @@ class Runtime:
     # -- events ----------------------------------------------------------
 
     def emit(self, event_type: str, datum_id: str, detail: str) -> None:
-        self._event_seq += 1
-        self.event_log.append(
-            _new_tuple(RuntimeEvent, (self._event_seq, event_type, datum_id, detail)))
+        """Append a log line, numbered by its position in the log."""
+        log = self.event_log
+        log.append(_new_tuple(RuntimeEvent, (len(log) + 1, event_type, datum_id, detail)))
 
     def render_event_log(self) -> str:
         return "\n".join(e.render() for e in self.event_log)
@@ -514,7 +511,7 @@ class Runtime:
                         self.emit("gap", d.id, f"rule={rule_id} missing={'|'.join(new_gaps)}")
 
         # 5. storage tier decision
-        tier = tier_decision(d, self.now, self.config.tier_policy)
+        tier = tier_decision(d, self.now)
         if tier is not d.tier:
             d = replace(d, hyperdata=replace(d.hyperdata, tier=tier))
             self._replace_datum(d)

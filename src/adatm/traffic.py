@@ -581,20 +581,13 @@ class AirspaceState:
         return events
 
     def _capacity_violations(self) -> tuple[Spot, ...]:
-        """The occupied spots of the look-ahead window over their capacity,
-        sorted.  Each spot is read once; only the violating ones are
-        sorted."""
-        now = self.now
-        dt = self.bucket_seconds
-        window_end = now + self.horizon_seconds
+        """The occupied spots of the look-ahead window (:meth:`_window`) over
+        their capacity, sorted."""
+        first, window_end = self._window()
+        start = first * self.bucket_seconds
         capacity = self.capacity
-        out = []
-        for spot, members in self._occ.items():
-            start = spot[1]
-            if start + dt <= now or start >= window_end:
-                continue
-            if len(members) > capacity(*spot):
-                out.append(spot)
+        out = [spot for spot, members in self._occ.items()
+               if start <= spot[1] < window_end and len(members) > capacity(*spot)]
         out.sort()
         return tuple(out)
 
@@ -619,13 +612,17 @@ class AirspaceState:
 
     # -- prediction ------------------------------------------------------------
 
+    def _window(self) -> tuple[int, float]:
+        """The look-ahead window that the weather re-check and the congestion
+        report read: the index of the bucket that holds ``now``, and the
+        window's end, ``horizon_seconds`` after ``now``."""
+        return math.floor(self.now / self.bucket_seconds), self.now + self.horizon_seconds
+
     def predict_congestion(self, include_empty: bool = False) -> list[CongestionRecord]:
         """Occupancy/capacity records for every bucket of the look-ahead
-        window, ``horizon_seconds`` from ``now``."""
-        now = self.now
+        window (:meth:`_window`)."""
         dt = self.bucket_seconds
-        first = math.floor(now / dt)
-        window_end = now + self.horizon_seconds
+        first, window_end = self._window()
         occ = self._occ
         if include_empty:
             spots = []
@@ -636,7 +633,7 @@ class AirspaceState:
                 i += 1
         else:
             start = first * dt
-            spots = [s for s in occ if s[1] >= start and s[1] < window_end]
+            spots = [s for s in occ if start <= s[1] < window_end]
         # Records come in (bucket, col, row) order; spots are unique.
         spots.sort(key=itemgetter(1, 0))
         capacity = self.capacity

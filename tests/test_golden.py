@@ -168,16 +168,20 @@ def test_outputs_match_their_pinned_digests(name):
 
 # -- the benchmark's own inputs ---------------------------------------------------
 
-def _bench_workloads():
-    """``bench/workloads.py``, imported under its own name and only read."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("adatm_bench_workloads", path)
+def _bench_module(name: str):
+    """``bench/<name>.py``, imported under its own name and only read."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"adatm_bench_{name}", path)
     module = sys.modules.get(spec.name)
     if module is None:
         module = importlib.util.module_from_spec(spec)
         sys.modules[spec.name] = module  # dataclasses look their module up
         spec.loader.exec_module(module)
     return module
+
+
+def _bench_workloads():
+    return _bench_module("workloads")
 
 
 #: Bench scenarios 0 to BENCH_SCENARIOS - 1 of each workload are pinned.

@@ -13,7 +13,6 @@ from adatm import (
     Metadata,
     NotionKind,
     StorageTier,
-    TierPolicy,
     aggregate,
     apply_evidence,
     canonical_text,
@@ -23,6 +22,7 @@ from adatm import (
     resolve,
     tier_decision,
 )
+from adatm import kernel
 from adatm.errors import LifecycleError, PreconditionError, RangeError, ValidationError
 from adatm.kernel import Hyperdata, match_gaps
 
@@ -386,7 +386,9 @@ class TestTierDecision:
         assert tier_decision(d, now=d.hyperdata.updated_at) is StorageTier.Deleted
 
     def test_age_tiers(self):
-        # Defaults: hot < 3600, warm < 14400, cold < 86400, else archived.
+        assert (kernel.HOT_AGE, kernel.WARM_AGE, kernel.COLD_AGE, kernel.HOT_CONFIDENCE,
+                kernel.FALSE_TRUTH, kernel.FALSE_CONFIDENCE) == (
+            3600.0, 14400.0, 86400.0, 0.25, -0.9, 0.9)
         d = make_datum("d", confidence=0.9, observed_at=0.0)
         assert tier_decision(d, now=5000.0) is StorageTier.Warm
         assert tier_decision(d, now=20000.0) is StorageTier.Cold
@@ -398,5 +400,28 @@ class TestTierDecision:
 
     def test_pure(self):
         d = make_datum("d", confidence=0.8, observed_at=0.0)
-        policy = TierPolicy()
-        assert tier_decision(d, 100.0, policy) is tier_decision(d, 100.0, policy)
+        assert tier_decision(d, 100.0) is tier_decision(d, 100.0)
+
+    @pytest.mark.parametrize("age, tier", [
+        (kernel.HOT_AGE - 1.0, StorageTier.Hot), (kernel.HOT_AGE, StorageTier.Warm),
+        (kernel.WARM_AGE - 1.0, StorageTier.Warm), (kernel.WARM_AGE, StorageTier.Cold),
+        (kernel.COLD_AGE - 1.0, StorageTier.Cold), (kernel.COLD_AGE, StorageTier.Archived)])
+    def test_each_age_bound_is_exclusive(self, age, tier):
+        d = make_datum("d", confidence=0.9, observed_at=0.0)
+        assert tier_decision(d, now=age) is tier
+
+    @pytest.mark.parametrize("confidence, tier", [
+        (kernel.HOT_CONFIDENCE, StorageTier.Hot),
+        (math.nextafter(kernel.HOT_CONFIDENCE, 0.0), StorageTier.Warm)])
+    def test_hot_needs_its_confidence(self, confidence, tier):
+        d = make_datum("d", confidence=confidence, observed_at=0.0)
+        assert tier_decision(d, now=0.0) is tier
+
+    @pytest.mark.parametrize("truth, confidence, deleted", [
+        (kernel.FALSE_TRUTH, kernel.FALSE_CONFIDENCE, True),
+        (math.nextafter(kernel.FALSE_TRUTH, 0.0), kernel.FALSE_CONFIDENCE, False),
+        (kernel.FALSE_TRUTH, math.nextafter(kernel.FALSE_CONFIDENCE, 0.0), False)])
+    def test_confidently_false_bounds_are_inclusive(self, truth, confidence, deleted):
+        d = make_datum("d", confidence=0.5, observed_at=0.0)
+        d = replace(d, hyperdata=replace(d.hyperdata, truth=truth, confidence=confidence))
+        assert (tier_decision(d, now=0.0) is StorageTier.Deleted) is deleted

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -487,6 +488,49 @@ class TestLoadErrorPaths:
             scenario_from_dict(doc)
         assert (err.value.path, err.value.message) == (
             "observations[0].key.time", "time start must be >= 0 when observed_at is absent")
+
+
+#: An integer of more digits than the interpreter writes out.
+OVERLONG = 10 ** (sys.get_int_max_str_digits() + 700)
+
+#: Where an overlong integer is put into ``VALID``, and the path of its error.
+OVERLONG_SITES = [
+    (("bucket_seconds",), OVERLONG, "bucket_seconds"),
+    (("flights", 0, "waypoints", 1, 0), OVERLONG, "flights[0].waypoints[1]"),
+    (("grid", "cols"), -OVERLONG, "grid.cols"),
+    (("closures", 0, "cell", 0), OVERLONG, "closures[0].cell"),
+    (("seed",), OVERLONG, "seed"),
+    (("capacity", "calm"), OVERLONG, "capacity.calm"),
+    (("flights", 0, "priority"), OVERLONG, "flights[0].priority"),
+    (("observations", 0, "payload", "kind"), -OVERLONG, "observations[0].payload"),
+    (("flights", 0, "id"), [OVERLONG], "flights[0].id"),
+]
+
+
+class TestOverlongIntegers:
+    """An integer too long to write out is an error at its path wherever a
+    number or a count is read.  It used to raise a bare ``ValueError`` where
+    an error text formats the value, and to load at ``seed`` and
+    ``capacity.calm``, where the report then could not be rendered.
+    ``load_scenario`` never sees one: ``json.loads`` refuses its text."""
+
+    MESSAGE = f"an integer of more than {sys.get_int_max_str_digits()} digits"
+
+    @pytest.mark.parametrize("path, value, where",
+                             [pytest.param(*site, id=site[2]) for site in OVERLONG_SITES])
+    def test_is_an_error_at_its_path(self, path, value, where):
+        doc = copy.deepcopy(VALID)
+        _edit_at(*path)(doc, value)
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(doc)
+        assert (err.value.path, err.value.message) == (where, self.MESSAGE)
+
+    def test_one_digit_shorter_still_loads_and_renders(self):
+        doc = copy.deepcopy(VALID)
+        doc["seed"] = doc["capacity"]["calm"] = 10 ** sys.get_int_max_str_digits() - 1
+        report = simulate(scenario_from_dict(doc)).report
+        assert str(report.seed) in render_report(report, "json")
+        assert render_report(report, "csv")
 
 
 #: What an id may not hold: the event log's field separator, the CSV

@@ -655,6 +655,26 @@ PIPELINE_NEGOTIATIONS = {
 }
 
 
+def spy_negotiations(monkeypatch) -> list[tuple[bool, tuple | None, tuple | None]]:
+    """Have every ``negotiate`` call also run ``brute_force_negotiate`` on the
+    same state, conflicts and arriving plan; returns the list it fills, per
+    call: whether it is on the weather path, the objective found and the
+    brute force's."""
+    checked = []
+    real = AirspaceState.negotiate
+
+    def spy(self, conflicts, arriving):
+        expected = brute_force_negotiate(
+            self, conflicts, None if arriving is None else arriving.plan)
+        resolution = real(self, conflicts, arriving)
+        got = None if resolution is None else resolution.objective
+        checked.append((arriving is None, got, expected))
+        return resolution
+
+    monkeypatch.setattr(AirspaceState, "negotiate", spy)
+    return checked
+
+
 class TestPipelineNegotiationsMatchBruteForce:
     """Every negotiation a run makes, in the state the run has reached, has
     the objective ``brute_force_negotiate`` finds for the same state,
@@ -664,18 +684,7 @@ class TestPipelineNegotiationsMatchBruteForce:
     def test_every_negotiation_matches(self, name, monkeypatch):
         build, insertions, weather = PIPELINE_NEGOTIATIONS[name]
         scenario = build()
-        checked = []
-        real = AirspaceState.negotiate
-
-        def spy(self, conflicts, arriving):
-            expected = brute_force_negotiate(
-                self, conflicts, None if arriving is None else arriving.plan)
-            resolution = real(self, conflicts, arriving)
-            got = None if resolution is None else resolution.objective
-            checked.append((arriving is None, got, expected))
-            return resolution
-
-        monkeypatch.setattr(AirspaceState, "negotiate", spy)
+        checked = spy_negotiations(monkeypatch)
         simulate(scenario)
         assert [got for _, got, _ in checked] == [expected for _, _, expected in checked]
         on_weather = sum(1 for weather_path, _, _ in checked if weather_path)
@@ -743,11 +752,30 @@ class TestCapacityViolations:
         # Some spots are read from the capacity table, the rest on a miss.
         for spot in sorted(state._occ)[:warm]:
             state.capacity(*spot)
-        dt = state.bucket_seconds
+        # The window as ``predict_congestion`` lists it.
+        start = math.floor(now / state.bucket_seconds) * state.bucket_seconds
         expected = sorted(spot for spot, ids in state._occ.items()
-                          if spot[1] + dt > now and spot[1] < now + horizon
+                          if start <= spot[1] < now + horizon
                           and len(ids) > fresh_capacity(state, spot))
         assert state._capacity_violations() == tuple(expected)
+
+    def test_the_bucket_holding_now_is_rechecked_as_the_report_lists_it(self):
+        # At 0.6 s with 0.1 s buckets, 0.5 + 0.1 is not above 0.6 in floats,
+        # but floor(0.6 / 0.1) is 5: bucket 0.5 holds the clock.
+        state = AirspaceState(GridSpec(0, 0, 1, 1, 10.0), bucket_seconds=0.1,
+                              calm_capacity=2, severe_capacity=1)
+        for fid in ("0001", "0002"):
+            state.try_insert(dwell(fid, t0=0.0, t1=1.0))
+        state.set_storms((StormCell("st", PlanarBox(0.0, 0.0, 10.0, 10.0), (0.0, 0.0),
+                                    TimeInterval(0.0, 10.0)),))
+        state.now = 0.6
+        over = [(r.subsector, r.bucket_start) for r in state.predict_congestion()
+                if r.congested]
+        assert over[0] == ((0, 0), 0.5)
+        assert state._capacity_violations() == tuple(over)
+        events = state.advance_weather(0.6)
+        assert {(e.kind, e.bucket_start) for e in events if e.bucket_start == 0.5} == {
+            ("capacity-drop", 0.5), ("excess", 0.5)}
 
 
 class TestInsertionKeepsRoom:
