@@ -931,7 +931,7 @@ class _Driver:
         # Without a confirmed storm the storms are the filed ones, under
         # which every insertion was classified, and no insertion leaves a
         # spot over its room, so there is nothing to re-check.  Returning
-        # also keeps the capacities memoised while inserting.
+        # also keeps the cell records built while inserting.
         if not confirmed:
             return
         self.state.set_storms(tuple(filed + confirmed))

@@ -27,12 +27,12 @@ from operator import itemgetter
 from types import MappingProxyType
 
 # Segmentation and storm windows are called through their modules, where
-# the benchmark's tracer (bench/tracing.py) counts them.
+# bench/tracing.py counts them; it also wraps ``bucket_capacity``, unused here.
 from . import airspace, trajectory
 from .airspace import GridSpec, StormCell, Subsector, bucket_capacity
 from .errors import ConflictError, NotFoundError, PreconditionError, ValidationError
 from .kernel import format_scalar
-from .nearness import TimeInterval
+from .nearness import TimeInterval, spans_intersect
 from .trajectory import FlightPlan, TrajectorySegment, plan_segments
 
 DELAY_MENU: tuple[float, ...] = (300.0, 600.0, 900.0)
@@ -264,12 +264,14 @@ class AirspaceState:
         if not 0 < horizon_seconds < math.inf:
             raise ValidationError("horizon_seconds must be positive and finite",
                                   "horizon_seconds")
+        if not 0 <= severe_capacity <= calm_capacity:
+            raise ValidationError("capacities must satisfy 0 <= severe <= calm", "capacity")
         self.grid = grid
         self.bucket_seconds = bucket_seconds
         self.calm_capacity = calm_capacity
         self.severe_capacity = severe_capacity
         self._storms: tuple[StormCell, ...] = ()
-        #: Read-only: capacity is memoised, so later writes would be ignored.
+        #: Read-only: the cell records copy it, so later writes would be ignored.
         self.closures = MappingProxyType(dict(closures or {}))
         self.horizon_seconds = horizon_seconds
         #: The clock starts at 0 and only ``advance_weather`` moves it.
@@ -282,10 +284,6 @@ class AirspaceState:
         #: Per cell, filled on first lookup: its subsector and the windows of
         #: the storms that cross it.  ``set_storms`` clears it.
         self._cells: dict[tuple[int, int], CellRecord] = {}
-        #: Capacity per spot of a cell with a closure or a storm window,
-        #: filled on first lookup; ``set_storms`` clears it.  A calm cell's
-        #: spots answer ``calm_capacity`` and keep no entry.
-        self._caps: dict[Spot, int] = {}
 
     # -- geometry and bookkeeping -----------------------------------------
 
@@ -301,9 +299,6 @@ class AirspaceState:
     def subsector(self, col: int, row: int) -> Subsector:
         return (self._cells.get((col, row)) or self._new_cell((col, row)))[0]
 
-    def bucket_interval(self, bucket_start: float) -> TimeInterval:
-        return TimeInterval(bucket_start, bucket_start + self.bucket_seconds)
-
     def segment_spots(self, segments) -> frozenset[Spot]:
         """The (cell, bucket start) spots the segments hold (see
         :func:`_spots_held`)."""
@@ -317,17 +312,21 @@ class AirspaceState:
         return tuple(sorted(self._occ.get((subsector, bucket_start), ())))
 
     def capacity(self, subsector: tuple[int, int], bucket_start: float) -> int:
-        """The spot's capacity, the one place it is read: a calm cell's from
-        its record, any other's from ``_caps``, filled on a miss."""
+        """The spot's capacity, the one place it is read: the rule of
+        :func:`airspace.bucket_capacity`, applied to its cell's record."""
         sub, windows = self._cells.get(subsector) or self._new_cell(subsector)
         if not (windows or sub.closed_intervals):
             return sub.calm_capacity
-        spot = (subsector, bucket_start)
-        cap = self._caps.get(spot)
-        if cap is None:
-            cap = self._caps[spot] = bucket_capacity(
-                sub, self.bucket_interval(bucket_start), windows)
-        return cap
+        end = bucket_start + self.bucket_seconds
+        for c in sub.closed_intervals:
+            if spans_intersect(c.start, c.end, bucket_start, end):
+                return 0
+        # A storm window is never zero-length (storm_overlap_window); one that
+        # starts at the bucket's start meets it even where start + dt == start.
+        for w in windows:
+            if (w.start < end and bucket_start < w.end) or w.start == bucket_start:
+                return sub.severe_capacity
+        return sub.calm_capacity
 
     def account_for(self, plan: FlightPlan, route_index: int = -1,
                     added_delay: float = 0.0, version: int = 1) -> FlightAccount:
@@ -540,7 +539,6 @@ class AirspaceState:
     def set_storms(self, storms: tuple[StormCell, ...]) -> None:
         self._storms = tuple(storms)
         self._cells.clear()
-        self._caps.clear()
 
     def advance_weather(self, to_time: float) -> list[WeatherEvent]:
         """Re-check capacity under the current storm picture.

@@ -119,6 +119,46 @@ def test_load_times_the_loader():
     assert calls == [("a", "x"), ("b", "x"), ("b", "y"), ("a", "y")] * 2
 
 
+def test_oracle_times_the_oracle():
+    done = _ab(ROOT, ROOT, "--oracle", "--rounds", "3")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "outputs agree on 2 contended scenarios (seed 1)"
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "parent median round", "change median round",
+        "change/parent ratio, median over rounds",
+        "change/parent ratio, quartiles over rounds", "rounds won by change"]
+    assert lines[-1].endswith("/3")
+    # Each round runs the oracle, and nothing else, on both scenarios of
+    # each tree, alternating which tree goes first.
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import ab
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    calls = []
+
+    class Tree:
+        def __init__(self, side):
+            self.side = side
+
+        def run_oracle(self, scenario):
+            calls.append((self.side, scenario))
+
+    rounds = ab._time_rounds([Tree("a"), Tree("b")], [["x", "y"], ["x", "y"]], 2,
+                             ab._oracle)
+    assert len(rounds) == 2
+    assert calls == [("a", "x"), ("b", "x"), ("b", "y"), ("a", "y")] * 2
+
+
+@pytest.mark.parametrize("other", ["--load", "--memory"])
+def test_oracle_is_refused_with_another_measure(other):
+    done = _ab(ROOT, ROOT, "--oracle", other)
+    assert done.returncode == 2
+    assert "--oracle times run_oracle alone; leave out --load and --memory" in done.stderr
+    assert done.stdout == ""
+
+
 def test_load_and_memory_are_refused_together():
     done = _ab(ROOT, ROOT, "--load", "--memory")
     assert done.returncode == 2

@@ -65,10 +65,11 @@ def two_by_two(calm=6, severe=3, **kwargs):
 
 
 def fresh_capacity(state, spot):
-    """A spot's capacity computed anew, bypassing the state's capacity table."""
+    """A spot's capacity by the reference rule, ``bucket_capacity``, over
+    storm windows computed anew."""
     sub = state.subsector(*spot[0])
     windows = [storm_overlap_window(storm, sub.bounds) for storm in state.storms]
-    return bucket_capacity(sub, state.bucket_interval(spot[1]),
+    return bucket_capacity(sub, TimeInterval(spot[1], spot[1] + state.bucket_seconds),
                            [window for window in windows if window is not None])
 
 
@@ -172,8 +173,9 @@ class TestOccupancy:
 
 
 class TestWeatherInputs:
-    """Capacity is memoised, so closures and storms change only where the
-    memo is cleared: closures never, storms through ``set_storms``."""
+    """Each cell's record keeps its closures and storm windows, so closures
+    and storms change only where the records are cleared: closures never,
+    storms through ``set_storms``."""
 
     def test_writes_past_the_capacity_memo_raise(self):
         closed = {(0, 0): (TimeInterval(0.0, 60.0),)}
@@ -749,7 +751,7 @@ class TestCapacityViolations:
             "st", PlanarBox(storm[0], 0.0, storm[0] + storm[1], 10.0), (0.0, 0.0),
             TimeInterval(storm[2], storm[2] + 1800.0)),))
         state.now = now
-        # Some spots are read from the capacity table, the rest on a miss.
+        # Some cells' records are built before the re-check, the rest in it.
         for spot in sorted(state._occ)[:warm]:
             state.capacity(*spot)
         # The window as ``predict_congestion`` lists it.
@@ -1083,7 +1085,7 @@ class TestRoomOnFirstRead:
 
 
 class TestCapacityTable:
-    def test_capacity_follows_the_weather(self, monkeypatch):
+    def test_capacity_follows_the_weather(self):
         # (0, 1) has a zero-length closure: it caps only the bucket holding
         # its instant.
         state = two_by_two(severe=1, closures={(1, 1): (TimeInterval(600.0, 900.0),),
@@ -1130,13 +1132,6 @@ class TestCapacityTable:
         assert state.capacity((1, 0), 1200.0) == 6
         assert state.capacity((1, 1), 600.0) == 0
 
-        calls = []
-
-        def counting(*args):
-            calls.append(args[0].index)
-            return bucket_capacity(*args)
-
-        monkeypatch.setattr(traffic, "bucket_capacity", counting)
         # A storm standing over column 1 during [600, 1200): its window in
         # (1, 0) ends exactly on the start of bucket [1200, 1260), and in
         # (1, 1) it meets the closure [600, 900).  (0, 0) is crossed by no
@@ -1145,19 +1140,18 @@ class TestCapacityTable:
                            velocity=(0.0, 0.0), active=TimeInterval(600.0, 1200.0))
         state.set_storms((column,))
         assert [state.capacity((0, 0), i * 60.0) for i in range(70)] == [6] * 70
-        assert calls == []
+        assert state._cells[(0, 0)][1] == ()
         assert [state.capacity((1, 0), t) for t in (540.0, 600.0, 1140.0, 1200.0)] == \
             [6, 1, 1, 6]
         assert [state.capacity((1, 1), t) for t in (600.0, 840.0, 900.0, 1200.0)] == \
             [0, 0, 1, 6]
-        assert set(calls) == {(1, 0), (1, 1)}
+        assert state._cells[(1, 0)][1] == state._cells[(1, 1)][1] == \
+            (TimeInterval(600.0, 1200.0),)
         assert_fresh()
-        # Clearing the storms clears the windows: (1, 0) is calm again
-        # without a bucket rule.
+        # Clearing the storms clears the windows: (1, 0) is calm again.
         state.set_storms(())
-        del calls[:]
         assert [state.capacity((1, 0), i * 60.0) for i in range(70)] == [6] * 70
-        assert calls == []
+        assert state._cells[(1, 0)][1] == ()
         assert_fresh()
 
     def test_a_new_storm_picture_rebuilds_each_cell_record_alike(self):
@@ -1170,17 +1164,76 @@ class TestCapacityTable:
             # Box, closures and calm/severe capacities: every field.
             assert rebuilt is not sub and rebuilt == sub
 
-    def test_only_cells_with_a_closure_or_a_storm_keep_spot_entries(self):
+    def test_each_cell_record_is_built_once_per_storm_picture(self, monkeypatch):
         state = two_by_two(closures={(1, 1): (TimeInterval(600.0, 900.0),)})
         for i in range(4):
             state.try_insert(dwell(f"{i + 1:04d}"))
-        for cell in state.grid.all_cells():
-            for i in range(70):
-                state.capacity(cell, i * 60.0)
-        assert {spot[0] for spot in state._caps} == {(1, 1)}
-        state.set_storms((storm_covering_00(),))
-        assert state._capacity_violations()
-        assert {spot[0] for spot in state._caps} == {(0, 0)}
+        built = []
+        real = AirspaceState._new_cell
+
+        def spy(self, cell):
+            built.append(cell)
+            return real(self, cell)
+
+        monkeypatch.setattr(AirspaceState, "_new_cell", spy)
+        cells = state.grid.all_cells()
+        for storms in ((storm_covering_00(),), ()):
+            state.set_storms(storms)
+            del built[:]
+            caps = {cell: [state.capacity(cell, i * 60.0) for i in range(70)]
+                    for cell in cells}
+            assert sorted(built) == sorted(cells)
+            # A calm cell answers every bucket from its record.
+            assert caps[(0, 1)] == [6] * 70 and state._cells[(0, 1)][1] == ()
+            assert caps[(1, 1)] == [6] * 10 + [0] * 5 + [6] * 55
+            # (0, 0) holds four flights: over the severe capacity while the
+            # storm crosses it during [1200, 1600).
+            assert bool(state._capacity_violations()) == bool(storms)
+            assert caps[(0, 0)] == ([6] * 20 + [3] * 7 + [6] * 43 if storms else
+                                    [6] * 70)
+            assert sorted(built) == sorted(cells)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_bucket_rule_on_every_cell_and_bucket(self, data):
+        """``capacity`` answers as ``bucket_capacity`` over the bucket's
+        ``TimeInterval`` would, before and after each ``set_storms``."""
+        cols, rows = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        dt = data.draw(st.sampled_from([0.5, 7.0, 60.0, 300.0]))
+        # 2**70 + dt == 2**70 for each dt: a bucket there is a point.
+        far = 2.0 ** 70
+        times = st.one_of(st.integers(-3, 40).map(lambda i: i * dt),
+                          st.floats(-3.0, 40.0).map(lambda f: f * dt), st.just(far))
+        lengths = st.sampled_from([0.0, dt, 2.5 * dt, 7 * dt, 2.0 ** 20])
+        cells = st.tuples(st.integers(0, cols - 1), st.integers(0, rows - 1))
+        closures = {}
+        for cell, start, length in data.draw(st.lists(st.tuples(cells, times, lengths),
+                                                      max_size=4)):
+            closures[cell] = closures.get(cell, ()) + (TimeInterval(start, start + length),)
+        edges = st.integers(-1, cols + rows).map(lambda k: k * 10.0)
+        storm = st.builds(
+            lambda i, x, y, w, v, start, length: StormCell(
+                f"s{i}", PlanarBox(x, y, x + w, y + w), v,
+                TimeInterval(start, start + length)),
+            st.integers(0, 9), edges, edges, st.sampled_from([10.0, 15.0, 30.0]),
+            st.sampled_from([(0.0, 0.0), (0.0, 0.0), (0.05, 0.0), (-0.02, 0.01)]),
+            times, lengths.filter(bool))
+        pictures = data.draw(st.lists(st.lists(storm, max_size=3), max_size=3))
+        state = AirspaceState(GridSpec(0, 0, cols, rows, 10.0), bucket_seconds=dt,
+                              calm_capacity=6, severe_capacity=1, closures=closures)
+        for storms in [()] + pictures:
+            state.set_storms(tuple(storms))
+            for cell in state.grid.all_cells():
+                sub = state.subsector(*cell)
+                windows = [storm_overlap_window(s, sub.bounds) for s in storms]
+                # Bucket edges, the far point and the float below it, and the
+                # buckets on or one bucket before each closure or window bound.
+                bounds = {t for w in sub.closed_intervals + tuple(filter(None, windows))
+                          for t in (w.start, w.end)}
+                starts = {i * dt for i in range(-3, 45)} | {far, math.nextafter(far, 0)}
+                starts |= bounds | {t - dt for t in bounds}
+                for b in sorted(starts):
+                    assert state.capacity(cell, b) == fresh_capacity(state, (cell, b))
 
 
 class TestPredictCongestion:
@@ -1219,3 +1272,16 @@ class TestWindowValidation:
         with pytest.raises(ValidationError) as err:
             AirspaceState(GridSpec(0, 0, 2, 2, 10.0), **{field: value})
         assert err.value.path == field
+
+
+class TestCapacityValidation:
+    """The state refuses the capacities that ``Scenario`` refuses, when it is
+    built, rather than on a later lookup or insertion."""
+
+    @pytest.mark.parametrize("calm, severe", [(2, 5), (-1, -2), (math.nan, 1)],
+                             ids=["severe-above-calm", "negative", "nan"])
+    def test_capacities_out_of_order_rejected(self, calm, severe):
+        with pytest.raises(ValidationError) as err:
+            two_by_two(calm=calm, severe=severe)
+        assert err.value.path == "capacity"
+        assert err.value.message == "capacities must satisfy 0 <= severe <= calm"

@@ -5,6 +5,7 @@ Usage::
     python tools/ab.py PARENT_TREE CHANGE_TREE --workload contended --seed 7 --rounds 20
     python tools/ab.py PARENT_TREE CHANGE_TREE --workload all --seed 7 --rounds 8
     python tools/ab.py PARENT_TREE CHANGE_TREE --workload storm --seed 7 --load
+    python tools/ab.py PARENT_TREE CHANGE_TREE --workload storm --seed 7 --oracle
 
 Each tree's ``src/adatm`` is copied into a temporary directory under its
 own package name (``adatm_a`` for PARENT_TREE, ``adatm_b`` for
@@ -42,6 +43,12 @@ first alternating from one call to the next as in the time rounds, and
 the tool prints the same median, quartile and rounds-won lines.  The
 JSON decode is part of each load, as it is of the benchmark's
 ``setup_s``; the import is not.
+
+``--oracle`` times ``run_oracle`` of each scenario instead, in the same
+alternating rounds and with the same lines.  The oracle's time is the
+denominator of the benchmark's ``sim_over_oracle``, so a change to the
+simulation can show that it left that denominator alone.  ``--load`` and
+``--memory`` are refused alongside it.
 
 ``--memory`` measures memory instead of time, under ``tracemalloc``.  In
 each round each tree, the first alternating as above, loads the
@@ -128,6 +135,10 @@ def _load(scenario_mod, text: str) -> None:
     scenario_mod.load_scenario(text)
 
 
+def _oracle(scenario_mod, scenario) -> None:
+    scenario_mod.run_oracle(scenario)
+
+
 def _time_rounds(modules, inputs, rounds: int, run=_run) -> list[tuple[float, float]]:
     """Per round, each tree's summed time of ``run(module, input)`` over
     its inputs: by default ``simulate`` plus render of each scenario."""
@@ -210,7 +221,7 @@ def _compare(modules, spec, args) -> int:
         _print_memory(_memory_rounds(modules, texts, args.rounds))
         return 0
     rounds = _time_rounds(modules, [texts, texts], args.rounds, _load) if args.load else \
-        _time_rounds(modules, scenarios, args.rounds)
+        _time_rounds(modules, scenarios, args.rounds, _oracle if args.oracle else _run)
     parent_s = statistics.median(a for a, _ in rounds)
     change_s = statistics.median(b for _, b in rounds)
     ratios = [b / a for a, b in rounds]
@@ -243,6 +254,8 @@ def main(argv: list[str]) -> int:
                         help="measure traced memory instead of time")
     parser.add_argument("--load", action="store_true",
                         help="time load_scenario instead of simulate")
+    parser.add_argument("--oracle", action="store_true",
+                        help="time run_oracle instead of simulate")
     args = parser.parse_args(argv)
     sys.dont_write_bytecode = True  # leave both trees and bench/ as they were
     module = _workloads_module()
@@ -254,6 +267,8 @@ def main(argv: list[str]) -> int:
         parser.error("--rounds and --scenarios must be at least 1")
     if args.load and args.memory:
         parser.error("--load and --memory are two measures; give one")
+    if args.oracle and (args.load or args.memory):
+        parser.error("--oracle times run_oracle alone; leave out --load and --memory")
     if args.flights is not None:
         if args.workload != "headroom":
             parser.error("--flights applies to the headroom workload only")
