@@ -19,7 +19,6 @@ from adatm import (
     PlanarBox,
     QuerySpec,
     Runtime,
-    SchedulerConfig,
     Subscription,
     TimeInterval,
     encapsulate,
@@ -28,7 +27,7 @@ from adatm import (
 KEY = NearnessKey(TimeInterval(0.0, 3600.0), PlanarBox(0.0, 0.0, 50.0, 50.0),
                   ConceptPath.parse("news/world"))
 
-rt = Runtime(SchedulerConfig(concept_radius=1.0), index_cell_size=10.0)
+rt = Runtime(concept_radius=1.0, index_cell_size=10.0)
 
 # A standing interest: tell me about anything confident in this box.
 rt.subscribe(Subscription(

@@ -75,7 +75,6 @@ from .scheduler import (
     LifecycleState,
     Runtime,
     RunStats,
-    SchedulerConfig,
     Subscription,
 )
 from .traffic import (

@@ -30,22 +30,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Decentralized airspace congestion prediction")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run the decentralized pipeline")
-    sim.add_argument("scenario", help="scenario JSON file")
-    sim.add_argument("--out", help="write the report here instead of stdout")
-    sim.add_argument("--format", choices=("csv", "json", "text"), default="csv")
+    # What simulate and oracle both take.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("scenario", help="scenario JSON file")
+    run.add_argument("--out", help="write the report here instead of stdout")
+    run.add_argument("--format", choices=("csv", "json", "text"), default="csv")
+    run.add_argument("--full", action="store_true",
+                     help="include zero-occupancy buckets in the records")
+
+    sim = sub.add_parser("simulate", parents=[run], help="run the decentralized pipeline")
     sim.add_argument("--max-steps", type=int, default=None,
                      help="activation budget (default: scaled to data volume)")
-    sim.add_argument("--full", action="store_true",
-                     help="include zero-occupancy buckets in the records")
     sim.add_argument("--log", help="also write the runtime event log to this file")
 
-    orc = sub.add_parser("oracle", help="run the centralized brute-force baseline")
-    orc.add_argument("scenario", help="scenario JSON file")
-    orc.add_argument("--out", help="write the report here instead of stdout")
-    orc.add_argument("--format", choices=("csv", "json", "text"), default="csv")
-    orc.add_argument("--full", action="store_true",
-                     help="include zero-occupancy buckets in the records")
+    sub.add_parser("oracle", parents=[run], help="run the centralized brute-force baseline")
 
     dif = sub.add_parser("diff", help="compare two JSON reports")
     dif.add_argument("a", help="first report (json format)")
@@ -120,10 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "oracle":
             return _cmd_oracle(args)
         return _cmd_diff(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UsageError as exc:
+    except (OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValidationError as exc:

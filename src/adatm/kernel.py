@@ -272,9 +272,9 @@ def resolve(a: ActiveDatum, b: ActiveDatum) -> ActiveDatum:
     responsible for marking the loser Deleted.  This is one step of
     :func:`fuse`, which holds the arithmetic.
     """
-    if not is_duplicate(a, b):
-        raise PreconditionError(f"{a.id} and {b.id} are not duplicates")
     fusion = _Fusion(a)
+    if not fusion.duplicates(b):
+        raise PreconditionError(f"{a.id} and {b.id} are not duplicates")
     fusion.absorb(b)
     return fusion.result()
 

@@ -184,6 +184,16 @@ class NearnessKey:
         )
 
 
+def check_radii(time_radius: float, space_radius: float, concept_radius: float) -> None:
+    """Refuse a negative or NaN radius of a neighborhood query, at the
+    radius's name: the rule of :class:`QuerySpec` and of the runtime."""
+    for name, radius in (("time_radius", time_radius), ("space_radius", space_radius),
+                         ("concept_radius", concept_radius)):
+        # Written so that NaN fails the test too.
+        if not radius >= 0:
+            raise ValidationError(f"radius must be >= 0, got {radius}", name)
+
+
 class QueryMode(Enum):
     Neighborhood = "neighborhood"
     Focused = "focused"
@@ -215,13 +225,11 @@ class QuerySpec:
             center = self.center
             if center is None:
                 raise ValidationError("neighborhood query needs a center", "center")
-            # NaN fails the chained test too; the loop only names the field.
+            # A spec is built on every activation, so one chained test, which
+            # NaN fails too, comes before the call that names the field.
             if not (self.time_radius >= 0 and self.space_radius >= 0
                     and self.concept_radius >= 0):
-                for name in ("time_radius", "space_radius", "concept_radius"):
-                    radius = getattr(self, name)
-                    if math.isnan(radius) or radius < 0:
-                        raise ValidationError(f"radius must be >= 0, got {radius}", name)
+                check_radii(self.time_radius, self.space_radius, self.concept_radius)
             object.__setattr__(self, "_near", center._flat[:6] + (
                 self.time_radius, self.space_radius, self.concept_radius, center._flat[6]))
         elif self.mode is QueryMode.Focused:

@@ -41,7 +41,6 @@ from .scheduler import (
     Alert,
     Runtime,
     RunStats,
-    SchedulerConfig,
     Subscription,
 )
 from .traffic import (
@@ -51,6 +50,7 @@ from .traffic import (
     InsertOutcome,
     InsertStatus,
     RouteChoice,
+    check_airspace,
 )
 from .trajectory import FlightPlan, Waypoint, route_spot_bound, segment_trajectory
 
@@ -98,15 +98,8 @@ class Scenario:
     seed: int
 
     def __post_init__(self):
-        # Written so that NaN fails the tests too.
-        if not 0 < self.bucket_seconds < math.inf:
-            raise ValidationError("bucket_seconds must be positive and finite",
-                                  "bucket_seconds")
-        if not 0 < self.horizon_seconds < math.inf:
-            raise ValidationError("horizon_seconds must be positive and finite",
-                                  "horizon_seconds")
-        if not 0 <= self.severe_capacity <= self.calm_capacity:
-            raise ValidationError("capacities must satisfy 0 <= severe <= calm", "capacity")
+        check_airspace(self.bucket_seconds, self.horizon_seconds, self.calm_capacity,
+                       self.severe_capacity)
         if self.horizon_seconds / self.bucket_seconds > MAX_SPOTS:
             raise ValidationError(f"horizon spans more than {MAX_SPOTS} buckets",
                                   "horizon_seconds")
@@ -844,8 +837,7 @@ class _Driver:
             closures=_closure_map(scenario),
             horizon_seconds=scenario.horizon_seconds,
         )
-        self.rt = Runtime(SchedulerConfig(space_radius=scenario.grid.cell),
-                          index_cell_size=scenario.grid.cell)
+        self.rt = Runtime(space_radius=scenario.grid.cell, index_cell_size=scenario.grid.cell)
         self.outcomes: dict[str, InsertOutcome] = {}
         self.segment_data: dict[str, list[str]] = {}
         self.total = RunStats(quiescent=True)
@@ -898,9 +890,13 @@ class _Driver:
                              f"unconfirmed confidence={confidence:.6f}")
         return filed, confirmed
 
-    def _publish_flight(self, flight_id: str) -> None:
+    def _retract_flight(self, flight_id: str) -> None:
+        """Delete the flight's published segment data, if it has any."""
         for datum_id in self.segment_data.pop(flight_id, []):
             self.rt.mark_deleted(datum_id)
+
+    def _publish_flight(self, flight_id: str) -> None:
+        self._retract_flight(flight_id)
         ids = []
         for datum in _segment_data(self.state, flight_id):
             self.rt.add(datum)
@@ -950,8 +946,7 @@ class _Driver:
                     reason=f"capacity lost to severe weather: subsector={event.subsector} "
                            f"bucket={kernel.format_scalar(event.bucket_start)}",
                     violated=(event.subsector, event.bucket_start))
-                for datum_id in self.segment_data.pop(fid, []):
-                    self.rt.mark_deleted(datum_id)
+                self._retract_flight(fid)
             elif event.kind == "reroute":
                 fid = event.flight_ids[0]
                 previous = self.outcomes.get(fid)

@@ -39,7 +39,7 @@ from .kernel import (
     StorageTier,
     tier_decision,
 )
-from .nearness import NearnessIndex, QuerySpec
+from .nearness import NearnessIndex, QuerySpec, check_radii
 
 #: Builds a named tuple without the Python-level ``__new__`` it defines.
 _new_tuple = tuple.__new__
@@ -166,34 +166,20 @@ class RunStats:
     quiescent: bool = True
 
 
-@dataclass(frozen=True, slots=True)
-class SchedulerConfig:
-    """Knobs for peer discovery.
+class Runtime:
+    """Single-threaded owner of the datum store and nearness index.
 
     The three radii bound each activation's peer query
     (:meth:`QuerySpec.neighborhood`), and each must be >= 0.  They do not
-    size the nearness index: its grid is set by the runtime's
-    ``index_cell_size`` alone.
+    size the nearness index: its grid is set by ``index_cell_size`` alone.
     """
 
-    time_radius: float = 900.0
-    space_radius: float = 1.0
-    concept_radius: float = 0.0
-
-    def __post_init__(self):
-        for name in ("time_radius", "space_radius", "concept_radius"):
-            radius = getattr(self, name)
-            # Written so that NaN fails the test too.
-            if not radius >= 0:
-                raise ValidationError(f"radius must be >= 0, got {radius}", name)
-
-
-class Runtime:
-    """Single-threaded owner of the datum store and nearness index."""
-
-    def __init__(self, config: SchedulerConfig | None = None,
-                 index_cell_size: float = 1.0):
-        self.config = config or SchedulerConfig()
+    def __init__(self, time_radius: float = 900.0, space_radius: float = 1.0,
+                 concept_radius: float = 0.0, index_cell_size: float = 1.0):
+        check_radii(time_radius, space_radius, concept_radius)
+        self.time_radius = time_radius
+        self.space_radius = space_radius
+        self.concept_radius = concept_radius
         self.now: float = 0.0
         self.index = NearnessIndex(cell_size=index_cell_size)
         self._store: dict[str, ActiveDatum] = {}
@@ -278,8 +264,7 @@ class Runtime:
         if not legal_transition(src, LifecycleState.Active):
             raise LifecycleError(f"{datum_id}: illegal transition {src.value} -> active")
         self._life[datum_id] = LifecycleState.Deleted
-        if datum_id in self.index:
-            self.index.remove(datum_id)
+        self.index.remove(datum_id)
         text = self._store[datum_id].text
         ids = self._by_text[text]
         ids.discard(datum_id)
@@ -398,17 +383,13 @@ class Runtime:
     # -- the activation loop ---------------------------------------------
 
     def _peer_query(self, datum: ActiveDatum) -> QuerySpec:
-        return QuerySpec.neighborhood(
-            datum.key,
-            time_radius=self.config.time_radius,
-            space_radius=self.config.space_radius,
-            concept_radius=self.config.concept_radius,
-        )
+        return QuerySpec.neighborhood(datum.key, self.time_radius, self.space_radius,
+                                      self.concept_radius)
 
     def _replace_datum(self, datum: ActiveDatum) -> None:
         old = self._store[datum.id]
         self._store[datum.id] = datum
-        if old.key != datum.key and datum.id in self.index:
+        if old.key != datum.key:
             self.index.remove(datum.id)
             self.index.insert(datum.id, datum.key)
 

@@ -33,7 +33,7 @@ from .airspace import GridSpec, StormCell, Subsector, bucket_capacity
 from .errors import ConflictError, NotFoundError, PreconditionError, ValidationError
 from .kernel import format_scalar
 from .nearness import TimeInterval, spans_intersect
-from .trajectory import FlightPlan, TrajectorySegment, plan_segments
+from .trajectory import FlightPlan, TrajectorySegment, plan_segments, shifted_triples
 
 DELAY_MENU: tuple[float, ...] = (300.0, 600.0, 900.0)
 MAX_CHANGED_FLIGHTS = 3
@@ -246,6 +246,21 @@ def _spots_held(triples, dt: float) -> frozenset[Spot]:
     return frozenset((cell, i * dt) for cell, lo, hi in spans for i in range(lo, hi))
 
 
+def check_airspace(bucket_seconds: float, horizon_seconds: float,
+                   calm_capacity: int, severe_capacity: int) -> None:
+    """Refuse a bucket length or horizon that is not positive and finite,
+    and capacities outside ``0 <= severe <= calm``: the rule that both
+    :class:`AirspaceState` and a loaded scenario keep."""
+    # Written so that NaN fails the tests too.
+    if not 0 < bucket_seconds < math.inf:
+        raise ValidationError("bucket_seconds must be positive and finite", "bucket_seconds")
+    if not 0 < horizon_seconds < math.inf:
+        raise ValidationError("horizon_seconds must be positive and finite",
+                              "horizon_seconds")
+    if not 0 <= severe_capacity <= calm_capacity:
+        raise ValidationError("capacities must satisfy 0 <= severe <= calm", "capacity")
+
+
 class AirspaceState:
     """Mutable traffic picture over one grid.
 
@@ -257,15 +272,7 @@ class AirspaceState:
                  calm_capacity: int = 6, severe_capacity: int = 3,
                  closures: dict[tuple[int, int], tuple[TimeInterval, ...]] | None = None,
                  horizon_seconds: float = 14400.0):
-        # Written so that NaN fails the tests too.
-        if not 0 < bucket_seconds < math.inf:
-            raise ValidationError("bucket_seconds must be positive and finite",
-                                  "bucket_seconds")
-        if not 0 < horizon_seconds < math.inf:
-            raise ValidationError("horizon_seconds must be positive and finite",
-                                  "horizon_seconds")
-        if not 0 <= severe_capacity <= calm_capacity:
-            raise ValidationError("capacities must satisfy 0 <= severe <= calm", "capacity")
+        check_airspace(bucket_seconds, horizon_seconds, calm_capacity, severe_capacity)
         self.grid = grid
         self.bucket_seconds = bucket_seconds
         self.calm_capacity = calm_capacity
@@ -424,10 +431,11 @@ class AirspaceState:
     def _options_for(self, account: FlightAccount, version: int) -> list[Option]:
         """The placements the flight may move to, at plan version ``version``.
 
-        Each move's segments are kept as (cell, entry, exit) triples,
-        shifted by the same sums as :func:`plan_segments`, so its spots and
-        cost equal those of the account it would build.  Cost is the number
-        of triples absent from the current placement.
+        Each move's segments are kept as the (cell, entry, exit) triples of
+        :func:`shifted_triples`, the shift :func:`plan_segments` also
+        makes, so its spots and cost equal those of the account it would
+        build.  Cost is the number of triples absent from the current
+        placement.
         """
         plan = account.plan
         current = {(s.subsector, s.entry, s.exit) for s in account.segments}
@@ -438,10 +446,8 @@ class AirspaceState:
         dt = self.bucket_seconds
         options = []
         for route_index, delay in moves:
-            total = plan.departure_delay + delay
-            shifted = [(s.subsector, s.entry + total, s.exit + total)
-                       for s in self._route(plan, route_index)]
-            triples = [t for t in shifted if t[1] < t[2]]
+            triples = shifted_triples(self._route(plan, route_index),
+                                      plan.departure_delay + delay)
             cost = sum(1 for t in triples if t not in current)
             options.append(Option(plan, route_index, delay, version,
                                   _spots_held(triples, dt), cost))
@@ -579,13 +585,10 @@ class AirspaceState:
         return events
 
     def _capacity_violations(self) -> tuple[Spot, ...]:
-        """The occupied spots of the look-ahead window (:meth:`_window`) over
-        their capacity, sorted."""
-        first, window_end = self._window()
-        start = first * self.bucket_seconds
-        capacity = self.capacity
-        out = [spot for spot, members in self._occ.items()
-               if start <= spot[1] < window_end and len(members) > capacity(*spot)]
+        """The occupied spots of the look-ahead window (:meth:`_window_spots`)
+        over their capacity, sorted."""
+        capacity, occ = self.capacity, self._occ
+        out = [spot for spot in self._window_spots() if len(occ[spot]) > capacity(*spot)]
         out.sort()
         return tuple(out)
 
@@ -616,25 +619,28 @@ class AirspaceState:
         window's end, ``horizon_seconds`` after ``now``."""
         return math.floor(self.now / self.bucket_seconds), self.now + self.horizon_seconds
 
+    def _window_spots(self) -> list[Spot]:
+        """The occupied spots of the look-ahead window, in occupancy order."""
+        first, window_end = self._window()
+        start = first * self.bucket_seconds
+        return [spot for spot in self._occ if start <= spot[1] < window_end]
+
     def predict_congestion(self, include_empty: bool = False) -> list[CongestionRecord]:
         """Occupancy/capacity records for every bucket of the look-ahead
         window (:meth:`_window`)."""
-        dt = self.bucket_seconds
-        first, window_end = self._window()
-        occ = self._occ
         if include_empty:
+            dt = self.bucket_seconds
+            i, window_end = self._window()
             spots = []
-            i = first
             while i * dt < window_end:
                 for cell in self.grid.all_cells():
                     spots.append((cell, i * dt))
                 i += 1
         else:
-            start = first * dt
-            spots = [s for s in occ if start <= s[1] < window_end]
+            spots = self._window_spots()
         # Records come in (bucket, col, row) order; spots are unique.
         spots.sort(key=itemgetter(1, 0))
-        capacity = self.capacity
+        capacity, occ = self.capacity, self._occ
         records: list[CongestionRecord] = []
         for spot in spots:
             ids = occ.get(spot, ())

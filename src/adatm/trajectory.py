@@ -190,23 +190,31 @@ def segment_trajectory(plan: FlightPlan, grid: GridSpec,
     return segments
 
 
-def plan_segments(plan: FlightPlan, raw: list[TrajectorySegment],
-                  added_delay: float = 0.0) -> list[TrajectorySegment]:
-    """Effective segments of a plan: the segmentation ``raw`` of one of its
-    routes (see :func:`segment_trajectory`) shifted by all delays.
-
-    A segment that the shift rounds to zero length is dropped; its
-    neighbours still meet, at the instant it collapsed to.  At a zero shift
-    the segments are ``raw``'s own: ``x + 0.0`` equals ``x`` for every time
-    but -0.0, which reads as 0 wherever a segment time is used.
-    """
-    total = plan.departure_delay + added_delay
-    if total == 0:
-        return list(raw)
+def shifted_triples(raw: list[TrajectorySegment],
+                    total: float) -> list[tuple[tuple[int, int], float, float]]:
+    """The (cell, entry, exit) triples of a route's segmentation ``raw``
+    shifted by ``total`` seconds.  A segment that the shift rounds to zero
+    length is dropped; its neighbours still meet, at the instant it
+    collapsed to."""
     out = []
     for s in raw:
         entry = s.entry + total
         exit_ = s.exit + total
         if entry < exit_:
-            out.append(TrajectorySegment(s.subsector, entry, exit_))
+            out.append((s.subsector, entry, exit_))
     return out
+
+
+def plan_segments(plan: FlightPlan, raw: list[TrajectorySegment],
+                  added_delay: float = 0.0) -> list[TrajectorySegment]:
+    """Effective segments of a plan: the segmentation ``raw`` of one of its
+    routes (see :func:`segment_trajectory`) shifted by all delays through
+    :func:`shifted_triples`.  At a zero shift the segments are ``raw``'s
+    own: ``x + 0.0`` equals ``x`` for every time but -0.0, which reads as 0
+    wherever a segment time is used.
+    """
+    total = plan.departure_delay + added_delay
+    if total == 0:
+        return list(raw)
+    return [TrajectorySegment(cell, entry, exit_)
+            for cell, entry, exit_ in shifted_triples(raw, total)]

@@ -263,6 +263,44 @@ class TestNonFiniteWindow:
         assert err.value.path == field
 
 
+#: Airspace settings that a scenario and ``AirspaceState`` both refuse, as
+#: edits of ``VALID``'s bucket 60 s, horizon 7200 s, calm 2 and severe 1.
+AIRSPACE_REFUSALS = [
+    {field: value} for field in ("bucket_seconds", "horizon_seconds")
+    for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)
+] + [{"calm_capacity": 1, "severe_capacity": 2}, {"calm_capacity": 2, "severe_capacity": -1}]
+
+
+class TestOneAirspaceRule:
+    """A scenario and ``AirspaceState`` refuse the same bucket length,
+    horizon and capacities with the same message at the same path.  The
+    loader reads a number first, so it refuses a NaN or an infinity at
+    that path with its reader's text."""
+
+    @pytest.mark.parametrize("edit", AIRSPACE_REFUSALS,
+                             ids=lambda edit: ",".join(f"{k}={v}" for k, v in edit.items()))
+    def test_refused_alike(self, edit):
+        settings = dict(bucket_seconds=60.0, horizon_seconds=7200.0, calm_capacity=2,
+                        severe_capacity=1) | edit
+        with pytest.raises(ValidationError) as err:
+            AirspaceState(GridSpec(0, 0, 2, 2, 10.0), **settings)
+        expected = (err.value.message, err.value.path)
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(scenario_from_dict(copy.deepcopy(VALID)), **settings)
+        assert (err.value.message, err.value.path) == expected
+        doc = copy.deepcopy(VALID)
+        doc["bucket_seconds"], doc["horizon_seconds"] = (settings["bucket_seconds"],
+                                                         settings["horizon_seconds"])
+        doc["capacity"] = {"calm": settings["calm_capacity"],
+                           "severe": settings["severe_capacity"]}
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(doc)
+        value = next(iter(edit.values()))
+        if not math.isfinite(value):
+            expected = (f"expected a finite number, got {value!r}", expected[1])
+        assert (err.value.message, err.value.path) == expected
+
+
 #: The string fields of a scenario, as paths into ``VALID``.
 STRING_FIELDS = [
     ("flights", 0, "id"),

@@ -18,7 +18,6 @@ from adatm import (
     NotionKind,
     QuerySpec,
     Runtime,
-    SchedulerConfig,
     StorageTier,
     Subscription,
     TimeInterval,
@@ -34,7 +33,7 @@ from test_kernel_properties import pairwise_fold
 
 
 def fresh_runtime(**kwargs):
-    return Runtime(SchedulerConfig(**kwargs), index_cell_size=10.0)
+    return Runtime(**kwargs, index_cell_size=10.0)
 
 
 def everything_subscription(sub_id="watch", min_confidence=0.0, kinds=None):
@@ -47,24 +46,47 @@ def everything_subscription(sub_id="watch", min_confidence=0.0, kinds=None):
 
 
 class TestSchedulerConfig:
+    """The runtime's settings: the three peer-query radii and the index's
+    cell size."""
+
     @pytest.mark.parametrize("value", [-1.0, -math.inf, math.nan])
     @pytest.mark.parametrize("name", ["time_radius", "space_radius", "concept_radius"])
     def test_negative_or_nan_radius_rejected(self, name, value):
-        # Rejected when the config is built, not as an error event logged by
+        # Rejected when the runtime is built, not as an error event logged by
         # every activation's peer query.
         with pytest.raises(ValidationError) as err:
-            SchedulerConfig(**{name: value})
+            Runtime(**{name: value})
         assert err.value.path == name
 
     @pytest.mark.parametrize("name", ["time_radius", "space_radius", "concept_radius"])
     def test_zero_and_infinite_radius_accepted(self, name):
         for value in (0.0, math.inf):
-            assert getattr(SchedulerConfig(**{name: value}), name) == value
+            assert getattr(Runtime(**{name: value}), name) == value
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0, -math.inf])
+    @pytest.mark.parametrize("name", ["time_radius", "space_radius", "concept_radius"])
+    def test_the_runtime_and_a_query_refuse_alike(self, name, value):
+        # One radius rule: the runtime refuses what its peer query would.
+        radii = dict(time_radius=1.0, space_radius=1.0, concept_radius=1.0)
+        radii[name] = value
+        refusals = []
+        for build in (Runtime, lambda **kw: QuerySpec.neighborhood(make_key(), **kw)):
+            with pytest.raises(ValidationError) as err:
+                build(**radii)
+            refusals.append((err.value.message, err.value.path))
+        assert refusals[0] == refusals[1] == (f"radius must be >= 0, got {value}", name)
+
+    @pytest.mark.parametrize("value", [0.0, math.inf])
+    def test_the_runtime_and_a_query_accept_alike(self, value):
+        radii = dict(time_radius=value, space_radius=value, concept_radius=value)
+        rt = Runtime(**radii)
+        assert QuerySpec.neighborhood(make_key(), **radii) == \
+            rt._peer_query(make_datum("d"))
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_index_cell_size_not_positive_and_finite_rejected(self, value):
         with pytest.raises(ValidationError) as err:
-            Runtime(SchedulerConfig(), index_cell_size=value)
+            Runtime(index_cell_size=value)
         assert err.value.path == "cell_size"
 
 
@@ -621,7 +643,7 @@ class TestIndexAfterFusion:
         # Another text is interleaved so that cells keep items when
         # reports leave them.
         rng = random.Random(23)
-        rt = Runtime(SchedulerConfig(), index_cell_size=1.0)
+        rt = Runtime(index_cell_size=1.0)
         for i in range(300):
             x0, y0 = 4.0 + rng.uniform(-2.0, 2.0), 4.0 + rng.uniform(-2.0, 2.0)
             t0 = rng.uniform(0.0, 600.0)
@@ -912,6 +934,54 @@ class TestTheDrainIsItsSteps:
             else:
                 _drain_and_step(*twins, rng.randrange(1, 7))
         _drain_and_step(*twins, rng.randrange(1, 7))
+
+
+class TestTheIndexHoldsTheLive:
+    """After every runtime operation the nearness index holds exactly the
+    live data, each under its stored key.  So deletion and re-indexing
+    need not ask whether a datum is filed."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_after_every_operation(self, seed):
+        """Random short runs of the operations of ``TestTheLogIsTheRecord``
+        and of fork, suspend and resume, with twins whose keys differ, so
+        that a fold re-indexes its survivor under the cover of both."""
+        rng = random.Random(seed)
+        rt = fresh_runtime(concept_radius=2.0)
+        templates = list(af1_candidates()) + [
+            make_datum("t", payload={"x": 1}, key=make_key(t0, t0 + 600.0, box))
+            for t0 in (0.0, 300.0) for box in ((0.0, 0.0, 10.0, 10.0), (5.0, 5.0, 15.0, 15.0))]
+        for n in range(rng.randrange(8, 25)):
+            live = rt.live_ids()
+            op = rng.randrange(10) if live else 0
+            if op == 0:
+                template = rng.choice(templates)
+                rt.add(replace(template, id=f"d{n}", hyperdata=replace(
+                    template.hyperdata, confidence=rng.choice([0.05, 0.5, 0.9]))))
+                rt.enqueue(f"d{n}", ActivationReason.NewData)
+            elif op == 1:
+                rt.enqueue(rng.choice(live), rng.choice(list(ActivationReason)))
+            elif op == 2:
+                rt.post_evidence(rng.choice(live), Evidence(
+                    rng.choice(list(EvidencePolarity)), rng.choice([0.3, 1.0]), "src"),
+                    at=rng.uniform(0.0, 500.0))
+            elif op == 3 and "colocate" not in rt._rules:
+                rt.register_rule(AF1_RULE)
+            elif op in (4, 5, 6, 7):
+                act = (rt.mark_deleted, rt.fork, rt.suspend, rt.resume)[op - 4]
+                try:
+                    act(rng.choice(live))
+                except LifecycleError:
+                    pass  # not legal from the datum's state
+            elif op == 8:
+                rt.step()
+            else:
+                rt.run_until_quiescent(rng.randrange(1, 6))
+            live = rt.live_ids()
+            assert len(rt.index) == len(live)
+            for datum_id in live:
+                assert rt.index.key_of(datum_id) == rt.datum(datum_id).key
 
 
 class TestFork:
