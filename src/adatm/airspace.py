@@ -72,8 +72,15 @@ class Subsector:
     closed_intervals: tuple[TimeInterval, ...] = ()
 
     def __post_init__(self):
-        if self.severe_capacity > self.calm_capacity:
-            raise ValidationError("severe capacity exceeds calm capacity", "capacity")
+        check_capacities(self.calm_capacity, self.severe_capacity)
+
+
+def check_capacities(calm: int, severe: int) -> None:
+    """Refuse capacities outside ``0 <= severe <= calm``: the rule that a
+    :class:`Subsector` and the airspace settings keep."""
+    # Written so that NaN fails the test too.
+    if not 0 <= severe <= calm:
+        raise ValidationError("capacities must satisfy 0 <= severe <= calm", "capacity")
 
 
 @dataclass(frozen=True, slots=True)

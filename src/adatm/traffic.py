@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from types import MappingProxyType
@@ -29,11 +29,11 @@ from types import MappingProxyType
 # Segmentation and storm windows are called through their modules, where
 # bench/tracing.py counts them; it also wraps ``bucket_capacity``, unused here.
 from . import airspace, trajectory
-from .airspace import GridSpec, StormCell, Subsector, bucket_capacity
+from .airspace import GridSpec, StormCell, Subsector, bucket_capacity, check_capacities
 from .errors import ConflictError, NotFoundError, PreconditionError, ValidationError
 from .kernel import format_scalar
 from .nearness import TimeInterval, spans_intersect
-from .trajectory import FlightPlan, TrajectorySegment, plan_segments, shifted_triples
+from .trajectory import FlightPlan, TrajectorySegment, plan_segments
 
 DELAY_MENU: tuple[float, ...] = (300.0, 600.0, 900.0)
 MAX_CHANGED_FLIGHTS = 3
@@ -122,7 +122,8 @@ class WeatherEvent:
 @dataclass(frozen=True, slots=True)
 class FlightAccount:
     """A flight's placement: the one record of its route, delay, plan
-    version, segments and spots."""
+    version, segments and spots.  A negotiation option is the account it
+    would place, priced by ``cost``."""
 
     plan: FlightPlan
     route_index: int = -1
@@ -130,6 +131,9 @@ class FlightAccount:
     version: int = 1
     segments: tuple[TrajectorySegment, ...] = ()
     spots: frozenset[Spot] = frozenset()
+    #: Segments absent from the flight's placement when this one was
+    #: offered: a fact of the move, so equality ignores it.
+    cost: int = field(default=0, compare=False)
 
     @property
     def choice(self) -> RouteChoice:
@@ -137,34 +141,18 @@ class FlightAccount:
 
 
 @dataclass(frozen=True, slots=True)
-class Option:
-    """A placement a flight may move to in a negotiation, with what the
-    search reads of it: its spots and its cost.  The account is built only
-    when the option is applied."""
-
-    plan: FlightPlan
-    route_index: int
-    added_delay: float
-    version: int
-    spots: frozenset[Spot]
-    #: Segments absent from the flight's current placement.
-    cost: int
-
-
-@dataclass(frozen=True, slots=True)
 class Resolution:
     """Feasible negotiation result: the picked moves plus their objective."""
 
-    options: tuple[Option, ...]
+    options: tuple[FlightAccount, ...]
     objective: tuple
 
     @property
     def choices(self) -> tuple[RouteChoice, ...]:
-        return tuple(RouteChoice(option.plan.flight_id, option.route_index,
-                                 option.added_delay) for option in self.options)
+        return tuple(option.choice for option in self.options)
 
 
-def _objective(picks: tuple[Option, ...]) -> tuple:
+def _objective(picks: tuple[FlightAccount, ...]) -> tuple:
     """Total order over negotiation assignments, smaller is better.
 
     ``picks`` are the deviators' options in flight-id order.  Compares total
@@ -181,7 +169,7 @@ def _objective(picks: tuple[Option, ...]) -> tuple:
             option_tags)
 
 
-def _feasible(picks: tuple[Option, ...], accounts: dict[str, FlightAccount],
+def _feasible(picks: tuple[FlightAccount, ...], accounts: dict[str, FlightAccount],
               base: dict[Spot, int], room: dict[Spot, int],
               state: AirspaceState) -> bool:
     """Check every touched or already-conflicted spot against its headroom.
@@ -209,7 +197,8 @@ def _feasible(picks: tuple[Option, ...], accounts: dict[str, FlightAccount],
 
 def _cover_menus(deviators: tuple[str, ...], bit: dict[str, int],
                  short: dict[tuple[int, int], list[Spot]],
-                 options: dict[str, list[Option]]) -> list[list[Option]] | None:
+                 options: dict[str, list[FlightAccount]]
+                 ) -> list[list[FlightAccount]] | None:
     """The deviators' options that may still be feasible, or None if none is.
 
     ``short`` maps (holder mask, shortfall) to the spots that far over their
@@ -231,34 +220,18 @@ def _cover_menus(deviators: tuple[str, ...], bit: dict[str, int],
     return menus if all(menus) else None
 
 
-def _spots_held(triples, dt: float) -> frozenset[Spot]:
-    """The (cell, bucket start) spots that (cell, entry, exit) triples hold.
-
-    A triple's [entry, exit) holds buckets ``floor(entry / dt)`` up to, not
-    including, ``ceil(exit / dt)``, each starting at its index times
-    ``dt``.  More than ``MAX_SPOTS`` of them in all is a
-    ``PreconditionError``, raised before any spot is built.
-    """
-    spans = [(cell, math.floor(entry / dt), math.ceil(exit_ / dt))
-             for cell, entry, exit_ in triples]
-    if sum(hi - lo for _, lo, hi in spans) > MAX_SPOTS:
-        raise PreconditionError(f"segments hold more than {MAX_SPOTS} spots")
-    return frozenset((cell, i * dt) for cell, lo, hi in spans for i in range(lo, hi))
-
-
 def check_airspace(bucket_seconds: float, horizon_seconds: float,
                    calm_capacity: int, severe_capacity: int) -> None:
     """Refuse a bucket length or horizon that is not positive and finite,
-    and capacities outside ``0 <= severe <= calm``: the rule that both
-    :class:`AirspaceState` and a loaded scenario keep."""
+    and capacities that :func:`airspace.check_capacities` refuses: the rule
+    that both :class:`AirspaceState` and a loaded scenario keep."""
     # Written so that NaN fails the tests too.
     if not 0 < bucket_seconds < math.inf:
         raise ValidationError("bucket_seconds must be positive and finite", "bucket_seconds")
     if not 0 < horizon_seconds < math.inf:
         raise ValidationError("horizon_seconds must be positive and finite",
                               "horizon_seconds")
-    if not 0 <= severe_capacity <= calm_capacity:
-        raise ValidationError("capacities must satisfy 0 <= severe <= calm", "capacity")
+    check_capacities(calm_capacity, severe_capacity)
 
 
 class AirspaceState:
@@ -307,10 +280,19 @@ class AirspaceState:
         return (self._cells.get((col, row)) or self._new_cell((col, row)))[0]
 
     def segment_spots(self, segments) -> frozenset[Spot]:
-        """The (cell, bucket start) spots the segments hold (see
-        :func:`_spots_held`)."""
-        return _spots_held(((seg.subsector, seg.entry, seg.exit) for seg in segments),
-                           self.bucket_seconds)
+        """The (cell, bucket start) spots the segments hold.
+
+        A segment's [entry, exit) holds buckets ``floor(entry / dt)`` up to,
+        not including, ``ceil(exit / dt)``, each starting at its index times
+        ``dt``.  More than ``MAX_SPOTS`` of them in all is a
+        ``PreconditionError``, raised before any spot is built.
+        """
+        dt = self.bucket_seconds
+        spans = [(cell, math.floor(entry / dt), math.ceil(exit_ / dt))
+                 for cell, entry, exit_ in segments]
+        if sum(hi - lo for _, lo, hi in spans) > MAX_SPOTS:
+            raise PreconditionError(f"segments hold more than {MAX_SPOTS} spots")
+        return frozenset((cell, i * dt) for cell, lo, hi in spans for i in range(lo, hi))
 
     def occupancy(self, subsector: tuple[int, int], bucket_start: float) -> int:
         return len(self._occ.get((subsector, bucket_start), ()))
@@ -336,15 +318,18 @@ class AirspaceState:
         return sub.calm_capacity
 
     def account_for(self, plan: FlightPlan, route_index: int = -1,
-                    added_delay: float = 0.0, version: int = 1) -> FlightAccount:
+                    added_delay: float = 0.0, version: int = 1,
+                    current: set[TrajectorySegment] | None = None) -> FlightAccount:
         """The account a plan holds at one placement, segmented and bucketed.
 
         The route is segmented once per plan; each placement shifts that
-        segmentation by its delays.
+        segmentation by its delays.  Given the flight's ``current`` segments,
+        ``cost`` is the number of the account's segments absent from them.
         """
         segments = tuple(plan_segments(plan, self._route(plan, route_index), added_delay))
+        cost = 0 if current is None else sum(1 for s in segments if s not in current)
         return FlightAccount(plan, route_index, added_delay, version, segments,
-                             self.segment_spots(segments))
+                             self.segment_spots(segments), cost)
 
     def _route(self, plan: FlightPlan, route_index: int) -> list[TrajectorySegment]:
         """The segmentation of one of the plan's routes, before any delay."""
@@ -428,30 +413,17 @@ class AirspaceState:
 
     # -- negotiation ---------------------------------------------------------
 
-    def _options_for(self, account: FlightAccount, version: int) -> list[Option]:
-        """The placements the flight may move to, at plan version ``version``.
-
-        Each move's segments are kept as the (cell, entry, exit) triples of
-        :func:`shifted_triples`, the shift :func:`plan_segments` also
-        makes, so its spots and cost equal those of the account it would
-        build.  Cost is the number of triples absent from the current
-        placement.
-        """
+    def _options_for(self, account: FlightAccount, version: int) -> list[FlightAccount]:
+        """The accounts the flight may move to, at plan version ``version``,
+        each priced by its segments absent from the current placement."""
         plan = account.plan
-        current = {(s.subsector, s.entry, s.exit) for s in account.segments}
+        current = set(account.segments)
         moves = [(alt_index, account.added_delay)
                  for alt_index in range(len(plan.alternates))]
         moves += [(account.route_index, account.added_delay + extra)
                   for extra in DELAY_MENU]
-        dt = self.bucket_seconds
-        options = []
-        for route_index, delay in moves:
-            triples = shifted_triples(self._route(plan, route_index),
-                                      plan.departure_delay + delay)
-            cost = sum(1 for t in triples if t not in current)
-            options.append(Option(plan, route_index, delay, version,
-                                  _spots_held(triples, dt), cost))
-        return options
+        return [self.account_for(plan, route, delay, version, current)
+                for route, delay in moves]
 
     def negotiate(self, conflicts: tuple[Spot, ...] | list[Spot],
                   arriving: FlightAccount | None) -> Resolution | None:
@@ -499,7 +471,7 @@ class AirspaceState:
                 short.setdefault((holders, need), []).append(spot)
 
         best: tuple | None = None
-        best_picks: tuple[Option, ...] = ()
+        best_picks: tuple[FlightAccount, ...] = ()
         # k deviators hold a spot at most k times.
         for k in range(max((need for _, need in short), default=0),
                        min(MAX_CHANGED_FLIGHTS, len(movable)) + 1):
@@ -527,12 +499,11 @@ class AirspaceState:
     def apply_resolution(self, resolution: Resolution) -> tuple[str, ...]:
         """Apply all deviations atomically; returns the changed flight ids.
 
-        Each pick's account is built here, once.  A kept arriving flight is
-        not placed here: its caller holds its account.
+        Each pick is placed as it is.  A kept arriving flight is not placed
+        here: its caller holds its account.
         """
         for option in resolution.options:
-            self._place(option.plan.flight_id, self.account_for(
-                option.plan, option.route_index, option.added_delay, option.version))
+            self._place(option.plan.flight_id, option)
         return tuple(option.plan.flight_id for option in resolution.options)
 
     # -- weather reaction ----------------------------------------------------

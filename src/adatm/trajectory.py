@@ -10,7 +10,8 @@ exactly through a grid corner steps diagonally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 from .airspace import GridSpec
 from .errors import DomainError, ValidationError
@@ -48,6 +49,9 @@ class FlightPlan:
         _check_route(self.waypoints, "waypoints")
         if self.departure_delay < 0:
             raise ValidationError("departure_delay must be >= 0", "departure_delay")
+        # Written so that NaN fails the test too.
+        if not self.departure_delay < math.inf:
+            raise ValidationError("departure_delay must be finite", "departure_delay")
         first, last = self.waypoints[0], self.waypoints[-1]
         for i, alt in enumerate(self.alternates):
             _check_route(alt, f"alternates[{i}]")
@@ -76,26 +80,28 @@ class FlightPlan:
 def _check_route(waypoints: tuple[Waypoint, ...], path: str) -> None:
     if len(waypoints) < 2:
         raise ValidationError("route needs at least two waypoints", path)
+    for i, w in enumerate(waypoints):
+        # Written so that NaN fails the test too.
+        if not -math.inf < w.t < math.inf:
+            raise ValidationError(f"waypoint {i} time {w.t} is not finite", path)
     for a, b in zip(waypoints, waypoints[1:]):
         if b.t <= a.t:
             raise ValidationError(f"waypoint times not strictly increasing "
                                   f"({a.t} -> {b.t})", path)
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectorySegment:
-    """Time spent in one subsector: half-open [entry, exit).  The flight and
-    its plan version are on the account that holds the segment."""
+class TrajectorySegment(namedtuple("TrajectorySegment", "subsector entry exit")):
+    """Time spent in one subsector: half-open [entry, exit), as the (cell,
+    entry, exit) triple it equals.  The flight and its plan version are on
+    the account that holds the segment."""
 
-    subsector: tuple[int, int]
-    entry: float
-    exit: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, subsector: tuple[int, int], entry: float, exit: float):
         # Written so that NaN fails the test too.
-        if not self.entry < self.exit:
-            raise ValidationError(f"entry {self.entry} is not before exit {self.exit}",
-                                  "segment")
+        if not entry < exit:
+            raise ValidationError(f"entry {entry} is not before exit {exit}", "segment")
+        return tuple.__new__(cls, (subsector, entry, exit))
 
 
 def position_at(waypoints: tuple[Waypoint, ...], t: float) -> tuple[float, float]:
@@ -176,6 +182,7 @@ def segment_trajectory(plan: FlightPlan, grid: GridSpec,
         cuts.extend(sorted(times))
         cuts.append(b.t)
 
+    # Each slice has ta < tb, so segments skip the checking constructor.
     segments: list[TrajectorySegment] = []
     for ta, tb in zip(cuts, cuts[1:]):
         if tb <= ta:
@@ -183,38 +190,28 @@ def segment_trajectory(plan: FlightPlan, grid: GridSpec,
         x, y = position_at(waypoints, (ta + tb) / 2.0)
         cell = grid.cell_of(x, y)
         if segments and segments[-1].subsector == cell:
-            last = segments[-1]
-            segments[-1] = replace(last, exit=tb)
+            segments[-1] = segments[-1]._replace(exit=tb)
         else:
-            segments.append(TrajectorySegment(cell, ta, tb))
+            segments.append(tuple.__new__(TrajectorySegment, (cell, ta, tb)))
     return segments
-
-
-def shifted_triples(raw: list[TrajectorySegment],
-                    total: float) -> list[tuple[tuple[int, int], float, float]]:
-    """The (cell, entry, exit) triples of a route's segmentation ``raw``
-    shifted by ``total`` seconds.  A segment that the shift rounds to zero
-    length is dropped; its neighbours still meet, at the instant it
-    collapsed to."""
-    out = []
-    for s in raw:
-        entry = s.entry + total
-        exit_ = s.exit + total
-        if entry < exit_:
-            out.append((s.subsector, entry, exit_))
-    return out
 
 
 def plan_segments(plan: FlightPlan, raw: list[TrajectorySegment],
                   added_delay: float = 0.0) -> list[TrajectorySegment]:
     """Effective segments of a plan: the segmentation ``raw`` of one of its
-    routes (see :func:`segment_trajectory`) shifted by all delays through
-    :func:`shifted_triples`.  At a zero shift the segments are ``raw``'s
-    own: ``x + 0.0`` equals ``x`` for every time but -0.0, which reads as 0
-    wherever a segment time is used.
+    routes (see :func:`segment_trajectory`) shifted by all delays.  A
+    segment that the shift rounds to zero length is dropped; its
+    neighbours still meet, at the instant it collapsed to.  At a zero shift
+    the segments are ``raw``'s own: ``x + 0.0`` equals ``x`` for every time
+    but -0.0, which reads as 0 wherever a segment time is used.
     """
     total = plan.departure_delay + added_delay
     if total == 0:
         return list(raw)
-    return [TrajectorySegment(cell, entry, exit_)
-            for cell, entry, exit_ in shifted_triples(raw, total)]
+    out = []
+    for cell, entry, exit_ in raw:
+        entry += total
+        exit_ += total
+        if entry < exit_:
+            out.append(tuple.__new__(TrajectorySegment, (cell, entry, exit_)))
+    return out

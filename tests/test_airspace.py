@@ -120,9 +120,12 @@ class TestCapacity:
         assert bucket_capacity(cell, TimeInterval(1300.0, 1301.0), windows(cell, storm)) == 0
 
     def test_invalid_capacity_ordering(self):
-        with pytest.raises(ValidationError):
-            Subsector(index=(0, 0), bounds=PlanarBox(0, 0, 1, 1),
-                      calm_capacity=3, severe_capacity=5)
+        for calm, severe in [(3, 5), (-1, -2), (2, -1), (math.nan, 1), (1, math.nan)]:
+            with pytest.raises(ValidationError) as err:
+                Subsector(index=(0, 0), bounds=PlanarBox(0, 0, 1, 1),
+                          calm_capacity=calm, severe_capacity=severe)
+            assert (err.value.path, err.value.message) == (
+                "capacity", "capacities must satisfy 0 <= severe <= calm"), (calm, severe)
 
 
 class TestBucketCapacity:

@@ -626,16 +626,17 @@ def spy_applied(monkeypatch):
 
 
 def assert_movers_hold_the_picked_accounts(state, applied):
-    """Each moved flight holds its picked placement, one plan version past
-    its previous one (an arrival at version 1), equal to the same placement
-    built by a fresh state."""
+    """Each moved flight holds the very account picked for it, one plan
+    version past its previous one (an arrival at version 1), equal to the
+    same placement built by a fresh state."""
     fresh = AirspaceState(state.grid, bucket_seconds=state.bucket_seconds)
     assert applied
     for resolution, before in applied:
         for option in resolution.options:
             previous = before[option.plan.flight_id]
             version = 1 if previous is None else previous.version + 1
-            assert state.flights[option.plan.flight_id] == fresh.account_for(
+            assert state.flights[option.plan.flight_id] is option
+            assert option == fresh.account_for(
                 option.plan, option.route_index, option.added_delay, version)
 
 
@@ -981,9 +982,8 @@ class TestSpotAllocationBound:
 
 
 class TestOptionsMatchTheirAccounts:
-    """An option holds the spots and the cost of the account it would
-    build: ``segment_spots`` of that account's segments, and the number of
-    them absent from the flight's current placement."""
+    """An option is the account it would place, priced by the number of its
+    segments absent from the flight's current placement."""
 
     @pytest.mark.parametrize("bucket", [7.0, 60.0])
     def test_spots_and_cost_equal_account_for(self, bucket):
@@ -1015,7 +1015,7 @@ class TestOptionsMatchTheirAccounts:
                 moved = state.account_for(plan, option.route_index, option.added_delay,
                                           option.version)
                 assert option.plan is plan and option.version == current.version + 1
-                assert option.spots == state.segment_spots(moved.segments)
+                assert option == moved
                 assert option.cost == sum(1 for s in moved.segments
                                           if (s.subsector, s.entry, s.exit) not in held)
 

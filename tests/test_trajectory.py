@@ -219,6 +219,45 @@ class TestSegmentInterval:
         assert err.value.path == "segment"
 
 
+class TestSegmentIsItsTriple:
+    """A segment equals and hashes as its plain (cell, entry, exit) triple,
+    whether segmentation or a shift built it."""
+
+    def test_segmented_and_shifted_segments(self):
+        plan = plan_of([[1.0, 1.0, 0.0], [75.0, 41.0, 700.0]])
+        raw = segment_trajectory(plan, GRID)
+        moved = plan_segments(plan, raw, added_delay=60.0)
+        assert len(raw) > 1 and len(moved) == len(raw)
+        for seg in raw + moved:
+            triple = (seg.subsector, seg.entry, seg.exit)
+            assert type(seg) is TrajectorySegment
+            assert seg == triple and hash(seg) == hash(triple)
+            assert seg in {triple} and triple in {seg}
+
+
+class TestNonFiniteTimes:
+    """A plan refuses a non-finite delay or waypoint time.  A shift by NaN
+    or infinity leaves no segment with ``entry < exit``, so such a flight
+    would be accepted holding no spot."""
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_a_non_finite_delay_is_refused(self, delay):
+        with pytest.raises(ValidationError) as err:
+            plan_of([[1.0, 1.0, 0.0], [8.0, 8.0, 500.0]], departure_delay=delay)
+        assert (err.value.path, err.value.message) == (
+            "departure_delay", "departure_delay must be finite")
+
+    @pytest.mark.parametrize("at, t", [(0, math.nan), (1, math.nan), (0, -math.inf),
+                                       (1, math.inf)])
+    def test_a_non_finite_waypoint_time_is_refused(self, at, t):
+        route = [[1.0, 1.0, 0.0], [8.0, 8.0, 500.0]]
+        route[at][2] = t
+        with pytest.raises(ValidationError) as err:
+            plan_of(route)
+        assert (err.value.path, err.value.message) == (
+            "waypoints", f"waypoint {at} time {t} is not finite")
+
+
 class TestPlanHash:
     """A plan hashes its fields once; placement caches key on it."""
 
